@@ -42,8 +42,9 @@ namespace ccmx::num {
 /// All primes <= limit (simple sieve; limit <= 10^8 recommended).
 [[nodiscard]] std::vector<std::uint64_t> primes_up_to(std::uint64_t limit);
 
-/// Number of primes with exactly `bits` bits, counted exactly for
-/// bits <= 20 (used by the fingerprint error analysis) — std::nullopt above.
+/// Number of primes with exactly `bits` bits, exact for 2 <= bits <= 20
+/// (used by the fingerprint error analysis) — std::nullopt outside.  A
+/// table lookup.
 [[nodiscard]] std::optional<std::uint64_t> count_primes_with_bits(
     unsigned bits);
 

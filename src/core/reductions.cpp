@@ -11,7 +11,6 @@
 namespace ccmx::core {
 
 using num::BigInt;
-using num::Rational;
 
 bool singular_via_determinant(const la::IntMatrix& m) {
   return la::det_bareiss(m).is_zero();
@@ -49,10 +48,10 @@ bool singular_via_smith(const la::IntMatrix& m) {
 
 bool solvable(const la::IntMatrix& a, const std::vector<BigInt>& b) {
   CCMX_REQUIRE(b.size() == a.rows(), "solvable shape mismatch");
-  std::vector<Rational> rhs;
-  rhs.reserve(b.size());
-  for (const BigInt& value : b) rhs.emplace_back(value);
-  return la::solve(la::to_rational(a), rhs).has_value();
+  la::IntMatrix augmented(a.rows(), a.cols() + 1);
+  augmented.set_block(0, 0, a);
+  for (std::size_t i = 0; i < a.rows(); ++i) augmented(i, a.cols()) = b[i];
+  return la::rank(a) == la::rank(augmented);
 }
 
 SolvabilityInstance corollary13_instance(const la::IntMatrix& m) {

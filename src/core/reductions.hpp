@@ -33,7 +33,8 @@ namespace ccmx::core {
 
 // --- Corollary 1.3: solvability of A x = b --------------------------------
 
-/// Exact solvability of A x = b over Q.
+/// Exact solvability of A x = b over Q: rank(A) == rank([A | b]), both on
+/// the modular rank engine (la::rank).
 [[nodiscard]] bool solvable(const la::IntMatrix& a,
                             const std::vector<num::BigInt>& b);
 

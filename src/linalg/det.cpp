@@ -57,8 +57,6 @@ BigInt det_cofactor(const IntMatrix& m) {
   return total;
 }
 
-bool is_singular(const IntMatrix& m) { return det_bareiss(m).is_zero(); }
-
 std::size_t hadamard_det_bits(std::size_t n, unsigned k) {
   // |det| <= (2^k * sqrt(n))^n  =>  bits <= n * (k + log2(n)/2) + 1.
   const double bits =

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "bigint/modular.hpp"
+#include "linalg/crt.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
 #include "util/narrow.hpp"
@@ -26,29 +26,16 @@ std::size_t max_entry_bits(const IntMatrix& m) {
   return bits;
 }
 
-/// Deterministic ladder of distinct 62-bit primes.
-std::vector<std::uint64_t> prime_ladder(std::size_t count) {
-  std::vector<std::uint64_t> primes;
-  primes.reserve(count);
-  std::uint64_t cursor = (std::uint64_t{1} << 61) + 1;
-  while (primes.size() < count) {
-    cursor = num::next_prime(cursor);
-    primes.push_back(cursor);
-    cursor += 2;
-  }
-  return primes;
-}
-
 }  // namespace
 
 std::size_t det_crt_prime_count(const IntMatrix& m) {
   CCMX_REQUIRE(m.is_square(), "determinant of a non-square matrix");
   if (m.rows() == 0) return 1;
-  const auto k = util::narrow_cast<unsigned>(std::min<std::size_t>(
-      62, max_entry_bits(m) + 1));
+  // Entries are below 2^k, multi-limb ones included.
+  const auto k = util::narrow_cast<unsigned>(max_entry_bits(m) + 1);
   // Need prod p_i > 2 * |det| ; each prime contributes > 61 bits.
   const std::size_t det_bits = hadamard_det_bits(m.rows(), k) + 2;
-  return det_bits / 61 + 1;
+  return det_bits / kLadderPrimeBits + 1;
 }
 
 BigInt det_crt(const IntMatrix& m) {
@@ -56,8 +43,10 @@ BigInt det_crt(const IntMatrix& m) {
   const std::size_t n = m.rows();
   if (n == 0) return BigInt(1);
 
-  const std::vector<std::uint64_t> primes =
-      prime_ladder(det_crt_prime_count(m));
+  std::vector<std::uint64_t> primes(det_crt_prime_count(m));
+  for (std::size_t i = 0; i < primes.size(); ++i) {
+    primes[i] = next_ladder_prime(i == 0 ? 0 : primes[i - 1]);
+  }
   std::vector<std::uint64_t> residues(primes.size(), 0);
 
   // Independent mod-p eliminations: shard across hardware threads.
@@ -65,25 +54,11 @@ BigInt det_crt(const IntMatrix& m) {
     residues[i] = det_mod_p(reduce_mod(m, primes[i]), primes[i]);
   });
 
-  // Incremental CRT: value stays in [0, modulus).
-  BigInt value(static_cast<std::int64_t>(residues[0]));
-  BigInt modulus(static_cast<std::int64_t>(primes[0]));
-  for (std::size_t i = 1; i < primes.size(); ++i) {
-    const std::uint64_t p = primes[i];
-    // delta = (r_i - value) * modulus^{-1} mod p.
-    const std::uint64_t value_mod_p = value.mod_u64(p);
-    const std::uint64_t diff =
-        residues[i] >= value_mod_p ? residues[i] - value_mod_p
-                                   : residues[i] + p - value_mod_p;
-    const std::uint64_t inv = num::invmod(modulus.mod_u64(p), p);
-    const std::uint64_t delta = num::mulmod(diff, inv, p);
-    // 62-bit delta and p: fused word-sized CRT fold, no BigInt temporaries.
-    value.add_mul(modulus, static_cast<std::int64_t>(delta));
-    modulus *= static_cast<std::int64_t>(p);
+  CrtFold fold;
+  for (std::size_t i = 0; i < primes.size(); ++i) {
+    fold.add(residues[i], primes[i]);
   }
-  // Map to the symmetric range (det may be negative).
-  if (value + value > modulus) value -= modulus;
-  return value;
+  return fold.symmetric();  // det may be negative
 }
 
 }  // namespace ccmx::la

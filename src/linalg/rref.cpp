@@ -4,7 +4,6 @@
 
 namespace ccmx::la {
 
-using num::BigInt;
 using num::Rational;
 
 RrefResult rref(const RatMatrix& m) {
@@ -33,41 +32,6 @@ RrefResult rref(const RatMatrix& m) {
     ++lead;
   }
   return out;
-}
-
-std::size_t rank(const IntMatrix& m) {
-  // Fraction-free elimination with full pivoting; counts pivots.
-  IntMatrix a = m;
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  BigInt prev(1);
-  std::size_t r = 0;
-  for (std::size_t k = 0; k < std::min(rows, cols); ++k) {
-    // Full pivot search over the trailing block.
-    std::size_t pi = rows, pj = cols;
-    for (std::size_t i = k; i < rows && pi == rows; ++i) {
-      for (std::size_t j = k; j < cols; ++j) {
-        if (!a(i, j).is_zero()) {
-          pi = i;
-          pj = j;
-          break;
-        }
-      }
-    }
-    if (pi == rows) break;  // trailing block is zero
-    a.swap_rows(pi, k);
-    a.swap_cols(pj, k);
-    for (std::size_t i = k + 1; i < rows; ++i) {
-      for (std::size_t j = k + 1; j < cols; ++j) {
-        BigInt value = a(k, k) * a(i, j) - a(i, k) * a(k, j);
-        a(i, j) = value.divide_exact(prev);
-      }
-      a(i, k) = BigInt(0);
-    }
-    prev = a(k, k);
-    ++r;
-  }
-  return r;
 }
 
 std::size_t rank(const RatMatrix& m) { return rref(m).rank(); }

@@ -1,5 +1,9 @@
 // Reduced row echelon form over the rationals, and everything that falls
 // out of it: rank, nullspace, linear solves, span membership / equality.
+// Rational Gauss-Jordan is the exact oracle the tests check the modular
+// engine against, and the engine for callers that need a solution vector
+// or a span (in_column_span, the Lemma 3.4 span census); the exact rank of
+// an integer matrix is the modular engine's job (linalg/exact.cpp).
 //
 // Span equality via canonical RREF is the comparison the reproduction of
 // Lemma 3.4 uses ("distinct instances of C yield distinct vector spaces"):
@@ -23,9 +27,12 @@ struct RrefResult {
 /// Gauss-Jordan over Q; exact.
 [[nodiscard]] RrefResult rref(const RatMatrix& m);
 
-/// rank over Q of an integer matrix, via fraction-free (Bareiss) elimination
-/// with full pivot search — no rational normalization cost.
+/// rank over Q of an integer matrix, exact, from its ranks modulo the ladder
+/// primes with a Hadamard stop rule (linalg/exact.cpp).  One prime settles a
+/// full-rank input; a deficient one takes about bound/61 primes, where bound
+/// is the bit size of the Hadamard bound on its (rank+1)-minors.
 [[nodiscard]] std::size_t rank(const IntMatrix& m);
+/// rank over Q by Gauss-Jordan (the oracle for the integer overload).
 [[nodiscard]] std::size_t rank(const RatMatrix& m);
 
 /// Basis of the right nullspace {x : m x = 0}; one column vector per basis

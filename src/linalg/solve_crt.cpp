@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "bigint/modular.hpp"
+#include "linalg/crt.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
 #include "linalg/rref.hpp"
@@ -72,24 +72,21 @@ std::optional<std::vector<Rational>> solve_crt(const IntMatrix& a,
 
   // Cramer bound: numerators and denominator are determinants of matrices
   // with entries of `k` bits, so both are below 2^H with H = Hadamard bits.
-  const auto k = util::narrow_cast<unsigned>(
-      std::min<std::size_t>(62, max_entry_bits(a, b) + 1));
+  const auto k = util::narrow_cast<unsigned>(max_entry_bits(a, b) + 1);
   const std::size_t h_bits = hadamard_det_bits(n, k) + 1;
   // Reconstruction needs 2 * bound^2 < modulus: ~2H + 2 bits of primes.
   const std::size_t needed_bits = 2 * h_bits + 4;
-  const std::size_t good_needed = needed_bits / 61 + 1;
+  const std::size_t good_needed = needed_bits / kLadderPrimeBits + 1;
   // det != 0 has at most h_bits/61 + 1 prime factors in the ladder; seeing
   // more zero-determinant primes proves singularity.
-  const std::size_t max_bad = h_bits / 61 + 1;
+  const std::size_t max_bad = h_bits / kLadderPrimeBits + 1;
 
   std::vector<std::uint64_t> good_primes;
   std::vector<std::vector<std::uint64_t>> solutions;
   std::size_t bad = 0;
-  std::uint64_t cursor = (std::uint64_t{1} << 61) + 1;
+  std::uint64_t p = 0;
   while (good_primes.size() < good_needed) {
-    cursor = num::next_prime(cursor);
-    const std::uint64_t p = cursor;
-    cursor += 2;
+    p = next_ladder_prime(p);
     const ModMatrix reduced = reduce_mod(a, p);
     if (det_mod_p(reduced, p) == 0) {
       if (++bad > max_bad) return std::nullopt;  // provably singular
@@ -109,21 +106,11 @@ std::optional<std::vector<Rational>> solve_crt(const IntMatrix& a,
   const BigInt bound = BigInt::pow2(util::narrow_cast<unsigned>(h_bits));
   std::vector<std::optional<Rational>> recovered(n);
   util::parallel_for(0, n, [&](std::size_t j) {
-    BigInt value(static_cast<std::int64_t>(solutions[0][j]));
-    BigInt modulus(static_cast<std::int64_t>(good_primes[0]));
-    for (std::size_t i = 1; i < good_primes.size(); ++i) {
-      const std::uint64_t p = good_primes[i];
-      const std::uint64_t value_mod_p = value.mod_u64(p);
-      const std::uint64_t diff = solutions[i][j] >= value_mod_p
-                                     ? solutions[i][j] - value_mod_p
-                                     : solutions[i][j] + p - value_mod_p;
-      const std::uint64_t inv = num::invmod(modulus.mod_u64(p), p);
-      const std::uint64_t delta = num::mulmod(diff, inv, p);
-      // 62-bit delta and p: fused word-sized CRT fold, no temporaries.
-      value.add_mul(modulus, static_cast<std::int64_t>(delta));
-      modulus *= static_cast<std::int64_t>(p);
+    CrtFold fold;
+    for (std::size_t i = 0; i < good_primes.size(); ++i) {
+      fold.add(solutions[i][j], good_primes[i]);
     }
-    recovered[j] = rational_reconstruct(value, modulus, bound);
+    recovered[j] = rational_reconstruct(fold.value(), fold.modulus(), bound);
   });
 
   std::vector<Rational> x;

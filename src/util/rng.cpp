@@ -9,16 +9,17 @@ std::vector<std::size_t> sample_without_replacement(std::size_t universe,
                                                     std::size_t size,
                                                     Xoshiro256& rng) {
   CCMX_REQUIRE(size <= universe, "sample larger than universe");
-  // Floyd's algorithm: O(size) expected insertions.
+  // Floyd's algorithm: one draw per element, membership from a bitmap of
+  // the universe, so O(universe / 64 + size log size) overall.
   std::vector<std::size_t> chosen;
   chosen.reserve(size);
+  std::vector<bool> seen(universe, false);
   for (std::size_t j = universe - size; j < universe; ++j) {
     const std::size_t t = rng.below(j + 1);
-    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
-      chosen.push_back(t);
-    } else {
-      chosen.push_back(j);
-    }
+    // j itself cannot be taken yet: every earlier pick is below it.
+    const std::size_t pick = seen[t] ? j : t;
+    seen[pick] = true;
+    chosen.push_back(pick);
   }
   std::sort(chosen.begin(), chosen.end());
   return chosen;

@@ -59,21 +59,22 @@ auto sweep_digits(std::uint64_t q, std::size_t digits, MakeState&& make_state,
   using State = std::decay_t<decltype(make_state())>;
   const std::uint64_t space = digit_space_size(q, digits);
 
-  struct Slot {
+  // Workers write their state and odometer on every index.  Each slot gets
+  // cache lines of its own, and each chunk's odometer is allocated by the
+  // worker running it: state or digits of two workers sharing a line make
+  // the cores trade it back and forth (false sharing), at a cost that
+  // depends on where the heap happened to place them.
+  struct alignas(64) Slot {
     std::optional<State> state;
-    std::vector<std::uint32_t> dv;
   };
   std::vector<Slot> slots(parallelism());
 
   detail::parallel_shards(
       0, space, [&](std::size_t w, std::size_t lo, std::size_t hi) {
         Slot& slot = slots[w];
-        if (!slot.state) {
-          slot.state.emplace(make_state());
-          slot.dv.assign(digits, 0);
-        }
+        if (!slot.state) slot.state.emplace(make_state());
         State& state = *slot.state;
-        std::vector<std::uint32_t>& dv = slot.dv;
+        std::vector<std::uint32_t> dv(digits);
         std::uint64_t rest = lo;
         for (std::size_t d = 0; d < digits; ++d) {
           dv[d] = narrow_cast<std::uint32_t>(rest % q);

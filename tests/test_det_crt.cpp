@@ -1,6 +1,9 @@
-// CRT determinant vs Bareiss, and the Strassen product vs naive.
+// The prime ladder and CRT fold, the CRT determinant vs Bareiss, and the
+// Strassen product vs naive.
 #include <gtest/gtest.h>
 
+#include "bigint/modular.hpp"
+#include "linalg/crt.hpp"
 #include "linalg/det.hpp"
 #include "linalg/det_crt.hpp"
 #include "linalg/strassen.hpp"
@@ -59,6 +62,46 @@ TEST(DetCrt, PrimeCountScalesWithSizeAndWidth) {
             ccmx::la::det_crt_prime_count(wide));
   EXPECT_LT(ccmx::la::det_crt_prime_count(wide),
             ccmx::la::det_crt_prime_count(big));
+}
+
+TEST(PrimeLadder, ConsecutivePrimesAbove2To61) {
+  // Past the cached first rungs too: every prime above 2^61, in order.
+  std::uint64_t p = 0;
+  std::uint64_t expected = std::uint64_t{1} << 61;
+  for (int rung = 0; rung < 80; ++rung) {
+    expected = ccmx::num::next_prime(expected + 1);
+    p = ccmx::la::next_ladder_prime(p);
+    EXPECT_EQ(p, expected) << "rung " << rung;
+  }
+  EXPECT_LT(p, std::uint64_t{1} << 62);
+}
+
+TEST(CrtFold, RecoversSignedValuesAcrossPrimes) {
+  for (const BigInt& x :
+       {BigInt(0), BigInt(-1), BigInt(7), BigInt::pow2(150) - BigInt(3),
+        -(BigInt::pow2(170) + BigInt(12345))}) {
+    ccmx::la::CrtFold fold;
+    std::uint64_t p = 0;
+    for (int i = 0; i < 4; ++i) {  // modulus > 2^244 > 2 |x|
+      p = ccmx::la::next_ladder_prime(p);
+      fold.add(x.mod_floor_u64(p), p);
+    }
+    EXPECT_EQ(fold.symmetric(), x);
+    EXPECT_EQ(fold.value(), BigInt::mod_floor(x, fold.modulus()));
+  }
+}
+
+TEST(DetCrt, MultiLimbEntriesMatchBareiss) {
+  // Entries near 2^110: the prime count must follow the real entry width.
+  Xoshiro256 rng(12);
+  for (int trial = 0; trial < 6; ++trial) {
+    const IntMatrix m = IntMatrix::generate(4, 4, [&](std::size_t,
+                                                      std::size_t) {
+      return BigInt(rng.range(-1000, 1000)) * BigInt::pow2(100) +
+             BigInt(rng.range(-9, 9));
+    });
+    EXPECT_EQ(ccmx::la::det_crt(m), ccmx::la::det_bareiss(m));
+  }
 }
 
 TEST(DetCrt, NegativeDeterminantSign) {

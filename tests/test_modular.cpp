@@ -87,8 +87,8 @@ TEST(RandomPrime, InRangeAndPrime) {
 
 TEST(CountPrimes, MatchesSieveCounts) {
   // Primes with exactly b bits = pi(2^b - 1) - pi(2^{b-1} - 1).
-  const auto primes = primes_up_to(1 << 12);
-  for (unsigned b = 2; b <= 12; ++b) {
+  const auto primes = primes_up_to(1 << 20);
+  for (unsigned b = 2; b <= 20; ++b) {
     const auto count = count_primes_with_bits(b);
     ASSERT_TRUE(count.has_value());
     std::uint64_t expected = 0;
@@ -99,6 +99,8 @@ TEST(CountPrimes, MatchesSieveCounts) {
     }
     EXPECT_EQ(*count, expected) << b;
   }
+  EXPECT_EQ(count_primes_with_bits(20), std::uint64_t{38635});
+  EXPECT_FALSE(count_primes_with_bits(1).has_value());
   EXPECT_FALSE(count_primes_with_bits(21).has_value());
 }
 

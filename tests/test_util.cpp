@@ -1,11 +1,14 @@
 // util: rng determinism/statistics, parallel loops, narrowing, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/narrow.hpp"
 #include "util/parallel.hpp"
@@ -65,6 +68,41 @@ TEST(Rng, SampleWithoutReplacement) {
   EXPECT_EQ(full.size(), 10u);
   EXPECT_EQ(full.front(), 0u);
   EXPECT_EQ(full.back(), 9u);
+}
+
+/// Floyd's algorithm with a linear membership scan: the reference the
+/// bitmap version must reproduce draw for draw.
+std::vector<std::size_t> reference_sample(std::size_t universe,
+                                          std::size_t size, Xoshiro256& rng) {
+  std::vector<std::size_t> chosen;
+  for (std::size_t j = universe - size; j < universe; ++j) {
+    const std::size_t t = rng.below(j + 1);
+    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
+      chosen.push_back(t);
+    } else {
+      chosen.push_back(j);
+    }
+  }
+  std::sort(chosen.begin(), chosen.end());
+  return chosen;
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesReferenceFloyd) {
+  for (const auto& [universe, size] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{0, 0},
+                                                        {1, 1},
+                                                        {10, 10},
+                                                        {100, 30},
+                                                        {1000, 999},
+                                                        {4096, 1},
+                                                        {30752, 15376}}) {
+    Xoshiro256 rng(universe + size);
+    Xoshiro256 ref_rng(universe + size);
+    EXPECT_EQ(sample_without_replacement(universe, size, rng),
+              reference_sample(universe, size, ref_rng))
+        << universe << " choose " << size;
+    EXPECT_EQ(rng(), ref_rng());  // the same number of draws
+  }
 }
 
 TEST(Rng, RandomPermutationIsPermutation) {
