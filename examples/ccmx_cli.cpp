@@ -11,13 +11,20 @@
 //   mesh        <n> <k>          simulate the systolic mesh and audit the
 //                                VLSI bounds
 //
+// Every argument is a plain decimal number checked against its command's
+// range (see usage()); anything else prints the usage and exits 2.
+//
 // Build & run:  ./build/examples/ccmx_cli singularity 8 8
 //
 // Observability: CCMX_TRACE=1 turns the obs counters on;
 // CCMX_REPORT=<path> writes a ccmx.run_report/1 JSON summary at exit
 // (see docs/OBSERVABILITY.md).
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "comm/channel.hpp"
@@ -167,11 +174,69 @@ int cmd_mesh(std::size_t n, unsigned k) {
 void usage() {
   std::cerr << "usage: ccmx_cli <singularity|solvable|hard|rank|mesh> "
                "<args...>\n"
-               "  singularity n k [seed]\n"
-               "  solvable    n k [seed]\n"
-               "  hard        n k [seed]   (n odd, k >= 2)\n"
-               "  rank        n r [seed]\n"
-               "  mesh        n k\n";
+               "  singularity n k [seed]   n in [1, 1024], k in [1, 62]\n"
+               "  solvable    n k [seed]   n in [1, 1024], k in [1, 62]\n"
+               "  hard        n k [seed]   n odd in [3, 1024], k in [2, 20]\n"
+               "  rank        n r [seed]   n in [1, 1024], r in [0, n]\n"
+               "  mesh        n k          n in [1, 1024], k in [1, 62]\n"
+               "  seed is any unsigned 64-bit decimal\n";
+}
+
+/// Largest matrix side accepted: n^2 k stays far from overflow and the
+/// exact ground truths finish in minutes.
+constexpr std::uint64_t kMaxSide = 1024;
+
+/// One decimal argument, strictly: digits only (no sign, no spaces, no
+/// trailing text), no overflow, and within [lo, hi].
+std::optional<std::uint64_t> parse_uint(const char* text, std::uint64_t lo,
+                                        std::uint64_t hi) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+struct Args {
+  std::string cmd;
+  std::size_t n = 0;
+  std::size_t arg3 = 0;  // k, or r for rank
+  std::uint64_t seed = 2024;
+};
+
+/// The command line checked against the command's ranges; nullopt means
+/// print the usage and exit 2.
+std::optional<Args> parse_args(int argc, char** argv) {
+  if (argc < 4) return std::nullopt;
+  Args args;
+  args.cmd = argv[1];
+  std::uint64_t n_lo = 1, arg3_lo = 1, arg3_hi = 62;
+  if (args.cmd == "hard") {
+    n_lo = 3;
+    arg3_lo = 2;
+    arg3_hi = 20;
+  } else if (args.cmd != "singularity" && args.cmd != "solvable" &&
+             args.cmd != "rank" && args.cmd != "mesh") {
+    return std::nullopt;
+  }
+  if (argc > (args.cmd == "mesh" ? 4 : 5)) return std::nullopt;
+  const auto n = parse_uint(argv[2], n_lo, kMaxSide);
+  if (!n || (args.cmd == "hard" && *n % 2 == 0)) return std::nullopt;
+  if (args.cmd == "rank") {
+    arg3_lo = 0;
+    arg3_hi = *n;
+  }
+  const auto arg3 = parse_uint(argv[3], arg3_lo, arg3_hi);
+  const auto seed =
+      argc > 4 ? parse_uint(argv[4], 0, ~std::uint64_t{0})
+               : std::optional<std::uint64_t>(args.seed);
+  if (!arg3 || !seed) return std::nullopt;
+  args.n = static_cast<std::size_t>(*n);
+  args.arg3 = static_cast<std::size_t>(*arg3);
+  args.seed = *seed;
+  return args;
 }
 
 int run_command(const std::string& cmd, std::size_t n, std::size_t arg3,
@@ -224,7 +289,8 @@ void maybe_write_report(int argc, char** argv, const util::WallTimer& timer,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 4) {
+  const std::optional<Args> args = parse_args(argc, argv);
+  if (!args) {
     usage();
     return 2;
   }
@@ -238,11 +304,7 @@ int main(int argc, char** argv) {
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
   // a reasoned no-op when unconfigured or unavailable.
   obs::profiler_start_from_env();
-  const std::string cmd = argv[1];
-  const std::size_t n = std::strtoul(argv[2], nullptr, 10);
-  const std::size_t arg3 = std::strtoul(argv[3], nullptr, 10);
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2024;
+  const auto& [cmd, n, arg3, seed] = *args;
   obs::set_attribute("command", cmd);
   obs::set_attribute("seed", std::to_string(seed));
   obs::set_attribute("n", std::to_string(n));

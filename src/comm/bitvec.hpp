@@ -18,9 +18,7 @@ class BitVec {
   static BitVec from_uint(std::uint64_t value, std::size_t size) {
     CCMX_REQUIRE(size <= 64, "from_uint limited to 64 bits");
     BitVec out(size);
-    if (size > 0) {
-      out.words_[0] = size == 64 ? value : (value & ((std::uint64_t{1} << size) - 1));
-    }
+    if (size > 0) out.words_[0] = value & low_mask(size);
     return out;
   }
 
@@ -51,20 +49,25 @@ class BitVec {
   /// Appends the low `count` bits of `value`, LSB first.
   void append_uint(std::uint64_t value, std::size_t count) {
     CCMX_REQUIRE(count <= 64, "append_uint limited to 64 bits");
-    for (std::size_t b = 0; b < count; ++b) {
-      push_back(((value >> b) & 1u) != 0);
-    }
+    if (count == 0) return;
+    value &= low_mask(count);
+    const std::size_t shift = size_ % 64;
+    if (shift == 0) words_.push_back(0);
+    words_.back() |= value << shift;
+    if (shift + count > 64) words_.push_back(value >> (64 - shift));
+    size_ += count;
   }
 
-  /// Reads `count` bits starting at `pos`, LSB first.
+  /// Reads `count` bits starting at `pos`, LSB first: the range spans at
+  /// most two words, gathered in one step.
   [[nodiscard]] std::uint64_t read_uint(std::size_t pos,
                                         std::size_t count) const {
     CCMX_REQUIRE(count <= 64 && pos + count <= size_, "read_uint out of range");
-    std::uint64_t value = 0;
-    for (std::size_t b = 0; b < count; ++b) {
-      if (get(pos + b)) value |= std::uint64_t{1} << b;
-    }
-    return value;
+    if (count == 0) return 0;
+    const std::size_t shift = pos % 64;
+    std::uint64_t value = words_[pos / 64] >> shift;
+    if (shift + count > 64) value |= words_[pos / 64 + 1] << (64 - shift);
+    return value & low_mask(count);
   }
 
   [[nodiscard]] std::size_t popcount() const noexcept {
@@ -87,6 +90,11 @@ class BitVec {
   }
 
  private:
+  /// The low `count` bits set, 1 <= count <= 64.
+  static std::uint64_t low_mask(std::size_t count) noexcept {
+    return count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+  }
+
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };

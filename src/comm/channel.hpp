@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,19 @@ class AgentView {
   }
   [[nodiscard]] std::vector<std::size_t> owned_indices() const {
     return partition_->indices_of(who_);
+  }
+  /// Entry (i, j) of `layout` as this agent reads it: the k-bit value when
+  /// the agent owns all of the entry's bits, nullopt when the other agent
+  /// owns them all.  Throws when the partition splits the entry.
+  [[nodiscard]] std::optional<std::uint64_t> entry(
+      const MatrixBitLayout& layout, std::size_t i, std::size_t j) const {
+    CCMX_REQUIRE(layout.total_bits() == input_->size(),
+                 "input does not match the layout");
+    const std::size_t first = layout.bit_index(i, j, 0);
+    if (partition_->range_owner(first, layout.entry_bits()) != who_) {
+      return std::nullopt;
+    }
+    return input_->read_uint(first, layout.entry_bits());
   }
   [[nodiscard]] const Partition& partition() const noexcept {
     return *partition_;

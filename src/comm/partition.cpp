@@ -20,18 +20,19 @@ std::size_t MatrixBitLayout::bit_index(std::size_t i, std::size_t j,
   return (i * cols_ + j) * k_ + b;
 }
 
+// Entry (i, j) occupies the k consecutive bits from bit_index(i, j, 0), and
+// entries follow each other in row-major order, so encode appends and decode
+// gathers one whole entry at a time.
+
 BitVec MatrixBitLayout::encode(const la::IntMatrix& m) const {
   CCMX_REQUIRE(m.rows() == rows_ && m.cols() == cols_, "layout shape mismatch");
-  BitVec bits(total_bits());
+  BitVec bits(0);
   for (std::size_t i = 0; i < rows_; ++i) {
     for (std::size_t j = 0; j < cols_; ++j) {
       const num::BigInt& entry = m(i, j);
       CCMX_REQUIRE(!entry.is_negative() && entry.bit_length() <= k_,
                    "entry does not fit the layout's k bits");
-      const auto value = static_cast<std::uint64_t>(entry.to_int64());
-      for (unsigned b = 0; b < k_; ++b) {
-        bits.set(bit_index(i, j, b), ((value >> b) & 1u) != 0);
-      }
+      bits.append_uint(static_cast<std::uint64_t>(entry.to_int64()), k_);
     }
   }
   return bits;
@@ -42,11 +43,8 @@ la::IntMatrix MatrixBitLayout::decode(const BitVec& bits) const {
   la::IntMatrix m(rows_, cols_);
   for (std::size_t i = 0; i < rows_; ++i) {
     for (std::size_t j = 0; j < cols_; ++j) {
-      std::uint64_t value = 0;
-      for (unsigned b = 0; b < k_; ++b) {
-        if (bits.get(bit_index(i, j, b))) value |= std::uint64_t{1} << b;
-      }
-      m(i, j) = num::BigInt(static_cast<std::int64_t>(value));
+      m(i, j) = num::BigInt(
+          static_cast<std::int64_t>(bits.read_uint(bit_index(i, j, 0), k_)));
     }
   }
   return m;

@@ -66,6 +66,19 @@ class Partition {
     CCMX_REQUIRE(bit < owner_.size(), "bit index out of range");
     owner_[bit] = agent;
   }
+  /// The agent that owns every bit of [first, first + count); throws when
+  /// the range is split between the agents.
+  [[nodiscard]] Agent range_owner(std::size_t first, std::size_t count) const {
+    CCMX_REQUIRE(count > 0 && first + count <= owner_.size(),
+                 "bit range out of range");
+    const Agent who = owner_[first];
+    for (std::size_t bit = first + 1; bit < first + count; ++bit) {
+      CCMX_REQUIRE(owner_[bit] == who,
+                   "entry split between the agents; the protocol needs an "
+                   "entry-aligned partition");
+    }
+    return who;
+  }
 
   [[nodiscard]] std::size_t bits_of(Agent agent) const noexcept;
   [[nodiscard]] std::vector<std::size_t> indices_of(Agent agent) const;

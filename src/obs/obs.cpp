@@ -166,12 +166,11 @@ ThreadSink& thread_sink() {
 // is mid-push, preserving per-thread FIFO order in the file.
 
 /// Fast-path gate for emit_event / event_sink_open: one atomic load
-/// instead of a mutex.  Unknown -> {None, Async, Sync} on the lazy env
-/// probe or an explicit open; anything -> None on close.
+/// instead of a mutex.  Unknown -> {None, Async} on the lazy env probe or
+/// an explicit open; anything -> None on close.
 constexpr std::uint8_t kSinkUnknown = 0;
 constexpr std::uint8_t kSinkNone = 1;
 constexpr std::uint8_t kSinkAsync = 2;
-constexpr std::uint8_t kSinkSync = 3;
 std::atomic<std::uint8_t> g_sink_mode{kSinkUnknown};
 
 constexpr std::size_t kDefaultRingCapacity = 65536;  // events in the ring
@@ -243,10 +242,6 @@ class TraceSink {
   /// the ring right after, so the overshoot is transient).
   void force_push(std::string&& bytes, std::size_t count);
 
-  /// One line, written and flushed under the sink mutex — the
-  /// TracePolicy::kSync ablation path.
-  void write_sync(std::string_view line);
-
   /// Blocks until everything pushed before the call is written and the
   /// stream is flushed.
   void flush_and_wait();
@@ -264,7 +259,7 @@ class TraceSink {
 
   const TracePolicy policy_;
   const std::size_t capacity_;
-  std::ofstream out_;  // drainer-owned after construction (sync: under mu_)
+  std::ofstream out_;  // drainer-owned after construction
 
   /// One thread's staged batch in the ring: a blob of newline-terminated
   /// lines plus its event count for capacity/ledger accounting.
@@ -336,12 +331,8 @@ TraceSink::TraceSink(std::ofstream out, TracePolicy policy,
                      std::size_t capacity)
     : policy_(policy),
       capacity_(capacity == 0 ? kDefaultRingCapacity : capacity),
-      out_(std::move(out)) {
-  if (policy_ != TracePolicy::kSync) {
-    drainer_ =
-        std::jthread([this](std::stop_token stop) { drain_main(stop); });
-  }
-}
+      out_(std::move(out)),
+      drainer_([this](std::stop_token stop) { drain_main(stop); }) {}
 
 void TraceSink::push_batch(std::string&& bytes, std::size_t count) {
   bool dropped = false;
@@ -375,23 +366,9 @@ void TraceSink::force_push(std::string&& bytes, std::size_t count) {
   ring_.push_back(EventBatch{std::move(bytes), count});
 }
 
-void TraceSink::write_sync(std::string_view line) {
-  const std::scoped_lock lock(mu_);
-  if (closed_) {
-    g_dropped.add();
-    return;
-  }
-  out_ << line << '\n';
-  out_.flush();
-}
-
 void TraceSink::flush_and_wait() {
   std::unique_lock lock(mu_);
   if (closed_) return;
-  if (!drainer_.joinable()) {  // sync mode: every write already flushed
-    out_.flush();
-    return;
-  }
   const std::uint64_t gen = ++flush_asked_;
   wake_.notify_one();
   flush_cv_.wait(lock, [&] { return flush_done_ >= gen || closed_; });
@@ -405,14 +382,9 @@ void TraceSink::shutdown() {
   }
   not_full_.notify_all();
   flush_cv_.notify_all();
-  if (drainer_.joinable()) {
-    drainer_.request_stop();
-    wake_.notify_all();
-    drainer_.join();  // the drainer's final pass sweeps, drains, flushes
-  } else {
-    const std::scoped_lock lock(mu_);
-    if (out_.is_open()) out_.flush();
-  }
+  drainer_.request_stop();
+  wake_.notify_all();
+  drainer_.join();  // the drainer's final pass sweeps, drains, flushes
 }
 
 void TraceSink::sweep_buffers() {
@@ -503,7 +475,6 @@ TracePolicy policy_from_env() noexcept {
   if (raw == nullptr) return TracePolicy::kBlock;
   const std::string_view v(raw);
   if (v == "drop") return TracePolicy::kDrop;
-  if (v == "sync") return TracePolicy::kSync;
   return TracePolicy::kBlock;
 }
 
@@ -533,9 +504,7 @@ bool open_trace_sink_locked(Registry& reg, const TraceSinkOptions& options) {
   }
   reg.sink = std::make_shared<TraceSink>(std::move(out), options.policy,
                                          options.capacity);
-  g_sink_mode.store(
-      options.policy == TracePolicy::kSync ? kSinkSync : kSinkAsync,
-      std::memory_order_release);
+  g_sink_mode.store(kSinkAsync, std::memory_order_release);
   return true;
 }
 
@@ -789,7 +758,7 @@ bool event_sink_open() noexcept {
     probe_env_sink();
     mode = g_sink_mode.load(std::memory_order_acquire);
   }
-  return mode == kSinkAsync || mode == kSinkSync;
+  return mode == kSinkAsync;
 }
 
 void emit_event(std::string_view json_object) {
@@ -798,7 +767,7 @@ void emit_event(std::string_view json_object) {
     probe_env_sink();
     mode = g_sink_mode.load(std::memory_order_acquire);
   }
-  if (mode != kSinkAsync && mode != kSinkSync) return;
+  if (mode != kSinkAsync) return;
   // Sampled self-metering: one emit in kMeterPeriod per thread pays the
   // two clock reads, scaled back up, so obs.overhead.emit_ns stays an
   // unbiased estimate without the clocks dominating the fast path.
@@ -806,40 +775,31 @@ void emit_event(std::string_view json_object) {
   const bool metered = (meter_tick++ % kMeterPeriod) == 0;
   const auto t0 = metered ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-  if (mode == kSinkSync) {
-    g_emitted.add();
+  ThreadEventBuffer& buffer = thread_event_buffer();
+  std::string batch;
+  std::size_t count = 0;
+  {
+    const std::scoped_lock lock(buffer.mu);
+    buffer.bytes.append(json_object);
+    buffer.bytes.push_back('\n');
+    ++buffer.count;
+    if (buffer.count >= kEmitBatch) {
+      batch = std::move(buffer.bytes);
+      count = buffer.count;
+      buffer.bytes.clear();
+      buffer.bytes.reserve(batch.size());  // one alloc per batch, not ~log n
+      buffer.count = 0;
+      buffer.pushing.store(true, std::memory_order_release);
+    }
+  }
+  if (count > 0) {
+    g_emitted.add(count);
     if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-      sink->write_sync(json_object);
+      sink->push_batch(std::move(batch), count);
     } else {
-      g_dropped.add();  // sink closed between the gate and here
+      g_dropped.add(count);
     }
-  } else {
-    ThreadEventBuffer& buffer = thread_event_buffer();
-    std::string batch;
-    std::size_t count = 0;
-    {
-      const std::scoped_lock lock(buffer.mu);
-      buffer.bytes.append(json_object);
-      buffer.bytes.push_back('\n');
-      ++buffer.count;
-      if (buffer.count >= kEmitBatch) {
-        batch = std::move(buffer.bytes);
-        count = buffer.count;
-        buffer.bytes.clear();
-        buffer.bytes.reserve(batch.size());  // one alloc per batch, not ~log n
-        buffer.count = 0;
-        buffer.pushing.store(true, std::memory_order_release);
-      }
-    }
-    if (count > 0) {
-      g_emitted.add(count);
-      if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-        sink->push_batch(std::move(batch), count);
-      } else {
-        g_dropped.add(count);
-      }
-      buffer.pushing.store(false, std::memory_order_release);
-    }
+    buffer.pushing.store(false, std::memory_order_release);
   }
   if (metered) g_emit_ns.add(ns_since(t0) * kMeterPeriod);
 }

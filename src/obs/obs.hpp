@@ -57,9 +57,6 @@ enum class TracePolicy : std::uint8_t {
   /// Overflowing events are discarded and counted in obs.trace.dropped
   /// (never silently): per-thread order is preserved, with gaps.
   kDrop,
-  /// Legacy synchronous path — one mutex + write + flush per event.
-  /// Kept as the ablation baseline for BENCH_obs; do not use in hot code.
-  kSync,
 };
 
 /// Explicit sink configuration for open_trace_sink (CLIs and benches;

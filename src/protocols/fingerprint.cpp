@@ -5,39 +5,14 @@
 #include "bigint/modular.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
+#include "protocols/residue.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::proto {
 
 using comm::Agent;
 using comm::AgentView;
-using comm::BitVec;
 using comm::Channel;
-
-namespace {
-
-/// Reads entry (i, j) of an agent's share; requires the whole entry to be
-/// owned by that agent (entry-aligned partition).
-std::uint64_t read_entry(const AgentView& view,
-                         const comm::MatrixBitLayout& layout, std::size_t i,
-                         std::size_t j) {
-  std::uint64_t value = 0;
-  for (unsigned b = 0; b < layout.entry_bits(); ++b) {
-    if (view.get(layout.bit_index(i, j, b))) value |= std::uint64_t{1} << b;
-  }
-  return value;
-}
-
-bool entry_owner_is(const comm::Partition& pi,
-                    const comm::MatrixBitLayout& layout, std::size_t i,
-                    std::size_t j, Agent who) {
-  for (unsigned b = 0; b < layout.entry_bits(); ++b) {
-    if (pi.owner(layout.bit_index(i, j, b)) != who) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 FingerprintProtocol::FingerprintProtocol(comm::MatrixBitLayout layout,
                                          FingerprintTask task,
@@ -78,40 +53,10 @@ bool FingerprintProtocol::run(const AgentView& agent0, const AgentView& agent1,
 bool FingerprintProtocol::run_once(const AgentView& agent0,
                                    const AgentView& agent1, Channel& channel,
                                    std::uint64_t prime) const {
-  const comm::Partition& pi = agent0.partition();
-  // Agent 0 ships residues of the entries it owns, in row-major order —
-  // a public order, so agent 1 can reassemble without extra coordination.
-  BitVec payload(0);
-  std::vector<std::pair<std::size_t, std::size_t>> shipped;
-  for (std::size_t i = 0; i < layout_.rows(); ++i) {
-    for (std::size_t j = 0; j < layout_.cols(); ++j) {
-      if (entry_owner_is(pi, layout_, i, j, Agent::kZero)) {
-        const std::uint64_t residue =
-            read_entry(agent0, layout_, i, j) % prime;
-        payload.append_uint(residue, prime_bits_);
-        shipped.emplace_back(i, j);
-      } else {
-        CCMX_REQUIRE(entry_owner_is(pi, layout_, i, j, Agent::kOne),
-                     "fingerprint protocol needs an entry-aligned partition");
-      }
-    }
-  }
-  const BitVec& received = channel.send(Agent::kZero, std::move(payload));
-
-  // Agent 1 assembles the matrix over Z_p.
-  la::ModMatrix m(layout_.rows(), layout_.cols());
-  for (std::size_t s = 0; s < shipped.size(); ++s) {
-    m(shipped[s].first, shipped[s].second) =
-        received.read_uint(s * prime_bits_, prime_bits_);
-  }
-  for (std::size_t i = 0; i < layout_.rows(); ++i) {
-    for (std::size_t j = 0; j < layout_.cols(); ++j) {
-      if (entry_owner_is(pi, layout_, i, j, Agent::kOne)) {
-        m(i, j) = read_entry(agent1, layout_, i, j) % prime;
-      }
-    }
-  }
-
+  const comm::BitVec& received = channel.send(
+      Agent::kZero, residue_message(agent0, layout_, prime, prime_bits_));
+  const la::ModMatrix m =
+      residue_matrix(agent1, layout_, received, 0, prime, prime_bits_);
   bool answer = false;
   switch (task_) {
     case FingerprintTask::kSingularity:
@@ -156,37 +101,13 @@ bool RankThresholdProtocol::run(const AgentView& agent0,
                                 Channel& channel) const {
   // rank mod p <= rank: a single sketch that reaches the threshold is a
   // certificate, so OR over repetitions.
-  const comm::Partition& pi = agent0.partition();
   bool any = false;
   for (unsigned rep = 0; rep < repetitions_; ++rep) {
     const std::uint64_t prime = num::random_prime(prime_bits_, coins_);
-    BitVec payload(0);
-    std::vector<std::pair<std::size_t, std::size_t>> shipped;
-    for (std::size_t i = 0; i < layout_.rows(); ++i) {
-      for (std::size_t j = 0; j < layout_.cols(); ++j) {
-        if (entry_owner_is(pi, layout_, i, j, Agent::kZero)) {
-          payload.append_uint(read_entry(agent0, layout_, i, j) % prime,
-                              prime_bits_);
-          shipped.emplace_back(i, j);
-        } else {
-          CCMX_REQUIRE(entry_owner_is(pi, layout_, i, j, Agent::kOne),
-                       "rank protocol needs an entry-aligned partition");
-        }
-      }
-    }
-    const BitVec& received = channel.send(Agent::kZero, std::move(payload));
-    la::ModMatrix m(layout_.rows(), layout_.cols());
-    for (std::size_t s = 0; s < shipped.size(); ++s) {
-      m(shipped[s].first, shipped[s].second) =
-          received.read_uint(s * prime_bits_, prime_bits_);
-    }
-    for (std::size_t i = 0; i < layout_.rows(); ++i) {
-      for (std::size_t j = 0; j < layout_.cols(); ++j) {
-        if (entry_owner_is(pi, layout_, i, j, Agent::kOne)) {
-          m(i, j) = read_entry(agent1, layout_, i, j) % prime;
-        }
-      }
-    }
+    const comm::BitVec& received = channel.send(
+        Agent::kZero, residue_message(agent0, layout_, prime, prime_bits_));
+    const la::ModMatrix m =
+        residue_matrix(agent1, layout_, received, 0, prime, prime_bits_);
     any = channel.send_bit(Agent::kOne,
                            la::rank_mod_p(m, prime) >= threshold_) ||
           any;

@@ -1,5 +1,7 @@
 #include "protocols/freivalds.hpp"
 
+#include <optional>
+
 #include "bigint/modular.hpp"
 #include "util/require.hpp"
 
@@ -45,13 +47,30 @@ BitVec product_input(const la::IntMatrix& a, const la::IntMatrix& b,
 
 namespace {
 
-std::uint64_t read_entry(const AgentView& view, const MatrixBitLayout& layout,
-                         std::size_t i, std::size_t j) {
-  std::uint64_t value = 0;
-  for (unsigned b = 0; b < layout.entry_bits(); ++b) {
-    if (view.get(layout.bit_index(i, j, b))) value |= std::uint64_t{1} << b;
+/// Entry (i, j) of the stacked input; under product_partition `view`'s
+/// agent owns every entry its caller reads.
+std::uint64_t stacked_entry(const AgentView& view,
+                            const MatrixBitLayout& layout, std::size_t i,
+                            std::size_t j) {
+  const std::optional<std::uint64_t> value = view.entry(layout, i, j);
+  CCMX_REQUIRE(value.has_value(), "product protocols need product_partition");
+  return *value;
+}
+
+/// M v mod p, for M the n x n block of rows [row0, row0 + n).
+std::vector<std::uint64_t> block_times(const AgentView& view,
+                                       const MatrixBitLayout& layout,
+                                       std::size_t row0,
+                                       const std::vector<std::uint64_t>& v,
+                                       std::uint64_t p) {
+  std::vector<std::uint64_t> out(v.size(), 0);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      const std::uint64_t entry = stacked_entry(view, layout, row0 + i, j) % p;
+      out[i] = (out[i] + mulmod(entry, v[j], p)) % p;
+    }
   }
-  return value;
+  return out;
 }
 
 }  // namespace
@@ -77,39 +96,18 @@ bool FreivaldsProtocol::run(const AgentView& agent0, const AgentView& agent1,
     for (auto& ri : r) ri = coins_.below(p);
 
     // Agent 0: z = A (B r) mod p.
-    std::vector<std::uint64_t> br(n_, 0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::uint64_t acc = 0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        const std::uint64_t entry = read_entry(agent0, layout, n_ + i, j) % p;
-        acc = (acc + mulmod(entry, r[j], p)) % p;
-      }
-      br[i] = acc;
-    }
+    const auto br = block_times(agent0, layout, n_, r, p);
     BitVec payload(0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::uint64_t acc = 0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        const std::uint64_t entry = read_entry(agent0, layout, i, j) % p;
-        acc = (acc + mulmod(entry, br[j], p)) % p;
-      }
-      payload.append_uint(acc, prime_bits_);
+    for (const std::uint64_t z : block_times(agent0, layout, 0, br, p)) {
+      payload.append_uint(z, prime_bits_);
     }
     const BitVec& received = channel.send(Agent::kZero, std::move(payload));
 
     // Agent 1: compare with C r mod p.
+    const auto cr = block_times(agent1, layout, 2 * n_, r, p);
     bool accept = true;
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::uint64_t acc = 0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        const std::uint64_t entry =
-            read_entry(agent1, layout, 2 * n_ + i, j) % p;
-        acc = (acc + mulmod(entry, r[j], p)) % p;
-      }
-      if (acc != received.read_uint(i * prime_bits_, prime_bits_)) {
-        accept = false;
-        break;
-      }
+    for (std::size_t i = 0; i < n_ && accept; ++i) {
+      accept = cr[i] == received.read_uint(i * prime_bits_, prime_bits_);
     }
     all_accept = channel.send_bit(Agent::kOne, accept) && all_accept;
     if (!all_accept) break;  // a single reject is conclusive (one-sided)
@@ -124,7 +122,7 @@ bool ProductSendAll::run(const AgentView& agent0, const AgentView& agent1,
   BitVec payload(0);
   for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = 0; j < n_; ++j) {
-      payload.append_uint(read_entry(agent1, layout, 2 * n_ + i, j), k_);
+      payload.append_uint(stacked_entry(agent1, layout, 2 * n_ + i, j), k_);
     }
   }
   const BitVec& received = channel.send(Agent::kOne, std::move(payload));
@@ -133,9 +131,9 @@ bool ProductSendAll::run(const AgentView& agent0, const AgentView& agent1,
   for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = 0; j < n_; ++j) {
       a(i, j) = num::BigInt(
-          static_cast<std::int64_t>(read_entry(agent0, layout, i, j)));
+          static_cast<std::int64_t>(stacked_entry(agent0, layout, i, j)));
       b(i, j) = num::BigInt(
-          static_cast<std::int64_t>(read_entry(agent0, layout, n_ + i, j)));
+          static_cast<std::int64_t>(stacked_entry(agent0, layout, n_ + i, j)));
       c(i, j) = num::BigInt(static_cast<std::int64_t>(
           received.read_uint((i * n_ + j) * k_, k_)));
     }

@@ -2,6 +2,7 @@
 
 #include "bigint/modular.hpp"
 #include "linalg/fp.hpp"
+#include "protocols/residue.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::proto {
@@ -33,61 +34,23 @@ PrivateCoinSingularity::PrivateCoinSingularity(comm::MatrixBitLayout layout,
 bool PrivateCoinSingularity::run(const AgentView& agent0,
                                  const AgentView& agent1,
                                  Channel& channel) const {
-  const comm::Partition& pi = agent0.partition();
-  // Agent 0 draws the prime index with PRIVATE coins and announces it —
-  // this is the only overhead vs the public-coin protocol.
+  // Agent 0 draws the prime index with PRIVATE coins and announces it in a
+  // header ahead of the residues — the only overhead vs the public-coin
+  // protocol.
   const std::size_t index = private_coins_.below(table_.size());
-  const std::uint64_t prime = table_[index];
   BitVec header(0);
   header.append_uint(index, index_bits_);
-
-  // Residues of agent 0's entries, appended to the header.
-  std::vector<std::pair<std::size_t, std::size_t>> shipped;
-  for (std::size_t i = 0; i < layout_.rows(); ++i) {
-    for (std::size_t j = 0; j < layout_.cols(); ++j) {
-      bool mine = true;
-      std::uint64_t value = 0;
-      for (unsigned b = 0; b < layout_.entry_bits(); ++b) {
-        const std::size_t bit = layout_.bit_index(i, j, b);
-        if (pi.owner(bit) != Agent::kZero) {
-          mine = false;
-          break;
-        }
-        if (agent0.get(bit)) value |= std::uint64_t{1} << b;
-      }
-      if (mine) {
-        header.append_uint(value % prime, prime_bits_);
-        shipped.emplace_back(i, j);
-      }
-    }
-  }
-  const BitVec& received = channel.send(Agent::kZero, std::move(header));
+  const BitVec& received = channel.send(
+      Agent::kZero, residue_message(agent0, layout_, table_[index],
+                                    prime_bits_, std::move(header)));
 
   // Agent 1 reads the announced index, looks the prime up in the shared
   // table, and completes the matrix.
   const std::uint64_t announced = received.read_uint(0, index_bits_);
   CCMX_REQUIRE(announced < table_.size(), "index out of table range");
   const std::uint64_t p = table_[static_cast<std::size_t>(announced)];
-  la::ModMatrix m(layout_.rows(), layout_.cols());
-  for (std::size_t s = 0; s < shipped.size(); ++s) {
-    m(shipped[s].first, shipped[s].second) =
-        received.read_uint(index_bits_ + s * prime_bits_, prime_bits_);
-  }
-  for (std::size_t i = 0; i < layout_.rows(); ++i) {
-    for (std::size_t j = 0; j < layout_.cols(); ++j) {
-      bool theirs = true;
-      std::uint64_t value = 0;
-      for (unsigned b = 0; b < layout_.entry_bits(); ++b) {
-        const std::size_t bit = layout_.bit_index(i, j, b);
-        if (pi.owner(bit) != Agent::kOne) {
-          theirs = false;
-          break;
-        }
-        if (agent1.get(bit)) value |= std::uint64_t{1} << b;
-      }
-      if (theirs) m(i, j) = value % p;
-    }
-  }
+  const la::ModMatrix m =
+      residue_matrix(agent1, layout_, received, index_bits_, p, prime_bits_);
   return channel.send_bit(Agent::kOne, la::det_mod_p(m, p) == 0);
 }
 

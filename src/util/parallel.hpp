@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace ccmx::util {
@@ -47,11 +48,13 @@ void set_parallelism(std::size_t degree) noexcept;
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 
-/// Like parallel_for but each worker owns an accumulator created by
-/// make_acc(); combine() folds the per-worker accumulators serially at the
-/// end and returns the total.  A worker's accumulator may receive several
-/// disjoint index chunks (dynamic scheduling), so the fold is only
-/// order-deterministic for commutative-associative combines.
+/// Like parallel_for but each worker owns an accumulator, created by
+/// make_acc() on the worker's own thread when it takes its first chunk (so
+/// make_acc must be safe to call concurrently); combine() folds the
+/// accumulators of the participating workers into a fresh make_acc()
+/// serially at the end and returns the total.  A worker's accumulator may
+/// receive several disjoint index chunks (dynamic scheduling), so the fold
+/// is only order-deterministic for commutative-associative combines.
 template <class Acc>
 Acc parallel_reduce(std::size_t begin, std::size_t end,
                     const std::function<Acc()>& make_acc,
@@ -67,6 +70,23 @@ namespace detail {
 void parallel_shards(std::size_t begin, std::size_t end,
                      const std::function<void(std::size_t, std::size_t,
                                               std::size_t)>& shard_body);
+
+/// One worker's state in a per-call slot array.  Workers write their state
+/// on every index, so each slot gets cache lines of its own, and the state
+/// (with whatever it allocates) is made by the worker that first takes the
+/// slot: the states of two workers sharing a line would make the cores
+/// trade it back and forth (false sharing), at a cost that depends on
+/// where the heap happened to place them.
+template <class State>
+struct alignas(64) WorkerSlot {
+  std::optional<State> state;
+
+  template <class Make>
+  State& get(Make&& make) {
+    if (!state) state.emplace(make());
+    return *state;
+  }
+};
 }  // namespace detail
 
 template <class Acc>
@@ -74,16 +94,16 @@ Acc parallel_reduce(std::size_t begin, std::size_t end,
                     const std::function<Acc()>& make_acc,
                     const std::function<void(Acc&, std::size_t)>& body,
                     const std::function<void(Acc&, const Acc&)>& combine) {
-  const std::size_t workers = parallelism();
-  std::vector<Acc> accs;
-  accs.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) accs.push_back(make_acc());
+  std::vector<detail::WorkerSlot<Acc>> slots(parallelism());
   detail::parallel_shards(
       begin, end, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(accs[slot], i);
+        Acc& acc = slots[slot].get(make_acc);
+        for (std::size_t i = lo; i < hi; ++i) body(acc, i);
       });
   Acc total = make_acc();
-  for (const Acc& acc : accs) combine(total, acc);
+  for (const auto& slot : slots) {
+    if (slot.state) combine(total, *slot.state);
+  }
   return total;
 }
 

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -59,21 +58,13 @@ auto sweep_digits(std::uint64_t q, std::size_t digits, MakeState&& make_state,
   using State = std::decay_t<decltype(make_state())>;
   const std::uint64_t space = digit_space_size(q, digits);
 
-  // Workers write their state and odometer on every index.  Each slot gets
-  // cache lines of its own, and each chunk's odometer is allocated by the
-  // worker running it: state or digits of two workers sharing a line make
-  // the cores trade it back and forth (false sharing), at a cost that
-  // depends on where the heap happened to place them.
-  struct alignas(64) Slot {
-    std::optional<State> state;
-  };
-  std::vector<Slot> slots(parallelism());
+  // Each chunk's odometer, written on every index like the state, is
+  // allocated by the worker running it (see detail::WorkerSlot).
+  std::vector<detail::WorkerSlot<State>> slots(parallelism());
 
   detail::parallel_shards(
       0, space, [&](std::size_t w, std::size_t lo, std::size_t hi) {
-        Slot& slot = slots[w];
-        if (!slot.state) slot.state.emplace(make_state());
-        State& state = *slot.state;
+        State& state = slots[w].get(make_state);
         std::vector<std::uint32_t> dv(digits);
         std::uint64_t rest = lo;
         for (std::size_t d = 0; d < digits; ++d) {
@@ -100,7 +91,7 @@ auto sweep_digits(std::uint64_t q, std::size_t digits, MakeState&& make_state,
       });
 
   std::vector<State> out;
-  for (Slot& slot : slots) {
+  for (auto& slot : slots) {
     if (slot.state) out.push_back(std::move(*slot.state));
   }
   return out;

@@ -1,6 +1,10 @@
 // The two-party model: bit vectors, layouts, partitions, channels, views.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "comm/bounds.hpp"
 #include "comm/channel.hpp"
 #include "comm/partition.hpp"
@@ -35,6 +39,34 @@ TEST(BitVec, AppendReadUintRoundTrip) {
   EXPECT_EQ(v.read_uint(0, 32), 0xdeadbeefull);
   EXPECT_EQ(v.read_uint(32, 2), 3ull);
   EXPECT_EQ(BitVec::from_uint(0b1011, 4).read_uint(0, 4), 0b1011ull);
+}
+
+TEST(BitVec, WordAppendAndReadMatchBitByBit) {
+  // Values of every width land at every offset mod 64, so appends and reads
+  // cross word boundaries; each must agree with the single-bit accessors.
+  Xoshiro256 rng(3);
+  BitVec v(0);
+  std::vector<std::pair<std::uint64_t, std::size_t>> written;
+  for (int step = 0; step < 400; ++step) {
+    const std::size_t width = rng.below(65);
+    const std::uint64_t value = rng();
+    written.emplace_back(value, width);
+    v.append_uint(value, width);
+  }
+  std::size_t pos = 0;
+  for (const auto& [value, width] : written) {
+    std::uint64_t bitwise = 0;
+    for (std::size_t b = 0; b < width; ++b) {
+      if (v.get(pos + b)) bitwise |= std::uint64_t{1} << b;
+    }
+    const std::uint64_t low =
+        width == 64 ? value : value & ((std::uint64_t{1} << width) - 1);
+    EXPECT_EQ(bitwise, low) << "width " << width << " at " << pos;
+    EXPECT_EQ(v.read_uint(pos, width), low) << "width " << width;
+    pos += width;
+  }
+  EXPECT_EQ(v.size(), pos);
+  EXPECT_THROW((void)v.read_uint(pos - 1, 2), ccmx::util::contract_error);
 }
 
 TEST(BitVec, PopcountAcrossWords) {
@@ -108,6 +140,33 @@ TEST(AgentView, EnforcesOwnership) {
   EXPECT_THROW((void)agent0.get(layout.bit_index(0, 1, 0)),
                ccmx::util::contract_error);
   EXPECT_EQ(agent0.owned_indices().size(), 2u);
+}
+
+TEST(AgentView, EntryReadsWholeEntriesAndRefusesSplitOnes) {
+  const MatrixBitLayout layout(2, 4, 20);
+  Partition pi = Partition::pi0(layout);
+  const IntMatrix m{{1, 2, 3, 4}, {5, 6, 7, 1048575}};
+  const BitVec input = layout.encode(m);
+  {
+    const AgentView agent0(Agent::kZero, input, pi);
+    const AgentView agent1(Agent::kOne, input, pi);
+    EXPECT_EQ(agent0.entry(layout, 1, 1), std::optional<std::uint64_t>(6));
+    EXPECT_EQ(agent0.entry(layout, 1, 3), std::nullopt);
+    EXPECT_EQ(agent1.entry(layout, 1, 3),
+              std::optional<std::uint64_t>(1048575));
+    EXPECT_EQ(agent1.entry(layout, 0, 0), std::nullopt);
+  }
+  pi.assign(layout.bit_index(1, 2, 19), Agent::kZero);  // split entry (1, 2)
+  const AgentView agent0(Agent::kZero, input, pi);
+  const AgentView agent1(Agent::kOne, input, pi);
+  EXPECT_THROW((void)agent0.entry(layout, 1, 2), ccmx::util::contract_error);
+  EXPECT_THROW((void)agent1.entry(layout, 1, 2), ccmx::util::contract_error);
+  EXPECT_EQ(agent1.entry(layout, 1, 3),
+            std::optional<std::uint64_t>(1048575));
+  const MatrixBitLayout other(4, 2, 20);  // same size, other shape: allowed
+  EXPECT_EQ(agent0.entry(other, 0, 0), std::optional<std::uint64_t>(1));
+  EXPECT_THROW((void)agent0.entry(MatrixBitLayout(2, 4, 5), 0, 0),
+               ccmx::util::contract_error);
 }
 
 TEST(Channel, CountsBitsAndRounds) {

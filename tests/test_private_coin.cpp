@@ -84,6 +84,19 @@ TEST(PrivateCoin, TableIsSharedDeterministically) {
   EXPECT_NE(a.table(), c.table());
 }
 
+TEST(PrivateCoin, RejectsEntrySplitByRandomEvenPartition) {
+  // A random even partition splits entries between the agents.  Neither
+  // agent can reduce an entry it reads only part of, so the protocol must
+  // refuse the input rather than decide a matrix with zeroed bits.
+  const MatrixBitLayout layout(4, 4, 4);
+  Xoshiro256 rng(4);
+  const Partition pi = Partition::random_even(layout.total_bits(), rng);
+  const IntMatrix m = random_entries(4, 4, rng);
+  const PrivateCoinSingularity protocol(layout, 16, 64, 7, 1);
+  EXPECT_THROW((void)execute(protocol, layout.encode(m), pi),
+               ccmx::util::contract_error);
+}
+
 TEST(PrivateCoin, RejectsDegenerateParameters) {
   const MatrixBitLayout layout(2, 2, 2);
   EXPECT_THROW((void)PrivateCoinSingularity(layout, 1, 16, 1, 1),

@@ -249,21 +249,6 @@ TEST(TraceSink, FailedOpenIsCountedAndDisablesTheSink) {
   EXPECT_EQ(counter("obs.trace.dropped"), 0u);
 }
 
-TEST(TraceSink, SyncPolicyWritesEveryLineImmediately) {
-  const TracingOn guard;
-  const std::string path = temp_trace_path("sync");
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kSync));
-
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    obs::emit_event(storm_line(0, i));
-  }
-  // No flush of any kind: the sync ablation path flushes per event.
-  EXPECT_EQ(file_lines(path).size(), 3u);
-  EXPECT_EQ(counter("obs.trace.emitted"), 3u);
-  obs::close_trace_sink();
-  std::filesystem::remove(path);
-}
-
 #endif  // CCMX_OBS_DISABLED
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -163,6 +164,35 @@ TEST(Parallel, ReduceSumsCorrectly) {
       [](long long& acc, std::size_t i) { acc += static_cast<long long>(i); },
       [](long long& into, const long long& from) { into += from; });
   EXPECT_EQ(total, 500500LL);
+}
+
+TEST(Parallel, ReduceBuildsEachAccumulatorOnTheWorkerThatUsesIt) {
+  // Accumulators are made by the worker that first takes a slot, so what
+  // they allocate comes from that worker, never from the caller; the total
+  // is the same at every degree.  Each index sleeps so that the workers
+  // wake before the caller has drained every chunk.
+  struct Acc {
+    std::thread::id maker = std::this_thread::get_id();
+    long long sum = 0;
+    bool foreign = false;
+  };
+  for (const std::size_t degree : {1u, 2u, 4u}) {
+    set_parallelism(degree);
+    const Acc total = parallel_reduce<Acc>(
+        0, 400, [] { return Acc{}; },
+        [](Acc& acc, std::size_t i) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          acc.sum += static_cast<long long>(i);
+          acc.foreign = acc.foreign || acc.maker != std::this_thread::get_id();
+        },
+        [](Acc& into, const Acc& from) {
+          into.sum += from.sum;
+          into.foreign = into.foreign || from.foreign;
+        });
+    EXPECT_EQ(total.sum, 400LL * 399 / 2) << degree;
+    EXPECT_FALSE(total.foreign) << degree;
+  }
+  set_parallelism(0);
 }
 
 TEST(Parallel, SetParallelismOverridesDegree) {
