@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bigint/modular.hpp"
 #include "util/parallel.hpp"
 
 namespace ccmx::comm {
@@ -49,41 +48,6 @@ std::size_t TruthMatrix::rank_gf2() const {
         for (std::size_t w = 0; w < wpr; ++w) {
           work[r * wpr + w] ^= work[rank * wpr + w];
         }
-      }
-    }
-    ++rank;
-  }
-  return rank;
-}
-
-std::size_t TruthMatrix::rank_mod_p(std::uint64_t p) const {
-  CCMX_REQUIRE(p >= 2, "modulus must be at least 2");
-  CCMX_REQUIRE(rows_ * cols_ <= (std::size_t{1} << 24),
-               "rank_mod_p matrix too large; sample first");
-  std::vector<std::uint64_t> work(rows_ * cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      work[r * cols_ + c] = get(r, c) ? 1 : 0;
-    }
-  }
-  std::size_t rank = 0;
-  for (std::size_t c = 0; c < cols_ && rank < rows_; ++c) {
-    std::size_t pivot = rank;
-    while (pivot < rows_ && work[pivot * cols_ + c] == 0) ++pivot;
-    if (pivot == rows_) continue;
-    if (pivot != rank) {
-      for (std::size_t j = c; j < cols_; ++j) {
-        std::swap(work[pivot * cols_ + j], work[rank * cols_ + j]);
-      }
-    }
-    const std::uint64_t inv = num::invmod(work[rank * cols_ + c], p);
-    for (std::size_t r = rank + 1; r < rows_; ++r) {
-      if (work[r * cols_ + c] == 0) continue;
-      const std::uint64_t factor = num::mulmod(work[r * cols_ + c], inv, p);
-      for (std::size_t j = c; j < cols_; ++j) {
-        const std::uint64_t sub = num::mulmod(factor, work[rank * cols_ + j], p);
-        std::uint64_t& cell = work[r * cols_ + j];
-        cell = cell >= sub ? cell - sub : cell + p - sub;
       }
     }
     ++rank;

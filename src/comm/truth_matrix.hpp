@@ -55,10 +55,6 @@ class TruthMatrix {
   /// Rank over GF(2) (a valid deterministic-CC lower bound: any field works).
   [[nodiscard]] std::size_t rank_gf2() const;
 
-  /// Rank over Z_p of the 0/1 matrix; a lower bound on the rational rank,
-  /// hence also a valid log-rank certificate.  Memory: rows * cols * 8 B.
-  [[nodiscard]] std::size_t rank_mod_p(std::uint64_t p) const;
-
   /// Row-submatrix restricted to the given rows and columns.
   [[nodiscard]] TruthMatrix submatrix(
       const std::vector<std::size_t>& row_idx,

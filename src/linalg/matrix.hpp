@@ -23,7 +23,7 @@ class Matrix {
   Matrix() = default;
 
   Matrix(std::size_t rows, std::size_t cols, const T& fill = T{})
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill) {}
 
   /// Row-major nested initializer list: Matrix<int>{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<T>> init) {
@@ -216,6 +216,16 @@ class Matrix {
   }
 
  private:
+  /// rows * cols.  Throws contract_error when the product overflows
+  /// size_t, which would otherwise wrap to a short buffer behind large
+  /// dimensions.
+  static std::size_t checked_size(std::size_t rows, std::size_t cols) {
+    std::size_t size = 0;
+    CCMX_REQUIRE(!__builtin_mul_overflow(rows, cols, &size),
+                 "matrix dimensions overflow size_t");
+    return size;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<T> data_;

@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 
 namespace ccmx::lint {
 

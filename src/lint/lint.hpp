@@ -43,7 +43,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 
 namespace ccmx::lint {
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/schemas.hpp"
 #include "util/require.hpp"
@@ -158,6 +159,18 @@ std::string fmt_num(double v) {
   return buf;
 }
 
+void check_member(const json::Value& doc, std::string_view key,
+                  json::Value::Kind kind, std::vector<std::string>& problems) {
+  const json::Value* v = doc.find(key);
+  if (v == nullptr) {
+    problems.push_back("missing required member \"" + std::string(key) + '"');
+    return;
+  }
+  if (v->kind != kind) {
+    problems.push_back("member \"" + std::string(key) + "\" has wrong type");
+  }
+}
+
 }  // namespace
 
 std::string_view verdict_name(Verdict v) noexcept {
@@ -170,6 +183,160 @@ std::string_view verdict_name(Verdict v) noexcept {
     case Verdict::kOnlyCandidate: return "only_candidate";
   }
   return "unknown";
+}
+
+std::vector<std::string> validate_run_report(const json::Value& doc) {
+  std::vector<std::string> problems;
+  if (!doc.is_object()) {
+    problems.emplace_back("document is not an object");
+    return problems;
+  }
+  using Kind = json::Value::Kind;
+  check_member(doc, "schema", Kind::kString, problems);
+  if (const json::Value* schema = doc.find("schema");
+      schema != nullptr && schema->is_string() &&
+      schema->string != kRunReportSchema) {
+    problems.push_back("unrecognized schema \"" + schema->string + '"');
+  }
+  check_member(doc, "name", Kind::kString, problems);
+  if (const json::Value* name = doc.find("name");
+      name != nullptr && name->is_string() && name->string.empty()) {
+    problems.emplace_back("\"name\" must be non-empty");
+  }
+  check_member(doc, "git_sha", Kind::kString, problems);
+  check_member(doc, "build_type", Kind::kString, problems);
+  check_member(doc, "unix_time", Kind::kNumber, problems);
+  check_member(doc, "hardware_parallelism", Kind::kNumber, problems);
+  if (const json::Value* hw = doc.find("hardware_parallelism");
+      hw != nullptr && hw->is_number() && hw->number < 1.0) {
+    problems.emplace_back("\"hardware_parallelism\" must be >= 1");
+  }
+  check_member(doc, "trace_enabled", Kind::kBool, problems);
+  check_member(doc, "wall_seconds", Kind::kNumber, problems);
+  check_member(doc, "cpu_seconds", Kind::kNumber, problems);
+  // Optional (reports written before the field existed stay valid), but
+  // typed and non-negative when present.
+  if (const json::Value* rss = doc.find("max_rss_bytes"); rss != nullptr) {
+    if (!rss->is_number()) {
+      problems.emplace_back("member \"max_rss_bytes\" has wrong type");
+    } else if (rss->number < 0.0) {
+      problems.emplace_back("\"max_rss_bytes\" must be >= 0");
+    }
+  }
+  // Optional for the same reason: reports predating the async trace
+  // pipeline carry no truncation flag.
+  if (const json::Value* trunc = doc.find("trace_truncated");
+      trunc != nullptr && !trunc->is_bool()) {
+    problems.emplace_back("member \"trace_truncated\" has wrong type");
+  }
+  // Optional rusage extras (reports predating them stay valid); typed
+  // and non-negative when present.
+  for (const char* field : {"minor_faults", "major_faults",
+                            "voluntary_ctx_switches",
+                            "involuntary_ctx_switches"}) {
+    if (const json::Value* v = doc.find(field); v != nullptr) {
+      if (!v->is_number()) {
+        problems.push_back("member \"" + std::string(field) +
+                           "\" has wrong type");
+      } else if (v->number < 0.0) {
+        problems.push_back("\"" + std::string(field) + "\" must be >= 0");
+      }
+    }
+  }
+  // Optional hw block; when present it must carry a bool "available",
+  // and an available block must carry the counter numbers.
+  if (const json::Value* hw = doc.find("hw"); hw != nullptr) {
+    if (!hw->is_object()) {
+      problems.emplace_back("member \"hw\" has wrong type");
+    } else {
+      const json::Value* avail = hw->find("available");
+      if (avail == nullptr || !avail->is_bool()) {
+        problems.emplace_back("\"hw\" missing bool \"available\"");
+      } else if (avail->boolean) {
+        for (const char* field :
+             {"instructions", "cycles", "ipc", "cache_references",
+              "cache_misses", "cache_miss_rate", "branches", "branch_misses",
+              "task_clock_ns"}) {
+          const json::Value* f = hw->find(field);
+          if (f == nullptr || !f->is_number()) {
+            problems.push_back("\"hw\" missing numeric \"" +
+                               std::string(field) + '"');
+          }
+        }
+      }
+    }
+  }
+  check_member(doc, "argv", Kind::kArray, problems);
+  check_member(doc, "attributes", Kind::kObject, problems);
+  if (const json::Value* attrs = doc.find("attributes");
+      attrs != nullptr && attrs->is_object()) {
+    for (const auto& [key, value] : attrs->object) {
+      if (!value.is_string()) {
+        problems.push_back("attribute \"" + key + "\" is not a string");
+      }
+    }
+  }
+  check_member(doc, "counters", Kind::kObject, problems);
+  if (const json::Value* counters = doc.find("counters");
+      counters != nullptr && counters->is_object()) {
+    for (const auto& [key, value] : counters->object) {
+      if (!value.is_number()) {
+        problems.push_back("counter \"" + key + "\" is not a number");
+      }
+    }
+  }
+  check_member(doc, "histograms", Kind::kObject, problems);
+  if (const json::Value* hists = doc.find("histograms");
+      hists != nullptr && hists->is_object()) {
+    for (const auto& [key, value] : hists->object) {
+      if (!value.is_object()) {
+        problems.push_back("histogram \"" + key + "\" is not an object");
+        continue;
+      }
+      for (const char* field :
+           {"count", "min", "max", "mean", "p50", "p90", "p99"}) {
+        const json::Value* f = value.find(field);
+        if (f == nullptr || !f->is_number()) {
+          problems.push_back("histogram \"" + key + "\" missing numeric \"" +
+                             field + '"');
+        }
+      }
+    }
+  }
+  check_member(doc, "benchmarks", Kind::kArray, problems);
+  if (const json::Value* benches = doc.find("benchmarks");
+      benches != nullptr && benches->is_array()) {
+    for (std::size_t i = 0; i < benches->array.size(); ++i) {
+      const json::Value& run = benches->array[i];
+      const std::string where = "benchmarks[" + std::to_string(i) + ']';
+      if (!run.is_object()) {
+        problems.push_back(where + " is not an object");
+        continue;
+      }
+      check_member(run, "name", Kind::kString, problems);
+      check_member(run, "iterations", Kind::kNumber, problems);
+      check_member(run, "real_time", Kind::kNumber, problems);
+      check_member(run, "cpu_time", Kind::kNumber, problems);
+      check_member(run, "time_unit", Kind::kString, problems);
+      if (const json::Value* err = run.find("error"); err != nullptr) {
+        if (!err->is_bool()) {
+          problems.push_back(where + " member \"error\" has wrong type");
+        } else if (err->boolean) {
+          check_member(run, "error_message", Kind::kString, problems);
+        }
+      }
+      // Optional per-row hw attribution (absent on degraded machines and
+      // on reports predating the field).
+      if (const json::Value* hw = run.find("hw"); hw != nullptr) {
+        const json::Value* avail =
+            hw->is_object() ? hw->find("available") : nullptr;
+        if (avail == nullptr || !avail->is_bool()) {
+          problems.push_back(where + " \"hw\" missing bool \"available\"");
+        }
+      }
+    }
+  }
+  return problems;
 }
 
 std::vector<std::string> load_report_file(const std::string& path,
@@ -842,12 +1009,9 @@ TrajectorySeriesResult load_trajectory_series(
   return result;  // std::map iteration already sorted by (report, benchmark)
 }
 
-TrendResult trend_from_trajectory(const std::string& trajectory_path,
-                                  std::size_t min_points) {
+TrendResult trend_from_trajectory(const std::string& trajectory_path) {
+  constexpr std::size_t kMinPoints = 3;
   TrendResult result;
-  result.trajectory_path = trajectory_path;
-  result.min_points = min_points;
-
   TrajectorySeriesResult loaded = load_trajectory_series(trajectory_path);
   result.rows = loaded.rows;
   result.skipped = loaded.skipped;
@@ -858,7 +1022,7 @@ TrendResult trend_from_trajectory(const std::string& trajectory_path,
     std::vector<std::pair<double, double>>& points = one.points;
     const double t_first = points.front().first;
     const double t_last = points.back().first;
-    if (points.size() < min_points || t_last <= t_first) {
+    if (points.size() < kMinPoints || t_last <= t_first) {
       result.thin_series.push_back(key.first + "/" + key.second);
       continue;
     }
@@ -902,117 +1066,6 @@ TrendResult trend_from_trajectory(const std::string& trajectory_path,
                      std::tie(b.report, b.benchmark);
             });
   return result;
-}
-
-std::string render_trend_json(const TrendResult& trend) {
-  std::ostringstream os;
-  json::Writer w(os);
-  w.begin_object();
-  w.key("schema").value(kTrendSchema);
-  w.key("trajectory").value(trend.trajectory_path);
-  w.key("rows").value(std::uint64_t{trend.rows});
-  w.key("skipped").value(std::uint64_t{trend.skipped});
-  w.key("min_points").value(std::uint64_t{trend.min_points});
-  w.key("fits").begin_array();
-  for (const TrendFit& fit : trend.fits) {
-    w.begin_object();
-    w.key("report").value(fit.report);
-    w.key("benchmark").value(fit.benchmark);
-    w.key("points").value(std::uint64_t{fit.points});
-    w.key("span_days").value(fit.span_days);
-    w.key("mean_cpu").value(fit.mean_cpu);
-    w.key("slope_per_day").value(fit.slope_per_day);
-    w.key("rel_slope_per_day").value(fit.rel_slope_per_day);
-    w.key("r2").value(fit.r2);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("thin_series").begin_array();
-  for (const std::string& name : trend.thin_series) w.value(name);
-  w.end_array();
-  w.end_object();
-  os << '\n';
-  return os.str();
-}
-
-std::string render_trend_markdown(const TrendResult& trend) {
-  std::ostringstream os;
-  os << "## cpu_time drift — " << trend.trajectory_path << "\n\n"
-     << trend.rows << " trajectory row(s), " << trend.fits.size()
-     << " fitted series, " << trend.thin_series.size() << " below "
-     << trend.min_points << " points\n\n";
-  if (!trend.fits.empty()) {
-    os << "| report | benchmark | points | span (d) | mean cpu | slope/day "
-          "| rel/day | r² |\n"
-       << "|---|---|---|---|---|---|---|---|\n";
-    for (const TrendFit& fit : trend.fits) {
-      os << "| " << fit.report << " | " << fit.benchmark << " | "
-         << fit.points << " | " << fmt_num(fit.span_days) << " | "
-         << fmt_num(fit.mean_cpu) << " | " << fmt_num(fit.slope_per_day)
-         << " | " << fmt_num(fit.rel_slope_per_day) << " | "
-         << fmt_num(fit.r2) << " |\n";
-    }
-  }
-  if (!trend.thin_series.empty()) {
-    os << "\nToo thin to fit: ";
-    for (std::size_t i = 0; i < trend.thin_series.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << trend.thin_series[i];
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-std::vector<std::string> validate_trend(const json::Value& doc) {
-  std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("document is not an object");
-    return problems;
-  }
-  const json::Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    problems.emplace_back("missing string \"schema\"");
-  } else if (schema->string != kTrendSchema) {
-    problems.push_back("schema is \"" + schema->string + "\", expected \"" +
-                       std::string(kTrendSchema) + "\"");
-  }
-  for (const char* key : {"rows", "skipped", "min_points"}) {
-    const json::Value* v = doc.find(key);
-    if (v == nullptr || !v->is_number()) {
-      problems.push_back(std::string("missing number \"") + key + "\"");
-    }
-  }
-  const json::Value* fits = doc.find("fits");
-  if (fits == nullptr || !fits->is_array()) {
-    problems.emplace_back("missing array \"fits\"");
-  } else {
-    for (std::size_t i = 0; i < fits->array.size(); ++i) {
-      const json::Value& fit = fits->array[i];
-      const std::string where = "fits[" + std::to_string(i) + "]";
-      if (!fit.is_object()) {
-        problems.push_back(where + " is not an object");
-        continue;
-      }
-      for (const char* key : {"report", "benchmark"}) {
-        const json::Value* v = fit.find(key);
-        if (v == nullptr || !v->is_string()) {
-          problems.push_back(where + " missing string \"" + key + "\"");
-        }
-      }
-      for (const char* key : {"points", "span_days", "mean_cpu",
-                              "slope_per_day", "rel_slope_per_day", "r2"}) {
-        const json::Value* v = fit.find(key);
-        if (v == nullptr || !v->is_number()) {
-          problems.push_back(where + " missing number \"" + key + "\"");
-        }
-      }
-    }
-  }
-  if (const json::Value* thin = doc.find("thin_series");
-      thin == nullptr || !thin->is_array()) {
-    problems.emplace_back("missing array \"thin_series\"");
-  }
-  return problems;
 }
 
 }  // namespace ccmx::obs

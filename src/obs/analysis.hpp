@@ -1,15 +1,17 @@
 // Analysis half of ccmx::obs: reading what the reporting half wrote.
 //
-// PR 1 made every bench binary emit a ccmx.run_report/1 JSON; this module
-// closes the loop.  load_report_dir() pulls a directory of BENCH_*.json
-// into validated documents, diff_reports() compares two such directories
+// Every bench binary emits a ccmx.run_report/1 JSON; this module closes
+// the loop.  validate_run_report() is the schema check for one report,
+// load_report_dir() pulls a directory of BENCH_*.json into validated
+// documents, diff_reports() compares two such directories
 // benchmark-by-benchmark and counter-by-counter with noise-aware
 // thresholds (relative tolerance plus a minimum-iterations gate, so a
 // 2-iteration timing can never fail a CI run), and append_trajectory()
 // accumulates one JSONL line per report in bench/out/trajectory.jsonl so
-// the repo finally has a perf trajectory.  The diff is emitted both as
+// the repo has a perf trajectory.  The diff is emitted both as
 // machine-readable ccmx.bench_diff/1 JSON (validated by
-// validate_bench_diff, gating CI) and as a human markdown summary.
+// validate_bench_diff, gating CI) and as a human markdown summary.  Part
+// of the offline library (ccmx_obs_offline), like every reader in obs/.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +19,14 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 
 namespace ccmx::obs {
+
+/// Schema check for a parsed ccmx.run_report/1 document; returns
+/// human-readable problems (empty means valid).
+[[nodiscard]] std::vector<std::string> validate_run_report(
+    const json::Value& doc);
 
 /// One validated ccmx.run_report/1 document plus the identity fields the
 /// differ and the trajectory need (pre-extracted so callers do not have
@@ -230,31 +237,20 @@ struct TrendFit {
 };
 
 struct TrendResult {
-  std::string trajectory_path;
   std::size_t rows = 0;     // trajectory rows consumed
   std::size_t skipped = 0;  // unparseable or foreign-schema lines
-  std::size_t min_points = 0;
   /// Sorted by |rel_slope_per_day| descending — worst drift first.
   std::vector<TrendFit> fits;
-  /// Series dropped for having fewer than min_points rows ("report/bench").
+  /// Series dropped for having fewer than three rows ("report/bench").
   std::vector<std::string> thin_series;
 };
 
 /// Fits every (report, benchmark) cpu_time series in a ccmx.trajectory/1
-/// JSONL file.  Series with fewer than `min_points` rows, or spanning a
-/// single instant, are listed in `thin_series` instead of fitted — two
-/// commits cannot distinguish drift from noise.  A missing file yields an
-/// empty result.
+/// JSONL file.  Series with fewer than three rows, or spanning a single
+/// instant, are listed in `thin_series` instead of fitted — two commits
+/// cannot distinguish drift from noise.  A missing file yields an empty
+/// result.
 [[nodiscard]] TrendResult trend_from_trajectory(
-    const std::string& trajectory_path, std::size_t min_points = 3);
-
-/// ccmx.trend/1 JSON document (one object, trailing newline).
-[[nodiscard]] std::string render_trend_json(const TrendResult& trend);
-
-/// Human summary (GitHub-flavored markdown table, worst drift first).
-[[nodiscard]] std::string render_trend_markdown(const TrendResult& trend);
-
-/// Schema check for a parsed ccmx.trend/1 document; empty = valid.
-[[nodiscard]] std::vector<std::string> validate_trend(const json::Value& doc);
+    const std::string& trajectory_path);
 
 }  // namespace ccmx::obs

@@ -617,7 +617,8 @@ class Dashboard {
     }
     w_.element("p", {{"class", "legend"}},
                "cpu_time per benchmark across the committed trajectory; "
-               "slope from ccmx_insight trend (positive = getting slower).");
+               "slope from a least-squares fit per day (positive = getting "
+               "slower).");
     w_.open("table");
     w_.open("thead").open("tr");
     w_.element("th", {}, "report / benchmark");

@@ -20,7 +20,7 @@
 #include <string>
 
 #include "obs/analysis.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/profile_reader.hpp"
 #include "obs/trace_reader.hpp"
 

@@ -1,17 +1,13 @@
-// Minimal JSON support for the observability exporters.
-//
-// Two halves: a streaming Writer used to render RunReports and JSONL trace
-// events (no intermediate DOM, deterministic field order), and a small
-// recursive-descent parser used by tests and tools to schema-check what
-// the writer produced.  Deliberately tiny: UTF-8 pass-through, doubles for
-// all numbers, ordered object members.
+// Writing half of the obs JSON support: a streaming Writer that renders
+// RunReports, JSONL trace events, profile rows and timeseries rows (no
+// intermediate DOM, deterministic field order).  The parser that reads
+// them back lives in obs/json_reader.hpp, in the offline library.
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace ccmx::obs::json {
@@ -55,51 +51,5 @@ class Writer {
   };
   std::vector<Frame> stack_;
 };
-
-/// Parsed JSON value (ordered object members, doubles for numbers).
-struct Value {
-  enum class Kind : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kArray,
-    kObject
-  };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> object;
-
-  [[nodiscard]] bool is_null() const noexcept { return kind == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind == Kind::kBool; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return kind == Kind::kNumber;
-  }
-  [[nodiscard]] bool is_string() const noexcept {
-    return kind == Kind::kString;
-  }
-  [[nodiscard]] bool is_array() const noexcept { return kind == Kind::kArray; }
-  [[nodiscard]] bool is_object() const noexcept {
-    return kind == Kind::kObject;
-  }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const Value* find(std::string_view key) const noexcept;
-};
-
-/// Parses a complete JSON document; throws util::contract_error on
-/// malformed input or trailing garbage.
-[[nodiscard]] Value parse(std::string_view text);
-
-/// Serializes a parsed Value back to compact JSON (member order
-/// preserved, numbers in %.17g so parse(render(parse(x))) is stable).
-/// The inverse of parse() up to insignificant whitespace — used to embed
-/// loaded documents into other artifacts (e.g. the HTML dashboard's data
-/// island).
-[[nodiscard]] std::string render(const Value& value);
 
 }  // namespace ccmx::obs::json

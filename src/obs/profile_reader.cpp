@@ -4,7 +4,7 @@
 #include <fstream>
 #include <set>
 
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/schemas.hpp"
 #include "util/narrow.hpp"
 #include "util/require.hpp"

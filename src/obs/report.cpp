@@ -12,6 +12,7 @@
 #include <unistd.h>
 #endif
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/schemas.hpp"
 #include "util/require.hpp"
@@ -215,176 +216,6 @@ std::string write_run_report(const RunReport& report, const std::string& path) {
                             " (" + ec.message() + ')');
   }
   return path;
-}
-
-namespace {
-
-void check_member(const json::Value& doc, std::string_view key,
-                  json::Value::Kind kind, std::vector<std::string>& problems) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) {
-    problems.push_back("missing required member \"" + std::string(key) + '"');
-    return;
-  }
-  if (v->kind != kind) {
-    problems.push_back("member \"" + std::string(key) + "\" has wrong type");
-  }
-}
-
-}  // namespace
-
-std::vector<std::string> validate_run_report(const json::Value& doc) {
-  std::vector<std::string> problems;
-  if (!doc.is_object()) {
-    problems.emplace_back("document is not an object");
-    return problems;
-  }
-  using Kind = json::Value::Kind;
-  check_member(doc, "schema", Kind::kString, problems);
-  if (const json::Value* schema = doc.find("schema");
-      schema != nullptr && schema->is_string() &&
-      schema->string != kRunReportSchema) {
-    problems.push_back("unrecognized schema \"" + schema->string + '"');
-  }
-  check_member(doc, "name", Kind::kString, problems);
-  if (const json::Value* name = doc.find("name");
-      name != nullptr && name->is_string() && name->string.empty()) {
-    problems.emplace_back("\"name\" must be non-empty");
-  }
-  check_member(doc, "git_sha", Kind::kString, problems);
-  check_member(doc, "build_type", Kind::kString, problems);
-  check_member(doc, "unix_time", Kind::kNumber, problems);
-  check_member(doc, "hardware_parallelism", Kind::kNumber, problems);
-  if (const json::Value* hw = doc.find("hardware_parallelism");
-      hw != nullptr && hw->is_number() && hw->number < 1.0) {
-    problems.emplace_back("\"hardware_parallelism\" must be >= 1");
-  }
-  check_member(doc, "trace_enabled", Kind::kBool, problems);
-  check_member(doc, "wall_seconds", Kind::kNumber, problems);
-  check_member(doc, "cpu_seconds", Kind::kNumber, problems);
-  // Optional (reports written before the field existed stay valid), but
-  // typed and non-negative when present.
-  if (const json::Value* rss = doc.find("max_rss_bytes"); rss != nullptr) {
-    if (!rss->is_number()) {
-      problems.emplace_back("member \"max_rss_bytes\" has wrong type");
-    } else if (rss->number < 0.0) {
-      problems.emplace_back("\"max_rss_bytes\" must be >= 0");
-    }
-  }
-  // Optional for the same reason: reports predating the async trace
-  // pipeline carry no truncation flag.
-  if (const json::Value* trunc = doc.find("trace_truncated");
-      trunc != nullptr && !trunc->is_bool()) {
-    problems.emplace_back("member \"trace_truncated\" has wrong type");
-  }
-  // Optional rusage extras (reports predating them stay valid); typed
-  // and non-negative when present.
-  for (const char* field : {"minor_faults", "major_faults",
-                            "voluntary_ctx_switches",
-                            "involuntary_ctx_switches"}) {
-    if (const json::Value* v = doc.find(field); v != nullptr) {
-      if (!v->is_number()) {
-        problems.push_back("member \"" + std::string(field) +
-                           "\" has wrong type");
-      } else if (v->number < 0.0) {
-        problems.push_back("\"" + std::string(field) + "\" must be >= 0");
-      }
-    }
-  }
-  // Optional hw block; when present it must carry a bool "available",
-  // and an available block must carry the counter numbers.
-  if (const json::Value* hw = doc.find("hw"); hw != nullptr) {
-    if (!hw->is_object()) {
-      problems.emplace_back("member \"hw\" has wrong type");
-    } else {
-      const json::Value* avail = hw->find("available");
-      if (avail == nullptr || !avail->is_bool()) {
-        problems.emplace_back("\"hw\" missing bool \"available\"");
-      } else if (avail->boolean) {
-        for (const char* field :
-             {"instructions", "cycles", "ipc", "cache_references",
-              "cache_misses", "cache_miss_rate", "branches", "branch_misses",
-              "task_clock_ns"}) {
-          const json::Value* f = hw->find(field);
-          if (f == nullptr || !f->is_number()) {
-            problems.push_back("\"hw\" missing numeric \"" +
-                               std::string(field) + '"');
-          }
-        }
-      }
-    }
-  }
-  check_member(doc, "argv", Kind::kArray, problems);
-  check_member(doc, "attributes", Kind::kObject, problems);
-  if (const json::Value* attrs = doc.find("attributes");
-      attrs != nullptr && attrs->is_object()) {
-    for (const auto& [key, value] : attrs->object) {
-      if (!value.is_string()) {
-        problems.push_back("attribute \"" + key + "\" is not a string");
-      }
-    }
-  }
-  check_member(doc, "counters", Kind::kObject, problems);
-  if (const json::Value* counters = doc.find("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [key, value] : counters->object) {
-      if (!value.is_number()) {
-        problems.push_back("counter \"" + key + "\" is not a number");
-      }
-    }
-  }
-  check_member(doc, "histograms", Kind::kObject, problems);
-  if (const json::Value* hists = doc.find("histograms");
-      hists != nullptr && hists->is_object()) {
-    for (const auto& [key, value] : hists->object) {
-      if (!value.is_object()) {
-        problems.push_back("histogram \"" + key + "\" is not an object");
-        continue;
-      }
-      for (const char* field :
-           {"count", "min", "max", "mean", "p50", "p90", "p99"}) {
-        const json::Value* f = value.find(field);
-        if (f == nullptr || !f->is_number()) {
-          problems.push_back("histogram \"" + key + "\" missing numeric \"" +
-                             field + '"');
-        }
-      }
-    }
-  }
-  check_member(doc, "benchmarks", Kind::kArray, problems);
-  if (const json::Value* benches = doc.find("benchmarks");
-      benches != nullptr && benches->is_array()) {
-    for (std::size_t i = 0; i < benches->array.size(); ++i) {
-      const json::Value& run = benches->array[i];
-      const std::string where = "benchmarks[" + std::to_string(i) + ']';
-      if (!run.is_object()) {
-        problems.push_back(where + " is not an object");
-        continue;
-      }
-      check_member(run, "name", Kind::kString, problems);
-      check_member(run, "iterations", Kind::kNumber, problems);
-      check_member(run, "real_time", Kind::kNumber, problems);
-      check_member(run, "cpu_time", Kind::kNumber, problems);
-      check_member(run, "time_unit", Kind::kString, problems);
-      if (const json::Value* err = run.find("error"); err != nullptr) {
-        if (!err->is_bool()) {
-          problems.push_back(where + " member \"error\" has wrong type");
-        } else if (err->boolean) {
-          check_member(run, "error_message", Kind::kString, problems);
-        }
-      }
-      // Optional per-row hw attribution (absent on degraded machines and
-      // on reports predating the field).
-      if (const json::Value* hw = run.find("hw"); hw != nullptr) {
-        const json::Value* avail =
-            hw->is_object() ? hw->find("available") : nullptr;
-        if (avail == nullptr || !avail->is_bool()) {
-          problems.push_back(where + " \"hw\" missing bool \"available\"");
-        }
-      }
-    }
-  }
-  return problems;
 }
 
 }  // namespace ccmx::obs

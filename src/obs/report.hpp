@@ -6,8 +6,8 @@
 // timing rows, and whatever the obs registry accumulated (counters,
 // histogram summaries, attributes).  Reports land in bench/out/
 // (override with CCMX_BENCH_OUT) as BENCH_<name>.json and form the
-// repo's perf trajectory; validate_run_report() is the schema check the
-// tests and CI run against them.
+// repo's perf trajectory.  This header is the writer; the schema check
+// that reads a report back (validate_run_report) is in obs/analysis.hpp.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "obs/hwcounters.hpp"
-#include "obs/json.hpp"
 
 namespace ccmx::obs {
 
@@ -87,10 +86,5 @@ struct RunReport {
 /// or two racing bench binaries can never leave a truncated report that
 /// later fails a strict parse.  Returns the path written.
 std::string write_run_report(const RunReport& report, const std::string& path);
-
-/// Schema check for a parsed report; returns human-readable problems
-/// (empty means valid).
-[[nodiscard]] std::vector<std::string> validate_run_report(
-    const json::Value& doc);
 
 }  // namespace ccmx::obs

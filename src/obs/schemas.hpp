@@ -27,10 +27,6 @@ inline constexpr std::string_view kBenchDiffSchema = "ccmx.bench_diff/1";
 /// bench/out/trajectory.jsonl (see obs/analysis.hpp).
 inline constexpr std::string_view kTrajectorySchema = "ccmx.trajectory/1";
 
-/// Least-squares drift fit of per-benchmark cpu_time across the
-/// trajectory — `ccmx_insight trend` (see obs/analysis.hpp).
-inline constexpr std::string_view kTrendSchema = "ccmx.trend/1";
-
 /// Findings of the project-invariant static-analysis pass — `ccmx_lint`
 /// (see lint/lint.hpp).
 inline constexpr std::string_view kLintReportSchema = "ccmx.lint_report/1";
@@ -71,10 +67,10 @@ inline constexpr std::string_view kProfileSchema = "ccmx.profile/1";
 /// Every schema id this repo may stamp into a document, for validators
 /// that only need to know "is this one of ours".
 inline constexpr std::string_view kRegisteredSchemas[] = {
-    kRunReportSchema,     kBenchDiffSchema,  kTrajectorySchema,
-    kTrendSchema,         kLintReportSchema, kArchReportSchema,
-    kChromeTraceSchema,   kDashboardDataSchema, kTimeseriesSchema,
-    kTimeseriesSummarySchema, kProfileSchema,
+    kRunReportSchema,     kBenchDiffSchema,     kTrajectorySchema,
+    kLintReportSchema,    kArchReportSchema,    kChromeTraceSchema,
+    kDashboardDataSchema, kTimeseriesSchema,    kTimeseriesSummarySchema,
+    kProfileSchema,
 };
 
 [[nodiscard]] constexpr bool is_registered_schema(

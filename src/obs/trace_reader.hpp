@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 
 namespace ccmx::obs {
 

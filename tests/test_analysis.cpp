@@ -11,7 +11,7 @@
 
 #include "obs/analysis.hpp"
 #include "obs/schemas.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/report.hpp"
 
 namespace {
@@ -497,7 +497,7 @@ TEST(Trend, SkipsMalformedRowsAndReportsThinSeries) {
           "\"benchmarks\":{}}\n";
   write_file(traj, rows.str());
 
-  const TrendResult trend = trend_from_trajectory(traj.string(), 3);
+  const TrendResult trend = trend_from_trajectory(traj.string());
   EXPECT_EQ(trend.rows, 2u);
   EXPECT_EQ(trend.skipped, 2u);
   EXPECT_TRUE(trend.fits.empty());
@@ -510,35 +510,6 @@ TEST(Trend, MissingTrajectoryIsEmptyNotFatal) {
       trend_from_trajectory("/nonexistent/ccmx/trajectory.jsonl");
   EXPECT_EQ(trend.rows, 0u);
   EXPECT_TRUE(trend.fits.empty());
-}
-
-TEST(TrendJson, RoundTripsThroughTheSchemaCheck) {
-  TempDir dir("trend3");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  std::ostringstream rows;
-  for (int day = 0; day < 3; ++day) {
-    rows << trajectory_row("alpha", 1754500000 + day * 86400, 10.0 + day,
-                           5.0);
-  }
-  write_file(traj, rows.str());
-  const TrendResult trend = trend_from_trajectory(traj.string());
-
-  const std::string json_doc = render_trend_json(trend);
-  const json::Value doc = json::parse(json_doc);
-  EXPECT_TRUE(validate_trend(doc).empty())
-      << validate_trend(doc).front();
-  EXPECT_EQ(doc.find("schema")->string, kTrendSchema);
-  ASSERT_NE(doc.find("fits"), nullptr);
-  EXPECT_EQ(doc.find("fits")->array.size(), 2u);
-
-  // The markdown rendering names the drifting benchmark.
-  const std::string md = render_trend_markdown(trend);
-  EXPECT_NE(md.find("BM_Fast/1"), std::string::npos);
-
-  // A foreign schema id must be rejected.
-  const json::Value bad =
-      json::parse("{\"schema\":\"ccmx.bench_diff/1\",\"fits\":[]}");
-  EXPECT_FALSE(validate_trend(bad).empty());
 }
 
 TEST(Verdicts, NamesAreStable) {

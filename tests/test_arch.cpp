@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/schemas.hpp"
 
 namespace lint = ccmx::lint;

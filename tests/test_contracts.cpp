@@ -56,6 +56,9 @@ TEST(Contracts, MatrixShapes) {
   EXPECT_THROW((void)a.augment(IntMatrix(3, 1)), contract_error);
   EXPECT_THROW((void)a.permute_rows({0}), contract_error);
   EXPECT_THROW((void)a.permute_rows({0, 5}), contract_error);
+  // rows * cols = 2^64 wraps to 0 without the overflow check.
+  EXPECT_THROW((void)ModMatrix(std::size_t{1} << 33, std::size_t{1} << 31),
+               contract_error);
 }
 
 TEST(Contracts, DecompositionShapes) {

@@ -10,7 +10,7 @@
 
 #include "obs/analysis.hpp"
 #include "obs/html_render.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/profile_reader.hpp"
 #include "obs/schemas.hpp"
 #include "obs/report.hpp"

@@ -19,8 +19,9 @@
 #include <unistd.h>
 #endif
 
+#include "obs/analysis.hpp"
 #include "obs/hwcounters.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_reader.hpp"

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/schemas.hpp"
 
 namespace lint = ccmx::lint;

@@ -9,7 +9,9 @@
 #include <thread>
 
 #include "comm/channel.hpp"
+#include "obs/analysis.hpp"
 #include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/obs.hpp"
 #include "obs/schemas.hpp"
 #include "obs/progress.hpp"
@@ -267,6 +269,19 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW((void)obs::json::parse("{} trailing"), util::contract_error);
   EXPECT_THROW((void)obs::json::parse("\"unterminated"), util::contract_error);
   EXPECT_THROW((void)obs::json::parse("nul"), util::contract_error);
+}
+
+TEST(Json, CapsNestingDepth) {
+  // The parser recurses once per level; 10^5 levels would overflow the
+  // stack instead of throwing.
+  const std::string hostile =
+      std::string(100000, '[') + std::string(100000, ']');
+  EXPECT_THROW((void)obs::json::parse(hostile), util::contract_error);
+  const std::size_t cap = obs::json::kMaxDepth;
+  const std::string deepest = std::string(cap, '[') + std::string(cap, ']');
+  EXPECT_NO_THROW((void)obs::json::parse(deepest));
+  EXPECT_THROW((void)obs::json::parse("{\"k\":" + deepest + "}"),
+               util::contract_error);
 }
 
 TEST(RunReport, RendersValidSchema) {

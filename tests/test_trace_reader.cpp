@@ -17,7 +17,7 @@
 
 #include "comm/channel.hpp"
 #include "comm/partition.hpp"
-#include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_reader.hpp"

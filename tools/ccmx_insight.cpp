@@ -10,17 +10,6 @@
 //   trajectory --reports DIR [--out FILE]
 //       Append one ccmx.trajectory/1 JSONL line per report to the
 //       repo's perf trajectory (idempotent per name+git_sha+unix_time).
-//   trend [--trajectory FILE] [--min-points N] [--json PATH]
-//       Least-squares cpu_time drift per benchmark across the
-//       trajectory (ccmx.trend/1), worst relative slope first.
-//   lint FILE
-//       Validate and summarize a ccmx_lint JSON report (exit 1 when it
-//       carries non-baselined findings).
-//   arch FILE
-//       Validate and summarize a `ccmx_lint arch --json` report: the
-//       module table (layer, files, fan-in/fan-out) plus any open
-//       findings (exit 1 when the report carries non-baselined
-//       findings).
 //   trace FILE [--report BENCH.json] [--chrome OUT.json]
 //       Parse a JSONL channel trace, print per-channel / per-round /
 //       per-agent traffic plus the reconstructed span trees, and (with
@@ -79,10 +68,10 @@
 #include "comm/partition.hpp"
 #include "linalg/convert.hpp"
 #include "lint/arch.hpp"
-#include "lint/lint.hpp"
 #include "obs/analysis.hpp"
 #include "obs/html_render.hpp"
 #include "obs/json.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
 #include "obs/schemas.hpp"
@@ -99,24 +88,19 @@ using namespace ccmx;
 int usage() {
   std::cerr <<
       "usage: ccmx_insight "
-      "<diff|trajectory|trend|trace|timeseries|profile|html|fit|lint|arch>"
-      " ...\n"
+      "<diff|trajectory|trace|timeseries|profile|html|fit> ...\n"
       "  diff --baseline DIR --candidate DIR [--json PATH] [--md PATH]\n"
       "       [--cpu-tol F=0.20] [--counter-tol F=0.25] [--rss-tol F=0.30]\n"
       "       [--insn-tol F=0.02] [--min-iters N=3]\n"
       "       [--allow-missing-baseline]\n"
       "  trajectory --reports DIR [--out FILE=bench/out/trajectory.jsonl]\n"
-      "  trend [--trajectory FILE=bench/out/trajectory.jsonl]\n"
-      "       [--min-points N=3] [--json PATH] [--md PATH]\n"
       "  trace FILE [--report BENCH.json] [--chrome OUT.json]\n"
       "  timeseries FILE [--json PATH]\n"
       "  profile FILE [--top N=15] [--collapsed OUT] [--trace TRACE.jsonl]\n"
       "  html --reports DIR [--trajectory FILE] [--diff DIFF.json]\n"
       "       [--arch ARCH.json] [--trace FILE] [--timeseries FILE]\n"
       "       [--profile FILE] [--out FILE=dashboard.html] [--title S]\n"
-      "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n"
-      "  lint FILE\n"
-      "  arch FILE\n";
+      "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n";
   return 2;
 }
 
@@ -273,167 +257,6 @@ int cmd_trajectory(Args& args) {
   std::cout << "trajectory: " << out << " (+" << result.appended
             << " appended, " << result.skipped << " already present)\n";
   return 0;
-}
-
-// --------------------------------------------------------------- trend
-
-int cmd_trend(Args& args) {
-  const std::string trajectory =
-      args.option("--trajectory").value_or("bench/out/trajectory.jsonl");
-  std::size_t min_points = 3;
-  if (const auto v = args.option("--min-points")) {
-    min_points = std::strtoul(v->c_str(), nullptr, 10);
-    if (min_points < 2) min_points = 2;  // a line needs two points
-  }
-  const obs::TrendResult trend =
-      obs::trend_from_trajectory(trajectory, min_points);
-  if (trend.rows == 0) {
-    std::cerr << "error: no trajectory rows in " << trajectory
-              << " (run `ccmx_insight trajectory` first)\n";
-    return 2;
-  }
-  const std::string markdown = obs::render_trend_markdown(trend);
-  std::cout << markdown;
-  if (const auto path = args.option("--json")) {
-    if (!write_text_file(*path, obs::render_trend_json(trend))) {
-      std::cerr << "error: cannot write " << *path << '\n';
-      return 2;
-    }
-    std::cout << "trend json: " << *path << '\n';
-  }
-  if (const auto path = args.option("--md")) {
-    if (!write_text_file(*path, markdown)) {
-      std::cerr << "error: cannot write " << *path << '\n';
-      return 2;
-    }
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------- lint
-
-int cmd_lint(Args& args) {
-  const auto report_path = args.positional();
-  if (!report_path) return usage();
-  std::ifstream in(*report_path, std::ios::binary);
-  if (!in.is_open()) {
-    std::cerr << "error: cannot open " << *report_path << '\n';
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  obs::json::Value doc;
-  try {
-    doc = obs::json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << *report_path << ": " << e.what() << '\n';
-    return 2;
-  }
-  const std::vector<std::string> problems = lint::validate_lint_report(doc);
-  if (!problems.empty()) {
-    std::cerr << "error: " << *report_path << " is not a valid lint report\n";
-    for (const std::string& p : problems) std::cerr << "  " << p << '\n';
-    return 2;
-  }
-  const obs::json::Value* findings = doc.find("findings");
-  const obs::json::Value* counts = doc.find("counts");
-  std::cout << "lint report: " << *report_path << " — "
-            << findings->array.size() << " finding(s)\n";
-  if (counts != nullptr && counts->is_object()) {
-    util::TextTable table({"rule", "findings"});
-    for (const auto& [rule, value] : counts->object) {
-      if (value.is_number() && value.number > 0) {
-        table.row(rule, static_cast<std::uint64_t>(value.number));
-      }
-    }
-    table.print(std::cout);
-  }
-  for (const obs::json::Value& f : findings->array) {
-    const obs::json::Value* file = f.find("file");
-    const obs::json::Value* line = f.find("line");
-    const obs::json::Value* rule = f.find("rule");
-    const obs::json::Value* message = f.find("message");
-    std::cout << "  " << file->string << ":"
-              << static_cast<std::uint64_t>(line->number) << " ["
-              << rule->string << "] " << message->string << '\n';
-  }
-  return findings->array.empty() ? 0 : 1;
-}
-
-// ---------------------------------------------------------------- arch
-
-/// Parses PATH as JSON and checks it against ccmx.arch_report/1;
-/// prints the problems and returns nullopt when it does not conform.
-std::optional<obs::json::Value> load_arch_report(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    std::cerr << "error: cannot open " << path << '\n';
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  obs::json::Value doc;
-  try {
-    doc = obs::json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << path << ": " << e.what() << '\n';
-    return std::nullopt;
-  }
-  const std::vector<std::string> problems = lint::validate_arch_report(doc);
-  if (!problems.empty()) {
-    std::cerr << "error: " << path << " is not a valid arch report\n";
-    for (const std::string& p : problems) std::cerr << "  " << p << '\n';
-    return std::nullopt;
-  }
-  return doc;
-}
-
-int cmd_arch(Args& args) {
-  const auto report_path = args.positional();
-  if (!report_path) return usage();
-  const std::optional<obs::json::Value> doc = load_arch_report(*report_path);
-  if (!doc) return 2;
-
-  const obs::json::Value* findings = doc->find("findings");
-  std::cout << "arch report: " << *report_path << " — "
-            << static_cast<std::uint64_t>(doc->find("files_scanned")->number)
-            << " file(s), "
-            << static_cast<std::uint64_t>(doc->find("include_edges")->number)
-            << " include edge(s), " << findings->array.size()
-            << " finding(s)\n";
-
-  const obs::json::Value* modules = doc->find("modules");
-  if (modules != nullptr && modules->is_array() && !modules->array.empty()) {
-    util::TextTable table(
-        {"module", "layer", "files", "fan-out", "fan-in", "depends on"});
-    for (const obs::json::Value& row : modules->array) {
-      if (!row.is_object()) continue;
-      std::string deps;
-      const obs::json::Value* dep_list = row.find("deps");
-      if (dep_list != nullptr && dep_list->is_array()) {
-        for (const obs::json::Value& dep : dep_list->array) {
-          if (!dep.is_string()) continue;
-          if (!deps.empty()) deps += ", ";
-          deps += dep.string;
-        }
-      }
-      table.row(row.find("name")->string,
-                static_cast<std::int64_t>(row.find("layer")->number),
-                static_cast<std::uint64_t>(row.find("files")->number),
-                static_cast<std::uint64_t>(row.find("fan_out")->number),
-                static_cast<std::uint64_t>(row.find("fan_in")->number),
-                deps.empty() ? "—" : deps);
-    }
-    table.print(std::cout);
-  }
-
-  for (const obs::json::Value& f : findings->array) {
-    std::cout << "  " << f.find("file")->string << ":"
-              << static_cast<std::uint64_t>(f.find("line")->number) << " ["
-              << f.find("rule")->string << "] " << f.find("message")->string
-              << '\n';
-  }
-  return findings->array.empty() ? 0 : 1;
 }
 
 // --------------------------------------------------------------- trace
@@ -841,6 +664,32 @@ int cmd_profile(Args& args) {
 
 // ---------------------------------------------------------------- html
 
+/// Parses PATH as JSON and checks it against ccmx.arch_report/1;
+/// prints the problems and returns nullopt when it does not conform.
+std::optional<obs::json::Value> load_arch_report(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    std::cerr << "error: cannot open " << path << '\n';
+    return std::nullopt;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  obs::json::Value doc;
+  try {
+    doc = obs::json::parse(buffer.str());
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << path << ": " << e.what() << '\n';
+    return std::nullopt;
+  }
+  const std::vector<std::string> problems = lint::validate_arch_report(doc);
+  if (!problems.empty()) {
+    std::cerr << "error: " << path << " is not a valid arch report\n";
+    for (const std::string& p : problems) std::cerr << "  " << p << '\n';
+    return std::nullopt;
+  }
+  return doc;
+}
+
 int cmd_html(Args& args) {
   const auto reports_dir = args.option("--reports");
   if (!reports_dir) return usage();
@@ -1178,14 +1027,11 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "diff") return cmd_diff(args);
     if (cmd == "trajectory") return cmd_trajectory(args);
-    if (cmd == "trend") return cmd_trend(args);
     if (cmd == "trace") return cmd_trace(args);
     if (cmd == "timeseries") return cmd_timeseries(args);
     if (cmd == "profile") return cmd_profile(args);
     if (cmd == "html") return cmd_html(args);
     if (cmd == "fit") return cmd_fit(args);
-    if (cmd == "lint") return cmd_lint(args);
-    if (cmd == "arch") return cmd_arch(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;
