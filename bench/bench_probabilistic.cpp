@@ -150,7 +150,7 @@ void BM_FingerprintProtocol(benchmark::State& state) {
     benchmark::DoNotOptimize(comm::execute(fp, input, pi).answer);
   }
 }
-BENCHMARK(BM_FingerprintProtocol)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_FingerprintProtocol)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_ExactSingularityLocal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -160,7 +160,7 @@ void BM_ExactSingularityLocal(benchmark::State& state) {
     benchmark::DoNotOptimize(la::is_singular(m));
   }
 }
-BENCHMARK(BM_ExactSingularityLocal)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_ExactSingularityLocal)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 }  // namespace
 

@@ -38,7 +38,7 @@ run linwu_rank         'BM_LinWuRank/3'
 run obs                'BM_Emit(Async|Disabled)/real_time/threads:8|BM_SpinUnderProfiler/(0|97)$'
 run padding            'BM_PaddedDeterminant/4'
 run partitions         'BM_ProperTransform/7'
-run probabilistic      'BM_FingerprintProtocol/4'
+run probabilistic      'BM_FingerprintProtocol/(4|64)$|BM_ExactSingularityLocal/64$'
 run rank_spectrum      'BM_BorderedReduction/4'
 run rectangles         'BM_MaxRectangleExact/1'
 run singularity_cc     'BM_SendHalfSingularity/4/2'

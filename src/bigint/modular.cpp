@@ -1,17 +1,57 @@
 #include "bigint/modular.hpp"
 
 #include <array>
+#include <bit>
+#include <utility>
 
 #include "bigint/bigint.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::num {
 
-// CRT callers hand BigInt::mod_u64 residues straight into these routines, so
-// the modulus word must be exactly one BigInt limb wide — if the limb width
-// ever changes, the residue plumbing has to be revisited together with it.
+// Zp::reduce runs Horner over BigInt limbs in base 2^64, so a limb must be
+// exactly one word wide — if the limb width ever changes, the reduction has
+// to be revisited together with it.
 static_assert(BigInt::kLimbBits == 8 * sizeof(std::uint64_t),
               "modular arithmetic assumes one-limb (64-bit) residues");
+
+Zp::Zp(std::uint64_t p) : p_(p) {
+  CCMX_REQUIRE(p >= 2 && p < (std::uint64_t{1} << 62),
+               "Z_p modulus outside [2, 2^62)");
+  shift_ = std::countl_zero(p);
+  d_ = p << shift_;
+  // The quotient lies in [2^64, 2^65) since d_ >= 2^63; the cast drops
+  // the 2^64.  The one 128-bit division, paid once per modulus.
+  v_ = static_cast<std::uint64_t>(~ccmx::util::u128{0} / d_);
+}
+
+std::uint64_t Zp::reduce(const BigInt& v) const {
+  std::uint64_t acc = 0;
+  for (std::size_t i = v.limb_count(); i-- > 0;) acc = horner(acc, v.limb(i));
+  // Signs of matrix entries are data: select the negation by a mask, not a
+  // branch.
+  const std::uint64_t negative =
+      std::uint64_t{0} - static_cast<std::uint64_t>(v.is_negative());
+  return acc ^ ((acc ^ neg(acc)) & negative);
+}
+
+std::uint64_t Zp::inv(std::uint64_t a) const {
+  // Extended Euclid in signed words: every cofactor stays within p < 2^62.
+  std::int64_t t = 0;
+  std::int64_t new_t = 1;
+  std::uint64_t r = p_;
+  std::uint64_t new_r = a < p_ ? a : reduce(a);
+  while (new_r != 0) {
+    const std::uint64_t q = r / new_r;
+    t -= static_cast<std::int64_t>(q) * new_t;
+    std::swap(t, new_t);
+    r -= q * new_r;
+    std::swap(r, new_r);
+  }
+  CCMX_REQUIRE(r == 1, "inverse of a non-unit");
+  return t < 0 ? static_cast<std::uint64_t>(t + static_cast<std::int64_t>(p_))
+               : static_cast<std::uint64_t>(t);
+}
 
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {
   CCMX_REQUIRE(m > 0, "zero modulus");
@@ -24,24 +64,6 @@ std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {
     exp >>= 1;
   }
   return result;
-}
-
-std::uint64_t invmod(std::uint64_t a, std::uint64_t m) {
-  CCMX_REQUIRE(m > 1, "invmod needs modulus > 1");
-  // Extended Euclid over signed 128-bit accumulators.
-  using ccmx::util::i128;
-  i128 t = 0, new_t = 1;
-  i128 r = m, new_r = a % m;
-  while (new_r != 0) {
-    const i128 q = r / new_r;
-    t -= q * new_t;
-    std::swap(t, new_t);
-    r -= q * new_r;
-    std::swap(r, new_r);
-  }
-  CCMX_REQUIRE(r == 1, "invmod of a non-unit");
-  if (t < 0) t += m;
-  return static_cast<std::uint64_t>(t);
 }
 
 bool is_prime(std::uint64_t n) {

@@ -40,6 +40,14 @@ class AgentView {
     CCMX_REQUIRE(owns(bit), "agent read a bit it does not own");
     return input_->get(bit);
   }
+  /// Reads `count` (1 to 64) owned bits from `first`, LSB first, under the
+  /// same guard: throws unless this agent owns every one of them.
+  [[nodiscard]] std::uint64_t read_uint(std::size_t first,
+                                        std::size_t count) const {
+    CCMX_REQUIRE(count <= 64 && partition_->range_owner(first, count) == who_,
+                 "agent read a bit it does not own");
+    return input_->read_uint(first, count);
+  }
   [[nodiscard]] std::vector<std::size_t> owned_indices() const {
     return partition_->indices_of(who_);
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "bigint/bigint.hpp"
+#include "bigint/modular.hpp"
 #include "bigint/rational.hpp"
 #include "linalg/matrix.hpp"
 
@@ -25,11 +26,13 @@ using ModMatrix = Matrix<std::uint64_t>;
       m, [](std::int64_t v) { return num::BigInt(v); });
 }
 
-/// Entrywise canonical residue in [0, p).
+/// Entrywise canonical residue in [0, p), for 2 <= p < 2^62 (else
+/// contract_error).
 [[nodiscard]] inline ModMatrix reduce_mod(const IntMatrix& m,
                                           std::uint64_t p) {
+  const num::Zp field(p);
   return map_matrix<std::uint64_t>(
-      m, [p](const num::BigInt& v) { return v.mod_floor_u64(p); });
+      m, [&field](const num::BigInt& v) { return field.reduce(v); });
 }
 
 }  // namespace ccmx::la

@@ -41,12 +41,11 @@ std::uint64_t next_ladder_prime(std::uint64_t previous) {
 
 void CrtFold::add(std::uint64_t residue, std::uint64_t p) {
   // delta = (residue - value) * modulus^{-1} mod p.
-  const std::uint64_t value_mod_p = value_.mod_u64(p);
-  const std::uint64_t diff = residue >= value_mod_p
-                                 ? residue - value_mod_p
-                                 : residue + p - value_mod_p;
-  const std::uint64_t inv = num::invmod(modulus_.mod_u64(p), p);
-  const std::uint64_t delta = num::mulmod(diff, inv, p);
+  const num::Zp field(p);
+  const std::uint64_t diff =
+      field.sub(field.reduce(residue), field.reduce(value_));
+  const std::uint64_t delta =
+      field.mul(diff, field.inv(field.reduce(modulus_)));
   // 62-bit delta and p: fused word-sized fold, no BigInt temporaries.
   value_.add_mul(modulus_, static_cast<std::int64_t>(delta));
   modulus_ *= static_cast<std::int64_t>(p);

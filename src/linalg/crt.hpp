@@ -22,9 +22,9 @@ inline constexpr std::size_t kLadderPrimeBits = 61;
 /// The first rungs come from a table built on first use.
 [[nodiscard]] std::uint64_t next_ladder_prime(std::uint64_t previous);
 
-/// Incremental CRT over distinct word-sized primes: after add(r_i, p_i),
-/// value() is the unique x in [0, modulus()) with x ≡ r_i (mod p_i) for
-/// every i, and modulus() = prod p_i.
+/// Incremental CRT over distinct primes below 2^62, such as the rungs:
+/// after add(r_i, p_i), value() is the unique x in [0, modulus()) with
+/// x ≡ r_i (mod p_i) for every i, and modulus() = prod p_i.
 class CrtFold {
  public:
   void add(std::uint64_t residue, std::uint64_t p);

@@ -1,72 +1,96 @@
 #include "linalg/fp.hpp"
 
-#include "bigint/modular.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::la {
 
 namespace {
 
-using num::invmod;
-using num::mulmod;
+struct Echelon {
+  std::size_t rank = 0;
+  std::uint64_t det = 1;        // meaningful for square inputs only
+  bool last_col_pivot = false;  // the last column holds a pivot
+};
 
-/// In-place elimination to row echelon form; returns (rank, det-accumulator).
-/// The determinant accumulator is only meaningful for square inputs.
-std::pair<std::size_t, std::uint64_t> echelon(ModMatrix& a, std::uint64_t p) {
+/// In-place elimination to row echelon form.
+Echelon echelon(ModMatrix& a, const num::Zp& field) {
   const std::size_t rows = a.rows();
   const std::size_t cols = a.cols();
-  std::uint64_t det = 1;
-  std::size_t row = 0;
-  for (std::size_t col = 0; col < cols && row < rows; ++col) {
+  Echelon out;
+  for (std::size_t col = 0; col < cols && out.rank < rows; ++col) {
+    const std::size_t row = out.rank;
     std::size_t pivot = row;
     while (pivot < rows && a(pivot, col) == 0) ++pivot;
     if (pivot == rows) {
-      det = 0;  // a zero column means a zero pivot for square inputs
+      out.det = 0;  // a zero column means a zero pivot for square inputs
       continue;
     }
     if (pivot != row) {
       a.swap_rows(pivot, row);
-      det = det == 0 ? 0 : p - det;  // row swap flips the sign
-      if (det == p) det = 0;
+      out.det = field.neg(out.det);  // row swap flips the sign
     }
-    const std::uint64_t inv = invmod(a(row, col), p);
-    det = mulmod(det, a(row, col), p);
+    const std::uint64_t inv = field.inv(a(row, col));
+    out.det = field.mul(a(row, col), out.det);
     for (std::size_t i = row + 1; i < rows; ++i) {
       if (a(i, col) == 0) continue;
-      const std::uint64_t factor = mulmod(a(i, col), inv, p);
-      for (std::size_t j = col; j < cols; ++j) {
-        const std::uint64_t sub = mulmod(factor, a(row, j), p);
-        a(i, j) = a(i, j) >= sub ? a(i, j) - sub : a(i, j) + p - sub;
-      }
+      subtract_row_multiple(a, i, row, field.mul(a(i, col), inv), col, field);
     }
-    ++row;
+    out.last_col_pivot = col + 1 == cols;
+    ++out.rank;
   }
-  return {row, det};
+  return out;
 }
 
 }  // namespace
 
+void subtract_row_multiple(ModMatrix& m, std::size_t dst, std::size_t src,
+                           std::uint64_t factor, std::size_t from,
+                           const num::Zp& field) {
+  CCMX_ASSERT(dst < m.rows() && src < m.rows() && dst != src);
+  const std::size_t cols = m.cols();
+  if (from >= cols) return;
+  // A local copy: stores through `out` cannot alias it, so p stays in a
+  // register across the loop.
+  const num::Zp f = field;
+  const num::Zp::Fixed fixed = f.fixed(factor);
+  std::uint64_t* out = &m(dst, 0);
+  const std::uint64_t* in = &m(src, 0);
+  for (std::size_t j = from; j < cols; ++j) {
+    out[j] = f.sub(out[j], f.mul(in[j], fixed));
+  }
+}
+
 std::uint64_t det_mod_p(ModMatrix m, std::uint64_t p) {
+  const num::Zp field(p);
   CCMX_REQUIRE(m.is_square(), "determinant of a non-square matrix");
-  CCMX_REQUIRE(p >= 2, "modulus must be at least 2");
-  auto [rank, det] = echelon(m, p);
-  return rank == m.rows() ? det : 0;
+  const Echelon e = echelon(m, field);
+  return e.rank == m.rows() ? e.det : 0;
 }
 
 std::size_t rank_mod_p(ModMatrix m, std::uint64_t p) {
-  CCMX_REQUIRE(p >= 2, "modulus must be at least 2");
-  return echelon(m, p).first;
+  const num::Zp field(p);
+  return echelon(m, field).rank;
+}
+
+bool solvable_mod_p(ModMatrix m, std::uint64_t p) {
+  const num::Zp field(p);
+  return !echelon(m, field).last_col_pivot;
 }
 
 std::optional<std::vector<std::uint64_t>> solve_mod_p(
     ModMatrix m, std::vector<std::uint64_t> b, std::uint64_t p) {
+  const num::Zp field(p);
   CCMX_REQUIRE(b.size() == m.rows(), "solve shape mismatch");
+  const std::size_t rows = m.rows();
   const std::size_t cols = m.cols();
-  ModMatrix augmented(m.rows(), cols + 1);
-  augmented.set_block(0, 0, m);
-  for (std::size_t i = 0; i < m.rows(); ++i) augmented(i, cols) = b[i] % p;
+  ModMatrix augmented(rows, cols + 1);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      augmented(i, j) = field.reduce(m(i, j));
+    }
+    augmented(i, cols) = field.reduce(b[i]);
+  }
   // Full Gauss-Jordan on the augmented system.
-  const std::size_t rows = augmented.rows();
   std::vector<std::size_t> pivot_cols;
   std::size_t row = 0;
   for (std::size_t col = 0; col < cols + 1 && row < rows; ++col) {
@@ -74,18 +98,13 @@ std::optional<std::vector<std::uint64_t>> solve_mod_p(
     while (pivot < rows && augmented(pivot, col) == 0) ++pivot;
     if (pivot == rows) continue;
     augmented.swap_rows(pivot, row);
-    const std::uint64_t inv = invmod(augmented(row, col), p);
+    const num::Zp::Fixed inv = field.fixed(field.inv(augmented(row, col)));
     for (std::size_t j = col; j <= cols; ++j) {
-      augmented(row, j) = mulmod(augmented(row, j), inv, p);
+      augmented(row, j) = field.mul(augmented(row, j), inv);
     }
     for (std::size_t i = 0; i < rows; ++i) {
       if (i == row || augmented(i, col) == 0) continue;
-      const std::uint64_t factor = augmented(i, col);
-      for (std::size_t j = col; j <= cols; ++j) {
-        const std::uint64_t sub = mulmod(factor, augmented(row, j), p);
-        augmented(i, j) = augmented(i, j) >= sub ? augmented(i, j) - sub
-                                                 : augmented(i, j) + p - sub;
-      }
+      subtract_row_multiple(augmented, i, row, augmented(i, col), col, field);
     }
     pivot_cols.push_back(col);
     ++row;
@@ -102,13 +121,16 @@ std::optional<std::vector<std::uint64_t>> solve_mod_p(
 
 ModMatrix multiply_mod_p(const ModMatrix& a, const ModMatrix& b,
                          std::uint64_t p) {
+  const num::Zp field(p);
   CCMX_REQUIRE(a.cols() == b.rows(), "product shape mismatch");
   ModMatrix out(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t k = 0; k < a.cols(); ++k) {
-      if (a(i, k) == 0) continue;
+      const std::uint64_t aik = field.reduce(a(i, k));
+      if (aik == 0) continue;
+      const num::Zp::Fixed w = field.fixed(aik);
       for (std::size_t j = 0; j < b.cols(); ++j) {
-        out(i, j) = (out(i, j) + mulmod(a(i, k), b(k, j), p)) % p;
+        out(i, j) = field.add(out(i, j), field.mul(b(k, j), w));
       }
     }
   }
@@ -118,11 +140,16 @@ ModMatrix multiply_mod_p(const ModMatrix& a, const ModMatrix& b,
 std::vector<std::uint64_t> multiply_mod_p(const ModMatrix& a,
                                           const std::vector<std::uint64_t>& x,
                                           std::uint64_t p) {
+  const num::Zp field(p);
   CCMX_REQUIRE(a.cols() == x.size(), "matvec shape mismatch");
+  std::vector<num::Zp::Fixed> w(x.size());
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    w[j] = field.fixed(field.reduce(x[j]));
+  }
   std::vector<std::uint64_t> out(a.rows(), 0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      out[i] = (out[i] + mulmod(a(i, j), x[j], p)) % p;
+      out[i] = field.add(out[i], field.mul(a(i, j), w[j]));
     }
   }
   return out;

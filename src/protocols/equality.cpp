@@ -1,5 +1,7 @@
 #include "protocols/equality.hpp"
 
+#include <algorithm>
+
 #include "bigint/modular.hpp"
 #include "util/require.hpp"
 
@@ -47,23 +49,32 @@ EqualityFingerprint::EqualityFingerprint(std::size_t s, unsigned prime_bits,
                "prime width out of range");
 }
 
+namespace {
+
+/// The s bits of `view` from `first`, read as an integer (bit i weighs
+/// 2^i), mod p: Horner over 64-bit words, most significant first.
+std::uint64_t residue_of_bits(const AgentView& view, std::size_t first,
+                              std::size_t s, const num::Zp& field) {
+  std::uint64_t acc = 0;
+  for (std::size_t word = (s + 63) / 64; word-- > 0;) {
+    const std::size_t lo = 64 * word;
+    acc = field.horner(acc, view.read_uint(first + lo, std::min<std::size_t>(
+                                                           64, s - lo)));
+  }
+  return acc;
+}
+
+}  // namespace
+
 bool EqualityFingerprint::run(const AgentView& agent0, const AgentView& agent1,
                               Channel& channel) const {
-  const std::uint64_t p = num::random_prime(prime_bits_, coins_);
-  // x mod p by Horner over the bit string (MSB first keeps it streaming).
-  std::uint64_t hx = 0;
-  for (std::size_t i = s_; i-- > 0;) {
-    hx = (hx * 2 + (agent0.get(i) ? 1u : 0u)) % p;
-  }
+  const num::Zp field(num::random_prime(prime_bits_, coins_));
   BitVec payload(0);
-  payload.append_uint(hx, prime_bits_);
+  payload.append_uint(residue_of_bits(agent0, 0, s_, field), prime_bits_);
   const BitVec& received = channel.send(Agent::kZero, std::move(payload));
 
-  std::uint64_t hy = 0;
-  for (std::size_t i = s_; i-- > 0;) {
-    hy = (hy * 2 + (agent1.get(s_ + i) ? 1u : 0u)) % p;
-  }
-  const bool equal = received.read_uint(0, prime_bits_) == hy;
+  const bool equal = received.read_uint(0, prime_bits_) ==
+                     residue_of_bits(agent1, s_, s_, field);
   return channel.send_bit(Agent::kOne, equal);
 }
 

@@ -65,12 +65,10 @@ bool FingerprintProtocol::run_once(const AgentView& agent0,
     case FingerprintTask::kFullRank:
       answer = la::rank_mod_p(m, prime) == std::min(m.rows(), m.cols());
       break;
-    case FingerprintTask::kSolvability: {
+    case FingerprintTask::kSolvability:
       CCMX_REQUIRE(m.cols() >= 2, "solvability needs [A | b]");
-      const la::ModMatrix a = m.block(0, 0, m.rows(), m.cols() - 1);
-      answer = la::rank_mod_p(a, prime) == la::rank_mod_p(m, prime);
+      answer = la::solvable_mod_p(m, prime);
       break;
-    }
     case FingerprintTask::kRankAtMostHalf:
       answer = la::rank_mod_p(m, prime) <= m.rows() / 2;
       break;

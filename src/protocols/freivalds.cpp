@@ -13,7 +13,6 @@ using comm::BitVec;
 using comm::Channel;
 using comm::MatrixBitLayout;
 using comm::Partition;
-using num::mulmod;
 
 MatrixBitLayout product_layout(std::size_t n, unsigned k) {
   return MatrixBitLayout(3 * n, n, k);
@@ -57,17 +56,20 @@ std::uint64_t stacked_entry(const AgentView& view,
   return *value;
 }
 
-/// M v mod p, for M the n x n block of rows [row0, row0 + n).
+/// M v over Z_p, for M the n x n block of rows [row0, row0 + n) and v
+/// reduced mod p.
 std::vector<std::uint64_t> block_times(const AgentView& view,
                                        const MatrixBitLayout& layout,
                                        std::size_t row0,
                                        const std::vector<std::uint64_t>& v,
-                                       std::uint64_t p) {
+                                       const num::Zp& field) {
+  std::vector<num::Zp::Fixed> w(v.size());
+  for (std::size_t j = 0; j < v.size(); ++j) w[j] = field.fixed(v[j]);
   std::vector<std::uint64_t> out(v.size(), 0);
   for (std::size_t i = 0; i < v.size(); ++i) {
     for (std::size_t j = 0; j < v.size(); ++j) {
-      const std::uint64_t entry = stacked_entry(view, layout, row0 + i, j) % p;
-      out[i] = (out[i] + mulmod(entry, v[j], p)) % p;
+      out[i] = field.add(
+          out[i], field.mul(stacked_entry(view, layout, row0 + i, j), w[j]));
     }
   }
   return out;
@@ -91,20 +93,20 @@ bool FreivaldsProtocol::run(const AgentView& agent0, const AgentView& agent1,
   const MatrixBitLayout layout = product_layout(n_, k_);
   bool all_accept = true;
   for (unsigned rep = 0; rep < repetitions_; ++rep) {
-    const std::uint64_t p = num::random_prime(prime_bits_, coins_);
+    const num::Zp field(num::random_prime(prime_bits_, coins_));
     std::vector<std::uint64_t> r(n_);
-    for (auto& ri : r) ri = coins_.below(p);
+    for (auto& ri : r) ri = coins_.below(field.p());
 
     // Agent 0: z = A (B r) mod p.
-    const auto br = block_times(agent0, layout, n_, r, p);
+    const auto br = block_times(agent0, layout, n_, r, field);
     BitVec payload(0);
-    for (const std::uint64_t z : block_times(agent0, layout, 0, br, p)) {
+    for (const std::uint64_t z : block_times(agent0, layout, 0, br, field)) {
       payload.append_uint(z, prime_bits_);
     }
     const BitVec& received = channel.send(Agent::kZero, std::move(payload));
 
     // Agent 1: compare with C r mod p.
-    const auto cr = block_times(agent1, layout, 2 * n_, r, p);
+    const auto cr = block_times(agent1, layout, 2 * n_, r, field);
     bool accept = true;
     for (std::size_t i = 0; i < n_ && accept; ++i) {
       accept = cr[i] == received.read_uint(i * prime_bits_, prime_bits_);

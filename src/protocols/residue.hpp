@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "bigint/modular.hpp"
 #include "comm/channel.hpp"
 #include "linalg/convert.hpp"
 #include "util/require.hpp"
@@ -24,10 +25,11 @@ namespace ccmx::proto {
     const comm::AgentView& agent0, const comm::MatrixBitLayout& layout,
     std::uint64_t prime, unsigned prime_bits,
     comm::BitVec header = comm::BitVec(0)) {
+  const num::Zp field(prime);
   for (std::size_t i = 0; i < layout.rows(); ++i) {
     for (std::size_t j = 0; j < layout.cols(); ++j) {
       if (const auto value = agent0.entry(layout, i, j)) {
-        header.append_uint(*value % prime, prime_bits);
+        header.append_uint(field.reduce(*value), prime_bits);
       }
     }
   }
@@ -42,12 +44,13 @@ namespace ccmx::proto {
     const comm::AgentView& agent1, const comm::MatrixBitLayout& layout,
     const comm::BitVec& message, std::size_t header_bits, std::uint64_t prime,
     unsigned prime_bits) {
+  const num::Zp field(prime);
   la::ModMatrix m(layout.rows(), layout.cols());
   std::size_t pos = header_bits;
   for (std::size_t i = 0; i < layout.rows(); ++i) {
     for (std::size_t j = 0; j < layout.cols(); ++j) {
       if (const auto value = agent1.entry(layout, i, j)) {
-        m(i, j) = *value % prime;
+        m(i, j) = field.reduce(*value);
       } else {
         m(i, j) = message.read_uint(pos, prime_bits);
         pos += prime_bits;

@@ -1,14 +1,11 @@
 #include "vlsi/mesh.hpp"
 
-#include "bigint/modular.hpp"
+#include "linalg/fp.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::vlsi {
 
 namespace {
-
-using num::invmod;
-using num::mulmod;
 
 /// Charges a horizontal message travelling between columns [from, to] on any
 /// row: `bits` per hop, plus one bisection crossing if it spans the mid cut.
@@ -38,11 +35,10 @@ struct Meter {
 
 MeshResult simulate_mesh(const la::ModMatrix& entries,
                          const MeshConfig& config) {
+  const num::Zp field(config.p);
   CCMX_REQUIRE(entries.is_square(), "mesh needs a square matrix");
-  CCMX_REQUIRE(config.p >= 2, "modulus must be >= 2");
   const std::size_t n = entries.rows();
   la::ModMatrix grid = entries;
-  const std::uint64_t p = config.p;
 
   Meter meter;
   meter.n = n;
@@ -90,14 +86,12 @@ MeshResult simulate_mesh(const la::ModMatrix& entries,
       }
       meter.cycles += pivot - step;
       grid.swap_rows(pivot, step);
-      result.det_mod_p = result.det_mod_p == 0
-                             ? 0
-                             : (p - result.det_mod_p) % p;
+      result.det_mod_p = field.neg(result.det_mod_p);
     }
 
     const std::uint64_t pivot_value = grid(step, step);
-    result.det_mod_p = mulmod(result.det_mod_p, pivot_value, p);
-    const std::uint64_t inv = invmod(pivot_value, p);
+    result.det_mod_p = field.mul(pivot_value, result.det_mod_p);
+    const std::uint64_t inv = field.inv(pivot_value);
 
     // (3) Pivot row broadcast: each column's pivot-row entry flows down to
     // the rows below (vertical traffic, pipelined: n - step cycles).
@@ -117,12 +111,8 @@ MeshResult simulate_mesh(const la::ModMatrix& entries,
     // (5) Local update (one multiply-subtract cycle everywhere).
     for (std::size_t i = step + 1; i < n; ++i) {
       if (grid(i, step) == 0) continue;
-      const std::uint64_t factor = mulmod(grid(i, step), inv, p);
-      for (std::size_t j = step; j < n; ++j) {
-        const std::uint64_t sub = mulmod(factor, grid(step, j), p);
-        grid(i, j) = grid(i, j) >= sub ? grid(i, j) - sub
-                                       : grid(i, j) + p - sub;
-      }
+      la::subtract_row_multiple(grid, i, step, field.mul(grid(i, step), inv),
+                                step, field);
     }
     meter.cycles += 1;
   }

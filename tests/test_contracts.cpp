@@ -39,7 +39,7 @@ TEST(Contracts, BigIntToInt64Boundary) {
 
 TEST(Contracts, ModularFamily) {
   EXPECT_THROW((void)ccmx::num::powmod(2, 3, 0), contract_error);
-  EXPECT_THROW((void)ccmx::num::invmod(0, 1), contract_error);
+  EXPECT_THROW((void)ccmx::num::Zp(7).inv(0), contract_error);
   ccmx::util::Xoshiro256 rng(1);
   EXPECT_THROW((void)ccmx::num::random_prime(1, rng), contract_error);
   EXPECT_THROW((void)ccmx::num::random_prime(63, rng), contract_error);
@@ -74,10 +74,32 @@ TEST(Contracts, DecompositionShapes) {
 
 TEST(Contracts, FpFamily) {
   EXPECT_THROW((void)ccmx::la::det_mod_p(ModMatrix(2, 3), 7), contract_error);
-  EXPECT_THROW((void)ccmx::la::det_mod_p(ModMatrix(2, 2), 1), contract_error);
   EXPECT_THROW((void)ccmx::la::solve_mod_p(ModMatrix(2, 2),
                                            std::vector<std::uint64_t>(3), 7),
                contract_error);
+  // Every Z_p entry point takes only moduli in [2, 2^62): 0 used to die
+  // with SIGFPE, and moduli at or above 2^62 wrapped a + p - b.
+  const ModMatrix m(2, 2, 1);
+  const std::vector<std::uint64_t> x(2, 1);
+  for (const std::uint64_t p :
+       {std::uint64_t{0}, std::uint64_t{1}, (std::uint64_t{1} << 62) + 135,
+        ~std::uint64_t{0} - 58}) {
+    EXPECT_THROW((void)ccmx::la::det_mod_p(m, p), contract_error) << p;
+    EXPECT_THROW((void)ccmx::la::rank_mod_p(m, p), contract_error) << p;
+    EXPECT_THROW((void)ccmx::la::solvable_mod_p(m, p), contract_error) << p;
+    EXPECT_THROW((void)ccmx::la::solve_mod_p(m, x, p), contract_error) << p;
+    EXPECT_THROW((void)ccmx::la::multiply_mod_p(m, m, p), contract_error)
+        << p;
+    EXPECT_THROW((void)ccmx::la::multiply_mod_p(m, x, p), contract_error)
+        << p;
+    EXPECT_THROW((void)ccmx::la::reduce_mod(IntMatrix(2, 2), p),
+                 contract_error)
+        << p;
+    ccmx::vlsi::MeshConfig config;
+    config.p = p;
+    EXPECT_THROW((void)ccmx::vlsi::simulate_mesh(m, config), contract_error)
+        << p;
+  }
 }
 
 TEST(Contracts, PolyFamily) {

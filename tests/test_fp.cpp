@@ -1,6 +1,7 @@
 // Z_p linear algebra vs exact arithmetic.
 #include <gtest/gtest.h>
 
+#include "bigint/modular.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
 #include "linalg/rref.hpp"
@@ -101,6 +102,61 @@ TEST(MultiplyModP, MatchesExactProduct) {
   EXPECT_EQ(ccmx::la::multiply_mod_p(ccmx::la::reduce_mod(a, kPrime),
                                      ccmx::la::reduce_mod(b, kPrime), kPrime),
             ccmx::la::reduce_mod(exact, kPrime));
+}
+
+TEST(SolvableModP, OneEliminationMatchesTheRankComparison) {
+  // [A | b] is consistent exactly when rank A = rank [A | b]; A often
+  // rank deficient (small primes, repeated rows) and b in or out of its span.
+  Xoshiro256 rng(7);
+  for (const std::uint64_t p : {std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{5}, std::uint64_t{7}, kPrime}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t rows = 1 + rng.below(5);
+      const std::size_t cols = 2 + rng.below(5);
+      ModMatrix m(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) m(i, j) = rng.below(p);
+      }
+      if (rows > 1 && rng.below(2) == 0) {
+        for (std::size_t j = 0; j + 1 < cols; ++j) m(rows - 1, j) = m(0, j);
+      }
+      const ModMatrix a = m.block(0, 0, rows, cols - 1);
+      EXPECT_EQ(ccmx::la::solvable_mod_p(m, p),
+                ccmx::la::rank_mod_p(a, p) == ccmx::la::rank_mod_p(m, p))
+          << p << "\n" << m;
+    }
+  }
+}
+
+TEST(MultiplyModP, NearTheTopOfTheModulusRange) {
+  // One reduction per term: no intermediate sum may wrap, even for the
+  // largest allowed prime and entries at p - 1 or above p.
+  std::uint64_t p = (std::uint64_t{1} << 62) - 1;
+  while (!ccmx::num::is_prime(p)) --p;
+  const ModMatrix row{{p - 1, p - 1}};
+  const ModMatrix col{{2}, {2}};
+  EXPECT_EQ(ccmx::la::multiply_mod_p(row, col, p)(0, 0), p - 4);
+  EXPECT_EQ(ccmx::la::multiply_mod_p(row, std::vector<std::uint64_t>{2, 2},
+                                     p)[0],
+            p - 4);
+  Xoshiro256 rng(8);
+  ModMatrix a(3, 4), b(4, 2);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng();  // not reduced
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 2; ++j) b(i, j) = rng();
+  }
+  const ModMatrix product = ccmx::la::multiply_mod_p(a, b, p);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 2; ++j) {
+      std::uint64_t expected = 0;
+      for (std::size_t k = 0; k < 4; ++k) {
+        expected = (expected + ccmx::num::mulmod(a(i, k), b(k, j), p)) % p;
+      }
+      EXPECT_EQ(product(i, j), expected);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // and measured error rates for the randomized protocols.
 #include <gtest/gtest.h>
 
+#include "bigint/modular.hpp"
 #include "comm/channel.hpp"
 #include "core/reductions.hpp"
 #include "linalg/det.hpp"
@@ -252,6 +253,39 @@ TEST(Equality, FingerprintOneSidedAndCheap) {
     }
   }
   EXPECT_LE(false_equal, 2);
+}
+
+TEST(Equality, FingerprintHornerOverWordsMatchesBitwise) {
+  // Agent 0 ships x mod p for the first prime its public coin draws.  The
+  // word-wise Horner must equal the bitwise one at every word boundary, and
+  // agent 1's residue of y = x must match it.
+  for (const std::size_t s :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        (std::size_t{1} << 18) + 5}) {
+    for (const unsigned prime_bits : {20u, 62u}) {
+      Xoshiro256 rng(s + prime_bits);
+      BitVec x(s);
+      for (std::size_t i = 0; i < s; ++i) x.set(i, rng.coin());
+      const std::uint64_t seed = 31 + s;
+      const BitVec input = equality_input(x, x);
+      const Partition pi = equality_partition(s);
+      const AgentView agent0(Agent::kZero, input, pi);
+      const AgentView agent1(Agent::kOne, input, pi);
+      Channel channel;
+      const EqualityFingerprint protocol(s, prime_bits, seed);
+      EXPECT_TRUE(protocol.run(agent0, agent1, channel));
+
+      Xoshiro256 coins(seed);
+      const std::uint64_t p = ccmx::num::random_prime(prime_bits, coins);
+      std::uint64_t bitwise = 0;
+      for (std::size_t i = s; i-- > 0;) {
+        bitwise = (bitwise * 2 + (x.get(i) ? 1u : 0u)) % p;
+      }
+      EXPECT_EQ(channel.transcript().front().payload.read_uint(0, prime_bits),
+                bitwise)
+          << "s = " << s << ", prime bits " << prime_bits;
+    }
+  }
 }
 
 TEST(Freivalds, CorrectProductsAlwaysAccepted) {
