@@ -14,8 +14,8 @@
 #include "util/parallel.hpp"
 #include "linalg/det_crt.hpp"
 #include "linalg/hnf.hpp"
+#include "linalg/lift.hpp"
 #include "linalg/rref.hpp"
-#include "linalg/solve_crt.hpp"
 #include "linalg/strassen.hpp"
 #include "vlsi/mesh.hpp"
 #include "vlsi/tradeoffs.hpp"
@@ -78,7 +78,7 @@ void print_tables() {
   bench::print_table(mesh);
 }
 
-void BM_SolveCrt(benchmark::State& state) {
+void BM_SolveLifted(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Xoshiro256 rng(n);
   const la::IntMatrix a = random_entries(n, n, 16, rng);
@@ -87,7 +87,7 @@ void BM_SolveCrt(benchmark::State& state) {
     b.push_back(num::BigInt(static_cast<std::int64_t>(rng.below(100))));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(la::solve_crt(a, b).has_value());
+    benchmark::DoNotOptimize(la::solve_lifted(a, b).has_value());
   }
 }
 void BM_SolveRational(benchmark::State& state) {
@@ -103,7 +103,7 @@ void BM_SolveRational(benchmark::State& state) {
     benchmark::DoNotOptimize(la::solve(ra, b).has_value());
   }
 }
-BENCHMARK(BM_SolveCrt)->Arg(4)->Arg(8)->Arg(12);
+BENCHMARK(BM_SolveLifted)->Arg(4)->Arg(8)->Arg(12);
 BENCHMARK(BM_SolveRational)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_DetBareiss(benchmark::State& state) {
@@ -195,7 +195,7 @@ void BM_BigIntSmall(benchmark::State& state) { bigint_chain_bench(state, 1); }
 void BM_BigIntHeap(benchmark::State& state) { bigint_chain_bench(state, 3); }
 // CRT-style accumulation: the value crosses the promotion boundary after two
 // folds, so the loop exercises the word fast paths against a heap
-// accumulator — the mix det_crt/solve_crt run per coordinate.
+// accumulator — the mix det_crt runs per coordinate.
 void BM_BigIntMixed(benchmark::State& state) {
   util::Xoshiro256 rng(7);
   constexpr std::size_t kFolds = 24;

@@ -405,6 +405,12 @@ BigInt BigInt::from_string(std::string_view text) {
   return result;
 }
 
+BigInt BigInt::from_limbs(std::vector<Limb> magnitude, bool negative) {
+  BigInt out;
+  out.adopt(std::move(magnitude), negative ? -1 : 1);
+  return out;
+}
+
 BigInt BigInt::pow2(unsigned e) {
   BigInt one(1);
   return one <<= e;

@@ -104,6 +104,11 @@ class BigInt {
   /// Parses an optionally signed decimal string ("-123", "42").
   [[nodiscard]] static BigInt from_string(std::string_view text);
 
+  /// The value with magnitude limbs (little-endian, limb() order; leading
+  /// zeros allowed) and the given sign.
+  [[nodiscard]] static BigInt from_limbs(std::vector<Limb> magnitude,
+                                         bool negative);
+
   /// 2^e.
   [[nodiscard]] static BigInt pow2(unsigned e);
 

@@ -1,6 +1,6 @@
 // The prime ladder and the Chinese-remainder fold shared by the modular
-// engines: the exact rank engine (rank / is_singular), det_crt and
-// solve_crt.
+// engines: the exact rank engine (rank / is_singular), det_crt, and the
+// lifting solver, which lifts modulo the first rung it can.
 //
 // The ladder is the increasing sequence of primes above 2^61, a fixed
 // public list, so every modular answer and its cost repeat run to run.

@@ -8,7 +8,9 @@
 // determinant reduction) and is the oracle the tests check the modular
 // engine against; a cofactor expansion is an independent reference for
 // Bareiss itself.  Deciding singularity needs no value: is_singular is
-// rank(m) < n on the modular engine (linalg/exact.cpp).
+// rank(m) < n on the modular engine (linalg/exact.cpp), which proves a
+// singular matrix singular with a kernel vector checked over Z or with the
+// prime ladder's Hadamard stop rule.
 #pragma once
 
 #include "bigint/bigint.hpp"

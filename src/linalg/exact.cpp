@@ -1,36 +1,47 @@
 // The exact decision engine behind la::rank(IntMatrix) and la::is_singular
 // (and through them core::solvable): the rank over Q of an integer matrix,
-// read off ranks modulo the ladder primes of linalg/crt.hpp.
+// from one elimination modulo the first ladder prime of linalg/crt.hpp,
+// then either verified kernel vectors or more ladder primes.
 //
-// For each prime p of the ladder, in order, it computes rank_mod_p and keeps
-// r, the largest rank seen.  It stops when r = min(rows, cols), which takes
-// one prime on full-rank input, or once 61 x (primes used) exceeds a
-// Hadamard bound, in bits, on every (r+1) x (r+1) minor.
+// The first prime gives r, a lower bound: rank mod p never exceeds the
+// rank over Q.  At r = min(rows, cols) that settles it.  Otherwise one of
+// two upper bounds settles it, whichever the engine predicts is cheaper:
 //
-// Why the answer is exact: rank mod p never exceeds the rank over Q, so r
-// is a lower bound.  Every prime used saw rank <= r, so each divides every
-// (r+1)-minor, and so does their product, which exceeds 2^{61 x primes}.
-// Once that passes the bound, every (r+1)-minor is 0 and the rank is r.
-// The bound: |det| of a minor is at most the product of its column norms
-// (Hadamard), and each of those is at most the norm of the whole column,
-// so the r+1 largest column norms bound every (r+1)-minor; likewise rows.
-// No randomness is involved: answers and costs repeat run to run.
+// - Kernel witnesses (linalg/lift.hpp).  For each of the w = cols - r
+//   non-pivot columns, Dixon lifting modulo the same prime solves for a
+//   kernel vector, which is checked exactly over Z.  w independent
+//   kernel vectors prove rank <= r.  If a vector solves the pivot rows but
+//   not the matrix, the first prime saw a false drop and the ladder
+//   takes over.
+// - The ladder.  Each further prime p gives rank_mod_p, and r is the
+//   largest seen.  It stops at full rank, or once 61 x (primes used)
+//   exceeds H(r+1), a Hadamard bound, in bits, on every (r+1) x (r+1)
+//   minor: every prime used saw rank <= r, so each divides every
+//   (r+1)-minor, and so does their product, which exceeds 2^{61 x primes}.
+//   Then every (r+1)-minor is 0 and the rank is r.
+//
+// The choice counts work.  The ladder costs the first elimination's element
+// updates and entry reductions for each of the floor(H(r+1)/61) primes it
+// still needs.  Lifting costs about 2 r^2 per kernel vector and step, up to
+// its step cap, plus building and checking the vectors
+// (predicted_lift_work).  Lifting needs the entries as words with
+// bits + ceil(log2 r) + 62 < 127, so that its residuals fit __int128;
+// wider inputs stay on the ladder.  No randomness is involved: answers,
+// paths and costs repeat run to run.
+#include "linalg/exact.hpp"
+
 #include <algorithm>
-#include <functional>
-#include <numeric>
 #include <optional>
-#include <vector>
 
 #include "linalg/crt.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
+#include "linalg/lift.hpp"
 #include "linalg/rref.hpp"
 #include "obs/obs.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::la {
-
-using num::BigInt;
 
 namespace {
 
@@ -39,78 +50,82 @@ namespace {
 const obs::Counter g_calls("linalg.exact.calls");
 const obs::Counter g_primes("linalg.exact.primes");
 const obs::Counter g_bounded("linalg.exact.bounded");
+const obs::Counter g_lifted("linalg.exact.lifted");
+const obs::Counter g_lift_steps("linalg.exact.lift_steps");
 
-/// For each nonzero row (by_rows) or column of m, a b with ||line||_2 <=
-/// 2^b; largest first.
-std::vector<std::size_t> norm_bits(const IntMatrix& m, bool by_rows) {
-  const std::size_t lines = by_rows ? m.rows() : m.cols();
-  const std::size_t length = by_rows ? m.cols() : m.rows();
-  std::vector<std::size_t> bits;
-  for (std::size_t a = 0; a < lines; ++a) {
-    BigInt squares(0);
-    for (std::size_t b = 0; b < length; ++b) {
-      const BigInt& v = by_rows ? m(a, b) : m(b, a);
-      if (!v.is_zero()) squares += v * v;
-    }
-    // ||line||^2 < 2^{bit_length}, so ||line|| < 2^{ceil(bit_length / 2)}.
-    if (!squares.is_zero()) bits.push_back((squares.bit_length() + 1) / 2);
-  }
-  std::sort(bits.begin(), bits.end(), std::greater<>());
-  return bits;
+/// Whether lifting the kernel is predicted to cost less than the primes
+/// the ladder still needs after the first.
+bool lifting_is_cheaper(const IntMatrix& m, const Echelon& e,
+                        const MinorBound& bound) {
+  const std::uint64_t more_primes =
+      bound.bits(e.rank + 1) / kLadderPrimeBits;
+  // A ladder prime's element update costs about two lifting operations,
+  // and reducing an entry about four.
+  const std::uint64_t per_prime = 2 * e.updates + 4 * m.rows() * m.cols();
+  return predicted_lift_work(m.rows(), m.cols(), e.rank,
+                             bound.bits(e.rank)) < more_primes * per_prime;
 }
-
-/// Bits bounding |det| of every order x order minor of the lines behind
-/// `bits`: the sum of the `order` largest.  0 when fewer than `order` lines
-/// are nonzero, as every such minor then has a zero line.
-std::size_t top_sum(const std::vector<std::size_t>& bits, std::size_t order) {
-  if (order > bits.size()) return 0;
-  return std::accumulate(bits.begin(),
-                         bits.begin() + static_cast<std::ptrdiff_t>(order),
-                         std::size_t{0});
-}
-
-/// The Hadamard bound on the minors of m, by columns and by rows.
-class MinorBound {
- public:
-  explicit MinorBound(const IntMatrix& m)
-      : cols_(norm_bits(m, false)), rows_(norm_bits(m, true)) {}
-
-  [[nodiscard]] std::size_t bits(std::size_t order) const {
-    return std::min(top_sum(cols_, order), top_sum(rows_, order));
-  }
-
- private:
-  std::vector<std::size_t> cols_;
-  std::vector<std::size_t> rows_;
-};
 
 }  // namespace
 
-std::size_t rank(const IntMatrix& m) {
+RankCertificate rank_certificate(const IntMatrix& m) {
+  RankCertificate cert;
   const std::size_t full = std::min(m.rows(), m.cols());
-  std::size_t r = 0;
-  std::size_t primes = 0;
   bool bounded = false;
-  std::optional<MinorBound> bound;  // built on the first deficient prime
-  std::uint64_t p = 0;
-  while (r < full) {
-    p = next_ladder_prime(p);
-    ++primes;
-    r = std::max(r, rank_mod_p(reduce_mod(m, p), p));
-    if (r == full) break;
-    if (!bound) bound.emplace(m);
-    if (kLadderPrimeBits * primes > bound->bits(r + 1)) {
-      bounded = true;
-      break;
+  std::size_t lift_steps = 0;
+  if (full > 0) {
+    std::uint64_t p = next_ladder_prime(0);
+    cert.primes.push_back(p);
+    const num::Zp field(p);
+    ModMatrix residues = reduce_mod(m, p);
+    const Echelon e = echelon(residues, field);
+    std::size_t r = e.rank;
+    if (r < full) {
+      // Deficient: read the entries as words once, for the bound, the
+      // lifting and every later prime.
+      const std::optional<Words> words = to_words(m);
+      const MinorBound bound = words ? MinorBound(words->m) : MinorBound(m);
+      const auto stop_rule = [&] {
+        return kLadderPrimeBits * cert.primes.size() > bound.bits(r + 1);
+      };
+      if (words && lifting_fits(words->entry_bits, r) && !stop_rule() &&
+          lifting_is_cheaper(m, e, bound)) {
+        KernelLift lift =
+            lift_kernel(*words, residues, e, field, bound.bits(r));
+        lift_steps = lift.steps;
+        // At the step cap the true kernel vectors reconstruct, so lifting
+        // ends verified or with a false drop.
+        CCMX_ASSERT(lift.outcome != KernelLift::Outcome::kFailed);
+        if (lift.outcome == KernelLift::Outcome::kVerified) {
+          cert.path = RankPath::kKernel;
+          cert.kernel = std::move(lift.vectors);
+          cert.free_cols = std::move(lift.free_cols);
+        }
+      }
+      if (cert.path != RankPath::kKernel) {
+        cert.path = RankPath::kLadder;
+        while (r < full && !(bounded = stop_rule())) {
+          p = next_ladder_prime(p);
+          cert.primes.push_back(p);
+          const num::Zp next(p);
+          residues = words ? reduce_words(words->m, next) : reduce_mod(m, p);
+          r = std::max(r, echelon(residues, next).rank);
+        }
+      }
     }
+    cert.rank = r;
   }
   if (obs::enabled()) {
     g_calls.add();
-    g_primes.add(primes);
+    g_primes.add(cert.primes.size());
     if (bounded) g_bounded.add();
+    if (cert.path == RankPath::kKernel) g_lifted.add();
+    g_lift_steps.add(lift_steps);
   }
-  return r;
+  return cert;
 }
+
+std::size_t rank(const IntMatrix& m) { return rank_certificate(m).rank; }
 
 bool is_singular(const IntMatrix& m) {
   CCMX_REQUIRE(m.is_square(), "singularity of a non-square matrix");

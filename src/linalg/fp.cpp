@@ -1,47 +1,10 @@
 #include "linalg/fp.hpp"
 
+#include <utility>
+
 #include "util/require.hpp"
 
 namespace ccmx::la {
-
-namespace {
-
-struct Echelon {
-  std::size_t rank = 0;
-  std::uint64_t det = 1;        // meaningful for square inputs only
-  bool last_col_pivot = false;  // the last column holds a pivot
-};
-
-/// In-place elimination to row echelon form.
-Echelon echelon(ModMatrix& a, const num::Zp& field) {
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  Echelon out;
-  for (std::size_t col = 0; col < cols && out.rank < rows; ++col) {
-    const std::size_t row = out.rank;
-    std::size_t pivot = row;
-    while (pivot < rows && a(pivot, col) == 0) ++pivot;
-    if (pivot == rows) {
-      out.det = 0;  // a zero column means a zero pivot for square inputs
-      continue;
-    }
-    if (pivot != row) {
-      a.swap_rows(pivot, row);
-      out.det = field.neg(out.det);  // row swap flips the sign
-    }
-    const std::uint64_t inv = field.inv(a(row, col));
-    out.det = field.mul(a(row, col), out.det);
-    for (std::size_t i = row + 1; i < rows; ++i) {
-      if (a(i, col) == 0) continue;
-      subtract_row_multiple(a, i, row, field.mul(a(i, col), inv), col, field);
-    }
-    out.last_col_pivot = col + 1 == cols;
-    ++out.rank;
-  }
-  return out;
-}
-
-}  // namespace
 
 void subtract_row_multiple(ModMatrix& m, std::size_t dst, std::size_t src,
                            std::uint64_t factor, std::size_t from,
@@ -60,6 +23,41 @@ void subtract_row_multiple(ModMatrix& m, std::size_t dst, std::size_t src,
   }
 }
 
+Echelon echelon(ModMatrix& a, const num::Zp& field) {
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  Echelon out;
+  out.row_order.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) out.row_order[i] = i;
+  for (std::size_t col = 0; col < cols && out.rank < rows; ++col) {
+    const std::size_t row = out.rank;
+    std::size_t pivot = row;
+    while (pivot < rows && a(pivot, col) == 0) ++pivot;
+    if (pivot == rows) {
+      out.det = 0;  // a zero column means a zero pivot for square inputs
+      continue;
+    }
+    if (pivot != row) {
+      a.swap_rows(pivot, row);
+      std::swap(out.row_order[pivot], out.row_order[row]);
+      out.det = field.neg(out.det);  // row swap flips the sign
+    }
+    const std::uint64_t inv = field.inv(a(row, col));
+    out.det = field.mul(a(row, col), out.det);
+    for (std::size_t i = row + 1; i < rows; ++i) {
+      if (a(i, col) == 0) continue;
+      // The multiplier takes the place of the entry it cancels.
+      const std::uint64_t factor = field.mul(a(i, col), inv);
+      a(i, col) = factor;
+      subtract_row_multiple(a, i, row, factor, col + 1, field);
+      out.updates += cols - col - 1;
+    }
+    out.pivot_cols.push_back(col);
+    ++out.rank;
+  }
+  return out;
+}
+
 std::uint64_t det_mod_p(ModMatrix m, std::uint64_t p) {
   const num::Zp field(p);
   CCMX_REQUIRE(m.is_square(), "determinant of a non-square matrix");
@@ -74,7 +72,8 @@ std::size_t rank_mod_p(ModMatrix m, std::uint64_t p) {
 
 bool solvable_mod_p(ModMatrix m, std::uint64_t p) {
   const num::Zp field(p);
-  return !echelon(m, field).last_col_pivot;
+  const Echelon e = echelon(m, field);
+  return e.rank == 0 || e.pivot_cols.back() + 1 != m.cols();
 }
 
 std::optional<std::vector<std::uint64_t>> solve_mod_p(
@@ -90,31 +89,17 @@ std::optional<std::vector<std::uint64_t>> solve_mod_p(
     }
     augmented(i, cols) = field.reduce(b[i]);
   }
-  // Full Gauss-Jordan on the augmented system.
-  std::vector<std::size_t> pivot_cols;
-  std::size_t row = 0;
-  for (std::size_t col = 0; col < cols + 1 && row < rows; ++col) {
-    std::size_t pivot = row;
-    while (pivot < rows && augmented(pivot, col) == 0) ++pivot;
-    if (pivot == rows) continue;
-    augmented.swap_rows(pivot, row);
-    const num::Zp::Fixed inv = field.fixed(field.inv(augmented(row, col)));
-    for (std::size_t j = col; j <= cols; ++j) {
-      augmented(row, j) = field.mul(augmented(row, j), inv);
-    }
-    for (std::size_t i = 0; i < rows; ++i) {
-      if (i == row || augmented(i, col) == 0) continue;
-      subtract_row_multiple(augmented, i, row, augmented(i, col), col, field);
-    }
-    pivot_cols.push_back(col);
-    ++row;
-  }
-  for (const std::size_t c : pivot_cols) {
-    if (c == cols) return std::nullopt;  // pivot in the RHS column
-  }
+  const Echelon e = echelon(augmented, field);
+  if (e.rank > 0 && e.pivot_cols.back() == cols) return std::nullopt;
+  // Back substitution through U, free variables 0.
   std::vector<std::uint64_t> x(cols, 0);
-  for (std::size_t r = 0; r < pivot_cols.size(); ++r) {
-    x[pivot_cols[r]] = augmented(r, cols);
+  for (std::size_t k = e.rank; k-- > 0;) {
+    const std::size_t c = e.pivot_cols[k];
+    std::uint64_t s = augmented(k, cols);
+    for (std::size_t j = c + 1; j < cols; ++j) {
+      s = field.sub(s, field.mul(augmented(k, j), x[j]));
+    }
+    x[c] = field.mul(s, field.inv(augmented(k, c)));
   }
   return x;
 }

@@ -27,10 +27,14 @@ struct RrefResult {
 /// Gauss-Jordan over Q; exact.
 [[nodiscard]] RrefResult rref(const RatMatrix& m);
 
-/// rank over Q of an integer matrix, exact, from its ranks modulo the ladder
-/// primes with a Hadamard stop rule (linalg/exact.cpp).  One prime settles a
-/// full-rank input; a deficient one takes about bound/61 primes, where bound
-/// is the bit size of the Hadamard bound on its (rank+1)-minors.
+/// rank over Q of an integer matrix, exact (linalg/exact.cpp; the evidence
+/// is rank_certificate in linalg/exact.hpp).  One elimination modulo the
+/// first ladder prime settles a full-rank input.  A deficient one is
+/// settled by whichever the engine predicts is cheaper: cols - rank kernel
+/// vectors lifted from that elimination and checked over Z (about 2 rank^2
+/// operations per vector and p-adic step, up to 2 bound/61 steps), or
+/// about bound/61 more primes; bound is the bit size of the Hadamard bound
+/// on the rank- or (rank+1)-minors.
 [[nodiscard]] std::size_t rank(const IntMatrix& m);
 /// rank over Q by Gauss-Jordan (the oracle for the integer overload).
 [[nodiscard]] std::size_t rank(const RatMatrix& m);

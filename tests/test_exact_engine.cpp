@@ -1,14 +1,19 @@
 // The modular exact-rank engine behind la::rank(IntMatrix), la::is_singular
 // and core::solvable, checked against the oracles it replaced: Bareiss
 // (det_bareiss == 0), rational Gauss-Jordan rank, and rational la::solve.
+// Every kernel-witness certificate is re-verified here with BigInt
+// arithmetic alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/construction.hpp"
 #include "core/reductions.hpp"
 #include "linalg/crt.hpp"
 #include "linalg/det.hpp"
+#include "linalg/exact.hpp"
+#include "linalg/fp.hpp"
 #include "linalg/rref.hpp"
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -17,6 +22,8 @@
 namespace {
 
 using ccmx::la::IntMatrix;
+using ccmx::la::RankCertificate;
+using ccmx::la::RankPath;
 using ccmx::num::BigInt;
 using ccmx::num::Rational;
 using ccmx::util::Xoshiro256;
@@ -67,12 +74,57 @@ std::vector<Rational> to_rationals(const std::vector<BigInt>& v) {
   return out;
 }
 
+/// Re-verifies a certificate without the engine, in BigInt arithmetic: a
+/// kernel witness must hold cols - rank vectors x with m x = 0, each
+/// positive at its own free column and 0 at the other free columns (a
+/// positive diagonal block: the vectors are independent, so the rank is at
+/// most the certified one).
+::testing::AssertionResult certificate_holds(const IntMatrix& m,
+                                             const RankCertificate& c) {
+  if (c.path != RankPath::kKernel) {
+    if (c.kernel.empty() && c.free_cols.empty()) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "vectors off the kernel path";
+  }
+  const std::size_t w = m.cols() - c.rank;
+  if (c.kernel.size() != w || c.free_cols.size() != w) {
+    return ::testing::AssertionFailure()
+           << c.kernel.size() << " vectors for nullity " << w;
+  }
+  for (std::size_t v = 0; v < w; ++v) {
+    const std::vector<BigInt>& x = c.kernel[v];
+    if (x.size() != m.cols()) {
+      return ::testing::AssertionFailure() << "vector " << v << " length";
+    }
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      BigInt sum(0);
+      for (std::size_t j = 0; j < m.cols(); ++j) sum += m(i, j) * x[j];
+      if (!sum.is_zero()) {
+        return ::testing::AssertionFailure()
+               << "vector " << v << " misses row " << i;
+      }
+    }
+    for (std::size_t u = 0; u < w; ++u) {
+      const BigInt& at = x[c.free_cols[u]];
+      if (u == v ? at <= BigInt(0) : !at.is_zero()) {
+        return ::testing::AssertionFailure()
+               << "vector " << v << " at free column " << c.free_cols[u];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Checks every entry point on m against its oracle, plus solvability for
 /// a solvable, an arbitrary and a zero right-hand side.
 void check_against_oracles(const IntMatrix& m, Xoshiro256& rng) {
   const auto rational = ccmx::la::to_rational(m);
   const std::size_t rank = ccmx::la::rank(m);
   ASSERT_EQ(rank, ccmx::la::rank(rational)) << m.to_string();
+  const RankCertificate cert = ccmx::la::rank_certificate(m);
+  ASSERT_EQ(cert.rank, rank);
+  ASSERT_TRUE(certificate_holds(m, cert)) << m.to_string();
   if (m.is_square()) {
     ASSERT_EQ(ccmx::la::is_singular(m), ccmx::la::det_bareiss(m).is_zero())
         << m.to_string();
@@ -269,6 +321,189 @@ TEST(ExactEngineCounters, FullRankUsesOnePrimeAndDeficientIsBounded) {
   EXPECT_EQ(calls.value(), 4u);
   EXPECT_GT(primes.value(), 5u);
   EXPECT_EQ(bounded.value(), 2u);
+#endif
+}
+
+/// A lower bound on rank(m) that does not use the engine: its rank modulo
+/// 2^61 - 1, a prime below the ladder.
+std::size_t rank_below_ladder(const IntMatrix& m) {
+  const std::uint64_t q = (std::uint64_t{1} << 61) - 1;
+  return ccmx::la::rank_mod_p(ccmx::la::reduce_mod(m, q), q);
+}
+
+/// rows x cols of rank r exactly, with dense factors of entries in
+/// [-mag, mag]; the rank is checked independently of the engine.
+IntMatrix dense_product(std::size_t rows, std::size_t cols, std::size_t r,
+                        std::int64_t mag, Xoshiro256& rng) {
+  const IntMatrix m =
+      random_box(rows, r, mag, rng) * random_box(r, cols, mag, rng);
+  EXPECT_EQ(rank_below_ladder(m), r);  // and at most r, by its factors
+  return m;
+}
+
+TEST(ExactEngineWitness, FullRankAndEmptyCertificates) {
+  Xoshiro256 rng(41);
+  const RankCertificate full =
+      ccmx::la::rank_certificate(dense_product(9, 6, 6, 5, rng));
+  EXPECT_EQ(full.rank, 6u);
+  EXPECT_EQ(full.path, RankPath::kFullRank);
+  EXPECT_EQ(full.primes,
+            std::vector<std::uint64_t>{ccmx::la::next_ladder_prime(0)});
+  const RankCertificate empty = ccmx::la::rank_certificate(IntMatrix(0, 4));
+  EXPECT_EQ(empty.rank, 0u);
+  EXPECT_TRUE(empty.primes.empty());
+}
+
+TEST(ExactEngineWitness, FalseDropThatLiftsFallsBackToTheLadder) {
+  // [B 0; 0 D] with det B = p1 exactly, B = [[2^31, 1], [2^31 d - p1, d]]
+  // for d = ceil(p1 / 2^31), and D of rank 61.  The first prime sees rank
+  // 1 + 61; B's free column lifts to the vector (-1, 2^31), which solves
+  // the pivot row of B but not its other row.
+  const std::uint64_t p1 = ccmx::la::next_ladder_prime(0);
+  const std::int64_t two31 = std::int64_t{1} << 31;
+  const auto d = static_cast<std::int64_t>((p1 + two31 - 1) /
+                                           static_cast<std::uint64_t>(two31));
+  IntMatrix m(64, 64);
+  m(0, 0) = BigInt(two31);
+  m(0, 1) = BigInt(1);
+  m(1, 0) = BigInt(two31 * d - static_cast<std::int64_t>(p1));
+  m(1, 1) = BigInt(d);
+  ASSERT_EQ(m(0, 0) * m(1, 1) - m(0, 1) * m(1, 0),
+            BigInt(static_cast<std::int64_t>(p1)));
+  Xoshiro256 rng(42);
+  m.set_block(2, 2, dense_product(62, 62, 61, 2, rng));
+#ifndef CCMX_OBS_DISABLED
+  const TracingOn guard;
+  const ccmx::obs::Counter lifted("linalg.exact.lifted");
+  const ccmx::obs::Counter steps("linalg.exact.lift_steps");
+#endif
+  const RankCertificate cert = ccmx::la::rank_certificate(m);
+  EXPECT_EQ(cert.rank, 63u);
+  EXPECT_EQ(cert.path, RankPath::kLadder);
+  EXPECT_GT(cert.primes.size(), 1u);
+  EXPECT_TRUE(cert.kernel.empty());
+#ifndef CCMX_OBS_DISABLED
+  EXPECT_EQ(lifted.value(), 0u);
+  EXPECT_GT(steps.value(), 0u);  // the cost model chose to lift first
+#endif
+}
+
+TEST(ExactEngineWitness, NullityOneAndTwoProductsLiftWhenTheLadderIsLong) {
+  Xoshiro256 rng(43);
+  for (const std::size_t nullity : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(nullity);
+    const IntMatrix m = dense_product(64, 64, 64 - nullity, 9, rng);
+    const RankCertificate cert = ccmx::la::rank_certificate(m);
+    EXPECT_EQ(cert.rank, 64 - nullity);
+    EXPECT_EQ(cert.path, RankPath::kKernel);
+    EXPECT_EQ(cert.primes.size(), 1u);
+    EXPECT_TRUE(certificate_holds(m, cert));
+  }
+}
+
+TEST(ExactEngineWitness, NullityOneAndTwoProductsWithAShortLadderStayOnIt) {
+  // L R with L = [I; S], R = [I | C]: rows 2t and 2t+1 of C agree, and row
+  // t of S is e_2t - e_2t+1, so S C = 0.  Every line has norm at most
+  // sqrt 2: the ladder needs one prime more, which costs less than lifting.
+  constexpr std::size_t n = 64;
+  for (const std::size_t nullity : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(nullity);
+    const std::size_t r = n - nullity;
+    IntMatrix left(n, r), right(r, n);
+    for (std::size_t i = 0; i < r; ++i) {
+      left(i, i) = BigInt(1);
+      right(i, i) = BigInt(1);
+    }
+    for (std::size_t t = 0; t < nullity; ++t) {
+      left(r + t, 2 * t) = BigInt(1);
+      left(r + t, 2 * t + 1) = BigInt(-1);
+      right(2 * t, r + t) = BigInt(1);
+      right(2 * t + 1, r + t) = BigInt(1);
+    }
+    const IntMatrix m = left * right;
+    ASSERT_EQ(rank_below_ladder(m), r);
+    const RankCertificate cert = ccmx::la::rank_certificate(m);
+    EXPECT_EQ(cert.rank, r);
+    EXPECT_EQ(cert.path, RankPath::kLadder);
+    EXPECT_EQ(cert.primes.size(), 2u);
+  }
+}
+
+TEST(ExactEngineWitness, EntriesAtTheWordCapLiftAndOneBitPastDoNot) {
+  // Rank 31 of 32: lifting needs bits + ceil(log2 31) + 62 < 127, so 59-bit
+  // entries are the widest it takes.  With entries all close to the cap
+  // and digits in [0, p), the residual sums pass 2^123, within a few bits
+  // of the 2^126 the cap allows.
+  Xoshiro256 rng(44);
+  const auto near_uniform = [&](std::size_t rows, std::size_t cols) {
+    return IntMatrix::generate(rows, cols, [&](std::size_t, std::size_t) {
+      return BigInt(rng.range(7, 9));
+    });
+  };
+  const IntMatrix base = near_uniform(32, 31) * near_uniform(31, 32);
+  ASSERT_EQ(rank_below_ladder(base), 31u);
+  std::size_t widest = 0;
+  for (const BigInt& v : base.data()) widest = std::max(widest, v.bit_length());
+  for (const std::size_t bits : {std::size_t{59}, std::size_t{60}}) {
+    SCOPED_TRACE(bits);
+    const BigInt scale =
+        BigInt::pow2(static_cast<unsigned>(bits - widest));
+    const IntMatrix m = ccmx::la::map_matrix<BigInt>(
+        base, [&](const BigInt& v) { return v * scale; });
+    const RankCertificate cert = ccmx::la::rank_certificate(m);
+    EXPECT_EQ(cert.rank, 31u);
+    EXPECT_EQ(cert.path, bits == 59 ? RankPath::kKernel : RankPath::kLadder);
+    EXPECT_TRUE(certificate_holds(m, cert));
+  }
+}
+
+TEST(ExactEngineWitness, ZeroColumnsAndRectangularShapes) {
+  Xoshiro256 rng(45);
+  // A zero column is never a pivot: its witness is the unit vector.
+  IntMatrix zero_col = dense_product(48, 48, 46, 9, rng);
+  for (std::size_t i = 0; i < 48; ++i) zero_col(i, 5) = BigInt(0);
+  ASSERT_EQ(rank_below_ladder(zero_col), 46u);
+  const RankCertificate cert = ccmx::la::rank_certificate(zero_col);
+  EXPECT_EQ(cert.rank, 46u);
+  EXPECT_EQ(cert.path, RankPath::kKernel);
+  EXPECT_TRUE(certificate_holds(zero_col, cert));
+  const auto at = std::find(cert.free_cols.begin(), cert.free_cols.end(), 5);
+  ASSERT_NE(at, cert.free_cols.end());
+  const std::vector<BigInt>& unit =
+      cert.kernel[static_cast<std::size_t>(at - cert.free_cols.begin())];
+  for (std::size_t j = 0; j < 48; ++j) {
+    EXPECT_EQ(unit[j], BigInt(j == 5 ? 1 : 0));
+  }
+  // Tall and wide, one and five kernel vectors.
+  for (const auto& [rows, cols] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {56, 48}, {48, 52}}) {
+    SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+    const IntMatrix m = dense_product(rows, cols, 47, 9, rng);
+    const RankCertificate c = ccmx::la::rank_certificate(m);
+    EXPECT_EQ(c.rank, 47u);
+    EXPECT_EQ(c.path, RankPath::kKernel);
+    EXPECT_TRUE(certificate_holds(m, c));
+  }
+}
+
+TEST(ExactEngineCounters, KernelWitnessCountsOneLiftedCallAndItsSteps) {
+#ifdef CCMX_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (CCMX_OBS=OFF)";
+#else
+  const TracingOn guard;
+  const ccmx::obs::Counter calls("linalg.exact.calls");
+  const ccmx::obs::Counter primes("linalg.exact.primes");
+  const ccmx::obs::Counter bounded("linalg.exact.bounded");
+  const ccmx::obs::Counter lifted("linalg.exact.lifted");
+  const ccmx::obs::Counter steps("linalg.exact.lift_steps");
+  Xoshiro256 rng(46);
+  const IntMatrix m = dense_product(64, 64, 63, 9, rng);
+  EXPECT_EQ(ccmx::la::rank(m), 63u);
+  EXPECT_EQ(calls.value(), 1u);
+  EXPECT_EQ(primes.value(), 1u);
+  EXPECT_EQ(bounded.value(), 0u);
+  EXPECT_EQ(lifted.value(), 1u);
+  EXPECT_GT(steps.value(), 1u);
 #endif
 }
 

@@ -1,6 +1,9 @@
 // Z_p linear algebra vs exact arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bigint/modular.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
@@ -155,6 +158,56 @@ TEST(MultiplyModP, NearTheTopOfTheModulusRange) {
         expected = (expected + ccmx::num::mulmod(a(i, k), b(k, j), p)) % p;
       }
       EXPECT_EQ(product(i, j), expected);
+    }
+  }
+}
+
+TEST(Echelon, StoredFactorsGivePermutedAEqualsLU) {
+  // P A = L U mod p, read off the eliminated matrix as fp.hpp documents:
+  // rectangular both ways, rank deficient, with a zero column.
+  Xoshiro256 rng(9);
+  for (const std::uint64_t p : {std::uint64_t{2}, std::uint64_t{7}, kPrime}) {
+    const ccmx::num::Zp field(p);
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t rows = 1 + rng.below(7);
+      const std::size_t cols = 1 + rng.below(7);
+      ModMatrix a(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) a(i, j) = rng.below(p);
+      }
+      if (trial % 3 == 1 && rows > 1) {
+        for (std::size_t j = 0; j < cols; ++j) a(rows - 1, j) = a(0, j);
+      }
+      if (trial % 3 == 2) {
+        const std::size_t zero = rng.below(cols);
+        for (std::size_t i = 0; i < rows; ++i) a(i, zero) = 0;
+      }
+      ModMatrix m = a;
+      const ccmx::la::Echelon e = ccmx::la::echelon(m, field);
+      ASSERT_EQ(e.rank, ccmx::la::rank_mod_p(a, p));
+      ASSERT_EQ(e.pivot_cols.size(), e.rank);
+      std::vector<std::size_t> order = e.row_order;
+      std::sort(order.begin(), order.end());
+      for (std::size_t i = 0; i < rows; ++i) ASSERT_EQ(order[i], i);
+      std::vector<bool> pivot(cols, false);
+      for (const std::size_t c : e.pivot_cols) pivot[c] = true;
+      ModMatrix permuted(rows, cols), lower(rows, rows), upper(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i) {
+        lower(i, i) = 1;
+        for (std::size_t j = 0; j < cols; ++j) {
+          permuted(i, j) = a(e.row_order[i], j);
+          const bool in_u = i < e.rank && j >= e.pivot_cols[i];
+          if (in_u) upper(i, j) = m(i, j);
+          if (!in_u && !pivot[j]) {
+            EXPECT_EQ(m(i, j), 0u) << "cell (" << i << ", " << j << ")";
+          }
+        }
+        for (std::size_t k = 0; k < std::min(i, e.rank); ++k) {
+          lower(i, k) = m(i, e.pivot_cols[k]);
+        }
+      }
+      EXPECT_EQ(ccmx::la::multiply_mod_p(lower, upper, p), permuted)
+          << "p = " << p << "\n" << a;
     }
   }
 }

@@ -1,9 +1,10 @@
-// Extended gcd, rational reconstruction, and the CRT exact solver.
+// Extended gcd, rational reconstruction, and the exact nonsingular solver
+// (p-adic lifting, linalg/lift.hpp).
 #include <gtest/gtest.h>
 
 #include "linalg/det.hpp"
 #include "linalg/rref.hpp"
-#include "linalg/solve_crt.hpp"
+#include "linalg/lift.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -94,7 +95,7 @@ TEST_P(SolveCrtSweep, MatchesRationalGaussian) {
     if (ccmx::la::det_bareiss(a).is_zero()) continue;
     std::vector<BigInt> b;
     for (std::size_t i = 0; i < n; ++i) b.push_back(BigInt(rng.range(-99, 99)));
-    const auto fast = ccmx::la::solve_crt(a, b);
+    const auto fast = ccmx::la::solve_lifted(a, b);
     ASSERT_TRUE(fast.has_value());
     std::vector<Rational> rhs;
     for (const BigInt& v : b) rhs.emplace_back(v);
@@ -117,11 +118,11 @@ TEST(SolveCrt, DetectsSingularSystems) {
   });
   for (std::size_t i = 0; i < 4; ++i) a(i, 3) = a(i, 0);
   std::vector<BigInt> b(4, BigInt(1));
-  EXPECT_FALSE(ccmx::la::solve_crt(a, b).has_value());
+  EXPECT_FALSE(ccmx::la::solve_lifted(a, b).has_value());
 }
 
 TEST(SolveCrt, EmptySystem) {
-  const auto x = ccmx::la::solve_crt(IntMatrix(0, 0), {});
+  const auto x = ccmx::la::solve_lifted(IntMatrix(0, 0), {});
   ASSERT_TRUE(x.has_value());
   EXPECT_TRUE(x->empty());
 }
@@ -130,7 +131,7 @@ TEST(SolveCrt, SolutionIsExactRational) {
   // 2x = 1 -> x = 1/2 (a genuinely non-integer solution).
   IntMatrix a(1, 1);
   a(0, 0) = BigInt(2);
-  const auto x = ccmx::la::solve_crt(a, {BigInt(1)});
+  const auto x = ccmx::la::solve_lifted(a, {BigInt(1)});
   ASSERT_TRUE(x.has_value());
   EXPECT_EQ((*x)[0], Rational(BigInt(1), BigInt(2)));
 }
