@@ -118,7 +118,7 @@ class BigInt {
   // --- observers ---
   [[nodiscard]] bool is_zero() const noexcept { return sign_ == 0; }
   [[nodiscard]] bool is_negative() const noexcept { return sign_ < 0; }
-  // ccmx-lint: allow(dead-export) — numeric API surface kept with is_zero
+  // ccmx-lint: allow(dead-export) — perfbench/ calls it; arch skips perfbench
   [[nodiscard]] bool is_odd() const noexcept {
     return sign_ != 0 && (limb(0) & 1u) != 0;
   }

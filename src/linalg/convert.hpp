@@ -19,13 +19,6 @@ using ModMatrix = Matrix<std::uint64_t>;
       m, [](const num::BigInt& v) { return num::Rational(v); });
 }
 
-// ccmx-lint: allow(dead-export) — conversion kept symmetric with to_rational
-[[nodiscard]] inline IntMatrix from_int64(
-    const Matrix<std::int64_t>& m) {
-  return map_matrix<num::BigInt>(
-      m, [](std::int64_t v) { return num::BigInt(v); });
-}
-
 /// Entrywise canonical residue in [0, p), for 2 <= p < 2^62 (else
 /// contract_error).
 [[nodiscard]] inline ModMatrix reduce_mod(const IntMatrix& m,

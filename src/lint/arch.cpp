@@ -1,7 +1,6 @@
 #include "lint/arch.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <map>
 #include <regex>
@@ -11,6 +10,7 @@
 #include <unordered_set>
 
 #include "lint/scan.hpp"
+#include "obs/json.hpp"
 #include "obs/schemas.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -21,7 +21,6 @@ namespace fs = std::filesystem;
 
 using detail::is_blank;
 using detail::ScannedLine;
-using detail::thread_cpu_seconds;
 using detail::trim;
 
 namespace {
@@ -120,8 +119,6 @@ struct FileData {
   /// Names of file-scope (namespace-scope) mutable variables: non-const,
   /// non-atomic, no synchronization primitive in the declaration.
   std::vector<std::string> mutable_state;
-  double scan_wall = 0.0;
-  double scan_cpu = 0.0;
 };
 
 bool is_keyword(std::string_view t) {
@@ -552,7 +549,6 @@ struct Occurrence {
 };
 
 struct Reporter {
-  const Baseline& baseline;
   ArchResult& out;
 
   void report(std::string_view rule, const FileData& fd, std::size_t line,
@@ -571,15 +567,14 @@ struct Reporter {
         idx < fd.lines.size() ? trim(fd.lines[idx].code) : std::string();
     // The lexer routes the include path into the string stream, leaving
     // `#include ""` in the code stream; splice the path back so snippets
-    // are readable and fingerprints distinguish includes on equal lines.
+    // are readable.
     if (idx < fd.lines.size() && !fd.lines[idx].strings.empty()) {
       const std::size_t quotes = f.snippet.find("\"\"");
       if (quotes != std::string::npos) {
         f.snippet.insert(quotes + 1, fd.lines[idx].strings.front());
       }
     }
-    (baseline.contains(f) ? out.baselined : out.findings)
-        .push_back(std::move(f));
+    out.findings.push_back(std::move(f));
   }
 
   /// Edge-shaped findings anchor at the first occurrence that is not
@@ -596,18 +591,6 @@ struct Reporter {
     if (!occurrences.empty()) ++out.suppressed;
   }
 };
-
-/// A timed serial phase; wall and thread-CPU both attributed to `rule`.
-template <class Fn>
-void timed_phase(std::vector<RuleTiming>& timings, std::string rule, Fn fn) {
-  const auto wall0 = std::chrono::steady_clock::now();
-  const double cpu0 = thread_cpu_seconds();
-  fn();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall0;
-  timings.push_back(
-      {std::move(rule), wall.count(), thread_cpu_seconds() - cpu0});
-}
 
 // ------------------------------------------------- A1..A3 module graph
 
@@ -691,27 +674,22 @@ std::vector<std::vector<std::string>> cycles_of(
 
 const std::vector<RuleInfo>& arch_rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"cycle", "a1", "the module dependency graph must be acyclic", 1},
+      {"cycle", "a1", "the module dependency graph must be acyclic"},
       {"layering", "a2",
        "a module may only include same- or lower-layer modules (obs from "
-       "below only via its compile-out macro surface)",
-       1},
+       "below only via its compile-out macro surface)"},
       {"undeclared-edge", "a3",
        "every module->module include edge must be declared in the layering "
-       "table (src/lint/arch.cpp)",
-       1},
+       "table (src/lint/arch.cpp)"},
       {"dead-export", "a4",
        "a function declared in a src/ header must be referenced by some TU "
-       "beyond the header and its paired .cpp",
-       1},
+       "beyond the header and its paired .cpp"},
       {"unused-include", "a5",
        "an #include of a repo header must contribute at least one "
-       "referenced symbol to the including file",
-       1},
+       "referenced symbol to the including file"},
       {"thread-safety", "a6",
        "a function documented thread-safe must not touch file-scope "
-       "mutable state without std::atomic/mutex tokens in scope",
-       1},
+       "mutable state without std::atomic/mutex tokens in scope"},
   };
   return kRules;
 }
@@ -720,9 +698,6 @@ ArchResult run_arch(const ArchOptions& options) {
   const fs::path root(options.root);
   CCMX_REQUIRE(fs::is_directory(root),
                "arch root is not a directory: " + options.root);
-  const Baseline baseline = options.baseline_path.empty()
-                                ? Baseline{}
-                                : Baseline::load(options.baseline_path);
 
   const std::vector<fs::path> paths =
       detail::collect_files(root, options.subdirs);
@@ -738,8 +713,6 @@ ArchResult run_arch(const ArchOptions& options) {
   // downstream pass walks `files` in sorted path order, so the result is
   // independent of the parallel degree.
   util::parallel_for(0, paths.size(), [&](std::size_t i) {
-    const auto wall0 = std::chrono::steady_clock::now();
-    const double cpu0 = thread_cpu_seconds();
     FileData& fd = files[i];
     fd.module = module_of(fd.rel);
     fd.is_header = fd.rel.size() > 4 &&
@@ -752,25 +725,15 @@ ArchResult run_arch(const ArchOptions& options) {
     for (IncludeRef& inc : fd.includes) {
       inc.resolved = resolve_include(inc.spelled, fd.rel, all_rels);
     }
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - wall0;
-    fd.scan_wall = wall.count();
-    fd.scan_cpu = thread_cpu_seconds() - cpu0;
   });
 
   ArchResult result;
   result.files_scanned = files.size();
-  RuleTiming scan_total{"scan", 0.0, 0.0};
-  for (const FileData& fd : files) {
-    scan_total.wall_seconds += fd.scan_wall;
-    scan_total.cpu_seconds += fd.scan_cpu;
-  }
-  result.timings.push_back(scan_total);
 
   std::unordered_map<std::string, const FileData*> by_rel;
   for (const FileData& fd : files) by_rel[fd.rel] = &fd;
 
-  Reporter rep{baseline, result};
+  Reporter rep{result};
 
   // ---- module graph: edges with provenance, module summaries --------
   EdgeMap edges;          // all cross-module edges (incl. macro surface)
@@ -817,268 +780,251 @@ ArchResult run_arch(const ArchOptions& options) {
             });
 
   // ---- A1 cycle ------------------------------------------------------
-  timed_phase(result.timings, "cycle", [&] {
-    std::map<std::string, std::set<std::string>> graph;
-    for (const auto& [key, occs] : checked_edges) {
-      (void)occs;
-      graph[key.first].insert(key.second);
-      graph[key.second];  // ensure the node exists
-    }
-    for (const std::vector<std::string>& scc : cycles_of(graph)) {
-      std::string path;
-      for (const std::string& m : scc) path += m + " -> ";
-      path += scc.front();
-      std::vector<Occurrence> occs;
-      for (const auto& [key, edge_occs] : checked_edges) {
-        if (std::find(scc.begin(), scc.end(), key.first) != scc.end() &&
-            std::find(scc.begin(), scc.end(), key.second) != scc.end()) {
-          occs.insert(occs.end(), edge_occs.begin(), edge_occs.end());
-        }
+  std::map<std::string, std::set<std::string>> graph;
+  for (const auto& [key, occs] : checked_edges) {
+    (void)occs;
+    graph[key.first].insert(key.second);
+    graph[key.second];  // ensure the node exists
+  }
+  for (const std::vector<std::string>& scc : cycles_of(graph)) {
+    std::string path;
+    for (const std::string& m : scc) path += m + " -> ";
+    path += scc.front();
+    std::vector<Occurrence> occs;
+    for (const auto& [key, edge_occs] : checked_edges) {
+      if (std::find(scc.begin(), scc.end(), key.first) != scc.end() &&
+          std::find(scc.begin(), scc.end(), key.second) != scc.end()) {
+        occs.insert(occs.end(), edge_occs.begin(), edge_occs.end());
       }
-      std::sort(occs.begin(), occs.end(),
-                [](const Occurrence& a, const Occurrence& b) {
-                  return std::tie(a.file->rel, a.line) <
-                         std::tie(b.file->rel, b.line);
-                });
-      rep.report_at_first("cycle", occs,
-                          "module dependency cycle: " + path);
     }
-  });
+    std::sort(occs.begin(), occs.end(),
+              [](const Occurrence& a, const Occurrence& b) {
+                return std::tie(a.file->rel, a.line) <
+                       std::tie(b.file->rel, b.line);
+              });
+    rep.report_at_first("cycle", occs,
+                        "module dependency cycle: " + path);
+  }
 
   // ---- A2 layering / A3 undeclared-edge ------------------------------
-  timed_phase(result.timings, "layering", [&] {
-    for (const auto& [key, occs] : checked_edges) {
-      const ModuleSpec* from = find_spec(key.first);
-      const ModuleSpec* to = find_spec(key.second);
-      if (from == nullptr || to == nullptr) continue;  // A3's business
-      if (from->allow_all || to->layer <= from->layer) continue;
-      rep.report_at_first(
-          "layering", occs,
-          "layering violation: '" + key.first + "' (layer " +
-              std::to_string(from->layer) + ") includes '" + key.second +
-              "' (layer " + std::to_string(to->layer) + ") — " +
-              std::to_string(occs.size()) + " include(s); only obs's " +
-              "compile-out macro surface may be reached from below");
-    }
-  });
+  for (const auto& [key, occs] : checked_edges) {
+    const ModuleSpec* from = find_spec(key.first);
+    const ModuleSpec* to = find_spec(key.second);
+    if (from == nullptr || to == nullptr) continue;  // A3's business
+    if (from->allow_all || to->layer <= from->layer) continue;
+    rep.report_at_first(
+        "layering", occs,
+        "layering violation: '" + key.first + "' (layer " +
+            std::to_string(from->layer) + ") includes '" + key.second +
+            "' (layer " + std::to_string(to->layer) + ") — " +
+            std::to_string(occs.size()) + " include(s); only obs's " +
+            "compile-out macro surface may be reached from below");
+  }
 
-  timed_phase(result.timings, "undeclared-edge", [&] {
-    for (const auto& [key, occs] : checked_edges) {
-      const ModuleSpec* from = find_spec(key.first);
-      const ModuleSpec* to = find_spec(key.second);
-      if (from == nullptr || to == nullptr) {
-        const std::string& unknown = from == nullptr ? key.first : key.second;
-        rep.report_at_first(
-            "undeclared-edge", occs,
-            "module '" + unknown + "' is not in the declared layering " +
-                "table (src/lint/arch.cpp); edge " + key.first + " -> " +
-                key.second + " cannot be checked");
-        continue;
-      }
-      if (from->allow_all || to->layer > from->layer) continue;  // A2's
-      bool declared = false;
-      for (const std::string_view dep : from->deps) {
-        if (dep == key.second) declared = true;
-      }
-      if (declared) continue;
+  for (const auto& [key, occs] : checked_edges) {
+    const ModuleSpec* from = find_spec(key.first);
+    const ModuleSpec* to = find_spec(key.second);
+    if (from == nullptr || to == nullptr) {
+      const std::string& unknown = from == nullptr ? key.first : key.second;
       rep.report_at_first(
           "undeclared-edge", occs,
-          "undeclared cross-module edge: '" + key.first + "' -> '" +
-              key.second + "' (" + std::to_string(occs.size()) +
-              " include(s)) is direction-legal but missing from the " +
-              "declared dependency table (src/lint/arch.cpp)");
+          "module '" + unknown + "' is not in the declared layering " +
+              "table (src/lint/arch.cpp); edge " + key.first + " -> " +
+              key.second + " cannot be checked");
+      continue;
     }
-  });
+    if (from->allow_all || to->layer > from->layer) continue;  // A2's
+    bool declared = false;
+    for (const std::string_view dep : from->deps) {
+      if (dep == key.second) declared = true;
+    }
+    if (declared) continue;
+    rep.report_at_first(
+        "undeclared-edge", occs,
+        "undeclared cross-module edge: '" + key.first + "' -> '" +
+            key.second + "' (" + std::to_string(occs.size()) +
+            " include(s)) is direction-legal but missing from the " +
+            "declared dependency table (src/lint/arch.cpp)");
+  }
 
   // ---- A4 dead-export ------------------------------------------------
-  timed_phase(result.timings, "dead-export", [&] {
-    for (const FileData& fd : files) {
-      if (!fd.is_header || fd.rel.rfind("src/", 0) != 0) continue;
-      const std::string paired = paired_source(fd.rel);
-      std::set<std::string> type_names;
-      for (const ExportSym& e : fd.exports) {
-        if (e.kind == ExportSym::Kind::kType) type_names.insert(e.name);
-      }
-      std::set<std::string> reported;
-      for (const ExportSym& e : fd.exports) {
-        if (e.kind != ExportSym::Kind::kFunction) continue;
-        if (e.name == "main" || type_names.count(e.name) != 0) continue;
-        if (reported.count(e.name) != 0) continue;
-        const auto self = fd.idents.find(e.name);
-        const std::size_t self_count =
-            self == fd.idents.end() ? 0 : self->second;
-        if (self_count > 1) continue;  // used by the header's own inline code
-        bool referenced = false;
-        for (const FileData& other : files) {
-          if (other.rel == fd.rel || other.rel == paired) continue;
-          if (other.idents.count(e.name) != 0) {
-            referenced = true;
-            break;
-          }
-        }
-        // The paired .cpp counts as a reference only when it *uses* the
-        // name beyond defining it — a definition alone is not a caller.
-        if (!referenced) {
-          const auto paired_it = by_rel.find(paired);
-          if (paired_it != by_rel.end()) {
-            const FileData& pf = *paired_it->second;
-            const auto cnt_it = pf.idents.find(e.name);
-            const std::size_t cnt =
-                cnt_it == pf.idents.end() ? 0 : cnt_it->second;
-            const std::size_t defs =
-                cnt > 0 && !find_definition_body(pf, e.name).empty() ? 1 : 0;
-            if (cnt > defs) referenced = true;
-          }
-        }
-        if (referenced) continue;
-        reported.insert(e.name);
-        rep.report("dead-export", fd, e.line,
-                   "exported function '" + e.name +
-                       "' is referenced by no TU other than this header " +
-                       "and its paired source");
-      }
+  for (const FileData& fd : files) {
+    if (!fd.is_header || fd.rel.rfind("src/", 0) != 0) continue;
+    const std::string paired = paired_source(fd.rel);
+    std::set<std::string> type_names;
+    for (const ExportSym& e : fd.exports) {
+      if (e.kind == ExportSym::Kind::kType) type_names.insert(e.name);
     }
-  });
-
-  // ---- A5 unused-include ---------------------------------------------
-  timed_phase(result.timings, "unused-include", [&] {
-    for (const FileData& fd : files) {
-      for (const IncludeRef& inc : fd.includes) {
-        if (inc.resolved.empty()) continue;
-        if (inc.resolved.rfind("src/", 0) != 0) continue;
-        if (paired_source(inc.resolved) == fd.rel) continue;  // own header
-        const auto it = by_rel.find(inc.resolved);
-        if (it == by_rel.end()) continue;
-        const FileData& header = *it->second;
-        if (header.exports.empty()) continue;  // nothing provable
-        bool contributes = false;
-        for (const ExportSym& e : header.exports) {
-          if (fd.idents.count(e.name) != 0) {
-            contributes = true;
-            break;
-          }
-        }
-        if (contributes) continue;
-        rep.report("unused-include", fd, inc.line,
-                   "include of \"" + inc.spelled +
-                       "\" contributes no referenced symbols to this file");
-      }
-    }
-  });
-
-  // ---- A6 thread-safety ----------------------------------------------
-  timed_phase(result.timings, "thread-safety", [&] {
-    static const std::regex kThreadSafe(R"([Tt]hread-?\s?[Ss]afe)");
-    for (const FileData& fd : files) {
-      if (!fd.is_header || fd.rel.rfind("src/", 0) != 0) continue;
-      const auto paired_it = by_rel.find(paired_source(fd.rel));
-      const FileData* paired =
-          paired_it == by_rel.end() ? nullptr : paired_it->second;
-
-      const auto& lines = fd.lines;
-      std::size_t i = 0;
-      while (i < lines.size()) {
-        // Doc blocks exactly as R2 sees them, plus a same-line trailing
-        // "// thread-safe" comment on the signature itself.
-        bool documented = false;
-        if (!lines[i].comment.empty() && is_blank(lines[i].code)) {
-          std::string doc;
-          while (i < lines.size() && !lines[i].comment.empty() &&
-                 is_blank(lines[i].code)) {
-            doc += lines[i].comment;
-            doc += ' ';
-            ++i;
-          }
-          documented = std::regex_search(doc, kThreadSafe);
-          while (i < lines.size() && is_blank(lines[i].code) &&
-                 lines[i].comment.empty()) {
-            ++i;
-          }
-          if (i >= lines.size()) break;
-          if (is_blank(lines[i].code)) continue;  // next doc block
-        } else {
-          documented = !lines[i].comment.empty() &&
-                       std::regex_search(lines[i].comment, kThreadSafe) &&
-                       !is_blank(lines[i].code);
-          if (!documented) {
-            ++i;
-            continue;
-          }
-        }
-        if (!documented) continue;
-
-        const std::size_t signature_line = i + 1;
-        std::set<std::string> no_tparams;
-        // Classify: inline body in the header, or a declaration whose
-        // body lives in the paired .cpp.
-        int paren = 0;
-        int brace = 0;
-        bool seen_paren = false;
-        bool in_body = false;
-        bool declaration = false;
-        std::string signature;
-        std::string body;
-        std::size_t j = i;
-        for (std::size_t guard = 0; j < lines.size() && guard < 300;
-             ++j, ++guard) {
-          for (const char c : lines[j].code) {
-            if (!in_body) {
-              signature.push_back(c);
-              if (c == '(') {
-                ++paren;
-                seen_paren = true;
-              } else if (c == ')') {
-                --paren;
-              } else if (c == ';' && paren == 0) {
-                declaration = true;
-                break;
-              } else if (c == '{' && paren == 0 && seen_paren) {
-                in_body = true;
-                brace = 1;
-              }
-            } else {
-              if (c == '{') ++brace;
-              if (c == '}' && --brace == 0) break;
-              body.push_back(c);
-            }
-          }
-          if (declaration || (in_body && brace == 0)) break;
-        }
-        i = j + 1;
-        const std::string name = function_candidate(signature, no_tparams);
-        if (name.empty()) continue;
-
-        const FileData* body_file = &fd;
-        if (declaration) {
-          if (paired == nullptr) continue;
-          body = find_definition_body(*paired, name);
-          if (body.empty()) continue;
-          body_file = paired;
-        } else if (!in_body) {
-          continue;
-        }
-
-        static const std::regex kSafety(
-            R"(mutex|lock_guard|unique_lock|scoped_lock|shared_lock|atomic|call_once|memory_order|fetch_|\.load\s*\(|\.store\s*\()");
-        if (std::regex_search(body, kSafety)) continue;
-        for (const std::string& state : body_file->mutable_state) {
-          if (!has_token(body, state)) continue;
-          rep.report("thread-safety", fd, signature_line,
-                     "'" + name + "' is documented thread-safe but its " +
-                         "body touches file-scope mutable state '" + state +
-                         "' with no std::atomic/mutex tokens in scope");
+    std::set<std::string> reported;
+    for (const ExportSym& e : fd.exports) {
+      if (e.kind != ExportSym::Kind::kFunction) continue;
+      if (e.name == "main" || type_names.count(e.name) != 0) continue;
+      if (reported.count(e.name) != 0) continue;
+      const auto self = fd.idents.find(e.name);
+      const std::size_t self_count =
+          self == fd.idents.end() ? 0 : self->second;
+      if (self_count > 1) continue;  // used by the header's own inline code
+      bool referenced = false;
+      for (const FileData& other : files) {
+        if (other.rel == fd.rel || other.rel == paired) continue;
+        if (other.idents.count(e.name) != 0) {
+          referenced = true;
           break;
         }
       }
+      // The paired .cpp counts as a reference only when it *uses* the
+      // name beyond defining it — a definition alone is not a caller.
+      if (!referenced) {
+        const auto paired_it = by_rel.find(paired);
+        if (paired_it != by_rel.end()) {
+          const FileData& pf = *paired_it->second;
+          const auto cnt_it = pf.idents.find(e.name);
+          const std::size_t cnt =
+              cnt_it == pf.idents.end() ? 0 : cnt_it->second;
+          const std::size_t defs =
+              cnt > 0 && !find_definition_body(pf, e.name).empty() ? 1 : 0;
+          if (cnt > defs) referenced = true;
+        }
+      }
+      if (referenced) continue;
+      reported.insert(e.name);
+      rep.report("dead-export", fd, e.line,
+                 "exported function '" + e.name +
+                     "' is referenced by no TU other than this header " +
+                     "and its paired source");
     }
-  });
+  }
+
+  // ---- A5 unused-include ---------------------------------------------
+  for (const FileData& fd : files) {
+    for (const IncludeRef& inc : fd.includes) {
+      if (inc.resolved.empty()) continue;
+      if (inc.resolved.rfind("src/", 0) != 0) continue;
+      if (paired_source(inc.resolved) == fd.rel) continue;  // own header
+      const auto it = by_rel.find(inc.resolved);
+      if (it == by_rel.end()) continue;
+      const FileData& header = *it->second;
+      if (header.exports.empty()) continue;  // nothing provable
+      bool contributes = false;
+      for (const ExportSym& e : header.exports) {
+        if (fd.idents.count(e.name) != 0) {
+          contributes = true;
+          break;
+        }
+      }
+      if (contributes) continue;
+      rep.report("unused-include", fd, inc.line,
+                 "include of \"" + inc.spelled +
+                     "\" contributes no referenced symbols to this file");
+    }
+  }
+
+  // ---- A6 thread-safety ----------------------------------------------
+  static const std::regex kThreadSafe(R"([Tt]hread-?\s?[Ss]afe)");
+  for (const FileData& fd : files) {
+    if (!fd.is_header || fd.rel.rfind("src/", 0) != 0) continue;
+    const auto paired_it = by_rel.find(paired_source(fd.rel));
+    const FileData* paired =
+        paired_it == by_rel.end() ? nullptr : paired_it->second;
+
+    const auto& lines = fd.lines;
+    std::size_t i = 0;
+    while (i < lines.size()) {
+      // Doc blocks exactly as R2 sees them, plus a same-line trailing
+      // "// thread-safe" comment on the signature itself.
+      bool documented = false;
+      if (!lines[i].comment.empty() && is_blank(lines[i].code)) {
+        std::string doc;
+        while (i < lines.size() && !lines[i].comment.empty() &&
+               is_blank(lines[i].code)) {
+          doc += lines[i].comment;
+          doc += ' ';
+          ++i;
+        }
+        documented = std::regex_search(doc, kThreadSafe);
+        while (i < lines.size() && is_blank(lines[i].code) &&
+               lines[i].comment.empty()) {
+          ++i;
+        }
+        if (i >= lines.size()) break;
+        if (is_blank(lines[i].code)) continue;  // next doc block
+      } else {
+        documented = !lines[i].comment.empty() &&
+                     std::regex_search(lines[i].comment, kThreadSafe) &&
+                     !is_blank(lines[i].code);
+        if (!documented) {
+          ++i;
+          continue;
+        }
+      }
+      if (!documented) continue;
+
+      const std::size_t signature_line = i + 1;
+      std::set<std::string> no_tparams;
+      // Classify: inline body in the header, or a declaration whose
+      // body lives in the paired .cpp.
+      int paren = 0;
+      int brace = 0;
+      bool seen_paren = false;
+      bool in_body = false;
+      bool declaration = false;
+      std::string signature;
+      std::string body;
+      std::size_t j = i;
+      for (std::size_t guard = 0; j < lines.size() && guard < 300;
+           ++j, ++guard) {
+        for (const char c : lines[j].code) {
+          if (!in_body) {
+            signature.push_back(c);
+            if (c == '(') {
+              ++paren;
+              seen_paren = true;
+            } else if (c == ')') {
+              --paren;
+            } else if (c == ';' && paren == 0) {
+              declaration = true;
+              break;
+            } else if (c == '{' && paren == 0 && seen_paren) {
+              in_body = true;
+              brace = 1;
+            }
+          } else {
+            if (c == '{') ++brace;
+            if (c == '}' && --brace == 0) break;
+            body.push_back(c);
+          }
+        }
+        if (declaration || (in_body && brace == 0)) break;
+      }
+      i = j + 1;
+      const std::string name = function_candidate(signature, no_tparams);
+      if (name.empty()) continue;
+
+      const FileData* body_file = &fd;
+      if (declaration) {
+        if (paired == nullptr) continue;
+        body = find_definition_body(*paired, name);
+        if (body.empty()) continue;
+        body_file = paired;
+      } else if (!in_body) {
+        continue;
+      }
+
+      static const std::regex kSafety(
+          R"(mutex|lock_guard|unique_lock|scoped_lock|shared_lock|atomic|call_once|memory_order|fetch_|\.load\s*\(|\.store\s*\()");
+      if (std::regex_search(body, kSafety)) continue;
+      for (const std::string& state : body_file->mutable_state) {
+        if (!has_token(body, state)) continue;
+        rep.report("thread-safety", fd, signature_line,
+                   "'" + name + "' is documented thread-safe but its " +
+                       "body touches file-scope mutable state '" + state +
+                       "' with no std::atomic/mutex tokens in scope");
+        break;
+      }
+    }
+  }
 
   std::sort(result.findings.begin(), result.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-  std::sort(result.baselined.begin(), result.baselined.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule) <
                      std::tie(b.file, b.line, b.rule);
@@ -1099,7 +1045,6 @@ std::string render_arch_report_json(const ArchResult& result,
   w.key("files_scanned").value(std::uint64_t{result.files_scanned});
   w.key("include_edges").value(std::uint64_t{result.include_edges});
   w.key("suppressed").value(std::uint64_t{result.suppressed});
-  w.key("baselined").value(std::uint64_t{result.baselined.size()});
   std::map<std::string, std::uint64_t> counts;
   for (const RuleInfo& rule : arch_rules()) counts[std::string(rule.name)] = 0;
   for (const Finding& f : result.findings) ++counts[f.rule];
@@ -1123,7 +1068,6 @@ std::string render_arch_report_json(const ArchResult& result,
     w.end_object();
   }
   w.end_array();
-  detail::write_timings_json(w, result.timings);
   w.key("findings").begin_array();
   for (const Finding& f : result.findings) {
     w.begin_object();
@@ -1153,8 +1097,7 @@ std::vector<std::string> validate_arch_report(const obs::json::Value& doc) {
     problems.push_back("schema is \"" + schema->string + "\", expected \"" +
                        std::string(obs::kArchReportSchema) + "\"");
   }
-  for (const char* key :
-       {"files_scanned", "include_edges", "suppressed", "baselined"}) {
+  for (const char* key : {"files_scanned", "include_edges", "suppressed"}) {
     const obs::json::Value* v = doc.find(key);
     if (v == nullptr || !v->is_number()) {
       problems.push_back(std::string("missing number \"") + key + "\"");

@@ -31,9 +31,8 @@
 //
 // Like the lexical rules, everything here is token-level by design (no
 // libclang): the heuristics are documented in docs/STATIC_ANALYSIS.md and
-// the escape hatches are shared with ccmx_lint — `// ccmx-lint:
-// allow(<rule>)` on (or one line above) the reported line, and a
-// committed content-fingerprint baseline (tools/arch_baseline.txt).
+// the one escape hatch is shared with ccmx_lint — `// ccmx-lint:
+// allow(<rule>)` on (or one line above) the reported line.
 #pragma once
 
 #include <cstdint>
@@ -64,33 +63,28 @@ struct ModuleSummary {
 struct ArchOptions {
   /// Repo root; subdirs and reported paths are relative to it.
   std::string root = ".";
-  std::vector<std::string> subdirs = {"src",   "bench",    "tools",
-                                      "tests", "examples"};
-  /// Empty = no baseline filtering.
-  std::string baseline_path;
+  std::vector<std::string> subdirs = default_subdirs();
 };
 
 struct ArchResult {
-  std::vector<Finding> findings;   // active (gate-failing) findings
-  std::vector<Finding> baselined;  // matched the baseline, tolerated
+  std::vector<Finding> findings;  // every finding fails the gate
   std::vector<ModuleSummary> modules;
   std::size_t files_scanned = 0;
   std::size_t include_edges = 0;  // resolved repo-internal includes
   std::size_t suppressed = 0;
-  std::vector<RuleTiming> timings;  // "scan" phase + one row per rule
 };
 
 /// Runs the whole-tree analysis.  The file walk is shared with run_lint
-/// (same extensions, same skip list) and parallelized over
+/// (same subdirs, extensions and skip list) and parallelized over
 /// util::parallel_for; results are deterministic regardless of degree.
 /// Throws util::contract_error when `root` is not a directory.
 [[nodiscard]] ArchResult run_arch(const ArchOptions& options);
 
-/// ccmx.arch_report/1 JSON document (one object, trailing newline).
+/// ccmx.arch_report/2 JSON document (one object, trailing newline).
 [[nodiscard]] std::string render_arch_report_json(const ArchResult& result,
                                                   const ArchOptions& options);
 
-/// Schema check for a parsed ccmx.arch_report/1 document; empty = valid.
+/// Schema check for a parsed ccmx.arch_report/2 document; empty = valid.
 [[nodiscard]] std::vector<std::string> validate_arch_report(
     const obs::json::Value& doc);
 

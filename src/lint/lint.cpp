@@ -1,17 +1,16 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
 
-#include "lint/arch.hpp"
 #include "lint/scan.hpp"
+#include "obs/json.hpp"
 #include "obs/schemas.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -27,40 +26,30 @@ using detail::trim;
 
 namespace {
 
-using detail::thread_cpu_seconds;
-
 // ------------------------------------------------------- rule registry
 
 const std::vector<RuleInfo>& all_rules() {
-  // R1..R6 are at fingerprint v2: v1 fingerprints did not carry a rule
-  // version at all, so every pre-existing baseline entry was invalidated
-  // by the format change — which is the point of the bump.  R7 was born
-  // after the format change and starts at v1.
+  // "r6" belonged to include-hygiene, now enforced by the
+  // ccmx_header_hygiene build target; it is retired, not reused.
   static const std::vector<RuleInfo> kRules = {
       {"narrow", "r1",
        "no raw narrowing static_cast between integer types in src/ — use "
-       "util/narrow.hpp",
-       2},
+       "util/narrow.hpp"},
       {"require", "r2",
        "documented preconditions on inline header functions must be "
-       "enforced with CCMX_REQUIRE",
-       2},
+       "enforced with CCMX_REQUIRE"},
       {"schema", "r3",
        "ccmx.<name>/<version> schema strings must come from "
-       "src/obs/schemas.hpp",
-       2},
+       "src/obs/schemas.hpp"},
       {"bench-main", "r4",
-       "bench binaries register through CCMX_BENCH_MAIN only", 2},
+       "bench binaries register through CCMX_BENCH_MAIN only"},
       {"rng", "r5",
        "no rand()/std::mt19937/random_device outside util/rng — use seeded "
-       "util::Xoshiro256",
-       2},
-      {"include-hygiene", "r6", "every header declares #pragma once", 2},
+       "util::Xoshiro256"},
       {"signal-safety", "r7",
        "functions marked `ccmx-lint: signal-context` must not call "
        "non-async-signal-safe primitives (allocation, stdio, std::string, "
-       "locks)",
-       1},
+       "locks)"},
   };
   return kRules;
 }
@@ -279,17 +268,6 @@ void rule_rng(FileContext& ctx) {
   }
 }
 
-// R6: include hygiene, lexical half (#pragma once).  The build-side half
-// — every header compiling standalone — is the generated per-header TU
-// target ccmx_header_hygiene (see src/CMakeLists.txt).
-void rule_include_hygiene(FileContext& ctx) {
-  if (!ctx.ends_with(".hpp") && !ctx.ends_with(".h")) return;
-  for (const ScannedLine& line : ctx.lines) {
-    if (line.code.find("#pragma once") != std::string::npos) return;
-  }
-  ctx.report("include-hygiene", 1, "header is missing #pragma once");
-}
-
 // R7: lexical async-signal-safety.  A `// ccmx-lint: signal-context`
 // marker line annotates the NEXT function as running inside a signal
 // handler (the profiler's SIGPROF path): from the marker, the rule
@@ -375,35 +353,14 @@ void rule_signal_safety(FileContext& ctx) {
   }
 }
 
-/// Merges per-file timing rows into an aggregate table, preserving the
-/// first-seen rule order (R1..R6 for lint, scan-then-A1..A6 for arch).
-void accumulate_timings(std::vector<RuleTiming>& total,
-                        const std::vector<RuleTiming>& delta) {
-  for (const RuleTiming& t : delta) {
-    auto it = std::find_if(total.begin(), total.end(), [&](const RuleTiming& r) {
-      return r.rule == t.rule;
-    });
-    if (it == total.end()) {
-      total.push_back(t);
-    } else {
-      it->wall_seconds += t.wall_seconds;
-      it->cpu_seconds += t.cpu_seconds;
-    }
-  }
-}
-
 }  // namespace
 
 const std::vector<RuleInfo>& rules() { return all_rules(); }
 
-unsigned rule_version(std::string_view rule) {
-  for (const RuleInfo& info : all_rules()) {
-    if (rule == info.name) return info.version;
-  }
-  for (const RuleInfo& info : arch_rules()) {
-    if (rule == info.name) return info.version;
-  }
-  return 1;
+const std::vector<std::string>& default_subdirs() {
+  static const std::vector<std::string> kSubdirs = {"src", "bench", "tools",
+                                                    "tests", "examples"};
+  return kSubdirs;
 }
 
 FileLint lint_text(std::string_view rel_path, std::string_view text) {
@@ -413,124 +370,16 @@ FileLint lint_text(std::string_view rel_path, std::string_view text) {
       detail::suppressions(lines);
   FileContext ctx{detail::normalize_path(std::string(rel_path)), lines, allow,
                   out};
-  const std::array<std::pair<std::string_view, void (*)(FileContext&)>, 7>
-      kPasses = {{{"narrow", rule_narrow},
-                  {"require", rule_require},
-                  {"schema", rule_schema},
-                  {"bench-main", rule_bench_main},
-                  {"rng", rule_rng},
-                  {"include-hygiene", rule_include_hygiene},
-                  {"signal-safety", rule_signal_safety}}};
-  for (const auto& [name, pass] : kPasses) {
-    const auto wall0 = std::chrono::steady_clock::now();
-    const double cpu0 = thread_cpu_seconds();
+  for (void (*pass)(FileContext&) :
+       {rule_narrow, rule_require, rule_schema, rule_bench_main, rule_rng,
+        rule_signal_safety}) {
     pass(ctx);
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - wall0;
-    out.timings.push_back(
-        {std::string(name), wall.count(), thread_cpu_seconds() - cpu0});
   }
   std::sort(out.findings.begin(), out.findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
             });
   return out;
-}
-
-std::string finding_fingerprint(const Finding& finding) {
-  return finding.rule + "@v" + std::to_string(rule_version(finding.rule)) +
-         "|" + finding.file + "|" + squash(finding.snippet);
-}
-
-FixOutcome fix_pragma_once(std::string_view text) {
-  const std::vector<ScannedLine> lines = detail::scan(text);
-  for (const ScannedLine& line : lines) {
-    if (line.code.find("#pragma once") != std::string::npos) {
-      return {FixOutcome::Status::kAlreadyClean, {}};
-    }
-  }
-  for (const std::set<std::string>& allow : detail::suppressions(lines)) {
-    if (allow.count("include-hygiene") != 0 || allow.count("all") != 0) {
-      return {FixOutcome::Status::kRefused, {}};
-    }
-  }
-  // Insert after the leading doc-comment block (comment-only or blank
-  // lines), matching the file-header-then-pragma layout of every header
-  // in the repo.  `lines` has a trailing sentinel entry when the text
-  // ends in '\n', so count physical lines from the text itself.
-  std::vector<std::string> physical;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == '\n') {
-      physical.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  if (!physical.empty() && physical.back().empty() && !text.empty() &&
-      text.back() == '\n') {
-    physical.pop_back();
-  }
-  std::size_t insert_at = 0;
-  while (insert_at < physical.size() && insert_at < lines.size() &&
-         is_blank(lines[insert_at].code)) {
-    ++insert_at;
-  }
-  std::string out;
-  for (std::size_t i = 0; i < physical.size(); ++i) {
-    if (i == insert_at) {
-      out += "#pragma once\n";
-      if (!is_blank(physical[i])) out += "\n";
-    }
-    out += physical[i];
-    out += '\n';
-  }
-  if (insert_at >= physical.size()) out += "#pragma once\n";
-  return {FixOutcome::Status::kFixed, std::move(out)};
-}
-
-Baseline Baseline::load(const std::string& path) {
-  Baseline baseline;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string key = trim(line);
-    if (key.empty() || key[0] == '#') continue;
-    baseline.keys_.push_back(key);
-  }
-  std::sort(baseline.keys_.begin(), baseline.keys_.end());
-  baseline.keys_.erase(
-      std::unique(baseline.keys_.begin(), baseline.keys_.end()),
-      baseline.keys_.end());
-  return baseline;
-}
-
-Baseline Baseline::from_findings(const std::vector<Finding>& findings) {
-  Baseline baseline;
-  for (const Finding& f : findings) {
-    baseline.keys_.push_back(finding_fingerprint(f));
-  }
-  std::sort(baseline.keys_.begin(), baseline.keys_.end());
-  baseline.keys_.erase(
-      std::unique(baseline.keys_.begin(), baseline.keys_.end()),
-      baseline.keys_.end());
-  return baseline;
-}
-
-std::string Baseline::render() const {
-  std::string out =
-      "# ccmx_lint baseline — tolerated legacy findings, one fingerprint\n"
-      "# (rule@v<version>|file|squashed snippet) per line.  Regenerate\n"
-      "# with `ccmx_lint --write-baseline`; shrink it, never grow it.\n";
-  for (const std::string& key : keys_) {
-    out += key;
-    out += '\n';
-  }
-  return out;
-}
-
-bool Baseline::contains(const Finding& finding) const {
-  return std::binary_search(keys_.begin(), keys_.end(),
-                            finding_fingerprint(finding));
 }
 
 namespace detail {
@@ -576,16 +425,12 @@ RunResult run_lint(const RunOptions& options) {
   const fs::path root(options.root);
   CCMX_REQUIRE(fs::is_directory(root),
                "lint root is not a directory: " + options.root);
-  const Baseline baseline = options.baseline_path.empty()
-                                ? Baseline{}
-                                : Baseline::load(options.baseline_path);
-
   const std::vector<fs::path> files =
       detail::collect_files(root, options.subdirs);
 
   // Files are linted concurrently into per-index slots; the merge below
-  // walks the slots in sorted path order, so findings, counts, and
-  // timing aggregation order are independent of the parallel degree.
+  // walks the slots in sorted path order, so findings and counts are
+  // independent of the parallel degree.
   std::vector<FileLint> lints(files.size());
   util::parallel_for(0, files.size(), [&](std::size_t i) {
     const std::string rel = detail::normalize_path(
@@ -597,31 +442,11 @@ RunResult run_lint(const RunOptions& options) {
   for (FileLint& lint : lints) {
     ++result.files_scanned;
     result.suppressed += lint.suppressed;
-    accumulate_timings(result.timings, lint.timings);
-    for (Finding& f : lint.findings) {
-      (baseline.contains(f) ? result.baselined : result.findings)
-          .push_back(std::move(f));
-    }
+    std::move(lint.findings.begin(), lint.findings.end(),
+              std::back_inserter(result.findings));
   }
   return result;
 }
-
-namespace detail {
-
-void write_timings_json(obs::json::Writer& w,
-                        const std::vector<RuleTiming>& timings) {
-  w.key("timings").begin_array();
-  for (const RuleTiming& t : timings) {
-    w.begin_object();
-    w.key("rule").value(t.rule);
-    w.key("wall_seconds").value(t.wall_seconds);
-    w.key("cpu_seconds").value(t.cpu_seconds);
-    w.end_object();
-  }
-  w.end_array();
-}
-
-}  // namespace detail
 
 std::string render_lint_report_json(const RunResult& result,
                                     const RunOptions& options) {
@@ -635,14 +460,12 @@ std::string render_lint_report_json(const RunResult& result,
   w.end_array();
   w.key("files_scanned").value(std::uint64_t{result.files_scanned});
   w.key("suppressed").value(std::uint64_t{result.suppressed});
-  w.key("baselined").value(std::uint64_t{result.baselined.size()});
   std::map<std::string, std::uint64_t> counts;
   for (const RuleInfo& rule : all_rules()) counts[std::string(rule.name)] = 0;
   for (const Finding& f : result.findings) ++counts[f.rule];
   w.key("counts").begin_object();
   for (const auto& [rule, count] : counts) w.key(rule).value(count);
   w.end_object();
-  detail::write_timings_json(w, result.timings);
   w.key("findings").begin_array();
   for (const Finding& f : result.findings) {
     w.begin_object();
@@ -672,7 +495,7 @@ std::vector<std::string> validate_lint_report(const obs::json::Value& doc) {
     problems.push_back("schema is \"" + schema->string + "\", expected \"" +
                        std::string(obs::kLintReportSchema) + "\"");
   }
-  for (const char* key : {"files_scanned", "suppressed", "baselined"}) {
+  for (const char* key : {"files_scanned", "suppressed"}) {
     const obs::json::Value* v = doc.find(key);
     if (v == nullptr || !v->is_number()) {
       problems.push_back(std::string("missing number \"") + key + "\"");

@@ -1,7 +1,5 @@
 #include "lint/scan.hpp"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cctype>
 #include <regex>
@@ -200,13 +198,6 @@ std::vector<std::set<std::string>> suppressions(
     }
   }
   return allow;
-}
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0.0;
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 bool is_suppressed(const std::vector<std::set<std::string>>& allow,

@@ -14,9 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "lint/lint.hpp"
-#include "obs/json.hpp"
-
 namespace ccmx::lint::detail {
 
 /// One physical source line split into the three streams the rules care
@@ -36,15 +33,15 @@ struct ScannedLine {
 [[nodiscard]] bool is_blank(std::string_view s);
 [[nodiscard]] std::string trim(std::string_view s);
 
-/// Collapses runs of whitespace to single spaces (fingerprint
-/// normalization, so re-indentation does not invalidate a baseline).
+/// Collapses runs of whitespace to single spaces (R1 compares type
+/// spellings such as "unsigned   int" in this form).
 [[nodiscard]] std::string squash(std::string_view s);
 
 /// Forward slashes, no leading "./" — the repo-relative path form every
 /// finding reports.
 [[nodiscard]] std::string normalize_path(std::string path);
 
-/// Canonical rule name for an allow() token (lexical R1–R6 and arch
+/// Canonical rule name for an allow() token (lexical R1–R5, R7 and arch
 /// A1–A6 names and aliases are both accepted); empty when unknown.
 [[nodiscard]] std::string canonical_rule(std::string_view token);
 
@@ -65,14 +62,5 @@ struct ScannedLine {
 
 /// Whole file as a string; throws util::contract_error when unreadable.
 [[nodiscard]] std::string read_file(const std::filesystem::path& file);
-
-/// Emits the "timings" array shared by the lint and arch reports.
-void write_timings_json(obs::json::Writer& w,
-                        const std::vector<RuleTiming>& timings);
-
-/// CPU time of the calling thread — per-rule attribution inside a
-/// parallel scan must not count sibling workers, so the process clock
-/// (util::WallTimer::cpu_seconds) is the wrong instrument here.
-[[nodiscard]] double thread_cpu_seconds();
 
 }  // namespace ccmx::lint::detail

@@ -41,7 +41,7 @@ struct DashboardData {
   const TrendResult* trend = nullptr;
   /// A parsed ccmx.bench_diff/1 document for the verdict table.
   const json::Value* diff = nullptr;
-  /// A parsed ccmx.arch_report/1 document (ccmx_lint arch --json) for
+  /// A parsed ccmx.arch_report/2 document (ccmx_lint arch --json) for
   /// the architecture panel: per-module fan-in/fan-out plus the open
   /// violation list.
   const json::Value* arch = nullptr;

@@ -29,12 +29,12 @@ inline constexpr std::string_view kTrajectorySchema = "ccmx.trajectory/1";
 
 /// Findings of the project-invariant static-analysis pass — `ccmx_lint`
 /// (see lint/lint.hpp).
-inline constexpr std::string_view kLintReportSchema = "ccmx.lint_report/1";
+inline constexpr std::string_view kLintReportSchema = "ccmx.lint_report/2";
 
 /// Findings of the whole-repo architecture analysis — module include
 /// graph vs the declared layering plus the symbol cross-reference —
 /// `ccmx_lint arch` (see lint/arch.hpp).
-inline constexpr std::string_view kArchReportSchema = "ccmx.arch_report/1";
+inline constexpr std::string_view kArchReportSchema = "ccmx.arch_report/2";
 
 /// Chrome trace-event JSON converted from a ccmx JSONL trace —
 /// `ccmx_insight trace --chrome` (see obs/trace_reader.hpp).  The

@@ -73,10 +73,6 @@ class Xoshiro256 {
   /// Fair coin.
   [[nodiscard]] bool coin() { return ((*this)() & 1u) != 0; }
 
-  /// An independent child generator (for per-thread streams).
-  // ccmx-lint: allow(dead-export) — per-thread stream hook for future use
-  [[nodiscard]] Xoshiro256 fork() { return Xoshiro256((*this)()); }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

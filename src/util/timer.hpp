@@ -22,9 +22,6 @@ class WallTimer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  // ccmx-lint: allow(dead-export) — unit convenience paired with seconds()
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
-
   /// Process CPU seconds (all threads) since construction/reset.
   [[nodiscard]] double cpu_seconds() const { return cpu_now() - cpu_start_; }
 

@@ -240,10 +240,10 @@ TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
 TEST(HtmlRender, ArchPanelRendersModulesAndViolations) {
   const obs::LoadResult reports = make_reports();
 
-  // A hand-written ccmx.arch_report/1 document: two modules, one open
+  // A hand-written ccmx.arch_report/2 document: two modules, one open
   // layering violation.  The panel must surface all three.
   const obs::json::Value arch = obs::json::parse(
-      "{\"schema\":\"ccmx.arch_report/1\",\"files_scanned\":42,"
+      "{\"schema\":\"ccmx.arch_report/2\",\"files_scanned\":42,"
       "\"include_edges\":17,"
       "\"modules\":[{\"name\":\"util\",\"layer\":0,\"files\":12,"
       "\"fan_out\":0,\"fan_in\":9,\"deps\":[]},"

@@ -1,7 +1,6 @@
 // ccmx_lint engine tests: each rule demonstrated on a deliberately
-// violating fixture from tests/lint_fixtures/, plus suppressions,
-// fingerprint/baseline behavior, the directory walker, the JSON report,
-// and the repo-is-clean gate itself.
+// violating fixture from tests/lint_fixtures/, plus suppressions, the
+// directory walker, the JSON report, and the repo-is-clean gate itself.
 #include "lint/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "lint/arch.hpp"
 #include "obs/json_reader.hpp"
 #include "obs/schemas.hpp"
 
@@ -102,8 +102,6 @@ TEST(LintRules, R3SparesTestsAndTheRegistryItself) {
   const std::string text = read_fixture("r3_schema.cpp");
   // Tests legitimately embed schema literals in JSON test documents.
   EXPECT_TRUE(lint::lint_text("tests/r3_schema.cpp", text).findings.empty());
-  // (Linting this .cpp fixture text under an .hpp path legitimately fires
-  // R6; only the schema rule's exemption is under test here.)
   EXPECT_EQ(count_rule(lint::lint_text("src/obs/schemas.hpp", text), "schema"),
             0u);
 }
@@ -141,15 +139,6 @@ TEST(LintRules, R5SparesUtilRngItself) {
   const std::string text = read_fixture("r5_rng.cpp");
   EXPECT_EQ(count_rule(lint::lint_text("src/util/rng.hpp", text), "rng"), 0u);
   EXPECT_TRUE(lint::lint_text("src/util/rng.cpp", text).findings.empty());
-}
-
-TEST(LintRules, R6FlagsMissingPragmaOnce) {
-  const std::string text = read_fixture("r6_no_pragma.hpp");
-  const lint::FileLint result = lint::lint_text("src/r6_no_pragma.hpp", text);
-  ASSERT_EQ(result.findings.size(), 1u) << testing::PrintToString(
-      rules_of(result));
-  EXPECT_EQ(result.findings[0].rule, "include-hygiene");
-  // "#pragma once" inside the fixture's comment must not satisfy it.
 }
 
 TEST(LintRules, R7FlagsDenylistInsideMarkedFunctionsOnly) {
@@ -199,99 +188,7 @@ TEST(LintRules, SuppressionsSilenceSameLineAndLineAbove) {
   EXPECT_EQ(result.suppressed, 3u);         // allow(narrow), allow(r1), allow(all)
 }
 
-TEST(LintBaseline, FingerprintEmbedsTheRuleVersion) {
-  // S3 bugfix: two different rules (or two versions of one rule) can
-  // flag the same squashed snippet in the same file; the fingerprint
-  // must keep them distinct.  R1..R6 are at v2; R7 (signal-safety) was
-  // born after the fingerprint-format change and starts at v1.
-  for (const lint::RuleInfo& rule : lint::rules()) {
-    const unsigned expected = rule.name == "signal-safety" ? 1u : 2u;
-    EXPECT_EQ(rule.version, expected) << rule.name;
-    EXPECT_EQ(lint::rule_version(rule.name), expected) << rule.name;
-  }
-  EXPECT_EQ(lint::rule_version("no-such-rule"), 1u);  // default
-  const lint::Finding narrow{"narrow", "src/x.cpp", 3, "m", "int y = f(v);"};
-  lint::Finding rng = narrow;
-  rng.rule = "rng";
-  EXPECT_NE(lint::finding_fingerprint(narrow), lint::finding_fingerprint(rng));
-  EXPECT_NE(lint::finding_fingerprint(narrow).find("narrow@v2|"),
-            std::string::npos);
-}
-
-TEST(LintFix, PragmaOnceInsertionIsIdempotentAndRespectsAllows) {
-  const std::string bare = "// header comment\n\nint value();\n";
-  const lint::FixOutcome fixed = lint::fix_pragma_once(bare);
-  ASSERT_EQ(fixed.status, lint::FixOutcome::Status::kFixed);
-  // Inserted after the leading comment block, before the first code.
-  EXPECT_NE(fixed.text.find("#pragma once"), std::string::npos);
-  EXPECT_LT(fixed.text.find("// header comment"),
-            fixed.text.find("#pragma once"));
-  EXPECT_LT(fixed.text.find("#pragma once"), fixed.text.find("int value"));
-  // The fixed text now passes R6 and a second fix is a no-op.
-  EXPECT_EQ(count_rule(lint::lint_text("src/h.hpp", fixed.text),
-                       "include-hygiene"),
-            0u);
-  EXPECT_EQ(lint::fix_pragma_once(fixed.text).status,
-            lint::FixOutcome::Status::kAlreadyClean);
-  // A header that opted out via allow(include-hygiene) is refused.
-  const std::string opted_out =
-      "// ccmx-lint: allow(include-hygiene)\nint value();\n";
-  EXPECT_EQ(lint::fix_pragma_once(opted_out).status,
-            lint::FixOutcome::Status::kRefused);
-}
-
-TEST(LintRun, PerRuleTimingsCoverEveryRule) {
-  const lint::FileLint file =
-      lint::lint_text("src/t.cpp", "int f(long v) { return 0; }\n");
-  std::vector<std::string> timed;
-  for (const lint::RuleTiming& t : file.timings) {
-    timed.push_back(t.rule);
-    EXPECT_GE(t.wall_seconds, 0.0);
-    EXPECT_GE(t.cpu_seconds, 0.0);
-  }
-  for (const lint::RuleInfo& rule : lint::rules()) {
-    EXPECT_NE(std::find(timed.begin(), timed.end(), rule.name), timed.end())
-        << rule.name;
-  }
-}
-
-TEST(LintBaseline, FingerprintIgnoresLineNumbers) {
-  lint::Finding a{"narrow", "src/x.cpp", 10, "m", "return static_cast<int>(v);"};
-  lint::Finding b = a;
-  b.line = 99;
-  b.snippet = "return   static_cast<int>(v);";  // re-indented
-  EXPECT_EQ(lint::finding_fingerprint(a), lint::finding_fingerprint(b));
-  b.snippet = "return static_cast<short>(v);";
-  EXPECT_NE(lint::finding_fingerprint(a), lint::finding_fingerprint(b));
-}
-
-TEST(LintBaseline, RoundTripsThroughRenderAndLoad) {
-  const lint::Finding kept{"narrow", "src/x.cpp", 3, "m", "int y = 0;"};
-  const lint::Finding other{"rng", "src/y.cpp", 4, "m", "std_rand();"};
-  const lint::Baseline built = lint::Baseline::from_findings({kept});
-  EXPECT_TRUE(built.contains(kept));
-  EXPECT_FALSE(built.contains(other));
-
-  const fs::path path =
-      fs::path(testing::TempDir()) / "ccmx_lint_baseline_test.txt";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << built.render() << "\n# trailing comment\n\n";
-  }
-  const lint::Baseline loaded = lint::Baseline::load(path.string());
-  EXPECT_EQ(loaded.size(), 1u);
-  EXPECT_TRUE(loaded.contains(kept));
-  EXPECT_FALSE(loaded.contains(other));
-  fs::remove(path);
-}
-
-TEST(LintBaseline, MissingFileLoadsEmpty) {
-  const lint::Baseline empty =
-      lint::Baseline::load("/nonexistent/ccmx/baseline.txt");
-  EXPECT_EQ(empty.size(), 0u);
-}
-
-TEST(LintRun, WalkerSkipsFixturesAndAppliesBaseline) {
+TEST(LintRun, WalkerSkipsFixtureBuildAndHiddenDirs) {
   const fs::path root = fs::path(testing::TempDir()) / "ccmx_lint_run_test";
   fs::remove_all(root);
   const std::string violation =
@@ -306,21 +203,10 @@ TEST(LintRun, WalkerSkipsFixturesAndAppliesBaseline) {
 
   lint::RunOptions options;
   options.root = root.string();
-  const lint::RunResult unbaselined = lint::run_lint(options);
-  EXPECT_EQ(unbaselined.files_scanned, 2u);
-  ASSERT_EQ(unbaselined.findings.size(), 1u);
-  EXPECT_EQ(unbaselined.findings[0].file, "src/a.cpp");
-  EXPECT_TRUE(unbaselined.baselined.empty());
-
-  const fs::path baseline_path = root / "baseline.txt";
-  {
-    std::ofstream out(baseline_path);
-    out << lint::Baseline::from_findings(unbaselined.findings).render();
-  }
-  options.baseline_path = baseline_path.string();
-  const lint::RunResult baselined = lint::run_lint(options);
-  EXPECT_TRUE(baselined.findings.empty());
-  EXPECT_EQ(baselined.baselined.size(), 1u);
+  const lint::RunResult result = lint::run_lint(options);
+  EXPECT_EQ(result.files_scanned, 2u);
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].file, "src/a.cpp");
   fs::remove_all(root);
 }
 
@@ -338,27 +224,33 @@ TEST(LintReport, JsonValidatesAgainstSchema) {
   ASSERT_NE(schema, nullptr);
   EXPECT_EQ(schema->string, ccmx::obs::kLintReportSchema);
   EXPECT_TRUE(ccmx::obs::is_registered_schema(schema->string));
+  // Version 2 dropped the baseline count and the per-rule timings.
+  EXPECT_EQ(doc.find("baselined"), nullptr);
+  EXPECT_EQ(doc.find("timings"), nullptr);
 
   // A foreign schema id must be rejected.
   const ccmx::obs::json::Value bad = ccmx::obs::json::parse(
       "{\"schema\":\"ccmx.run_report/1\",\"files_scanned\":0,"
-      "\"suppressed\":0,\"baselined\":0,\"findings\":[]}");
+      "\"suppressed\":0,\"findings\":[]}");
   EXPECT_FALSE(lint::validate_lint_report(bad).empty());
 }
 
 TEST(LintGate, RepoIsCleanUnderTheCommittedBaseline) {
   // The acceptance gate, enforced from tier-1 tests: linting the actual
-  // repo with its committed baseline yields zero active findings.
+  // repo yields zero findings, and the lexical and arch passes walk the
+  // same files (one default subdir list for both).
   lint::RunOptions options;
   options.root = CCMX_REPO_ROOT;
-  options.baseline_path =
-      std::string(CCMX_REPO_ROOT) + "/tools/lint_baseline.txt";
   const lint::RunResult result = lint::run_lint(options);
   EXPECT_GT(result.files_scanned, 100u);
   for (const lint::Finding& f : result.findings) {
     ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
                   << f.message;
   }
+  lint::ArchOptions arch_options;
+  arch_options.root = CCMX_REPO_ROOT;
+  EXPECT_EQ(lint::run_arch(arch_options).files_scanned,
+            result.files_scanned);
 }
 
 }  // namespace

@@ -49,6 +49,7 @@
 //
 // See docs/OBSERVABILITY.md ("Analyzing reports") for the schemas.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -57,7 +58,9 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -104,7 +107,15 @@ int usage() {
   return 2;
 }
 
-/// "--key value" argument scraper; returns nullopt when absent.
+/// A bad command line: main prints the message and the usage, exit 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// "--key value" argument reader.  Each subcommand reads every option it
+/// takes before acting, then calls done(): an argument nothing read (a
+/// misspelled or repeated option, a stray word) is a UsageError, never
+/// silently ignored.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -139,21 +150,63 @@ class Args {
         ++i;  // skip the option's value too
         continue;
       }
+      consumed_.push_back(i);
       return args_[i];
     }
     return std::nullopt;
   }
 
+  /// A relative tolerance: the whole value must be a finite number
+  /// >= 0.  `fallback` when the option is absent.
+  double tolerance(const std::string& key, double fallback) {
+    const auto text = option(key);
+    if (!text) return fallback;
+    const double value = parse<double>(key, *text);
+    if (!std::isfinite(value) || value < 0.0) {
+      throw UsageError(key + " needs a finite number >= 0, got \"" + *text +
+                       "\"");
+    }
+    return value;
+  }
+
+  /// A whole-token integer >= `min`; `fallback` when absent.
+  template <class Int>
+  Int integer(const std::string& key, Int fallback, Int min) {
+    const auto text = option(key);
+    if (!text) return fallback;
+    const Int value = parse<Int>(key, *text);
+    if (value < min) {
+      throw UsageError(key + " needs an integer >= " + std::to_string(min) +
+                       ", got \"" + *text + "\"");
+    }
+    return value;
+  }
+
+  /// Throws UsageError naming the first argument no call above read.
+  void done() const {
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (std::find(consumed_.begin(), consumed_.end(), i) ==
+          consumed_.end()) {
+        throw UsageError("unexpected argument \"" + args_[i] + "\"");
+      }
+    }
+  }
+
  private:
+  template <class T>
+  static T parse(const std::string& key, const std::string& text) {
+    T value{};
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      throw UsageError(key + " needs a number, got \"" + text + "\"");
+    }
+    return value;
+  }
+
   std::vector<std::string> args_;
   std::vector<std::size_t> consumed_;
 };
-
-double parse_double(const std::string& s, double fallback) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  return end != s.c_str() ? v : fallback;
-}
 
 bool write_text_file(const std::string& path, const std::string& text) {
   const std::filesystem::path p(path);
@@ -173,29 +226,25 @@ bool write_text_file(const std::string& path, const std::string& text) {
 int cmd_diff(Args& args) {
   const auto baseline_dir = args.option("--baseline");
   const auto candidate_dir = args.option("--candidate");
-  if (!baseline_dir || !candidate_dir) return usage();
-
   obs::DiffThresholds thresholds;
-  if (const auto v = args.option("--cpu-tol")) {
-    thresholds.cpu_rel_tol = parse_double(*v, thresholds.cpu_rel_tol);
-  }
-  if (const auto v = args.option("--counter-tol")) {
-    thresholds.counter_rel_tol = parse_double(*v, thresholds.counter_rel_tol);
-  }
-  if (const auto v = args.option("--rss-tol")) {
-    thresholds.rss_rel_tol = parse_double(*v, thresholds.rss_rel_tol);
-  }
-  if (const auto v = args.option("--insn-tol")) {
-    thresholds.insn_rel_tol = parse_double(*v, thresholds.insn_rel_tol);
-  }
-  if (const auto v = args.option("--min-iters")) {
-    thresholds.min_iterations = std::strtol(v->c_str(), nullptr, 10);
-  }
+  thresholds.cpu_rel_tol = args.tolerance("--cpu-tol", thresholds.cpu_rel_tol);
+  thresholds.counter_rel_tol =
+      args.tolerance("--counter-tol", thresholds.counter_rel_tol);
+  thresholds.rss_rel_tol = args.tolerance("--rss-tol", thresholds.rss_rel_tol);
+  thresholds.insn_rel_tol =
+      args.tolerance("--insn-tol", thresholds.insn_rel_tol);
+  thresholds.min_iterations = args.integer<std::int64_t>(
+      "--min-iters", thresholds.min_iterations, 1);
+  const auto json_path = args.option("--json");
+  const auto md_path = args.option("--md");
+  const bool allow_missing_baseline = args.flag("--allow-missing-baseline");
+  args.done();
+  if (!baseline_dir || !candidate_dir) return usage();
 
   const obs::LoadResult baseline = obs::load_report_dir(*baseline_dir);
   const obs::LoadResult candidate = obs::load_report_dir(*candidate_dir);
   if (baseline.reports.empty()) {
-    if (args.flag("--allow-missing-baseline")) {
+    if (allow_missing_baseline) {
       std::cout << "warning: no baseline reports in " << *baseline_dir
                 << "; skipping the regression gate\n";
       return 0;
@@ -222,18 +271,16 @@ int cmd_diff(Args& args) {
 
   const std::string markdown = obs::render_bench_diff_markdown(diff);
   std::cout << markdown;
-  if (const auto path = args.option("--json")) {
-    if (!write_text_file(*path, obs::render_bench_diff_json(diff))) {
-      std::cerr << "error: cannot write " << *path << '\n';
+  if (json_path) {
+    if (!write_text_file(*json_path, obs::render_bench_diff_json(diff))) {
+      std::cerr << "error: cannot write " << *json_path << '\n';
       return 2;
     }
-    std::cout << "bench diff json: " << *path << '\n';
+    std::cout << "bench diff json: " << *json_path << '\n';
   }
-  if (const auto path = args.option("--md")) {
-    if (!write_text_file(*path, markdown)) {
-      std::cerr << "error: cannot write " << *path << '\n';
-      return 2;
-    }
+  if (md_path && !write_text_file(*md_path, markdown)) {
+    std::cerr << "error: cannot write " << *md_path << '\n';
+    return 2;
   }
   return diff.has_cpu_regression() || diff.has_insn_regression() ? 1 : 0;
 }
@@ -242,9 +289,10 @@ int cmd_diff(Args& args) {
 
 int cmd_trajectory(Args& args) {
   const auto reports_dir = args.option("--reports");
-  if (!reports_dir) return usage();
   const std::string out =
       args.option("--out").value_or("bench/out/trajectory.jsonl");
+  args.done();
+  if (!reports_dir) return usage();
   const obs::LoadResult reports = obs::load_report_dir(*reports_dir);
   for (const std::string& p : reports.problems) {
     std::cerr << "warning: " << p << '\n';
@@ -265,6 +313,7 @@ int cmd_trace(Args& args) {
   const auto report_path = args.option("--report");
   const auto chrome_path = args.option("--chrome");
   const auto trace_path = args.positional();
+  args.done();
   if (!trace_path) return usage();
 
   // Chunked streaming read, tolerant of the two damage shapes a live
@@ -432,6 +481,8 @@ int cmd_trace(Args& args) {
 
 int cmd_timeseries(Args& args) {
   const auto path = args.positional();
+  const auto json_path = args.option("--json");
+  args.done();
   if (!path) return usage();
 
   const obs::TimeseriesResult series = obs::load_timeseries(*path);
@@ -495,7 +546,7 @@ int cmd_timeseries(Args& args) {
   }
   table.print(std::cout);
 
-  if (const auto json_path = args.option("--json")) {
+  if (json_path) {
     std::ostringstream os;
     obs::json::Writer w(os);
     w.begin_object();
@@ -537,12 +588,11 @@ int cmd_timeseries(Args& args) {
 
 int cmd_profile(Args& args) {
   const auto path = args.positional();
+  const std::size_t top_n = args.integer<std::size_t>("--top", 15, 1);
+  const auto collapsed_path = args.option("--collapsed");
+  const auto trace_path = args.option("--trace");
+  args.done();
   if (!path) return usage();
-  std::size_t top_n = 15;
-  if (const auto top = args.option("--top")) {
-    top_n = static_cast<std::size_t>(std::strtoul(top->c_str(), nullptr, 10));
-    if (top_n == 0) top_n = 15;
-  }
   if (std::ifstream probe(*path, std::ios::binary); !probe.is_open()) {
     std::cerr << "error: cannot open " << *path << '\n';
     return 2;
@@ -602,7 +652,7 @@ int cmd_profile(Args& args) {
     }
   }
 
-  if (const auto collapsed_path = args.option("--collapsed")) {
+  if (collapsed_path) {
     // Classic folded stacks, one "frame;frame;frame count" line each —
     // flamegraph.pl and speedscope both eat this directly.
     std::ostringstream folded;
@@ -619,7 +669,7 @@ int cmd_profile(Args& args) {
               << *collapsed_path << '\n';
   }
 
-  if (const auto trace_path = args.option("--trace")) {
+  if (trace_path) {
     // Join sample span ids against the span forest of the same run: the
     // instrumented view (span wall time) and the statistical view
     // (sample counts) land in one table.
@@ -664,7 +714,7 @@ int cmd_profile(Args& args) {
 
 // ---------------------------------------------------------------- html
 
-/// Parses PATH as JSON and checks it against ccmx.arch_report/1;
+/// Parses PATH as JSON and checks it against ccmx.arch_report/2;
 /// prints the problems and returns nullopt when it does not conform.
 std::optional<obs::json::Value> load_arch_report(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -692,8 +742,17 @@ std::optional<obs::json::Value> load_arch_report(const std::string& path) {
 
 int cmd_html(Args& args) {
   const auto reports_dir = args.option("--reports");
-  if (!reports_dir) return usage();
   const std::string out = args.option("--out").value_or("dashboard.html");
+  const std::string title =
+      args.option("--title").value_or("ccmx observability dashboard");
+  const auto trajectory_path = args.option("--trajectory");
+  const auto diff_path = args.option("--diff");
+  const auto arch_path = args.option("--arch");
+  const auto trace_path = args.option("--trace");
+  const auto ts_path = args.option("--timeseries");
+  const auto profile_path = args.option("--profile");
+  args.done();
+  if (!reports_dir) return usage();
 
   const obs::LoadResult reports = obs::load_report_dir(*reports_dir);
   for (const std::string& p : reports.problems) {
@@ -702,7 +761,7 @@ int cmd_html(Args& args) {
 
   obs::DashboardData data;
   data.reports = &reports;
-  data.title = args.option("--title").value_or("ccmx observability dashboard");
+  data.title = title;
   if (!reports.reports.empty()) {
     const obs::LoadedReport& first = reports.reports.front();
     data.provenance = "git " + first.git_sha.substr(0, 12) + ", " +
@@ -717,15 +776,15 @@ int cmd_html(Args& args) {
   // a note on the page, not a failure.
   obs::TrajectorySeriesResult series;
   obs::TrendResult trend;
-  if (const auto trajectory = args.option("--trajectory")) {
-    series = obs::load_trajectory_series(*trajectory);
-    trend = obs::trend_from_trajectory(*trajectory);
+  if (trajectory_path) {
+    series = obs::load_trajectory_series(*trajectory_path);
+    trend = obs::trend_from_trajectory(*trajectory_path);
     data.series = &series;
     data.trend = &trend;
   }
 
   obs::json::Value diff_doc;
-  if (const auto diff_path = args.option("--diff")) {
+  if (diff_path) {
     std::ifstream in(*diff_path, std::ios::binary);
     if (!in.is_open()) {
       std::cerr << "error: cannot open " << *diff_path << '\n';
@@ -751,7 +810,7 @@ int cmd_html(Args& args) {
   }
 
   std::optional<obs::json::Value> arch_doc;
-  if (const auto arch_path = args.option("--arch")) {
+  if (arch_path) {
     arch_doc = load_arch_report(*arch_path);
     if (!arch_doc) return 2;
     data.arch = &*arch_doc;
@@ -760,7 +819,7 @@ int cmd_html(Args& args) {
   obs::ChannelTrace trace;
   obs::SpanForest forest;
   obs::TraceReadStats trace_stats;
-  if (const auto trace_path = args.option("--trace")) {
+  if (trace_path) {
     // Same tolerant chunked read as `trace`: a dashboard over a damaged
     // trace should render the damage, not die on it.
     obs::TraceReadOptions options;
@@ -782,7 +841,7 @@ int cmd_html(Args& args) {
   }
 
   obs::TimeseriesResult timeseries;
-  if (const auto ts_path = args.option("--timeseries")) {
+  if (ts_path) {
     // Tolerant like the other optional sections: a sampler killed
     // mid-row still renders; only a fully missing/empty series warns.
     timeseries = obs::load_timeseries(*ts_path);
@@ -793,7 +852,7 @@ int cmd_html(Args& args) {
   }
 
   obs::ProfileData profile;
-  if (const auto profile_path = args.option("--profile")) {
+  if (profile_path) {
     // Tolerant too: a profile with problems renders them as warnings on
     // the page; only the section's absence needs the note.
     profile = obs::load_profile(*profile_path);
@@ -892,16 +951,15 @@ int fit_report(const std::string& law, const std::vector<FitPoint>& points,
 
 int cmd_fit(Args& args) {
   const std::string law = args.option("--law").value_or("send-half");
-  const std::uint64_t seed =
-      args.option("--seed")
-          ? std::strtoull(args.option("--seed")->c_str(), nullptr, 10)
-          : 7;
+  const auto seed = args.integer<std::uint64_t>("--seed", 7, 0);
+  // 0 turns the slope gate off; each fingerprint regime gates at 0.2
+  // by default (see E2/E11).
+  const double max_dev =
+      args.tolerance("--max-dev", law == "fingerprint" ? 0.2 : 0.1);
+  args.done();
   util::Xoshiro256 rng(seed);
 
   if (law == "send-half") {
-    const double max_dev = args.option("--max-dev")
-                               ? parse_double(*args.option("--max-dev"), 0.1)
-                               : 0.1;
     const std::string trace_path = arm_private_trace_file();
     // E1's regime: even partitions of 2m x 2m matrices with k-bit
     // entries; the send-half upper bound is k*n^2/2 + 1 bits, linear in
@@ -926,9 +984,6 @@ int cmd_fit(Args& args) {
   }
 
   if (law == "fingerprint") {
-    const double max_dev = args.option("--max-dev")
-                               ? parse_double(*args.option("--max-dev"), 0.2)
-                               : 0.2;  // gating by default; see E2/E11
     const std::string trace_path = arm_private_trace_file();
     // E2/E11's regime: fingerprint bits grow with n^2 * max{log n, log k}
     // (the prime length tracks the max).  The max makes one global fit
@@ -1032,6 +1087,9 @@ int main(int argc, char** argv) {
     if (cmd == "profile") return cmd_profile(args);
     if (cmd == "html") return cmd_html(args);
     if (cmd == "fit") return cmd_fit(args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;

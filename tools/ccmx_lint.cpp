@@ -1,25 +1,25 @@
 // ccmx_lint — CLI for the project-invariant static-analysis passes.
 //
-//   ccmx_lint      [--root DIR] [--subdir D ...] [--baseline FILE]
-//                  [--write-baseline] [--fix] [--json PATH]
+//   ccmx_lint      [--root DIR] [--subdir D ...] [--json PATH]
 //                  [--list-rules] [--quiet]
-//   ccmx_lint arch [--root DIR] [--subdir D ...] [--baseline FILE]
-//                  [--write-baseline] [--json PATH] [--list-rules]
-//                  [--quiet]
+//   ccmx_lint arch [--root DIR] [--subdir D ...] [--json PATH]
+//                  [--list-rules] [--quiet]
 //
-// The bare form runs the per-file lexical rules R1–R7 (lint/lint.hpp);
+// The bare form runs the per-file lexical rules (lint/lint.hpp);
 // `ccmx_lint arch` runs the whole-repo architecture pass A1–A6
 // (lint/arch.hpp) — include graph vs the declared layering plus the
-// symbol cross-reference.  Exit status for both: 0 = clean (no
-// non-baselined findings), 1 = findings, 2 = usage or I/O error.  The
-// default baselines are <root>/tools/lint_baseline.txt and
-// <root>/tools/arch_baseline.txt (a missing file is an empty baseline),
-// so CI can run both modes from the repo root with no flags.
+// symbol cross-reference.  Both walk the same subdirs.  Exit status for
+// both: 0 = clean, 1 = findings, 2 = usage or I/O error.  A --subdir
+// that names no directory and a run that finds no source file are
+// errors too, so a typo cannot pass the gate by scanning nothing.  The
+// only way to tolerate a finding is a `// ccmx-lint: allow(<rule>)`
+// comment next to it.
+#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,46 +31,34 @@ namespace {
 void print_usage(std::ostream& os) {
   os << "usage: ccmx_lint [arch] [options]\n"
         "  arch               run the whole-repo architecture pass (A1-A6)\n"
-        "                     instead of the per-file lexical rules (R1-R7)\n"
+        "                     instead of the per-file lexical rules\n"
         "  --root DIR         repo root to lint (default: .)\n"
-        "  --subdir D         scan only this subdir; repeatable\n"
-        "                     (default: src bench tools tests; arch mode\n"
-        "                     adds examples)\n"
-        "  --baseline FILE    baseline file (default: <root>/tools/\n"
-        "                     lint_baseline.txt, arch_baseline.txt for arch)\n"
-        "  --no-baseline      ignore any baseline file\n"
-        "  --write-baseline   rewrite the baseline from current findings\n"
-        "  --fix              lexical mode only: insert missing #pragma\n"
-        "                     once into offending headers (rule R6)\n"
+        "  --subdir D         scan only this subdir of the root; repeatable\n"
+        "                     (default: src bench tools tests examples)\n"
         "  --json PATH        also write the machine-readable report\n"
         "                     (obs::kLintReportSchema / kArchReportSchema)\n"
         "  --list-rules       print the rule table and exit\n"
         "  --quiet            summary line only, no per-finding output\n";
 }
 
-void print_findings(const std::vector<ccmx::lint::Finding>& findings,
-                    std::string_view tag) {
+void print_findings(const std::vector<ccmx::lint::Finding>& findings) {
   for (const ccmx::lint::Finding& f : findings) {
-    std::cout << f.file << ":" << f.line << ": [" << f.rule << "]" << tag
-              << " " << f.message << "\n";
+    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
     if (!f.snippet.empty()) std::cout << "    " << f.snippet << "\n";
   }
 }
 
 void print_rules(const std::vector<ccmx::lint::RuleInfo>& rules) {
   for (const ccmx::lint::RuleInfo& rule : rules) {
-    std::cout << rule.alias << "  " << rule.name << " (v" << rule.version
-              << ")\n    " << rule.summary << "\n";
+    std::cout << rule.alias << "  " << rule.name << "\n    " << rule.summary
+              << "\n";
   }
 }
 
 struct CommonArgs {
   std::string root = ".";
-  std::vector<std::string> subdirs;  // empty = mode default
-  std::string baseline_path;
-  bool no_baseline = false;
-  bool write_baseline = false;
-  bool fix = false;
+  std::vector<std::string> subdirs;  // empty = lint::default_subdirs()
   bool quiet = false;
   bool list_rules = false;
   std::string json_path;
@@ -90,14 +78,6 @@ int parse_args(int argc, char** argv, int first, CommonArgs& args) {
       args.root = next();
     } else if (arg == "--subdir") {
       args.subdirs.push_back(next());
-    } else if (arg == "--baseline") {
-      args.baseline_path = next();
-    } else if (arg == "--no-baseline") {
-      args.no_baseline = true;
-    } else if (arg == "--write-baseline") {
-      args.write_baseline = true;
-    } else if (arg == "--fix") {
-      args.fix = true;
     } else if (arg == "--json") {
       args.json_path = next();
     } else if (arg == "--quiet") {
@@ -113,20 +93,25 @@ int parse_args(int argc, char** argv, int first, CommonArgs& args) {
       return 2;
     }
   }
+  for (const std::string& subdir : args.subdirs) {
+    if (!std::filesystem::is_directory(std::filesystem::path(args.root) /
+                                       subdir)) {
+      std::cerr << "ccmx_lint: --subdir " << subdir
+                << " is not a directory under " << args.root << "\n";
+      print_usage(std::cerr);
+      return 2;
+    }
+  }
   return 0;
 }
 
-int write_baseline_file(const std::string& path, const std::string& content,
-                        std::size_t count) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    std::cerr << "ccmx_lint: cannot write " << path << "\n";
-    return 2;
-  }
-  out << content;
-  std::cout << "ccmx_lint: wrote " << count << " fingerprint(s) to " << path
-            << "\n";
-  return 0;
+/// A run that scanned no file checked nothing: typically a --root that
+/// is not the repo (say, the build directory).  Reports it as an error.
+bool scanned_nothing(std::size_t files_scanned, const std::string& root) {
+  if (files_scanned > 0) return false;
+  std::cerr << "ccmx_lint: no source files under " << root
+            << " (is it the repo root?)\n";
+  return true;
 }
 
 int write_json_file(const std::string& path, const std::string& content) {
@@ -139,51 +124,6 @@ int write_json_file(const std::string& path, const std::string& content) {
   return 0;
 }
 
-/// Applies the R6 fix to every offending header in `result` (active and
-/// baselined alike — the fix is mechanical) and reports what happened.
-/// Returns the number of files rewritten.
-std::size_t apply_pragma_fixes(const ccmx::lint::RunResult& result,
-                               const std::string& root) {
-  std::size_t fixed = 0;
-  std::vector<ccmx::lint::Finding> all = result.findings;
-  all.insert(all.end(), result.baselined.begin(), result.baselined.end());
-  for (const ccmx::lint::Finding& f : all) {
-    if (f.rule != "include-hygiene") continue;
-    const std::string path = root + "/" + f.file;
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      std::cerr << "ccmx_lint: --fix cannot read " << path << "\n";
-      continue;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    in.close();
-    const ccmx::lint::FixOutcome outcome =
-        ccmx::lint::fix_pragma_once(buffer.str());
-    switch (outcome.status) {
-      case ccmx::lint::FixOutcome::Status::kFixed: {
-        std::ofstream out(path, std::ios::trunc | std::ios::binary);
-        if (!out.is_open()) {
-          std::cerr << "ccmx_lint: --fix cannot write " << path << "\n";
-          break;
-        }
-        out << outcome.text;
-        std::cout << "ccmx_lint: fixed " << f.file
-                  << " (inserted #pragma once)\n";
-        ++fixed;
-        break;
-      }
-      case ccmx::lint::FixOutcome::Status::kRefused:
-        std::cout << "ccmx_lint: refusing to fix " << f.file
-                  << " — it carries an allow(include-hygiene) suppression\n";
-        break;
-      case ccmx::lint::FixOutcome::Status::kAlreadyClean:
-        break;
-    }
-  }
-  return fixed;
-}
-
 int run_lexical_mode(const CommonArgs& args) {
   if (args.list_rules) {
     print_rules(ccmx::lint::rules());
@@ -192,28 +132,9 @@ int run_lexical_mode(const CommonArgs& args) {
   ccmx::lint::RunOptions options;
   options.root = args.root;
   if (!args.subdirs.empty()) options.subdirs = args.subdirs;
-  options.baseline_path = args.baseline_path;
-  if (options.baseline_path.empty() && !args.no_baseline) {
-    options.baseline_path = options.root + "/tools/lint_baseline.txt";
-  }
-  if (args.no_baseline) options.baseline_path.clear();
 
-  ccmx::lint::RunResult result = ccmx::lint::run_lint(options);
-
-  if (args.fix) {
-    const std::size_t fixed = apply_pragma_fixes(result, options.root);
-    if (fixed > 0) result = ccmx::lint::run_lint(options);  // re-lint
-  }
-
-  if (args.write_baseline) {
-    std::vector<ccmx::lint::Finding> all = result.findings;
-    all.insert(all.end(), result.baselined.begin(), result.baselined.end());
-    const std::string path = options.baseline_path.empty()
-                                 ? options.root + "/tools/lint_baseline.txt"
-                                 : options.baseline_path;
-    return write_baseline_file(
-        path, ccmx::lint::Baseline::from_findings(all).render(), all.size());
-  }
+  const ccmx::lint::RunResult result = ccmx::lint::run_lint(options);
+  if (scanned_nothing(result.files_scanned, options.root)) return 2;
 
   if (!args.json_path.empty()) {
     const int rc = write_json_file(
@@ -221,13 +142,9 @@ int run_lexical_mode(const CommonArgs& args) {
     if (rc != 0) return rc;
   }
 
-  if (!args.quiet) {
-    print_findings(result.findings, "");
-    print_findings(result.baselined, " (baselined)");
-  }
+  if (!args.quiet) print_findings(result.findings);
   std::cout << "ccmx_lint: " << result.files_scanned << " file(s), "
-            << result.findings.size() << " finding(s), "
-            << result.baselined.size() << " baselined, " << result.suppressed
+            << result.findings.size() << " finding(s), " << result.suppressed
             << " suppressed\n";
   return result.findings.empty() ? 0 : 1;
 }
@@ -237,30 +154,12 @@ int run_arch_mode(const CommonArgs& args) {
     print_rules(ccmx::lint::arch_rules());
     return 0;
   }
-  if (args.fix) {
-    std::cerr << "ccmx_lint: --fix applies to the lexical mode only\n";
-    return 2;
-  }
   ccmx::lint::ArchOptions options;
   options.root = args.root;
   if (!args.subdirs.empty()) options.subdirs = args.subdirs;
-  options.baseline_path = args.baseline_path;
-  if (options.baseline_path.empty() && !args.no_baseline) {
-    options.baseline_path = options.root + "/tools/arch_baseline.txt";
-  }
-  if (args.no_baseline) options.baseline_path.clear();
 
   const ccmx::lint::ArchResult result = ccmx::lint::run_arch(options);
-
-  if (args.write_baseline) {
-    std::vector<ccmx::lint::Finding> all = result.findings;
-    all.insert(all.end(), result.baselined.begin(), result.baselined.end());
-    const std::string path = options.baseline_path.empty()
-                                 ? options.root + "/tools/arch_baseline.txt"
-                                 : options.baseline_path;
-    return write_baseline_file(
-        path, ccmx::lint::Baseline::from_findings(all).render(), all.size());
-  }
+  if (scanned_nothing(result.files_scanned, options.root)) return 2;
 
   if (!args.json_path.empty()) {
     const int rc = write_json_file(
@@ -268,15 +167,11 @@ int run_arch_mode(const CommonArgs& args) {
     if (rc != 0) return rc;
   }
 
-  if (!args.quiet) {
-    print_findings(result.findings, "");
-    print_findings(result.baselined, " (baselined)");
-  }
+  if (!args.quiet) print_findings(result.findings);
   std::cout << "ccmx_lint arch: " << result.files_scanned << " file(s), "
             << result.include_edges << " include edge(s), "
             << result.modules.size() << " module(s), "
-            << result.findings.size() << " finding(s), "
-            << result.baselined.size() << " baselined, " << result.suppressed
+            << result.findings.size() << " finding(s), " << result.suppressed
             << " suppressed\n";
   return result.findings.empty() ? 0 : 1;
 }
