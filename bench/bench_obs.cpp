@@ -8,9 +8,9 @@
 // sink (async 3.6x its throughput at 8 threads) is in
 // docs/OBSERVABILITY.md.
 //
-// The reproduction table storms both policies from 8 threads and prints
-// the emitted/dropped ledger, so conservation (written + dropped ==
-// emitted) is visible next to the timings.
+// The reproduction table storms the sink from 8 threads and prints the
+// emitted/dropped ledger, so losslessness (0 dropped) is visible next to
+// the timings.
 #include <atomic>
 #include <thread>
 
@@ -26,10 +26,9 @@ constexpr std::string_view kEventLine =
     "{\"ev\":\"send\",\"ch\":42,\"from\":0,\"bits\":128,\"round\":3,"
     "\"msg\":17,\"span\":9,\"tid\":1,\"t_us\":123456}";
 
-bool open_null_sink(obs::TracePolicy policy) {
+bool open_null_sink() {
   obs::TraceSinkOptions options;
   options.path = "/dev/null";
-  options.policy = policy;
   return obs::open_trace_sink(options);
 }
 
@@ -42,7 +41,7 @@ bool open_null_sink(obs::TracePolicy policy) {
 void BM_EmitAsync(benchmark::State& state) {
   if (state.thread_index() == 0) {
     obs::set_enabled(true);
-    if (!open_null_sink(obs::TracePolicy::kBlock)) {
+    if (!open_null_sink()) {
       state.SkipWithError("cannot open /dev/null trace sink");
     }
   }
@@ -107,10 +106,9 @@ struct StormResult {
   double wall_seconds = 0.0;
 };
 
-StormResult storm(obs::TracePolicy policy, std::size_t threads,
-                  std::uint64_t events_per_thread) {
+StormResult storm(std::size_t threads, std::uint64_t events_per_thread) {
   obs::reset_values();
-  if (!open_null_sink(policy)) return {};
+  if (!open_null_sink()) return {};
   const util::WallTimer timer;
   {
     std::vector<std::jthread> emitters;
@@ -147,31 +145,21 @@ void print_tables() {
 
   print_header(
       "OBS: trace-pipeline conservation ledger",
-      "8 emitter threads storm the sink per policy; every emitted event\n"
-      "must be written or counted in obs.trace.dropped (never silently\n"
-      "lost).  block must finish with zero drops at the default capacity;\n"
-      "drop may shed load but the ledger still balances.");
+      "8 emitter threads storm the sink; emitters wait for ring space, so\n"
+      "every emitted event must be written: the row must show zero\n"
+      "drops at the default capacity.");
 
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 20'000;
   util::TextTable table(
-      {"policy", "threads", "emitted", "dropped", "lossless",
+      {"backpressure", "threads", "emitted", "dropped", "lossless",
        "events/sec"});
-  const struct {
-    const char* name;
-    obs::TracePolicy policy;
-  } policies[] = {{"block", obs::TracePolicy::kBlock},
-                  {"drop", obs::TracePolicy::kDrop}};
-  for (const auto& p : policies) {
-    const StormResult r = storm(p.policy, kThreads, kPerThread);
-    const double rate =
-        r.wall_seconds > 0.0
-            ? static_cast<double>(r.emitted) / r.wall_seconds
-            : 0.0;
-    table.row(p.name, kThreads, r.emitted, r.dropped,
-              r.dropped == 0 ? "yes" : "no",
-              static_cast<std::uint64_t>(rate));
-  }
+  const StormResult r = storm(kThreads, kPerThread);
+  const double rate =
+      r.wall_seconds > 0.0 ? static_cast<double>(r.emitted) / r.wall_seconds
+                           : 0.0;
+  table.row("block", kThreads, r.emitted, r.dropped,
+            r.dropped == 0 ? "yes" : "no", static_cast<std::uint64_t>(rate));
   print_table(table);
   obs::reset_values();
 

@@ -835,18 +835,13 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
   if (thresholds == nullptr || !thresholds->is_object()) {
     problems.emplace_back("missing object \"thresholds\"");
   } else {
-    for (const char* field :
-         {"cpu_rel_tol", "counter_rel_tol", "rss_rel_tol", "min_iterations"}) {
+    for (const char* field : {"cpu_rel_tol", "counter_rel_tol", "insn_rel_tol",
+                              "rss_rel_tol", "min_iterations"}) {
       const json::Value* v = thresholds->find(field);
       if (v == nullptr || !v->is_number()) {
         problems.push_back("thresholds missing numeric \"" +
                            std::string(field) + '"');
       }
-    }
-    // Optional: diffs predating the instruction gate carry no insn_rel_tol.
-    if (const json::Value* v = thresholds->find("insn_rel_tol");
-        v != nullptr && !v->is_number()) {
-      problems.emplace_back("thresholds member \"insn_rel_tol\" has wrong type");
     }
   }
   const json::Value* summary = doc.find("summary");
@@ -861,14 +856,12 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
                            '"');
       }
     }
-    const json::Value* gate = summary->find("cpu_regression");
-    if (gate == nullptr || !gate->is_bool()) {
-      problems.emplace_back("summary missing bool \"cpu_regression\"");
-    }
-    // Optional: diffs predating the instruction gate carry no insn gate.
-    if (const json::Value* insn_gate = summary->find("insn_regression");
-        insn_gate != nullptr && !insn_gate->is_bool()) {
-      problems.emplace_back("summary member \"insn_regression\" has wrong type");
+    for (const char* field : {"cpu_regression", "insn_regression"}) {
+      const json::Value* gate = summary->find(field);
+      if (gate == nullptr || !gate->is_bool()) {
+        problems.push_back("summary missing bool \"" + std::string(field) +
+                           '"');
+      }
     }
   }
   check_delta_array(doc, "benchmarks",
@@ -878,13 +871,10 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
   check_delta_array(doc, "counters",
                     {"baseline", "candidate", "ratio"},
                     {"report", "counter", "verdict"}, problems);
-  // Optional array: diffs predating the instruction gate carry none.
-  if (doc.find("insn") != nullptr) {
-    check_delta_array(doc, "insn",
-                      {"baseline_insn", "candidate_insn", "baseline_ipc",
-                       "candidate_ipc", "ratio"},
-                      {"report", "benchmark", "verdict"}, problems);
-  }
+  check_delta_array(doc, "insn",
+                    {"baseline_insn", "candidate_insn", "baseline_ipc",
+                     "candidate_ipc", "ratio"},
+                    {"report", "benchmark", "verdict"}, problems);
   check_delta_array(doc, "rss", {"baseline_bytes", "candidate_bytes", "ratio"},
                     {"report", "verdict"}, problems);
   if (const json::Value* probs = doc.find("problems");

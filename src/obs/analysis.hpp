@@ -182,6 +182,8 @@ struct BenchDiff {
 [[nodiscard]] std::string render_bench_diff_markdown(const BenchDiff& diff);
 
 /// Schema check for a parsed ccmx.bench_diff/1 document; empty = valid.
+/// A diff is written and read by the same CI job, so every field the
+/// current writer emits is required, the instruction gate's included.
 [[nodiscard]] std::vector<std::string> validate_bench_diff(
     const json::Value& doc);
 

@@ -988,8 +988,6 @@ class Dashboard {
       };
       w_.open("div", {{"class", "tiles"}});
       tile(fmt_count(stats.lines), "trace lines read");
-      tile(fmt_count(stats.gap_events), "tolerated gaps");
-      tile(fmt_count(stats.gapped_channels), "gapped channels");
       tile(stats.truncated_tail ? "torn" : "clean", "final line");
       w_.close();  // tiles
     }
@@ -1051,8 +1049,7 @@ class Dashboard {
   void flame_section() {
     w_.open("section", {{"class", "card"}});
     w_.element("h2", {}, "Span tree (flame view)");
-    if (data_.forest == nullptr ||
-        (data_.forest->nodes.empty() && data_.forest->legacy_spans == 0)) {
+    if (data_.forest == nullptr || data_.forest->nodes.empty()) {
       w_.element("p", {{"class", "note"}},
                  "No spans in the trace (run with CCMX_TRACE=1 and "
                  "CCMX_TRACE_FILE set).");
@@ -1113,12 +1110,6 @@ class Dashboard {
       flame_svg(forest, thread, fill_of);
     }
 
-    if (forest.legacy_spans > 0) {
-      w_.element("p", {{"class", "note"}},
-                 std::to_string(forest.legacy_spans) +
-                     " legacy (pre-span-tree) span event(s) without tree "
-                     "structure.");
-    }
     for (const std::string& problem : forest.problems) {
       w_.element("p", {{"class", "problems"}}, "\xE2\x9A\xA0 " + problem);
     }

@@ -50,8 +50,8 @@ struct DashboardData {
   /// Span forest (typically build_span_forest(trace->spans)) for the
   /// flame view.
   const SpanForest* forest = nullptr;
-  /// Stats from the streaming read of `trace` (lines, tolerated gaps,
-  /// torn tail) for the trace-pipeline panel.
+  /// Stats from the streaming read of `trace` (lines, torn tail) for
+  /// the trace-pipeline panel.
   const TraceReadStats* trace_stats = nullptr;
   /// A loaded ccmx.timeseries/1 series (background telemetry sampler)
   /// for the RSS / IPC / instruction-rate sparklines.

@@ -18,6 +18,7 @@
 
 #include "obs/json.hpp"
 #include "obs/schemas.hpp"
+#include "util/env.hpp"
 #include "util/narrow.hpp"
 
 #if defined(__linux__)
@@ -474,10 +475,8 @@ bool TelemetrySampler::start_from_env() {
   if (path == nullptr || path[0] == '\0') return false;
   SamplerOptions options;
   options.path = path;
-  if (const char* ms = std::getenv("CCMX_SAMPLE_MS")) {
-    const long long parsed = std::strtoll(ms, nullptr, 10);
-    if (parsed > 0) options.interval_ms = parsed;
-  }
+  options.interval_ms = util::env_int("CCMX_SAMPLE_MS", 1, 3'600'000,
+                                      options.interval_ms);
   return start(options);
 }
 

@@ -19,6 +19,7 @@
 #include <unordered_map>
 
 #include "obs/json.hpp"
+#include "util/env.hpp"
 #include "util/narrow.hpp"
 #include "util/require.hpp"
 
@@ -224,18 +225,17 @@ struct ThreadEventBuffer {
 
 class TraceSink {
  public:
-  TraceSink(std::ofstream out, TracePolicy policy, std::size_t capacity);
+  TraceSink(std::ofstream out, std::size_t capacity);
   ~TraceSink() { shutdown(); }
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
   /// Appends one thread's batch (a newline-terminated blob of `count`
-  /// lines) to the ring under the backpressure policy.  Admission is
-  /// batch-granular: a batch that cannot be placed (ring at event
-  /// capacity under kDrop, sink already closed) is dropped whole and all
-  /// `count` events land in obs.trace.dropped; under kBlock a batch
-  /// admitted just below capacity may overshoot it by at most
-  /// kEmitBatch-1 events until the drainer's next pass.
+  /// lines) to the ring, waiting while the ring is at capacity.
+  /// Admission is batch-granular: a batch admitted just below capacity
+  /// may overshoot it by at most kEmitBatch-1 events until the drainer's
+  /// next pass, and a batch that arrives after close is dropped whole,
+  /// all `count` events landing in obs.trace.dropped.
   void push_batch(std::string&& bytes, std::size_t count);
 
   /// Drainer-only: ring insertion ignoring capacity (the drainer empties
@@ -257,7 +257,6 @@ class TraceSink {
   /// newer batch underneath the swept (older) residue.
   void sweep_buffers();
 
-  const TracePolicy policy_;
   const std::size_t capacity_;
   std::ofstream out_;  // drainer-owned after construction
 
@@ -327,10 +326,8 @@ std::shared_ptr<TraceSink> sink_ref() {
   return reg.sink;
 }
 
-TraceSink::TraceSink(std::ofstream out, TracePolicy policy,
-                     std::size_t capacity)
-    : policy_(policy),
-      capacity_(capacity == 0 ? kDefaultRingCapacity : capacity),
+TraceSink::TraceSink(std::ofstream out, std::size_t capacity)
+    : capacity_(capacity == 0 ? kDefaultRingCapacity : capacity),
       out_(std::move(out)),
       drainer_([this](std::stop_token stop) { drain_main(stop); }) {}
 
@@ -338,15 +335,14 @@ void TraceSink::push_batch(std::string&& bytes, std::size_t count) {
   bool dropped = false;
   {
     std::unique_lock lock(mu_);
-    if (policy_ == TracePolicy::kBlock && !closed_ &&
-        ring_events_ >= capacity_) {
+    if (!closed_ && ring_events_ >= capacity_) {
       const auto t0 = std::chrono::steady_clock::now();
       wake_.notify_one();
       not_full_.wait(lock,
                      [&] { return closed_ || ring_events_ < capacity_; });
       g_block_ns.add(ns_since(t0));
     }
-    if (closed_ || ring_events_ >= capacity_) {
+    if (closed_) {
       dropped = true;
     } else {
       ring_events_ += count;
@@ -470,22 +466,6 @@ void TraceSink::drain_main(std::stop_token stop) {
   }
 }
 
-TracePolicy policy_from_env() noexcept {
-  const char* raw = std::getenv("CCMX_TRACE_POLICY");
-  if (raw == nullptr) return TracePolicy::kBlock;
-  const std::string_view v(raw);
-  if (v == "drop") return TracePolicy::kDrop;
-  return TracePolicy::kBlock;
-}
-
-std::size_t capacity_from_env() noexcept {
-  if (const char* raw = std::getenv("CCMX_TRACE_BUFFER")) {
-    const unsigned long long v = std::strtoull(raw, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 0;  // pick the default
-}
-
 /// Opens the sink; reg.trace_mu must be held by the caller.  On failure
 /// counts obs.trace.open_failed and reports to stderr once per process.
 bool open_trace_sink_locked(Registry& reg, const TraceSinkOptions& options) {
@@ -502,14 +482,13 @@ bool open_trace_sink_locked(Registry& reg, const TraceSinkOptions& options) {
     g_sink_mode.store(kSinkNone, std::memory_order_release);
     return false;
   }
-  reg.sink = std::make_shared<TraceSink>(std::move(out), options.policy,
-                                         options.capacity);
+  reg.sink = std::make_shared<TraceSink>(std::move(out), options.capacity);
   g_sink_mode.store(kSinkAsync, std::memory_order_release);
   return true;
 }
 
-/// Lazily opens the environment-configured sink (CCMX_TRACE_FILE +
-/// CCMX_TRACE_POLICY + CCMX_TRACE_BUFFER) the first time anything asks.
+/// Lazily opens the environment-configured sink (CCMX_TRACE_FILE) the
+/// first time anything asks.
 void probe_env_sink() {
   Registry& reg = registry();
   const std::scoped_lock lock(reg.trace_mu);
@@ -522,13 +501,11 @@ void probe_env_sink() {
   }
   TraceSinkOptions options;
   options.path = path;
-  options.policy = policy_from_env();
-  options.capacity = capacity_from_env();
   (void)open_trace_sink_locked(reg, options);
 }
 
-/// Moves this thread's buffered lines into the ring (backpressure policy
-/// applies) without waiting for the write.
+/// Moves this thread's buffered lines into the ring (waiting only for
+/// ring space) without waiting for the write.
 void publish_thread_buffer() {
   if (g_sink_mode.load(std::memory_order_acquire) != kSinkAsync) return;
   ThreadEventBuffer& buffer = thread_event_buffer();
@@ -578,15 +555,8 @@ std::uint64_t next_span_id() noexcept {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool env_truthy(const char* name) noexcept {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return false;
-  const std::string_view v(raw);
-  return v != "0" && v != "false" && v != "off" && v != "no";
-}
-
 std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{env_truthy("CCMX_TRACE") ||
+  static std::atomic<bool> flag{util::env_flag("CCMX_TRACE") ||
                                 std::getenv("CCMX_TRACE_FILE") != nullptr};
   return flag;
 }

@@ -48,23 +48,12 @@ struct Snapshot {
   std::vector<std::pair<std::string, std::string>> attributes;
 };
 
-/// Backpressure policy of the trace sink, chosen when the sink opens
-/// (CCMX_TRACE_POLICY or TraceSinkOptions::policy).
-enum class TracePolicy : std::uint8_t {
-  /// Emitters wait for ring space: lossless, but a hot path can stall
-  /// behind a slow disk.  The default.
-  kBlock,
-  /// Overflowing events are discarded and counted in obs.trace.dropped
-  /// (never silently): per-thread order is preserved, with gaps.
-  kDrop,
-};
-
-/// Explicit sink configuration for open_trace_sink (CLIs and benches;
-/// normal runs configure the sink through the environment instead).
+/// Explicit sink configuration for open_trace_sink (benches and tests;
+/// normal runs configure the sink through CCMX_TRACE_FILE instead).
 struct TraceSinkOptions {
   std::string path;
-  TracePolicy policy = TracePolicy::kBlock;
-  /// Ring capacity in events; 0 picks the default (65536).
+  /// Ring capacity in events; 0 picks the default (65536).  Only tests
+  /// shrink it, to force emitters through the backpressure wait.
   std::size_t capacity = 0;
 };
 
@@ -172,19 +161,19 @@ void set_attribute(std::string_view key, std::string_view value);
 /// Appends one pre-rendered JSON object as a line to the event sink
 /// (no-op when the sink is closed).  `json_object` must not contain '\n'.
 ///
-/// The write is asynchronous by default: events land in a per-thread
-/// buffer, move in batches through a bounded MPSC ring, and a background
-/// drainer thread writes them out.  Per-thread order is preserved; what
-/// happens when the ring is full is the sink's TracePolicy.  Every call
-/// that reaches an open sink counts obs.trace.emitted; every event the
-/// sink could not write counts obs.trace.dropped.
+/// The write is asynchronous: events land in a per-thread buffer, move
+/// in batches through a bounded MPSC ring, and a background drainer
+/// thread writes them out.  Per-thread order is preserved, and an
+/// emitter that finds the ring full waits for space, so an open sink
+/// loses nothing.  Every call that reaches an open sink counts
+/// obs.trace.emitted; every event the sink could not write (a race with
+/// close) counts obs.trace.dropped.
 void emit_event(std::string_view json_object);
 
 /// Opens (or replaces, after draining) the trace sink.  Returns false —
 /// and counts obs.trace.open_failed, reporting to stderr once — when the
-/// file cannot be opened.  The environment path (CCMX_TRACE_FILE +
-/// CCMX_TRACE_POLICY + CCMX_TRACE_BUFFER) goes through this too, lazily
-/// on the first emit.
+/// file cannot be opened.  The environment path (CCMX_TRACE_FILE) goes
+/// through this too, lazily on the first emit.
 bool open_trace_sink(const TraceSinkOptions& options);
 
 /// Publishes this thread's buffered events and blocks until the drainer

@@ -21,6 +21,7 @@
 
 #include "obs/json.hpp"
 #include "obs/schemas.hpp"
+#include "util/env.hpp"
 #include "util/narrow.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -647,21 +648,6 @@ void drainer_main(std::stop_token stop) {
   }
 }
 
-unsigned env_hz(unsigned fallback) {
-  const char* raw = std::getenv("CCMX_PROF_HZ");
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(raw, &end, 10);
-  if (end == raw || parsed == 0 || parsed > 10000) {
-    std::fprintf(stderr,
-                 "ccmx: ignoring CCMX_PROF_HZ=%s (want an integer in "
-                 "[1, 10000]); using %u\n",
-                 raw, fallback);
-    return fallback;
-  }
-  return util::narrow_cast<unsigned>(parsed);
-}
-
 #endif  // __unix__ || __APPLE__
 
 }  // namespace
@@ -836,7 +822,8 @@ bool profiler_start_from_env() {
   if (!has_file && !has_hz) return false;
   ProfilerOptions options;
   options.path = has_file ? file : "profile.jsonl";
-  options.hz = env_hz(97);
+  options.hz = util::narrow_cast<unsigned>(
+      util::env_int("CCMX_PROF_HZ", 1, 10'000, 97));
   return profiler_start(options);
 }
 

@@ -1,29 +1,15 @@
 #include "obs/progress.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 
 namespace ccmx::obs {
 
 namespace {
 
-bool progress_env_on() noexcept {
-  const char* raw = std::getenv("CCMX_PROGRESS");
-  if (raw == nullptr || raw[0] == '\0') return false;
-  const std::string_view v(raw);
-  return v != "0" && v != "false" && v != "off" && v != "no";
-}
-
-std::int64_t interval_from_env() noexcept {
-  if (const char* raw = std::getenv("CCMX_PROGRESS_MS")) {
-    const long ms = std::strtol(raw, nullptr, 10);
-    if (ms > 0) return static_cast<std::int64_t>(ms) * 1000;
-  }
-  return 500000;  // 500 ms
-}
+constexpr std::int64_t kMaxIntervalMs = 3'600'000;  // one hour
 
 /// "1.23e+07/s" style rate without iostream locale surprises.
 void format_rate(char* buf, std::size_t len, double per_second) {
@@ -38,10 +24,14 @@ void format_rate(char* buf, std::size_t len, double per_second) {
 
 ProgressMeter::ProgressMeter(std::string label, std::uint64_t total)
     : label_(std::move(label)), total_(total) {
-  active_ = progress_env_on() || enabled();
+  // Read once per process, so a bad value warns once, not per meter.
+  static const bool env_on = util::env_flag("CCMX_PROGRESS");
+  active_ = env_on || enabled();
   if (!active_) return;
+  static const std::int64_t interval_ms =
+      util::env_int("CCMX_PROGRESS_MS", 1, kMaxIntervalMs, 500);
   start_us_ = now_us();
-  interval_us_ = interval_from_env();
+  interval_us_ = interval_ms * 1000;
   next_draw_us_.store(start_us_ + interval_us_, std::memory_order_relaxed);
 }
 

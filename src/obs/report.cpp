@@ -107,9 +107,9 @@ std::string render_run_report(const RunReport& report) {
   w.key("hardware_parallelism")
       .value(static_cast<std::uint64_t>(hardware == 0 ? 1 : hardware));
   w.key("trace_enabled").value(enabled());
-  // Honest-trace flag: true when events were dropped (backpressure under
-  // CCMX_TRACE_POLICY=drop) or the trace file never opened, so readers
-  // can tell a short trace from a truncated one.
+  // Honest-trace flag: true when events were dropped (a batch that raced
+  // the sink's close) or the trace file never opened, so readers can
+  // tell a short trace from a truncated one.
   w.key("trace_truncated").value(trace_truncated());
   w.key("wall_seconds").value(report.wall_seconds);
   w.key("cpu_seconds").value(report.cpu_seconds);

@@ -8,7 +8,10 @@
 //
 // Version bumps: adding a field is backward compatible and keeps the
 // version; removing or re-typing a field bumps <version> and gets a new
-// constant here (consumers match on the exact string).
+// constant here (consumers match on the exact string).  Readers tolerate
+// older formats only for stored artifacts (the run reports committed in
+// bench/baseline/); a document written and read by the same build, such
+// as a trace or a bench diff, is read at its current format only.
 #pragma once
 
 #include <string_view>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "obs/schemas.hpp"
@@ -19,29 +20,41 @@ namespace {
                              why);
 }
 
-std::uint64_t uint_field(const json::Value& obj, std::string_view key,
-                         std::size_t line_no,
-                         std::string_view event_kind = "send") {
+/// 2^53: the writer prints integers, and a JSON number (a double) holds
+/// every integer up to here exactly.  The bound also keeps the casts
+/// below and the span arithmetic (t_us + dur_us) free of overflow.
+constexpr double kMaxInteger = 9007199254740992.0;
+
+/// The integer field `key` of a `kind` event, which must lie in
+/// [min, 2^53].
+double integer_field(const json::Value& obj, std::string_view key,
+                     std::size_t line_no, std::string_view kind,
+                     double min) {
   const json::Value* v = obj.find(key);
   if (v == nullptr || !v->is_number()) {
-    fail(line_no, std::string(event_kind) + " event missing numeric \"" +
+    fail(line_no, std::string(kind) + " event missing numeric \"" +
                       std::string(key) + '"');
   }
-  if (v->number < 0.0 || v->number != std::floor(v->number)) {
-    fail(line_no, "field \"" + std::string(key) +
-                      "\" is not a non-negative integer");
+  if (!(v->number >= min && v->number <= kMaxInteger) ||
+      v->number != std::floor(v->number)) {
+    fail(line_no, "field \"" + std::string(key) + "\" is not " +
+                      (min < 0.0 ? "an" : "a non-negative") +
+                      " integer within 2^53");
   }
-  return static_cast<std::uint64_t>(v->number);
+  return v->number;
+}
+
+std::uint64_t uint_field(const json::Value& obj, std::string_view key,
+                         std::size_t line_no,
+                         std::string_view kind = "send") {
+  return static_cast<std::uint64_t>(
+      integer_field(obj, key, line_no, kind, 0.0));
 }
 
 std::int64_t int_field(const json::Value& obj, std::string_view key,
-                       std::size_t line_no, std::string_view event_kind) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    fail(line_no, std::string(event_kind) + " event missing numeric \"" +
-                      std::string(key) + '"');
-  }
-  return static_cast<std::int64_t>(v->number);
+                       std::size_t line_no, std::string_view kind) {
+  return static_cast<std::int64_t>(
+      integer_field(obj, key, line_no, kind, -kMaxInteger));
 }
 
 /// Stringifies a span "args" member the way the dashboard and Chrome
@@ -66,10 +79,7 @@ std::string stringify_arg(const json::Value& v) {
   }
 }
 
-/// Parses one {"ev":"span",...} line.  Events carrying an "id" use the
-/// span-tree format and are validated strictly; events without one are
-/// the legacy flat format (name/t_us/dur_us only) and parse leniently so
-/// pre-span-tree traces stay readable.
+/// Parses one {"ev":"span",...} line.
 SpanEvent parse_span_event(const json::Value& obj, std::size_t line_no) {
   SpanEvent span;
   const json::Value* name = obj.find("name");
@@ -80,7 +90,6 @@ SpanEvent parse_span_event(const json::Value& obj, std::size_t line_no) {
   span.t_us = int_field(obj, "t_us", line_no, "span");
   span.dur_us = int_field(obj, "dur_us", line_no, "span");
   if (span.dur_us < 0) fail(line_no, "span event has negative \"dur_us\"");
-  if (obj.find("id") == nullptr) return span;  // legacy flat span
   span.id = uint_field(obj, "id", line_no, "span");
   if (span.id == 0) fail(line_no, "span event has id 0 (reserved)");
   span.parent = uint_field(obj, "parent", line_no, "span");
@@ -169,7 +178,7 @@ void TraceStream::parse_line(std::string_view line) {
     SpanEvent span = parse_span_event(obj, line_no_);
     if (on_span) on_span(span);
     ++trace_.span_events;
-    if (options_.keep_spans) trace_.spans.push_back(std::move(span));
+    trace_.spans.push_back(std::move(span));
     return;
   }
   if (ev->string != "send") {
@@ -184,100 +193,53 @@ void TraceStream::parse_line(std::string_view line) {
 void TraceStream::handle_send(const json::Value& obj) {
   const std::size_t line_no = line_no_;
   SendEvent send;
-  // "ch" was added after PR 1; traces written before it carry no channel
-  // id and all fold into channel 0.
-  if (obj.find("ch") != nullptr) {
-    send.channel = uint_field(obj, "ch", line_no);
-  }
+  send.channel = uint_field(obj, "ch", line_no);
   const std::uint64_t from = uint_field(obj, "from", line_no);
   if (from > 1) fail(line_no, "agent out of range (must be 0 or 1)");
   send.from = util::narrow_cast<unsigned>(from);
   send.bits = uint_field(obj, "bits", line_no);
   send.round = uint_field(obj, "round", line_no);
   send.msg = uint_field(obj, "msg", line_no);
-  // "span"/"tid" joined the send format with the span-tree work; old
-  // traces simply lack them.
-  if (obj.find("span") != nullptr) {
-    send.span = uint_field(obj, "span", line_no);
-  }
-  if (obj.find("tid") != nullptr) {
-    send.tid = uint_field(obj, "tid", line_no);
-  }
-  const json::Value* t = obj.find("t_us");
-  if (t == nullptr || !t->is_number()) {
-    fail(line_no, "send event missing numeric \"t_us\"");
-  }
-  send.t_us = static_cast<std::int64_t>(t->number);
+  send.span = uint_field(obj, "span", line_no);
+  send.tid = uint_field(obj, "tid", line_no);
+  send.t_us = int_field(obj, "t_us", line_no, "send");
   if (on_send) on_send(send);
 
-  const auto [it, fresh] = channels_.try_emplace(send.channel);
-  ChannelState& state = it->second;
+  const auto [it, fresh] =
+      channels_.try_emplace(send.channel, trace_.channels.size());
   if (fresh) {
-    state.index = trace_.channels.size();
     trace_.channels.emplace_back();
     trace_.channels.back().id = send.channel;
   }
-  ChannelStats& ch = trace_.channels[state.index];
+  ChannelStats& ch = trace_.channels[it->second];
 
-  // Per-channel message numbers are assigned 1, 2, 3, ... by the writer;
-  // a gap means lines were lost.  Under tolerate_gaps a *forward* jump
-  // is counted and parsing continues (drop backpressure only ever
-  // removes lines); a backward number is corruption either way.
-  if (send.msg != state.next_msg) {
-    if (!options_.tolerate_gaps || send.msg < state.next_msg) {
-      fail(line_no, "message sequence gap on channel " +
-                        std::to_string(send.channel) + ": expected msg " +
-                        std::to_string(state.next_msg) + ", got " +
-                        std::to_string(send.msg));
-    }
-    ++stats_.gap_events;
-    if (!state.gapped) {
-      state.gapped = true;
-      ++stats_.gapped_channels;
-    }
+  // Per-channel message numbers are assigned 1, 2, 3, ... by the writer
+  // and the sink loses nothing, so any jump means a damaged file.
+  const std::uint64_t expect_msg =
+      ch.agents[0].messages + ch.agents[1].messages + 1;
+  if (send.msg != expect_msg) {
+    fail(line_no, "message sequence gap on channel " +
+                      std::to_string(send.channel) + ": expected msg " +
+                      std::to_string(expect_msg) + ", got " +
+                      std::to_string(send.msg));
   }
-  state.next_msg = send.msg + 1;
 
-  if (!state.gapped) {
-    // Reconstruct the round from speaker alternation and cross-check the
-    // writer's own round number.
-    const bool new_round =
-        ch.rounds.empty() || ch.rounds.back().speaker != send.from;
-    const std::uint64_t expect_round =
-        ch.rounds.size() + (new_round ? 1 : 0);
-    if (send.round != expect_round) {
-      fail(line_no, "round number mismatch on channel " +
-                        std::to_string(send.channel) + ": recorded " +
-                        std::to_string(send.round) + ", reconstructed " +
-                        std::to_string(expect_round));
-    }
-    if (new_round) {
-      RoundStats round;
-      round.round = expect_round;
-      round.speaker = send.from;
-      ch.rounds.push_back(round);
-    }
-  } else {
-    // With lines missing, speaker alternation is unreliable: trust the
-    // recorded round numbers instead.  They must still be monotone with
-    // a single speaker per round.
-    const std::uint64_t last =
-        ch.rounds.empty() ? 0 : ch.rounds.back().round;
-    if (send.round == 0 || send.round < last) {
-      fail(line_no, "round number went backwards on gapped channel " +
-                        std::to_string(send.channel) + ": recorded " +
-                        std::to_string(send.round) + " after " +
-                        std::to_string(last));
-    }
-    if (send.round > last) {
-      RoundStats round;
-      round.round = send.round;
-      round.speaker = send.from;
-      ch.rounds.push_back(round);
-    } else if (ch.rounds.back().speaker != send.from) {
-      fail(line_no, "two speakers in round " + std::to_string(send.round) +
-                        " on channel " + std::to_string(send.channel));
-    }
+  // Reconstruct the round from speaker alternation and cross-check the
+  // writer's own round number.
+  const bool new_round =
+      ch.rounds.empty() || ch.rounds.back().speaker != send.from;
+  const std::uint64_t expect_round = ch.rounds.size() + (new_round ? 1 : 0);
+  if (send.round != expect_round) {
+    fail(line_no, "round number mismatch on channel " +
+                      std::to_string(send.channel) + ": recorded " +
+                      std::to_string(send.round) + ", reconstructed " +
+                      std::to_string(expect_round));
+  }
+  if (new_round) {
+    RoundStats round;
+    round.round = expect_round;
+    round.speaker = send.from;
+    ch.rounds.push_back(round);
   }
   ch.rounds.back().bits += send.bits;
   ch.rounds.back().messages += 1;
@@ -286,7 +248,6 @@ void TraceStream::handle_send(const json::Value& obj) {
   trace_.agents[send.from].bits += send.bits;
   trace_.agents[send.from].messages += 1;
   ++trace_.send_events;
-  if (options_.keep_sends) ch.sends.push_back(send);
 }
 
 ChannelTrace parse_channel_trace(std::string_view text) {
@@ -310,20 +271,22 @@ std::vector<std::string> check_trace_against_report(
     mismatches.emplace_back("report has no counters object");
     return mismatches;
   }
-  const auto counter = [&](std::string_view name) -> double {
+  // Reported value of counter `name`, or nullopt (with a mismatch noted)
+  // when the report lacks it.
+  const auto counter = [&](std::string_view name) -> std::optional<double> {
     const json::Value* v = counters->find(name);
-    return v != nullptr && v->is_number() ? v->number : -1.0;
-  };
-  const auto check = [&](std::string_view name, std::uint64_t reconstructed) {
-    const double reported = counter(name);
-    if (reported < 0.0) {
+    if (v == nullptr || !v->is_number()) {
       mismatches.push_back("report lacks counter \"" + std::string(name) +
                            "\" (untraced run?)");
-      return;
+      return std::nullopt;
     }
-    if (reported != static_cast<double>(reconstructed)) {
+    return v->number;
+  };
+  const auto check = [&](std::string_view name, std::uint64_t reconstructed) {
+    const std::optional<double> reported = counter(name);
+    if (reported && *reported != static_cast<double>(reconstructed)) {
       std::ostringstream os;
-      os << name << ": report says " << reported << ", trace reconstructs "
+      os << name << ": report says " << *reported << ", trace reconstructs "
          << reconstructed;
       mismatches.push_back(os.str());
     }
@@ -335,9 +298,7 @@ std::vector<std::string> check_trace_against_report(
 
   // Per-round bit conservation: the channel layer keeps dedicated
   // counters for rounds 1..8 plus an overflow bucket (see channel.cpp);
-  // reconstruct the same partition from the trace and compare.  A report
-  // written before these counters existed lacks them entirely — only
-  // complain when the trace actually carries bits for that bucket.
+  // reconstruct the same partition from the trace and compare.
   constexpr std::uint64_t kRoundCounters = 8;
   std::uint64_t by_round[kRoundCounters] = {};
   std::uint64_t overflow = 0;
@@ -350,45 +311,25 @@ std::vector<std::string> check_trace_against_report(
       }
     }
   }
-  const auto check_round = [&](std::string_view name,
-                               std::uint64_t reconstructed) {
-    const double reported = counter(name);
-    if (reported < 0.0) {
-      if (reconstructed > 0) {
-        mismatches.push_back("report lacks counter \"" + std::string(name) +
-                             "\" but the trace carries " +
-                             std::to_string(reconstructed) +
-                             " bits in that round");
-      }
-      return;
-    }
-    if (reported != static_cast<double>(reconstructed)) {
-      std::ostringstream os;
-      os << name << ": report says " << reported << ", trace reconstructs "
-         << reconstructed;
-      mismatches.push_back(os.str());
-    }
-  };
   for (std::uint64_t i = 0; i < kRoundCounters; ++i) {
-    check_round("comm.bits.round" + std::to_string(i + 1), by_round[i]);
+    check("comm.bits.round" + std::to_string(i + 1), by_round[i]);
   }
-  check_round("comm.bits.round_overflow", overflow);
+  check("comm.bits.round_overflow", overflow);
 
   // Event conservation for the async pipeline: every emitted event must
   // either reach the file or be accounted as a drop, so at a quiescent
   // point  lines-in-file + obs.trace.dropped >= obs.trace.emitted.  The
   // checks are one-sided because a parsed trace may legitimately hold
   // MORE events than one report's counters (append-mode files span
-  // several runs, and counter resets do not truncate the file), and
-  // they only fire when the report carries the pipeline's counters at
-  // all (older reports predate them).
-  const double emitted = counter("obs.trace.emitted");
-  const double dropped = counter("obs.trace.dropped");
-  if (emitted >= 0.0 && dropped >= 0.0) {
-    if (dropped > emitted) {
+  // several runs, and counter resets do not truncate the file).
+  const std::optional<double> emitted = counter("obs.trace.emitted");
+  const std::optional<double> dropped = counter("obs.trace.dropped");
+  const std::optional<double> open_failed = counter("obs.trace.open_failed");
+  if (emitted && dropped) {
+    if (*dropped > *emitted) {
       std::ostringstream os;
-      os << "obs.trace.dropped (" << dropped << ") exceeds obs.trace.emitted ("
-         << emitted << ')';
+      os << "obs.trace.dropped (" << *dropped
+         << ") exceeds obs.trace.emitted (" << *emitted << ')';
       mismatches.push_back(os.str());
     }
     const std::uint64_t total_events =
@@ -396,26 +337,24 @@ std::vector<std::string> check_trace_against_report(
     // total_events == 0 means the caller checked a hand-built subset (or
     // an empty trace) against a real report; stay quiet.
     if (total_events > 0 &&
-        static_cast<double>(total_events) + dropped < emitted) {
+        static_cast<double>(total_events) + *dropped < *emitted) {
       std::ostringstream os;
       os << "trace file lost events: " << total_events << " parsed + "
-         << dropped << " dropped < " << emitted << " emitted";
+         << *dropped << " dropped < " << *emitted << " emitted";
       mismatches.push_back(os.str());
     }
-    const double open_failed = counter("obs.trace.open_failed");
-    const bool losses = dropped > 0.0 || open_failed > 0.0;
-    const json::Value* trunc = report_doc.find("trace_truncated");
-    if (trunc != nullptr && trunc->is_bool()) {
-      if (trunc->boolean != losses) {
-        std::ostringstream os;
-        os << "trace_truncated flag is " << (trunc->boolean ? "true" : "false")
-           << " but counters say " << dropped << " dropped / "
-           << std::max(open_failed, 0.0) << " open failures";
-        mismatches.push_back(os.str());
-      }
-    } else if (losses) {
-      mismatches.emplace_back(
-          "report lacks trace_truncated flag despite dropped events");
+  }
+  const json::Value* trunc = report_doc.find("trace_truncated");
+  if (trunc == nullptr || !trunc->is_bool()) {
+    mismatches.emplace_back("report lacks bool \"trace_truncated\"");
+  } else if (dropped && open_failed) {
+    const bool losses = *dropped > 0.0 || *open_failed > 0.0;
+    if (trunc->boolean != losses) {
+      std::ostringstream os;
+      os << "trace_truncated flag is " << (trunc->boolean ? "true" : "false")
+         << " but counters say " << *dropped << " dropped / " << *open_failed
+         << " open failures";
+      mismatches.push_back(os.str());
     }
   }
   return mismatches;
@@ -423,13 +362,7 @@ std::vector<std::string> check_trace_against_report(
 
 SpanForest build_span_forest(const std::vector<SpanEvent>& spans) {
   SpanForest forest;
-  for (const SpanEvent& span : spans) {
-    if (span.id == 0) {
-      ++forest.legacy_spans;
-      continue;
-    }
-    forest.spans.push_back(span);
-  }
+  forest.spans = spans;
   // Start-time order with id as the tie-break: ids are handed out at
   // construction, so a parent always sorts before its children even when
   // the clock cannot separate them.
@@ -456,8 +389,7 @@ SpanForest build_span_forest(const std::vector<SpanEvent>& spans) {
     node.span = i;
     node.self_us = span.dur_us;
 
-    const auto [it, fresh] = node_of_id.try_emplace(span.id, forest.nodes.size());
-    if (!fresh) {
+    if (node_of_id.contains(span.id)) {
       forest.problems.push_back("span id " + std::to_string(span.id) + " (\"" +
                                 span.name + "\") appears more than once");
       continue;
@@ -513,6 +445,9 @@ SpanForest build_span_forest(const std::vector<SpanEvent>& spans) {
       }
       thread.roots.push_back(forest.nodes.size());
     }
+    // Registered only now, so a span naming itself as parent reads as
+    // a missing parent rather than as a node that does not exist yet.
+    node_of_id.emplace(span.id, forest.nodes.size());
     forest.nodes.push_back(std::move(node));
   }
 
@@ -653,23 +588,11 @@ void ChromeTraceWriter::finish() {
                    span_tids_.end());
   for (const std::uint64_t tid : span_tids_) {
     metadata(kSpanPid, static_cast<std::int64_t>(tid), "thread_name",
-             tid == 0 ? std::string("legacy spans")
-                      : "thread " + std::to_string(tid));
+             "thread " + std::to_string(tid));
   }
   w_.end_array();
   w_.end_object();
   *os_ << '\n';
-}
-
-std::string render_chrome_trace(const ChannelTrace& trace) {
-  std::ostringstream os;
-  ChromeTraceWriter writer(os);
-  for (const SpanEvent& span : trace.spans) writer.add_span(span);
-  for (const ChannelStats& ch : trace.channels) {
-    for (const SendEvent& send : ch.sends) writer.add_send(send);
-  }
-  writer.finish();
-  return os.str();
 }
 
 PowerLawFit fit_power_law(const std::vector<std::pair<double, double>>& xy) {

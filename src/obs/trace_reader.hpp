@@ -33,23 +33,21 @@
 
 namespace ccmx::obs {
 
-/// One {"ev":"send",...} line.
+/// One {"ev":"send",...} line, as comm::Channel writes it.
 struct SendEvent {
-  std::uint64_t channel = 0;  // "ch"; 0 for traces predating the field
+  std::uint64_t channel = 0;  // "ch": process-unique channel id
   unsigned from = 0;          // sending agent, 0 or 1
   std::uint64_t bits = 0;     // payload size of this message
   std::uint64_t round = 0;    // 1-based round number recorded by the writer
   std::uint64_t msg = 0;      // 1-based message number within the channel
-  std::uint64_t span = 0;     // enclosing span id; 0 = none / legacy trace
-  std::uint64_t tid = 0;      // writer thread id; 0 for legacy traces
+  std::uint64_t span = 0;     // enclosing span id; 0 outside any span
+  std::uint64_t tid = 0;      // writer thread id
   std::int64_t t_us = 0;
 };
 
-/// One {"ev":"span",...} line.  id == 0 marks the legacy (pre-span-tree)
-/// format, which carried only name/t_us/dur_us: such spans are kept for
-/// totals but excluded from tree reconstruction.
+/// One {"ev":"span",...} line, as obs::ScopedSpan writes it.
 struct SpanEvent {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;  // process-unique, never 0
   std::uint64_t parent = 0;  // 0 = root
   std::uint64_t tid = 0;
   std::string name;
@@ -77,7 +75,6 @@ struct AgentStats {
 /// All traffic of one Channel object (one protocol execution).
 struct ChannelStats {
   std::uint64_t id = 0;
-  std::vector<SendEvent> sends;
   std::vector<RoundStats> rounds;
   AgentStats agents[2];
 
@@ -103,10 +100,11 @@ struct ChannelTrace {
 
 /// Parses a complete JSONL trace.  Throws util::contract_error (with a
 /// 1-based line number) on: a line that is not a JSON object, a missing
-/// or non-string "ev", a "send" event with missing/ill-typed fields or an
-/// out-of-range agent, a per-channel message-sequence gap, a recorded
-/// round number that contradicts the speaker-alternation reconstruction,
-/// or input whose final line is not newline-terminated (truncation).
+/// or non-string "ev", a "send" or "span" event with a missing or
+/// ill-typed field or an out-of-range agent, a per-channel
+/// message-sequence gap, a recorded round number that contradicts the
+/// speaker-alternation reconstruction, or input whose final line is not
+/// newline-terminated (truncation).
 [[nodiscard]] ChannelTrace parse_channel_trace(std::string_view text);
 
 /// Reads and parses a trace file; throws on unreadable paths too.  The
@@ -116,42 +114,27 @@ struct ChannelTrace {
 
 // ------------------------------------------------------ streaming reader
 
-/// Knobs for TraceStream.  The defaults reproduce parse_channel_trace's
-/// strict behavior exactly; the tolerant flags exist for traces written
-/// under CCMX_TRACE_POLICY=drop or by a killed writer, where losses are
-/// expected and must be *surfaced* (TraceReadStats) rather than thrown.
+/// Options for TraceStream.  The default reproduces parse_channel_trace's
+/// strict behavior exactly.
 struct TraceReadOptions {
-  /// Tolerate forward per-channel message-sequence gaps (lines lost to
-  /// drop backpressure): the gap is counted, round reconstruction for
-  /// that channel switches from speaker alternation to the recorded
-  /// round numbers, and parsing continues.  Backward message numbers
-  /// still throw — drops only ever remove lines.
-  bool tolerate_gaps = false;
-  /// Tolerate a final line without its newline (killed writer): counted
-  /// as one truncation, the partial line is discarded.
+  /// Tolerate a final line without its newline (a killed writer):
+  /// counted as one truncation, the partial line is discarded.  Every
+  /// other defect still throws.
   bool tolerate_truncated_tail = false;
-  /// Keep every SendEvent in ChannelStats::sends.  Off = per-channel and
-  /// per-round aggregates only, so memory stays bounded by the number of
-  /// channels and rounds, not events.
-  bool keep_sends = true;
-  /// Keep every SpanEvent in ChannelTrace::spans (off: spans are counted
-  /// and forwarded to on_span, never stored).
-  bool keep_spans = true;
 };
 
 /// What the streaming reader observed beyond the trace content itself.
 struct TraceReadStats {
-  std::uint64_t lines = 0;            ///< non-empty event lines parsed
-  std::uint64_t gap_events = 0;       ///< message-sequence gaps tolerated
-  std::uint64_t gapped_channels = 0;  ///< channels with >= 1 gap
-  bool truncated_tail = false;        ///< final line lacked its newline
+  std::uint64_t lines = 0;      ///< non-empty event lines parsed
+  bool truncated_tail = false;  ///< final line lacked its newline
 };
 
 /// Chunked streaming parser over JSONL trace bytes: feed() arbitrary
-/// partial chunks (lines may split anywhere), then finish().  Aggregates
-/// accumulate in trace(); per-event callbacks see every send/span in
-/// file order, so converters (e.g. ChromeTraceWriter) can run in O(1)
-/// memory over the event count.
+/// partial chunks (lines may split anywhere), then finish().  Sends fold
+/// into per-channel and per-round aggregates and are not stored, so
+/// memory grows with channels, rounds and spans, not with messages;
+/// per-event callbacks see every send/span in file order (the Chrome
+/// export streams sends through on_send).
 class TraceStream {
  public:
   explicit TraceStream(TraceReadOptions options = {});
@@ -162,8 +145,7 @@ class TraceStream {
   std::function<void(const SpanEvent&)> on_span;
 
   /// Parses every complete line in `chunk`; a trailing partial line is
-  /// carried into the next feed().  Throws like parse_channel_trace,
-  /// subject to TraceReadOptions.
+  /// carried into the next feed().  Throws like parse_channel_trace.
   void feed(std::string_view chunk);
 
   /// Settles the carry buffer (a leftover partial line is a truncated
@@ -177,29 +159,20 @@ class TraceStream {
   [[nodiscard]] const TraceReadStats& stats() const noexcept {
     return stats_;
   }
-  /// The accumulated trace (aggregates always; sends/spans only when the
-  /// corresponding keep_* option is on).
+  /// The accumulated trace: per-channel aggregates and every span.
   [[nodiscard]] const ChannelTrace& trace() const noexcept { return trace_; }
   [[nodiscard]] ChannelTrace take_trace() noexcept {
     return std::move(trace_);
   }
 
  private:
-  /// Per-channel reconstruction state, kept here instead of relying on
-  /// ChannelStats::sends so keep_sends=false changes nothing.
-  struct ChannelState {
-    std::size_t index = 0;       // into trace_.channels
-    std::uint64_t next_msg = 1;  // expected next message number
-    bool gapped = false;         // rounds rebuilt from recorded numbers
-  };
-
   void parse_line(std::string_view line);
   void handle_send(const json::Value& obj);
 
   TraceReadOptions options_;
   TraceReadStats stats_;
   ChannelTrace trace_;
-  std::map<std::uint64_t, ChannelState> channels_;
+  std::map<std::uint64_t, std::size_t> channels_;  // id -> trace_.channels
   std::string carry_;       // partial line split across feed() chunks
   std::size_t line_no_ = 0;
   bool finished_ = false;
@@ -259,11 +232,12 @@ struct TimeseriesResult {
 /// ccmx.run_report/1 document from the same process: comm.bits.agent0/1,
 /// comm.messages, comm.rounds, and the per-round bit partition
 /// (comm.bits.round1..round8 + comm.bits.round_overflow) must all match
-/// the reconstruction exactly.  Returns human-readable mismatches
-/// (empty = conserved).  Reports with no comm.* counters (untraced run)
-/// fail the check — that trace and report cannot be from the same
-/// instrumented run; reports that merely predate the per-round counters
-/// only fail when the trace carries bits for the missing bucket.
+/// the reconstruction exactly, and the event ledger must balance (lines
+/// parsed + obs.trace.dropped >= obs.trace.emitted, with trace_truncated
+/// set exactly when events were dropped or the file failed to open).
+/// Returns human-readable mismatches (empty = conserved).  A report
+/// missing any of these counters, or the trace_truncated flag, fails the
+/// check: it cannot come from the instrumented run that wrote the trace.
 [[nodiscard]] std::vector<std::string> check_trace_against_report(
     const ChannelTrace& trace, const json::Value& report_doc);
 
@@ -303,10 +277,9 @@ struct ThreadSpans {
 /// Per-thread span trees rebuilt from the flat event stream, with
 /// self-time attribution and structural diagnostics.
 struct SpanForest {
-  std::vector<SpanEvent> spans;      // tree-participating spans, by t_us
+  std::vector<SpanEvent> spans;      // every span, by t_us
   std::vector<SpanNode> nodes;       // one per entry of `spans`
   std::vector<ThreadSpans> threads;  // ordered by tid
-  std::size_t legacy_spans = 0;      // id == 0 events, kept out of the tree
   /// Structural anomalies: duplicate ids, a parent that is missing or on
   /// another thread, a child interval leaking outside its parent
   /// ("unbalanced"), same-parent siblings overlapping in time
@@ -324,17 +297,15 @@ struct SpanForest {
 
 // -------------------------------------------------- Chrome trace export
 
-/// Converts a parsed ccmx trace to Chrome trace-event JSON (the Perfetto
-/// / chrome://tracing "JSON object format"): spans become complete ("X")
-/// events on their thread's track, channel sends become paired slices on
-/// per-agent tracks with flow arrows ("s"/"f") from sender to receiver,
-/// and metadata events name every track.  The document carries
-/// "schema": "ccmx.chrome_trace/1" next to "traceEvents" (the format
-/// ignores unknown top-level keys).
-[[nodiscard]] std::string render_chrome_trace(const ChannelTrace& trace);
-
-/// Incremental form of render_chrome_trace for streaming conversion:
-/// hook add_span/add_send into TraceStream's callbacks and events write
+/// Streaming converter from a ccmx trace to Chrome trace-event JSON (the
+/// Perfetto / chrome://tracing "JSON object format"): spans become
+/// complete ("X") events on their thread's track, channel sends become
+/// paired slices on per-agent tracks with flow arrows ("s"/"f") from
+/// sender to receiver, and metadata events name every track.  The
+/// document carries "schema": "ccmx.chrome_trace/1" next to
+/// "traceEvents" (the format ignores unknown top-level keys).
+///
+/// Hook add_span/add_send into TraceStream's callbacks and events write
 /// straight through to `os`, so a million-span trace converts without a
 /// materialized ChannelTrace.  Track metadata is collected on the fly
 /// and emitted at finish() — the JSON object format ignores ordering

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -11,6 +11,7 @@
 
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
+#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace ccmx::util {
@@ -24,16 +25,6 @@ constexpr std::size_t kMaxDegree = 256;
 /// Target chunks per participant: enough that a slow chunk rebalances onto
 /// idle workers, few enough that the type-erased chunk dispatch amortizes.
 constexpr std::size_t kChunksPerWorker = 8;
-
-std::size_t env_threads() noexcept {
-  if (const char* raw = std::getenv("CCMX_THREADS")) {
-    const long v = std::strtol(raw, nullptr, 10);
-    if (v > 0) {
-      return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxDegree);
-    }
-  }
-  return 0;
-}
 
 std::atomic<std::size_t>& degree_override() noexcept {
   static std::atomic<std::size_t> value{0};
@@ -50,9 +41,10 @@ std::size_t hardware_parallelism() noexcept {
 std::size_t parallelism() noexcept {
   const std::size_t forced = degree_override().load(std::memory_order_relaxed);
   if (forced != 0) return forced;
-  static const std::size_t from_env = env_threads();
-  if (from_env != 0) return from_env;
-  return std::min(hardware_parallelism(), kMaxDegree);
+  static const auto from_env = static_cast<std::size_t>(env_int(
+      "CCMX_THREADS", 1, kMaxDegree,
+      static_cast<std::int64_t>(std::min(hardware_parallelism(), kMaxDegree))));
+  return from_env;
 }
 
 void set_parallelism(std::size_t degree) noexcept {

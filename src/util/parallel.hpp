@@ -31,9 +31,10 @@ namespace ccmx::util {
 [[nodiscard]] std::size_t hardware_parallelism() noexcept;
 
 /// Effective parallel degree (>= 1): the set_parallelism() override if one
-/// is active, else the CCMX_THREADS environment value (read once), else
-/// hardware_parallelism().  May exceed the hardware count (useful for
-/// determinism tests on small hosts).
+/// is active, else the CCMX_THREADS environment value (read once; an
+/// integer in [1, 256]), else hardware_parallelism() capped at 256.  May
+/// exceed the hardware count (useful for determinism tests on small
+/// hosts).
 [[nodiscard]] std::size_t parallelism() noexcept;
 
 /// Runtime override of the parallel degree; 0 restores the env/hardware

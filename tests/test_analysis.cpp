@@ -359,6 +359,36 @@ TEST(BenchDiffJson, ValidatorRejectsCorruptedDocuments) {
                    .empty());
 }
 
+TEST(BenchDiffJson, ValidatorRequiresTheInstructionGate) {
+  const LoadResult base = load_one("b9", make_report("exact_cc", 1.0));
+  const LoadResult cand = load_one("c9", make_report("exact_cc", 1.0));
+  const ccmx::obs::json::Value doc = ccmx::obs::json::parse(
+      render_bench_diff_json(diff_reports(base, cand, DiffThresholds{})));
+  ASSERT_TRUE(validate_bench_diff(doc).empty());
+  // Drop each instruction-gate member the writer emits, one at a time.
+  const auto without = [&doc](std::string_view section, std::string_view key) {
+    ccmx::obs::json::Value cut = doc;
+    auto* members = &cut.object;  // the top level unless `section` names one
+    for (auto& [name, value] : cut.object) {
+      if (name == section) members = &value.object;
+    }
+    std::erase_if(*members,
+                  [&](const auto& member) { return member.first == key; });
+    return cut;
+  };
+  const ccmx::obs::json::Value no_rows = without("", "insn");
+  const ccmx::obs::json::Value no_tol = without("thresholds", "insn_rel_tol");
+  const ccmx::obs::json::Value no_gate = without("summary", "insn_regression");
+  for (const auto& [cut, problem] :
+       {std::pair{&no_rows, "missing array \"insn\""},
+        std::pair{&no_tol, "missing numeric \"insn_rel_tol\""},
+        std::pair{&no_gate, "missing bool \"insn_regression\""}}) {
+    const std::vector<std::string> problems = validate_bench_diff(*cut);
+    ASSERT_EQ(problems.size(), 1u) << problem;
+    EXPECT_NE(problems[0].find(problem), std::string::npos) << problems[0];
+  }
+}
+
 TEST(BenchDiffMarkdown, MentionsTheRegression) {
   const LoadResult base = load_one("b8", make_report("exact_cc", 1.0));
   const LoadResult cand = load_one("c8", make_report("exact_cc", 1.25));

@@ -1,12 +1,14 @@
 // Trace reader: JSONL round-trip from a real instrumented Channel run,
-// strict rejection of malformed/truncated traces, conservation against
-// run-report counters, and the E1 power-law fit.
+// strict rejection of malformed/truncated/incomplete traces,
+// conservation against run-report counters, span trees, the Chrome
+// export, and the E1 power-law fit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +37,75 @@ la::IntMatrix random_entries(std::size_t n, unsigned k,
     return num::BigInt(
         static_cast<std::int64_t>(rng.below(std::uint64_t{1} << k)));
   });
+}
+
+/// One {"ev":"send",...} line as comm::Channel writes it.
+std::string send_line(std::uint64_t ch, unsigned from, std::uint64_t bits,
+                      std::uint64_t round, std::uint64_t msg,
+                      std::int64_t t_us, std::uint64_t span = 0) {
+  return "{\"ev\":\"send\",\"ch\":" + std::to_string(ch) +
+         ",\"from\":" + std::to_string(from) +
+         ",\"bits\":" + std::to_string(bits) +
+         ",\"round\":" + std::to_string(round) +
+         ",\"msg\":" + std::to_string(msg) +
+         ",\"span\":" + std::to_string(span) +
+         ",\"tid\":1,\"t_us\":" + std::to_string(t_us) + "}\n";
+}
+
+/// One {"ev":"span",...} line as obs::ScopedSpan writes it.
+std::string span_line(std::uint64_t id, std::uint64_t parent,
+                      std::uint64_t tid, const std::string& name,
+                      std::int64_t t_us, std::int64_t dur_us) {
+  return "{\"ev\":\"span\",\"id\":" + std::to_string(id) +
+         ",\"parent\":" + std::to_string(parent) +
+         ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" + name +
+         "\",\"t_us\":" + std::to_string(t_us) +
+         ",\"dur_us\":" + std::to_string(dur_us) + "}\n";
+}
+
+/// `line` without its integer member `key`.
+std::string without(std::string line, const std::string& key) {
+  const std::size_t at = line.find(",\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " not in " << line;
+  return line.erase(at, line.find_first_of(",}", at + 1) - at);
+}
+
+/// A run report carrying every counter check_trace_against_report reads:
+/// `counters`, with each one it leaves out at 0, and `truncated` as the
+/// trace_truncated flag.
+obs::json::Value report_with(std::map<std::string, std::uint64_t> counters,
+                             bool truncated = false) {
+  for (const char* name :
+       {"comm.bits.agent0", "comm.bits.agent1", "comm.messages",
+        "comm.rounds", "comm.bits.round_overflow", "obs.trace.emitted",
+        "obs.trace.dropped", "obs.trace.open_failed"}) {
+    counters.try_emplace(name, 0);
+  }
+  for (int r = 1; r <= 8; ++r) {
+    counters.try_emplace("comm.bits.round" + std::to_string(r), 0);
+  }
+  std::string text = std::string("{\"trace_truncated\":") +
+                     (truncated ? "true" : "false") + ",\"counters\":{";
+  const char* sep = "";
+  for (const auto& [name, value] : counters) {
+    text += sep;
+    text += '"' + name + "\":" + std::to_string(value);
+    sep = ",";
+  }
+  return obs::json::parse(text + "}}");
+}
+
+/// Streams `text` through a TraceStream into a ChromeTraceWriter.
+std::string chrome_json(std::string_view text) {
+  std::ostringstream os;
+  obs::ChromeTraceWriter writer(os);
+  obs::TraceStream stream;
+  stream.on_span = [&](const obs::SpanEvent& s) { writer.add_span(s); };
+  stream.on_send = [&](const obs::SendEvent& s) { writer.add_send(s); };
+  stream.feed(text);
+  stream.finish();
+  writer.finish();
+  return os.str();
 }
 
 #ifndef CCMX_OBS_DISABLED
@@ -225,15 +296,22 @@ TEST(TraceReader, SendsCarryEnclosingSpanAndThread) {
   (void)comm::execute(proto::make_send_half_singularity(layout), input, pi);
   obs::flush_trace_sink();
 
-  const obs::ChannelTrace trace = obs::read_channel_trace_file(g_trace_path);
+  obs::TraceStream stream;
+  std::vector<obs::SendEvent> sends;
+  stream.on_send = [&](const obs::SendEvent& send) { sends.push_back(send); };
+  stream.consume_file(g_trace_path);
+  const obs::ChannelTrace trace = stream.take_trace();
   ASSERT_GT(trace.channels.size(), channels_before);
-  const obs::ChannelStats& ch = trace.channels.back();
-  ASSERT_FALSE(ch.sends.empty());
+  const std::uint64_t channel = trace.channels.back().id;
+  std::erase_if(sends, [&](const obs::SendEvent& send) {
+    return send.channel != channel;
+  });
+  ASSERT_FALSE(sends.empty());
   // comm::execute wraps the run in its own span, so every send of this
   // channel names that span and this thread.
-  for (const obs::SendEvent& send : ch.sends) {
+  for (const obs::SendEvent& send : sends) {
     EXPECT_GT(send.span, 0u);
-    EXPECT_EQ(send.span, ch.sends.front().span);
+    EXPECT_EQ(send.span, sends.front().span);
     EXPECT_EQ(send.tid, obs::thread_id());
   }
 }
@@ -241,22 +319,16 @@ TEST(TraceReader, SendsCarryEnclosingSpanAndThread) {
 #endif  // CCMX_OBS_DISABLED
 
 TEST(TraceReader, ParsesHandwrittenTrace) {
-  const std::string text =
-      "{\"ev\":\"send\",\"ch\":7,\"from\":0,\"bits\":10,\"round\":1,"
-      "\"msg\":1,\"t_us\":5}\n"
-      "{\"ev\":\"span\",\"name\":\"x\",\"t_us\":1,\"dur_us\":2}\n"
-      "{\"ev\":\"send\",\"ch\":7,\"from\":0,\"bits\":4,\"round\":1,"
-      "\"msg\":2,\"t_us\":9}\n"
-      "{\"ev\":\"send\",\"ch\":7,\"from\":1,\"bits\":1,\"round\":2,"
-      "\"msg\":3,\"t_us\":12}\n";
+  const std::string text = send_line(7, 0, 10, 1, 1, 5) +
+                           span_line(1, 0, 1, "x", 1, 2) +
+                           send_line(7, 0, 4, 1, 2, 9) +
+                           send_line(7, 1, 1, 2, 3, 12);
   const obs::ChannelTrace trace = obs::parse_channel_trace(text);
   EXPECT_EQ(trace.send_events, 3u);
-  // The id-less span line is the legacy (pre-span-tree) format: parsed
-  // leniently, counted as a span, excluded from tree reconstruction.
   EXPECT_EQ(trace.span_events, 1u);
   EXPECT_EQ(trace.other_events, 0u);
   ASSERT_EQ(trace.spans.size(), 1u);
-  EXPECT_EQ(trace.spans[0].id, 0u);
+  EXPECT_EQ(trace.spans[0].id, 1u);
   EXPECT_EQ(trace.spans[0].name, "x");
   ASSERT_EQ(trace.channels.size(), 1u);
   const obs::ChannelStats& ch = trace.channels[0];
@@ -271,13 +343,9 @@ TEST(TraceReader, ParsesHandwrittenTrace) {
 }
 
 TEST(TraceReader, DemultiplexesInterleavedChannels) {
-  const std::string text =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":8,\"round\":1,"
-      "\"msg\":1,\"t_us\":1}\n"
-      "{\"ev\":\"send\",\"ch\":2,\"from\":1,\"bits\":2,\"round\":1,"
-      "\"msg\":1,\"t_us\":2}\n"
-      "{\"ev\":\"send\",\"ch\":1,\"from\":1,\"bits\":1,\"round\":2,"
-      "\"msg\":2,\"t_us\":3}\n";
+  const std::string text = send_line(1, 0, 8, 1, 1, 1) +
+                           send_line(2, 1, 2, 1, 1, 2) +
+                           send_line(1, 1, 1, 2, 2, 3);
   const obs::ChannelTrace trace = obs::parse_channel_trace(text);
   ASSERT_EQ(trace.channels.size(), 2u);
   EXPECT_EQ(trace.channels[0].id, 1u);
@@ -291,49 +359,96 @@ TEST(TraceReader, ConservationChecksPerRoundBitPartition) {
   // Two channels, interleaved rounds: round 1 carries 14+2 bits, round 2
   // carries 1.  The report's dedicated comm.bits.roundN counters must
   // match the partition reconstructed from the trace — not just totals.
-  const std::string text =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":14,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n"
-      "{\"ev\":\"send\",\"ch\":2,\"from\":0,\"bits\":2,\"round\":1,"
-      "\"msg\":1,\"t_us\":1}\n"
-      "{\"ev\":\"send\",\"ch\":1,\"from\":1,\"bits\":1,\"round\":2,"
-      "\"msg\":2,\"t_us\":2}\n";
+  const std::string text = send_line(1, 0, 14, 1, 1, 0) +
+                           send_line(2, 0, 2, 1, 1, 1) +
+                           send_line(1, 1, 1, 2, 2, 2);
   const obs::ChannelTrace trace = obs::parse_channel_trace(text);
 
-  const auto report_with = [](std::uint64_t round1, std::uint64_t round2) {
-    std::ostringstream os;
-    os << "{\"counters\":{\"comm.bits.agent0\":16,\"comm.bits.agent1\":1,"
-       << "\"comm.messages\":3,\"comm.rounds\":3,"
-       << "\"comm.bits.round1\":" << round1 << ","
-       << "\"comm.bits.round2\":" << round2 << "}}";
-    return os.str();
+  const auto report = [](std::uint64_t round1, std::uint64_t round2) {
+    return report_with({{"comm.bits.agent0", 16},
+                        {"comm.bits.agent1", 1},
+                        {"comm.messages", 3},
+                        {"comm.rounds", 3},
+                        {"comm.bits.round1", round1},
+                        {"comm.bits.round2", round2}});
   };
 
-  // Exact partition: clean.  Rounds 3..8 and overflow are absent from the
-  // report AND empty in the trace, which must not be flagged.
-  EXPECT_TRUE(obs::check_trace_against_report(
-                  trace, obs::json::parse(report_with(16, 1)))
-                  .empty());
+  // Exact partition (rounds 3..8 and overflow empty on both sides): clean.
+  EXPECT_TRUE(obs::check_trace_against_report(trace, report(16, 1)).empty());
 
   // Same totals, wrong split: a bit "moved" between rounds is caught even
   // though comm.bits.agent* and comm.messages still balance.
-  const std::vector<std::string> mismatches = obs::check_trace_against_report(
-      trace, obs::json::parse(report_with(15, 2)));
+  const std::vector<std::string> mismatches =
+      obs::check_trace_against_report(trace, report(15, 2));
   ASSERT_EQ(mismatches.size(), 2u);
   EXPECT_NE(mismatches[0].find("comm.bits.round1"), std::string::npos);
   EXPECT_NE(mismatches[1].find("comm.bits.round2"), std::string::npos);
 
-  // A pre-per-round-counter report (aggregates only) is flagged for the
-  // rounds the trace actually used, with a distinct message.
-  const obs::json::Value legacy = obs::json::parse(
-      "{\"counters\":{\"comm.bits.agent0\":16,\"comm.bits.agent1\":1,"
-      "\"comm.messages\":3,\"comm.rounds\":3}}");
-  const std::vector<std::string> legacy_mismatches =
-      obs::check_trace_against_report(trace, legacy);
-  ASSERT_EQ(legacy_mismatches.size(), 2u);
-  EXPECT_NE(legacy_mismatches[0].find("report lacks counter"),
+  // A report without the per-round counters cannot come from the run
+  // that wrote the trace: every missing bucket is named.
+  const obs::json::Value aggregates_only = obs::json::parse(
+      "{\"trace_truncated\":false,\"counters\":{\"comm.bits.agent0\":16,"
+      "\"comm.bits.agent1\":1,\"comm.messages\":3,\"comm.rounds\":3,"
+      "\"obs.trace.emitted\":3,\"obs.trace.dropped\":0,"
+      "\"obs.trace.open_failed\":0}}");
+  const std::vector<std::string> missing =
+      obs::check_trace_against_report(trace, aggregates_only);
+  ASSERT_EQ(missing.size(), 9u);
+  EXPECT_NE(missing[0].find("report lacks counter"), std::string::npos);
+  EXPECT_NE(missing[0].find("comm.bits.round1"), std::string::npos);
+  EXPECT_NE(missing[8].find("comm.bits.round_overflow"), std::string::npos);
+}
+
+// The sink is lossless while open, but a batch racing its close is
+// dropped and counted: the ledger (lines + dropped >= emitted) and the
+// trace_truncated flag must still account for every event.
+TEST(TraceReader, LedgerAccountsForDroppedEvents) {
+  const obs::ChannelTrace trace = obs::parse_channel_trace(
+      send_line(1, 0, 14, 1, 1, 0, 1) + send_line(1, 1, 1, 2, 2, 1, 1) +
+      span_line(1, 0, 1, "run", 0, 5));
+  const auto report = [](std::uint64_t emitted, std::uint64_t dropped,
+                         bool truncated) {
+    return report_with({{"comm.bits.agent0", 14},
+                        {"comm.bits.agent1", 1},
+                        {"comm.messages", 2},
+                        {"comm.rounds", 2},
+                        {"comm.bits.round1", 14},
+                        {"comm.bits.round2", 1},
+                        {"obs.trace.emitted", emitted},
+                        {"obs.trace.dropped", dropped}},
+                       truncated);
+  };
+  const auto only_mismatch = [&](const obs::json::Value& doc) {
+    const std::vector<std::string> found =
+        obs::check_trace_against_report(trace, doc);
+    EXPECT_EQ(found.size(), 1u);
+    return found.empty() ? std::string() : found.front();
+  };
+
+  // 3 lines + 2 dropped == 5 emitted, and the flag says truncated.
+  EXPECT_TRUE(
+      obs::check_trace_against_report(trace, report(5, 2, true)).empty());
+  EXPECT_NE(only_mismatch(report(5, 2, false)).find("trace_truncated"),
             std::string::npos);
-  EXPECT_NE(legacy_mismatches[0].find("comm.bits.round1"), std::string::npos);
+  EXPECT_NE(only_mismatch(report(6, 2, true)).find("lost events"),
+            std::string::npos);
+  EXPECT_NE(only_mismatch(report(1, 2, true)).find("exceeds"),
+            std::string::npos);
+
+  // A report without the ledger or the flag cannot vouch for the trace.
+  const obs::json::Value no_flag = obs::json::parse(
+      "{\"counters\":{\"comm.bits.agent0\":14,\"comm.bits.agent1\":1,"
+      "\"comm.messages\":2,\"comm.rounds\":2,\"comm.bits.round1\":14,"
+      "\"comm.bits.round2\":1,\"comm.bits.round3\":0,\"comm.bits.round4\":0,"
+      "\"comm.bits.round5\":0,\"comm.bits.round6\":0,\"comm.bits.round7\":0,"
+      "\"comm.bits.round8\":0,\"comm.bits.round_overflow\":0}}");
+  const std::vector<std::string> found =
+      obs::check_trace_against_report(trace, no_flag);
+  ASSERT_EQ(found.size(), 4u);
+  EXPECT_NE(found[0].find("obs.trace.emitted"), std::string::npos);
+  EXPECT_NE(found[1].find("obs.trace.dropped"), std::string::npos);
+  EXPECT_NE(found[2].find("obs.trace.open_failed"), std::string::npos);
+  EXPECT_NE(found[3].find("trace_truncated"), std::string::npos);
 }
 
 TEST(TraceReader, RejectsMalformedLine) {
@@ -344,21 +459,28 @@ TEST(TraceReader, RejectsMalformedLine) {
   EXPECT_THROW((void)obs::parse_channel_trace("{\"no_ev\":1}\n"),
                util::contract_error);
   // Missing a required send field.
-  EXPECT_THROW((void)obs::parse_channel_trace(
-                   "{\"ev\":\"send\",\"from\":0,\"bits\":1,\"msg\":1,"
-                   "\"t_us\":0}\n"),
-               util::contract_error);
+  EXPECT_THROW(
+      (void)obs::parse_channel_trace(without(send_line(1, 0, 1, 1, 1, 0),
+                                             "round")),
+      util::contract_error);
   // Agent out of range.
+  EXPECT_THROW((void)obs::parse_channel_trace(send_line(1, 2, 1, 1, 1, 0)),
+               util::contract_error);
+  // Integers beyond 2^53 are not what the writer prints, and would
+  // overflow the reader's integer fields.
   EXPECT_THROW((void)obs::parse_channel_trace(
-                   "{\"ev\":\"send\",\"from\":2,\"bits\":1,\"round\":1,"
-                   "\"msg\":1,\"t_us\":0}\n"),
+                   "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":1,"
+                   "\"round\":1,\"msg\":1,\"span\":0,\"tid\":1,"
+                   "\"t_us\":1e300}\n"),
+               util::contract_error);
+  EXPECT_THROW((void)obs::parse_channel_trace(
+                   "{\"ev\":\"span\",\"id\":1e30,\"parent\":0,\"tid\":1,"
+                   "\"name\":\"x\",\"t_us\":0,\"dur_us\":1}\n"),
                util::contract_error);
 }
 
 TEST(TraceReader, RejectsTruncatedFinalLine) {
-  const std::string good =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":1,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n";
+  const std::string good = send_line(1, 0, 1, 1, 1, 0);
   EXPECT_NO_THROW((void)obs::parse_channel_trace(good));
   // The same content without the final newline is what a killed writer
   // leaves behind — even though the JSON happens to be complete.
@@ -373,20 +495,14 @@ TEST(TraceReader, RejectsTruncatedFinalLine) {
 
 TEST(TraceReader, RejectsMessageSequenceGap) {
   const std::string text =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":1,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n"
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":1,\"round\":1,"
-      "\"msg\":3,\"t_us\":1}\n";
+      send_line(1, 0, 1, 1, 1, 0) + send_line(1, 0, 1, 1, 3, 1);
   EXPECT_THROW((void)obs::parse_channel_trace(text), util::contract_error);
 }
 
 TEST(TraceReader, RejectsRoundNumberContradiction) {
   // Speaker alternated but the writer claims the same round.
   const std::string text =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":1,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n"
-      "{\"ev\":\"send\",\"ch\":1,\"from\":1,\"bits\":1,\"round\":1,"
-      "\"msg\":2,\"t_us\":1}\n";
+      send_line(1, 0, 1, 1, 1, 0) + send_line(1, 1, 1, 1, 2, 1);
   EXPECT_THROW((void)obs::parse_channel_trace(text), util::contract_error);
 }
 
@@ -399,12 +515,9 @@ TEST(TraceReader, EmptyTraceIsValid) {
 // ------------------------------------------------------ streaming reader
 
 TEST(TraceStream, ChunkedFeedMatchesSlurp) {
-  const std::string text =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":8,\"round\":1,"
-      "\"msg\":1,\"t_us\":1}\n"
-      "{\"ev\":\"span\",\"name\":\"x\",\"t_us\":1,\"dur_us\":2}\n"
-      "{\"ev\":\"send\",\"ch\":1,\"from\":1,\"bits\":1,\"round\":2,"
-      "\"msg\":2,\"t_us\":3}\n";
+  const std::string text = send_line(1, 0, 8, 1, 1, 1) +
+                           span_line(1, 0, 1, "x", 1, 2) +
+                           send_line(1, 1, 1, 2, 2, 3);
   // Worst-case chunking: one byte per feed, so every line is reassembled
   // through the carry buffer.
   obs::TraceStream stream;
@@ -412,7 +525,6 @@ TEST(TraceStream, ChunkedFeedMatchesSlurp) {
   stream.finish();
   EXPECT_EQ(stream.stats().lines, 3u);
   EXPECT_FALSE(stream.stats().truncated_tail);
-  EXPECT_EQ(stream.stats().gap_events, 0u);
 
   const obs::ChannelTrace whole = obs::parse_channel_trace(text);
   const obs::ChannelTrace chunked = stream.take_trace();
@@ -424,9 +536,7 @@ TEST(TraceStream, ChunkedFeedMatchesSlurp) {
 }
 
 TEST(TraceStream, ToleratesTruncatedFinalLineWhenAsked) {
-  const std::string good =
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":4,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n";
+  const std::string good = send_line(1, 0, 4, 1, 1, 0);
   const std::string truncated =
       good + "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bi";  // writer killed
 
@@ -446,86 +556,38 @@ TEST(TraceStream, ToleratesTruncatedFinalLineWhenAsked) {
   EXPECT_THROW(strict.finish(), util::contract_error);
 }
 
-TEST(TraceStream, ToleratedGapsFallBackToRecordedRounds) {
-  // msg 2 of a 4-message conversation was dropped by backpressure; with
-  // tolerate_gaps the remaining events still fold, using the recorded
-  // round numbers once the channel is gapped.
-  const std::string text =
-      "{\"ev\":\"send\",\"ch\":9,\"from\":0,\"bits\":8,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n"
-      "{\"ev\":\"send\",\"ch\":9,\"from\":1,\"bits\":2,\"round\":2,"
-      "\"msg\":3,\"t_us\":2}\n"
-      "{\"ev\":\"send\",\"ch\":9,\"from\":1,\"bits\":1,\"round\":2,"
-      "\"msg\":4,\"t_us\":3}\n";
-  obs::TraceReadOptions options;
-  options.tolerate_gaps = true;
-  obs::TraceStream stream(options);
-  stream.feed(text);
-  stream.finish();
-  EXPECT_EQ(stream.stats().gap_events, 1u);
-  EXPECT_EQ(stream.stats().gapped_channels, 1u);
-  const obs::ChannelTrace trace = stream.take_trace();
-  EXPECT_EQ(trace.send_events, 3u);
-  ASSERT_EQ(trace.channels.size(), 1u);
-  ASSERT_EQ(trace.channels[0].rounds.size(), 2u);
-  EXPECT_EQ(trace.channels[0].rounds[1].round, 2u);
-  EXPECT_EQ(trace.channels[0].rounds[1].bits, 3u);
-
-  // A round number running backwards is corruption even on a gapped
-  // channel.
-  obs::TraceStream bad(options);
-  bad.feed(
-      "{\"ev\":\"send\",\"ch\":9,\"from\":0,\"bits\":8,\"round\":3,"
-      "\"msg\":5,\"t_us\":0}\n");
-  EXPECT_THROW(bad.feed("{\"ev\":\"send\",\"ch\":9,\"from\":1,\"bits\":1,"
-                        "\"round\":2,\"msg\":7,\"t_us\":1}\n"),
-               util::contract_error);
-}
-
-TEST(TraceStream, DropStorageStillFoldsAggregates) {
-  const std::string text =
-      "{\"ev\":\"send\",\"ch\":3,\"from\":0,\"bits\":5,\"round\":1,"
-      "\"msg\":1,\"t_us\":0}\n"
-      "{\"ev\":\"span\",\"id\":1,\"parent\":0,\"tid\":1,\"name\":\"s\","
-      "\"t_us\":0,\"dur_us\":4}\n"
-      "{\"ev\":\"send\",\"ch\":3,\"from\":1,\"bits\":2,\"round\":2,"
-      "\"msg\":2,\"t_us\":1}\n";
-  obs::TraceReadOptions options;
-  options.keep_sends = false;
-  options.keep_spans = false;
-  obs::TraceStream stream(options);
-  std::size_t sends_seen = 0;
-  std::size_t spans_seen = 0;
-  stream.on_send = [&](const obs::SendEvent&) { ++sends_seen; };
-  stream.on_span = [&](const obs::SpanEvent&) { ++spans_seen; };
-  stream.feed(text);
-  stream.finish();
-  EXPECT_EQ(sends_seen, 2u);
-  EXPECT_EQ(spans_seen, 1u);
-  const obs::ChannelTrace trace = stream.take_trace();
-  // Aggregates fold without the O(events) storage...
-  EXPECT_EQ(trace.send_events, 2u);
-  EXPECT_EQ(trace.span_events, 1u);
-  EXPECT_EQ(trace.total_bits(), 7u);
-  ASSERT_EQ(trace.channels.size(), 1u);
-  EXPECT_EQ(trace.channels[0].rounds.size(), 2u);
-  // ... and the per-event vectors stay empty.
-  EXPECT_TRUE(trace.channels[0].sends.empty());
-  EXPECT_TRUE(trace.spans.empty());
+// What comm::Channel and ScopedSpan write is the one accepted format: a
+// line missing one of their fields, or a message the lossless sink
+// could not have skipped, fails at its line number whether or not torn
+// tails are tolerated.
+TEST(TraceStream, RejectsIncompleteEventsAndGapsEvenWhenToleratingTornTails) {
+  const std::string first = send_line(1, 0, 8, 1, 1, 0);
+  const std::string second = send_line(1, 1, 1, 2, 2, 1);
+  const std::string cases[] = {
+      first + without(second, "ch"),
+      first + without(second, "span"),
+      first + without(second, "tid"),
+      first + without(span_line(1, 0, 1, "x", 0, 1), "id"),
+      first + send_line(1, 1, 1, 2, 3, 1),  // msg 2 missing
+      first + send_line(1, 0, 8, 1, 1, 1),  // msg 1 repeated
+  };
+  for (const bool tolerate : {false, true}) {
+    for (const std::string& text : cases) {
+      obs::TraceStream stream(obs::TraceReadOptions{tolerate});
+      try {
+        stream.feed(text);
+        stream.finish();
+        ADD_FAILURE() << "accepted: " << text;
+      } catch (const util::contract_error& e) {
+        EXPECT_NE(std::string(e.what()).find("trace line 2:"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- span trees
-
-/// One {"ev":"span",...} line in the tree-aware format.
-std::string span_line(std::uint64_t id, std::uint64_t parent,
-                      std::uint64_t tid, const std::string& name,
-                      std::int64_t t_us, std::int64_t dur_us) {
-  return "{\"ev\":\"span\",\"id\":" + std::to_string(id) +
-         ",\"parent\":" + std::to_string(parent) +
-         ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" + name +
-         "\",\"t_us\":" + std::to_string(t_us) +
-         ",\"dur_us\":" + std::to_string(dur_us) + "}\n";
-}
 
 TEST(SpanForest, RebuildsNestedAndSiblingSpans) {
   // Emission order is scope-exit order: children's lines precede the
@@ -596,35 +658,30 @@ TEST(SpanForest, FlagsUnbalancedAndInterleavedSpans) {
 TEST(SpanForest, FlagsMissingParentsAndDuplicateIds) {
   const std::string text = span_line(5, 99, 1, "orphan", 0, 10) +
                            span_line(6, 0, 1, "twin", 20, 10) +
-                           span_line(6, 0, 1, "twin", 40, 10);
+                           span_line(6, 0, 1, "twin", 40, 10) +
+                           span_line(7, 7, 1, "own_parent", 60, 10);
   const obs::SpanForest forest =
       obs::build_span_forest(obs::parse_channel_trace(text).spans);
-  ASSERT_EQ(forest.problems.size(), 2u);
+  ASSERT_EQ(forest.problems.size(), 3u);
   EXPECT_NE(forest.problems[0].find("missing parent"), std::string::npos);
   EXPECT_NE(forest.problems[1].find("more than once"), std::string::npos);
-  // Orphan is reattached as a root; the duplicate is dropped.
+  EXPECT_NE(forest.problems[2].find("missing parent 7"), std::string::npos);
+  // Orphans are reattached as roots; the duplicate is dropped.
   ASSERT_EQ(forest.threads.size(), 1u);
-  EXPECT_EQ(forest.threads[0].roots.size(), 2u);
-  EXPECT_EQ(forest.nodes.size(), 2u);
-}
-
-TEST(SpanForest, KeepsLegacySpansOutOfTheTree) {
-  const std::string text =
-      "{\"ev\":\"span\",\"name\":\"old\",\"t_us\":1,\"dur_us\":2}\n" +
-      span_line(1, 0, 1, "new", 0, 10);
-  const obs::SpanForest forest =
-      obs::build_span_forest(obs::parse_channel_trace(text).spans);
-  EXPECT_EQ(forest.legacy_spans, 1u);
-  EXPECT_EQ(forest.nodes.size(), 1u);
-  EXPECT_TRUE(forest.problems.empty());
+  EXPECT_EQ(forest.threads[0].roots.size(), 3u);
+  EXPECT_EQ(forest.nodes.size(), 3u);
 }
 
 TEST(SpanForest, RejectsIllTypedSpanLines) {
-  // Once "id" is present the strict schema applies: a span with an id
-  // but a missing name must throw, not half-parse.
+  // Every field ScopedSpan writes is required: a span without a name or
+  // an id must throw, not half-parse.
   EXPECT_THROW((void)obs::parse_channel_trace(
                    "{\"ev\":\"span\",\"id\":1,\"parent\":0,\"tid\":1,"
                    "\"t_us\":0,\"dur_us\":1}\n"),
+               util::contract_error);
+  EXPECT_THROW((void)obs::parse_channel_trace(
+                   "{\"ev\":\"span\",\"name\":\"old\",\"t_us\":1,"
+                   "\"dur_us\":2}\n"),
                util::contract_error);
   EXPECT_THROW((void)obs::parse_channel_trace(
                    "{\"ev\":\"span\",\"id\":1,\"parent\":0,\"tid\":1,"
@@ -640,15 +697,11 @@ TEST(SpanForest, RejectsIllTypedSpanLines) {
 // -------------------------------------------------- Chrome trace export
 
 TEST(ChromeTrace, ExportsSpansAndFlowsAsValidJson) {
-  const std::string text =
-      span_line(2, 1, 1, "comm.execute", 5, 40) +
-      "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bits\":8,\"round\":1,"
-      "\"msg\":1,\"span\":2,\"tid\":1,\"t_us\":10}\n"
-      "{\"ev\":\"send\",\"ch\":1,\"from\":1,\"bits\":1,\"round\":2,"
-      "\"msg\":2,\"span\":2,\"tid\":1,\"t_us\":30}\n" +
-      span_line(1, 0, 1, "cli.run", 0, 60);
-  const obs::ChannelTrace trace = obs::parse_channel_trace(text);
-  const std::string rendered = obs::render_chrome_trace(trace);
+  const std::string text = span_line(2, 1, 1, "comm.execute", 5, 40) +
+                           send_line(1, 0, 8, 1, 1, 10, 2) +
+                           send_line(1, 1, 1, 2, 2, 30, 2) +
+                           span_line(1, 0, 1, "cli.run", 0, 60);
+  const std::string rendered = chrome_json(text);
 
   // The export must itself be strict-parser-valid JSON.
   const obs::json::Value doc = obs::json::parse(rendered);
@@ -697,9 +750,7 @@ TEST(ChromeTrace, ExportsSpansAndFlowsAsValidJson) {
 }
 
 TEST(ChromeTrace, EmptyTraceStillRendersAValidDocument) {
-  const obs::ChannelTrace trace = obs::parse_channel_trace("");
-  const obs::json::Value doc =
-      obs::json::parse(obs::render_chrome_trace(trace));
+  const obs::json::Value doc = obs::json::parse(chrome_json(""));
   ASSERT_NE(doc.find("traceEvents"), nullptr);
   EXPECT_TRUE(doc.find("traceEvents")->array.empty());
 }

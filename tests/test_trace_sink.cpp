@@ -1,8 +1,8 @@
-// Async trace sink: multi-thread storms against both backpressure
-// policies, the conservation ledger (written + dropped == emitted),
-// per-thread FIFO order in the file, sub-batch flush, clean close, and
-// open-failure accounting.  Runs under TSan in CI — the storms are the
-// data-race harness for the emitter/drainer handoff.
+// Async trace sink: lossless multi-thread storms at the default ring
+// capacity and under backpressure, per-thread FIFO order in the file,
+// sub-batch flush, clean close, and open-failure accounting.  Runs under
+// TSan in CI — the storms are the data-race harness for the
+// emitter/drainer handoff.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,11 +72,9 @@ std::vector<std::string> file_lines(const std::string& path) {
   return lines;
 }
 
-bool open_sink(const std::string& path, obs::TracePolicy policy,
-               std::size_t capacity = 0) {
+bool open_sink(const std::string& path, std::size_t capacity = 0) {
   obs::TraceSinkOptions options;
   options.path = path;
-  options.policy = policy;
   options.capacity = capacity;
   return obs::open_trace_sink(options);
 }
@@ -115,7 +113,7 @@ void storm(std::size_t threads, std::uint64_t events_per_thread) {
 TEST(TraceSink, BlockPolicyStormIsLosslessAtDefaultCapacity) {
   const TracingOn guard;
   const std::string path = temp_trace_path("block_default");
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kBlock));
+  ASSERT_TRUE(open_sink(path));
 
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 5'000;
@@ -134,7 +132,7 @@ TEST(TraceSink, BlockPolicyPreservesPerThreadOrderUnderBackpressure) {
   // A ring of 256 events under 4 x 2000 forces the emitters through the
   // backpressure wait over and over; the file must still hold every
   // thread's events in emission order.
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kBlock, /*capacity=*/256));
+  ASSERT_TRUE(open_sink(path, /*capacity=*/256));
 
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 2'000;
@@ -154,32 +152,10 @@ TEST(TraceSink, BlockPolicyPreservesPerThreadOrderUnderBackpressure) {
   std::filesystem::remove(path);
 }
 
-TEST(TraceSink, DropPolicyStormKeepsTheLedgerBalanced) {
-  const TracingOn guard;
-  const std::string path = temp_trace_path("drop_storm");
-  // One batch of ring capacity: the drainer cannot keep up, so the drop
-  // policy must shed load — and every shed event must be counted.
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kDrop, /*capacity=*/64));
-
-  constexpr std::size_t kThreads = 4;
-  constexpr std::uint64_t kPerThread = 50'000;
-  storm(kThreads, kPerThread);
-
-  const std::uint64_t emitted = counter("obs.trace.emitted");
-  const std::uint64_t dropped = counter("obs.trace.dropped");
-  const std::size_t written = file_lines(path).size();
-  EXPECT_EQ(emitted, kThreads * kPerThread);
-  EXPECT_GT(dropped, 0u) << "a 64-event ring absorbed a 200k-event storm";
-  EXPECT_TRUE(obs::trace_truncated());
-  EXPECT_EQ(written + dropped, emitted)
-      << written << " written + " << dropped << " dropped != " << emitted;
-  std::filesystem::remove(path);
-}
-
 TEST(TraceSink, FlushDrainsSubBatchEventsWhileOpen) {
   const TracingOn guard;
   const std::string path = temp_trace_path("flush");
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kBlock));
+  ASSERT_TRUE(open_sink(path));
 
   // Five events sit far below the per-thread batch threshold; only the
   // explicit flush moves them through the ring and onto disk.
@@ -199,7 +175,7 @@ TEST(TraceSink, FlushDrainsSubBatchEventsWhileOpen) {
 TEST(TraceSink, CloseSweepsResidueWithoutAnExplicitFlush) {
   const TracingOn guard;
   const std::string path = temp_trace_path("close");
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kBlock));
+  ASSERT_TRUE(open_sink(path));
 
   for (std::uint64_t i = 0; i < 7; ++i) {
     obs::emit_event(storm_line(0, i));
@@ -218,7 +194,7 @@ TEST(TraceSink, CloseSweepsResidueWithoutAnExplicitFlush) {
 TEST(TraceSink, EmitAfterCloseIsANoOpNotADrop) {
   const TracingOn guard;
   const std::string path = temp_trace_path("after_close");
-  ASSERT_TRUE(open_sink(path, obs::TracePolicy::kBlock));
+  ASSERT_TRUE(open_sink(path));
   obs::emit_event(storm_line(0, 0));
   obs::close_trace_sink();
 
@@ -236,7 +212,7 @@ TEST(TraceSink, FailedOpenIsCountedAndDisablesTheSink) {
   const TracingOn guard;
   const std::string path =
       "/nonexistent_ccmx_dir/definitely/not/here/trace.jsonl";
-  EXPECT_FALSE(open_sink(path, obs::TracePolicy::kBlock));
+  EXPECT_FALSE(open_sink(path));
   EXPECT_EQ(counter("obs.trace.open_failed"), 1u);
   EXPECT_TRUE(obs::trace_truncated())
       << "an open failure must mark the trace truncated";

@@ -1,16 +1,20 @@
-// util: rng determinism/statistics, parallel loops, narrowing, tables.
+// util: rng determinism/statistics, parallel loops, narrowing, env
+// knobs, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/env.hpp"
 #include "util/narrow.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -317,6 +321,59 @@ TEST(Narrow, AcceptsExactAndRejectsLossy) {
   EXPECT_THROW((void)narrow<std::uint8_t>(256), contract_error);
   EXPECT_THROW((void)narrow<std::uint32_t>(-1), contract_error);
   EXPECT_EQ(narrow<int>(std::int64_t{123}), 123);
+}
+
+// Every CCMX_* knob reads its whole value and checks its range; any
+// other value warns once on stderr, naming the variable, and yields the
+// knob's default.
+TEST(EnvKnob, IntegerKnobAcceptsOnlyWholeValuesInRange) {
+  const char* name = "CCMX_TEST_ENV_INT";
+  const auto read = [name](const char* value) {
+    ::setenv(name, value, /*overwrite=*/1);
+    return env_int(name, 1, 100, 42);
+  };
+  EXPECT_EQ(read("20"), 20);
+  EXPECT_EQ(read("1"), 1);
+  EXPECT_EQ(read("100"), 100);
+  for (const char* bad : {"20ms", "97abc", " 20", "20 ", "+20", "0x10", "0",
+                          "101", "-5", "99999999999999999999", "ms"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(read(bad), 42) << bad;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string(name) + "=" + bad), std::string::npos)
+        << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+  // Unset or empty means the default, silently.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(read(""), 42);
+  ::unsetenv(name);
+  EXPECT_EQ(env_int(name, 1, 100, 42), 42);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(EnvKnob, FlagKnobAcceptsOnlyTheDocumentedSpellings) {
+  const char* name = "CCMX_TEST_ENV_FLAG";
+  const auto read = [name](const char* value) {
+    ::setenv(name, value, /*overwrite=*/1);
+    return env_flag(name);
+  };
+  testing::internal::CaptureStderr();
+  for (const char* on : {"1", "true", "on", "yes"}) EXPECT_TRUE(read(on)) << on;
+  for (const char* off : {"", "0", "false", "off", "no"}) {
+    EXPECT_FALSE(read(off)) << off;
+  }
+  ::unsetenv(name);
+  EXPECT_FALSE(env_flag(name));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  for (const char* bad : {"2", "TRUE", "enable", "1 "}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(read(bad)) << bad;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string(name) + "=" + bad), std::string::npos)
+        << err;
+  }
+  ::unsetenv(name);
 }
 
 TEST(Table, RendersAlignedMarkdown) {

@@ -316,18 +316,14 @@ int cmd_trace(Args& args) {
   args.done();
   if (!trace_path) return usage();
 
-  // Chunked streaming read, tolerant of the two damage shapes a live
-  // async writer legitimately produces: dropped lines (backpressure
-  // under CCMX_TRACE_POLICY=drop) and a torn final line (killed
-  // process).  Anything else is corruption and still fails the parse —
-  // with a diagnostic, not an unhandled exception.  Sends are folded
-  // into aggregates as they stream (and forwarded to the Chrome writer
+  // Chunked streaming read, tolerant of the one damage shape a live
+  // writer legitimately produces: a torn final line (killed process).
+  // Anything else is corruption and still fails the parse — with a
+  // diagnostic, not an unhandled exception.  Sends are folded into
+  // aggregates as they stream (and forwarded to the Chrome writer
   // below), so memory stays bounded by the span count, not the trace.
   obs::TraceReadOptions options;
-  options.tolerate_gaps = true;
   options.tolerate_truncated_tail = true;
-  options.keep_sends = false;
-  options.keep_spans = true;
   obs::TraceStream stream(options);
 
   std::ofstream chrome_out;
@@ -365,13 +361,6 @@ int cmd_trace(Args& args) {
     std::cout << "warning: final line is not newline-terminated (writer "
                  "killed mid-write?); tolerated as 1 truncation\n";
   }
-  if (stats.gap_events > 0) {
-    std::cout << "warning: " << stats.gap_events
-              << " message-sequence gap(s) across " << stats.gapped_channels
-              << " channel(s) — events were dropped by the writer "
-                 "(CCMX_TRACE_POLICY=drop backpressure); per-round "
-                 "reconstruction uses recorded round numbers there\n";
-  }
   std::cout << '\n';
   util::TextTable channels(
       {"channel", "rounds", "messages", "agent0 bits", "agent1 bits",
@@ -402,11 +391,7 @@ int cmd_trace(Args& args) {
   if (!trace.spans.empty()) {
     const obs::SpanForest forest = obs::build_span_forest(trace.spans);
     std::cout << "\nspan trees (" << forest.nodes.size() << " span(s) on "
-              << forest.threads.size() << " thread(s)";
-    if (forest.legacy_spans > 0) {
-      std::cout << ", " << forest.legacy_spans << " legacy";
-    }
-    std::cout << "):\n";
+              << forest.threads.size() << " thread(s)):\n";
     for (const obs::ThreadSpans& thread : forest.threads) {
       std::cout << "thread " << thread.tid << ":\n";
       // Depth-first, children in time order — the tree as indentation.
@@ -674,7 +659,6 @@ int cmd_profile(Args& args) {
     // instrumented view (span wall time) and the statistical view
     // (sample counts) land in one table.
     obs::TraceReadOptions options;
-    options.tolerate_gaps = true;
     options.tolerate_truncated_tail = true;
     obs::TraceStream stream(options);
     try {
@@ -820,10 +804,9 @@ int cmd_html(Args& args) {
   obs::SpanForest forest;
   obs::TraceReadStats trace_stats;
   if (trace_path) {
-    // Same tolerant chunked read as `trace`: a dashboard over a damaged
-    // trace should render the damage, not die on it.
+    // Same chunked read as `trace`: a dashboard over a torn trace
+    // should render the damage, not die on it.
     obs::TraceReadOptions options;
-    options.tolerate_gaps = true;
     options.tolerate_truncated_tail = true;
     obs::TraceStream stream(options);
     try {
