@@ -5,15 +5,19 @@
 // section, and finally writes a machine-readable RunReport to
 // bench/out/BENCH_<name>.json (schema ccmx.run_report/1; see
 // docs/OBSERVABILITY.md).  All randomness is seeded, so tables reproduce
-// byte-for-byte; the JSON adds the timing/counter trajectory on top.
+// byte-for-byte, and so do the counters of the table phase, which the
+// report carries as "table_counters" for `ccmx_insight diff` to gate
+// exactly; the timings and end-of-process counters come on top.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "linalg/convert.hpp"
@@ -45,28 +49,44 @@ inline void print_table(const util::TextTable& table) {
   std::cout << std::flush;
 }
 
+/// Counter families the table-phase block leaves out, because they
+/// measure the host or the scheduling rather than the work (measured at
+/// CCMX_THREADS = 1..4 on every bench binary's table phase):
+inline constexpr std::string_view kUngatedCounterFamilies[] = {
+    // Pool bookkeeping (jobs and items handed to the pool).  It did not
+    // move, but it counts how a loop is scheduled, not what it computes.
+    "parallel.",
+    // The observability layer's own ledger: bench_obs's profiled table
+    // phase read obs.prof.captured 107, 106, 109, 109; obs.overhead.*
+    // are nanoseconds.
+    "obs.",
+    // parallel_reduce adds one BigInt partial sum per worker: lemma35's
+    // tables count 365,914 at 1 thread and 365,929 at 4.
+    "bigint.small_ops",
+};
+
+/// The table-phase block of the run report: every counter of `snap`
+/// outside kUngatedCounterFamilies, sorted by name.
+inline std::vector<std::pair<std::string, std::uint64_t>> table_counters(
+    obs::Snapshot snap) {
+  std::erase_if(snap.counters, [](const auto& counter) {
+    return std::any_of(std::begin(kUngatedCounterFamilies),
+                       std::end(kUngatedCounterFamilies),
+                       [&](std::string_view family) {
+                         return counter.first.starts_with(family);
+                       });
+  });
+  std::sort(snap.counters.begin(), snap.counters.end());
+  return std::move(snap.counters);
+}
+
 /// Console reporter that also collects every timing row for the RunReport.
 /// Errored runs are kept (name + error flag, zero timings) so a benchmark
 /// that failed to run shows up in the report — and in bench_main's exit
 /// status — instead of silently disappearing.
-///
-/// Hardware-counter attribution: ReportRuns fires once per finished
-/// benchmark, so the hw delta since the previous call belongs to that
-/// benchmark's batch — measured run plus its warm-up/calibration
-/// iterations, which is why the per-iteration numbers carry a few percent
-/// of calibration overhead (see docs/OBSERVABILITY.md).  A batch with
-/// more than one timing row (repetitions/aggregates) is left
-/// unattributed rather than guessed at.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
-  CollectingReporter() : last_hw_(obs::hw_read()) {}
-
   void ReportRuns(const std::vector<Run>& report) override {
-    const obs::HwCounters now = obs::hw_read();
-    const obs::HwCounters batch_hw = obs::hw_delta(last_hw_, now);
-    last_hw_ = now;
-    std::size_t timed_rows = 0;
-    for (const Run& run : report) timed_rows += !run.error_occurred;
     for (const Run& run : report) {
       obs::BenchmarkRun out;
       out.name = run.benchmark_name();
@@ -79,7 +99,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
         out.real_time = run.GetAdjustedRealTime();
         out.cpu_time = run.GetAdjustedCPUTime();
         out.time_unit = benchmark::GetTimeUnitString(run.time_unit);
-        if (timed_rows == 1) out.hw = batch_hw;
       }
       runs_.push_back(std::move(out));
     }
@@ -94,7 +113,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
  private:
   std::vector<obs::BenchmarkRun> runs_;
   std::size_t errors_ = 0;
-  obs::HwCounters last_hw_;
 };
 
 /// "path/to/bench_exact_cc" -> "exact_cc" (report key and file stem).
@@ -107,7 +125,8 @@ inline std::string bench_name_from_argv0(std::string_view argv0) {
   return name.empty() ? "unknown" : name;
 }
 
-/// Boilerplate main body: tables, timings, then the RunReport.
+/// Boilerplate main body: tables, their counters, timings, then the
+/// RunReport.
 inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   const util::WallTimer timer;
   // Open the perf fds (inherit=1 covers pool threads spawned later) and
@@ -122,6 +141,9 @@ inline int bench_main(int argc, char** argv, void (*print_tables)()) {
     const obs::ScopedSpan span("bench.tables");
     print_tables();
   }
+  // The pool is idle here, so the snapshot is exact.
+  obs::RunReport report;
+  report.table_counters = table_counters(obs::snapshot());
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   CollectingReporter reporter;
@@ -131,7 +153,6 @@ inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   }
   ::benchmark::Shutdown();
 
-  obs::RunReport report;
   report.name = bench_name_from_argv0(argv[0]);
   for (int i = 0; i < argc; ++i) report.argv.emplace_back(argv[i]);
   report.wall_seconds = timer.seconds();

@@ -10,7 +10,10 @@
 #   BUILD_DIR  cmake build tree holding bench/bench_* binaries
 #   OUT_DIR    where BENCH_<name>.json reports land (CCMX_BENCH_OUT)
 #
-# Refresh the committed baseline after an intentional perf change with:
+# Every run is traced, so each report's table_counters block holds the
+# exact counts `ccmx_insight diff` gates.  Refresh the committed baseline
+# after a change that moves one of them (say why in CHANGES.md), or the
+# timings on purpose, with:
 #   bench/run_baseline.sh build bench/baseline
 set -eu
 

@@ -348,6 +348,9 @@ RowCensus row_census(const ConstructionParams& p, const la::IntMatrix& c,
     census.ones = ones;
     census.exact = true;
   } else {
+    CCMX_REQUIRE(options.samples >= 1,
+                 "row_census: q^digits exceeds the budget, so the sampled "
+                 "census needs samples >= 1");
     obs::ProgressMeter progress("row_census[sampled]", options.samples);
     // One base draw from the caller's stream seeds a per-sample generator,
     // so sample s sees the same digits no matter which worker runs it.

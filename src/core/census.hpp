@@ -34,9 +34,11 @@ struct RowCensus {
   std::uint64_t evaluations = 0;  // digit assignments evaluated
 };
 
-/// Engine knobs for row_census.  The defaults match the fast production
-/// configuration; `delta = false` keeps the recompute-from-scratch evaluator
-/// reachable for ablation benchmarks and cross-checks.
+/// Engine knobs for row_census.  The defaults (budget 1, samples 0) are
+/// not a runnable census: every caller sets the budget, and a census
+/// whose q^digits exceeds it needs samples >= 1.  `delta = false` keeps
+/// the recompute-from-scratch evaluator reachable for ablation benchmarks
+/// and cross-checks.
 struct CensusOptions {
   std::uint64_t budget = 1;  // exact-enumeration cap on q^digits
   std::size_t samples = 0;   // Monte Carlo draws above the budget
@@ -47,7 +49,9 @@ struct CensusOptions {
 /// `options.budget` caps the number of (E, D_1..D_{half-1}) combinations
 /// enumerated exactly; above it, `options.samples` stratified draws estimate
 /// the count.  Runs on the parallel sweep engine; the result (including the
-/// evaluations counter) is identical for every parallel degree.
+/// evaluations counter) is identical for every parallel degree.  Throws
+/// contract_error when the sampled branch is taken with samples == 0;
+/// exact-only callers may pass samples 0.
 [[nodiscard]] RowCensus row_census(const ConstructionParams& p,
                                    const la::IntMatrix& c,
                                    const CensusOptions& options,

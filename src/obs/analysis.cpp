@@ -43,14 +43,17 @@ std::string string_or(const json::Value& doc, std::string_view key,
   return v != nullptr && v->is_string() ? v->string : std::string(fallback);
 }
 
-/// candidate/baseline classified against a symmetric relative tolerance;
-/// `lower_is_better` is true for times/RSS, false never so far but kept
-/// explicit at the call sites via how ratio is read.
+bool bool_or(const json::Value& doc, std::string_view key) {
+  const json::Value* v = doc.find(key);
+  return v != nullptr && v->is_bool() && v->boolean;
+}
+
+/// candidate/baseline classified against a symmetric relative tolerance
+/// (cpu time and RSS, where lower is better).
 Verdict classify(double baseline, double candidate, double rel_tol) {
   if (baseline <= 0.0) {
-    // Degenerate baseline (zero counter, zero time): any nonzero
-    // candidate is a change we cannot express as a ratio; flag only a
-    // real appearance.
+    // Degenerate baseline (zero time): any nonzero candidate is a change
+    // we cannot express as a ratio; flag only a real appearance.
     return candidate <= 0.0 ? Verdict::kWithinNoise : Verdict::kRegression;
   }
   const double ratio = candidate / baseline;
@@ -63,10 +66,12 @@ double safe_ratio(double baseline, double candidate) {
   return baseline > 0.0 ? candidate / baseline : 0.0;
 }
 
-/// Pulls "counters" into an ordered map (empty when absent/untraced).
-std::map<std::string, double> counter_map(const json::Value& doc) {
+/// Pulls "table_counters" into an ordered map (empty when the block or
+/// the whole report is absent).
+std::map<std::string, double> table_counter_map(const LoadedReport* report) {
   std::map<std::string, double> out;
-  const json::Value* counters = doc.find("counters");
+  if (report == nullptr) return out;
+  const json::Value* counters = report->doc.find("table_counters");
   if (counters == nullptr || !counters->is_object()) return out;
   for (const auto& [name, value] : counters->object) {
     if (value.is_number()) out[name] = value.number;
@@ -78,12 +83,6 @@ struct BenchRow {
   double cpu_time = 0.0;
   std::int64_t iterations = 0;
   std::string time_unit;
-  /// Per-row hardware attribution; absent (has_hw=false) on reports from
-  /// degraded machines or predating hw counters — the differ degrades to
-  /// "no hw verdict" for such rows instead of erroring.
-  bool has_hw = false;
-  double insn_per_iter = 0.0;
-  double ipc = 0.0;
 };
 
 std::map<std::string, BenchRow> benchmark_map(const json::Value& doc) {
@@ -105,19 +104,6 @@ std::map<std::string, BenchRow> benchmark_map(const json::Value& doc) {
     row.iterations =
         static_cast<std::int64_t>(number_or(run, "iterations", 0.0));
     row.time_unit = string_or(run, "time_unit", "ns");
-    if (const json::Value* hw = run.find("hw");
-        hw != nullptr && hw->is_object()) {
-      const json::Value* avail = hw->find("available");
-      if (avail != nullptr && avail->is_bool() && avail->boolean) {
-        row.insn_per_iter = number_or(run, "insn_per_iteration", 0.0);
-        if (row.insn_per_iter <= 0.0 && row.iterations > 0) {
-          row.insn_per_iter = number_or(*hw, "instructions", 0.0) /
-                              static_cast<double>(row.iterations);
-        }
-        row.ipc = number_or(*hw, "ipc", 0.0);
-        row.has_hw = row.insn_per_iter > 0.0;
-      }
-    }
     out[name->string] = row;
   }
   return out;
@@ -138,7 +124,7 @@ void write_verdict_counts(json::Writer& w, const BenchDiff& diff) {
   w.key("only_candidate")
       .value(static_cast<std::uint64_t>(diff.count(Verdict::kOnlyCandidate)));
   w.key("cpu_regression").value(diff.has_cpu_regression());
-  w.key("insn_regression").value(diff.has_insn_regression());
+  w.key("counter_mismatch").value(diff.has_counter_mismatch());
   w.end_object();
 }
 
@@ -181,6 +167,8 @@ std::string_view verdict_name(Verdict v) noexcept {
     case Verdict::kLowIterations: return "low_iterations";
     case Verdict::kOnlyBaseline: return "only_baseline";
     case Verdict::kOnlyCandidate: return "only_candidate";
+    case Verdict::kEqual: return "equal";
+    case Verdict::kChanged: return "changed";
   }
   return "unknown";
 }
@@ -277,11 +265,18 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
     }
   }
   check_member(doc, "counters", Kind::kObject, problems);
-  if (const json::Value* counters = doc.find("counters");
-      counters != nullptr && counters->is_object()) {
+  // "table_counters" is optional: only bench binaries have a table phase.
+  if (const json::Value* table = doc.find("table_counters");
+      table != nullptr && !table->is_object()) {
+    problems.emplace_back("member \"table_counters\" has wrong type");
+  }
+  for (const char* block : {"counters", "table_counters"}) {
+    const json::Value* counters = doc.find(block);
+    if (counters == nullptr || !counters->is_object()) continue;
     for (const auto& [key, value] : counters->object) {
       if (!value.is_number()) {
-        problems.push_back("counter \"" + key + "\" is not a number");
+        problems.push_back(std::string(block) + " \"" + key +
+                           "\" is not a number");
       }
     }
   }
@@ -325,15 +320,6 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
           check_member(run, "error_message", Kind::kString, problems);
         }
       }
-      // Optional per-row hw attribution (absent on degraded machines and
-      // on reports predating the field).
-      if (const json::Value* hw = run.find("hw"); hw != nullptr) {
-        const json::Value* avail =
-            hw->is_object() ? hw->find("available") : nullptr;
-        if (avail == nullptr || !avail->is_bool()) {
-          problems.push_back(where + " \"hw\" missing bool \"available\"");
-        }
-      }
     }
   }
   return problems;
@@ -359,7 +345,6 @@ std::vector<std::string> load_report_file(const std::string& path,
   out.name = string_or(doc, "name", "");
   out.git_sha = string_or(doc, "git_sha", "unknown");
   out.build_type = string_or(doc, "build_type", "unknown");
-  out.unix_time = static_cast<std::int64_t>(number_or(doc, "unix_time", 0.0));
   out.wall_seconds = number_or(doc, "wall_seconds", 0.0);
   out.cpu_seconds = number_or(doc, "cpu_seconds", 0.0);
   out.max_rss_bytes =
@@ -403,7 +388,6 @@ std::size_t BenchDiff::count(Verdict v) const noexcept {
   std::size_t n = 0;
   for (const BenchmarkDelta& d : benchmarks) n += d.verdict == v;
   for (const CounterDelta& d : counters) n += d.verdict == v;
-  for (const InsnDelta& d : insn) n += d.verdict == v;
   for (const RssDelta& d : rss) n += d.verdict == v;
   return n;
 }
@@ -415,10 +399,11 @@ bool BenchDiff::has_cpu_regression() const noexcept {
                      });
 }
 
-bool BenchDiff::has_insn_regression() const noexcept {
-  return std::any_of(insn.begin(), insn.end(), [](const InsnDelta& d) {
-    return d.verdict == Verdict::kRegression;
-  });
+bool BenchDiff::has_counter_mismatch() const noexcept {
+  return std::any_of(counters.begin(), counters.end(),
+                     [](const CounterDelta& d) {
+                       return d.verdict != Verdict::kEqual;
+                     });
 }
 
 BenchDiff diff_reports(const LoadResult& baseline, const LoadResult& candidate,
@@ -455,10 +440,45 @@ BenchDiff diff_reports(const LoadResult& baseline, const LoadResult& candidate,
     }
   };
 
+  // Table counters must match exactly: a change in either direction,
+  // or a counter on one side only, is a mismatch.
+  const auto compare_counters = [&](const std::string& report,
+                                    const LoadedReport* base,
+                                    const LoadedReport* cand) {
+    const std::map<std::string, double> base_counters =
+        table_counter_map(base);
+    const std::map<std::string, double> cand_counters =
+        table_counter_map(cand);
+    for (const auto& [counter, value] : base_counters) {
+      CounterDelta d;
+      d.report = report;
+      d.counter = counter;
+      d.baseline = value;
+      const auto it = cand_counters.find(counter);
+      if (it == cand_counters.end()) {
+        d.verdict = Verdict::kOnlyBaseline;
+      } else {
+        d.candidate = it->second;
+        d.verdict = value == d.candidate ? Verdict::kEqual : Verdict::kChanged;
+      }
+      diff.counters.push_back(std::move(d));
+    }
+    for (const auto& [counter, value] : cand_counters) {
+      if (base_counters.count(counter) != 0) continue;
+      CounterDelta d;
+      d.report = report;
+      d.counter = counter;
+      d.candidate = value;
+      d.verdict = Verdict::kOnlyCandidate;
+      diff.counters.push_back(std::move(d));
+    }
+  };
+
   for (const auto& [name, base] : base_by_name) {
     const auto cand_it = cand_by_name.find(name);
     if (cand_it == cand_by_name.end()) {
       emit_one_sided(name, benchmark_map(base->doc), Verdict::kOnlyBaseline);
+      compare_counters(name, base, nullptr);
       continue;
     }
     const LoadedReport* cand = cand_it->second;
@@ -507,83 +527,13 @@ BenchDiff diff_reports(const LoadResult& baseline, const LoadResult& candidate,
       diff.benchmarks.push_back(std::move(d));
     }
 
-    // Instruction counts: only rows where BOTH sides carry an available
-    // hw block are judged.  One-sided hw (old baseline vs new candidate,
-    // or a degraded machine on one side) degrades to "no hw verdict"
-    // with a diagnostic note — never an error.
-    {
-      const auto any_hw = [](const std::map<std::string, BenchRow>& rows) {
-        return std::any_of(rows.begin(), rows.end(), [](const auto& entry) {
-          return entry.second.has_hw;
-        });
-      };
-      const bool base_hw = any_hw(base_rows);
-      const bool cand_hw = any_hw(cand_rows);
-      if (base_hw != cand_hw) {
-        diff.problems.push_back(
-            name + ": hw counters available on only one side (degraded "
-                   "machine or pre-hw report?); instruction diff skipped");
-      }
-      for (const auto& [bench, brow] : base_rows) {
-        if (!brow.has_hw) continue;
-        const auto crow_it = cand_rows.find(bench);
-        if (crow_it == cand_rows.end() || !crow_it->second.has_hw) continue;
-        const BenchRow& crow = crow_it->second;
-        InsnDelta d;
-        d.report = name;
-        d.benchmark = bench;
-        d.baseline_insn = brow.insn_per_iter;
-        d.candidate_insn = crow.insn_per_iter;
-        d.baseline_ipc = brow.ipc;
-        d.candidate_ipc = crow.ipc;
-        d.ratio = safe_ratio(brow.insn_per_iter, crow.insn_per_iter);
-        if (brow.iterations < thresholds.min_iterations ||
-            crow.iterations < thresholds.min_iterations) {
-          d.verdict = Verdict::kLowIterations;
-        } else {
-          d.verdict = classify(brow.insn_per_iter, crow.insn_per_iter,
-                               thresholds.insn_rel_tol);
-        }
-        diff.insn.push_back(std::move(d));
-      }
-    }
-
-    // Counters: only meaningful when both runs were traced — an untraced
-    // run has an empty counter map, and flagging every counter as
-    // "disappeared" would be pure noise.
-    const std::map<std::string, double> base_counters =
-        counter_map(base->doc);
-    const std::map<std::string, double> cand_counters =
-        counter_map(cand->doc);
-    if (base_counters.empty() != cand_counters.empty()) {
+    compare_counters(name, base, cand);
+    const bool base_traced = bool_or(base->doc, "trace_enabled");
+    const bool cand_traced = bool_or(cand->doc, "trace_enabled");
+    if (base_traced != cand_traced) {
       diff.problems.push_back(
-          name + ": counters present on only one side (untraced run?); "
-                 "counter diff skipped");
-    } else {
-      for (const auto& [counter, bval] : base_counters) {
-        CounterDelta d;
-        d.report = name;
-        d.counter = counter;
-        d.baseline = bval;
-        const auto cval_it = cand_counters.find(counter);
-        if (cval_it == cand_counters.end()) {
-          d.verdict = Verdict::kOnlyBaseline;
-        } else {
-          d.candidate = cval_it->second;
-          d.ratio = safe_ratio(bval, d.candidate);
-          d.verdict = classify(bval, d.candidate, thresholds.counter_rel_tol);
-        }
-        diff.counters.push_back(std::move(d));
-      }
-      for (const auto& [counter, cval] : cand_counters) {
-        if (base_counters.count(counter) != 0) continue;
-        CounterDelta d;
-        d.report = name;
-        d.counter = counter;
-        d.candidate = cval;
-        d.verdict = Verdict::kOnlyCandidate;
-        diff.counters.push_back(std::move(d));
-      }
+          name + ": only the " + (base_traced ? "baseline" : "candidate") +
+          " ran with CCMX_TRACE; an untraced run counts nothing");
     }
 
     if (base->max_rss_bytes > 0 && cand->max_rss_bytes > 0) {
@@ -602,6 +552,7 @@ BenchDiff diff_reports(const LoadResult& baseline, const LoadResult& candidate,
   for (const auto& [name, cand] : cand_by_name) {
     if (base_by_name.count(name) != 0) continue;
     emit_one_sided(name, benchmark_map(cand->doc), Verdict::kOnlyCandidate);
+    compare_counters(name, nullptr, cand);
   }
   return diff;
 }
@@ -616,9 +567,7 @@ std::string render_bench_diff_json(const BenchDiff& diff) {
   w.key("candidate_dir").value(diff.candidate_dir);
   w.key("thresholds").begin_object();
   w.key("cpu_rel_tol").value(diff.thresholds.cpu_rel_tol);
-  w.key("counter_rel_tol").value(diff.thresholds.counter_rel_tol);
   w.key("rss_rel_tol").value(diff.thresholds.rss_rel_tol);
-  w.key("insn_rel_tol").value(diff.thresholds.insn_rel_tol);
   w.key("min_iterations").value(diff.thresholds.min_iterations);
   w.end_object();
   write_verdict_counts(w, diff);
@@ -644,21 +593,6 @@ std::string render_bench_diff_json(const BenchDiff& diff) {
     w.key("counter").value(d.counter);
     w.key("baseline").value(d.baseline);
     w.key("candidate").value(d.candidate);
-    w.key("ratio").value(d.ratio);
-    w.key("verdict").value(verdict_name(d.verdict));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("insn").begin_array();
-  for (const InsnDelta& d : diff.insn) {
-    w.begin_object();
-    w.key("report").value(d.report);
-    w.key("benchmark").value(d.benchmark);
-    w.key("baseline_insn").value(d.baseline_insn);
-    w.key("candidate_insn").value(d.candidate_insn);
-    w.key("baseline_ipc").value(d.baseline_ipc);
-    w.key("candidate_ipc").value(d.candidate_ipc);
-    w.key("ratio").value(d.ratio);
     w.key("verdict").value(verdict_name(d.verdict));
     w.end_object();
   }
@@ -692,10 +626,9 @@ std::string render_bench_diff_markdown(const BenchDiff& diff) {
      << "low-iteration (ungated): " << diff.count(Verdict::kLowIterations)
      << "\n";
   os << "- thresholds: cpu ±" << fmt_num(diff.thresholds.cpu_rel_tol * 100)
-     << "%, counters ±" << fmt_num(diff.thresholds.counter_rel_tol * 100)
      << "%, rss ±" << fmt_num(diff.thresholds.rss_rel_tol * 100)
-     << "%, instructions ±" << fmt_num(diff.thresholds.insn_rel_tol * 100)
-     << "%, min iterations " << diff.thresholds.min_iterations << "\n\n";
+     << "%, min iterations " << diff.thresholds.min_iterations
+     << "; table counters exact\n\n";
 
   const auto interesting = [](Verdict v) {
     return v != Verdict::kWithinNoise;
@@ -719,47 +652,24 @@ std::string render_bench_diff_markdown(const BenchDiff& diff) {
        << " benchmark timings within noise.\n\n";
   }
 
-  if (diff.insn.empty()) {
-    os << "Instruction counts: no benchmark carried hw counters on both "
-          "sides — no hw verdict.\n\n";
-  } else {
-    bool any_insn = std::any_of(
-        diff.insn.begin(), diff.insn.end(),
-        [&](const InsnDelta& d) { return interesting(d.verdict); });
-    if (any_insn) {
-      os << "| report | benchmark | baseline insn/iter | candidate "
-            "insn/iter | ratio | IPC (b → c) | verdict |\n"
-            "|---|---|---|---|---|---|---|\n";
-      for (const InsnDelta& d : diff.insn) {
-        if (!interesting(d.verdict)) continue;
-        os << "| " << d.report << " | " << d.benchmark << " | "
-           << fmt_num(d.baseline_insn) << " | " << fmt_num(d.candidate_insn)
-           << " | " << fmt_ratio(d.ratio) << " | " << fmt_num(d.baseline_ipc)
-           << " → " << fmt_num(d.candidate_ipc) << " | "
-           << verdict_name(d.verdict) << " |\n";
-      }
-      os << '\n';
-    } else {
-      os << "All " << diff.insn.size()
-         << " instruction counts within tolerance.\n\n";
-    }
-  }
-
-  bool any_counter = std::any_of(
-      diff.counters.begin(), diff.counters.end(),
-      [&](const CounterDelta& d) { return interesting(d.verdict); });
-  if (any_counter) {
-    os << "| report | counter | baseline | candidate | ratio | verdict "
-          "|\n|---|---|---|---|---|---|\n";
+  if (diff.has_counter_mismatch()) {
+    os << "Table counters that do not match (a changed count needs a "
+          "refreshed bench/baseline):\n\n"
+          "| report | counter | baseline | candidate | verdict |\n"
+          "|---|---|---|---|---|\n";
     for (const CounterDelta& d : diff.counters) {
-      if (!interesting(d.verdict)) continue;
+      if (d.verdict == Verdict::kEqual) continue;
       os << "| " << d.report << " | " << d.counter << " | "
-         << fmt_num(d.baseline) << " | " << fmt_num(d.candidate) << " | "
-         << fmt_ratio(d.ratio) << " | " << verdict_name(d.verdict) << " |\n";
+         << (d.verdict == Verdict::kOnlyCandidate ? "-" : fmt_num(d.baseline))
+         << " | "
+         << (d.verdict == Verdict::kOnlyBaseline ? "-" : fmt_num(d.candidate))
+         << " | " << verdict_name(d.verdict) << " |\n";
     }
     os << '\n';
   } else if (!diff.counters.empty()) {
-    os << "All " << diff.counters.size() << " counters within tolerance.\n\n";
+    os << "All " << diff.counters.size() << " table counters equal.\n\n";
+  } else {
+    os << "No report carries table counters: nothing gated exactly.\n\n";
   }
 
   for (const RssDelta& d : diff.rss) {
@@ -806,8 +716,8 @@ void check_delta_array(const json::Value& doc, std::string_view key,
     if (const json::Value* verdict = entry.find("verdict");
         verdict != nullptr && verdict->is_string()) {
       static constexpr std::string_view kVerdicts[] = {
-          "within_noise",   "improvement",   "regression",
-          "low_iterations", "only_baseline", "only_candidate"};
+          "within_noise",  "improvement",    "regression", "low_iterations",
+          "only_baseline", "only_candidate", "equal",      "changed"};
       if (std::find(std::begin(kVerdicts), std::end(kVerdicts),
                     verdict->string) == std::end(kVerdicts)) {
         problems.push_back(where + " has unknown verdict \"" +
@@ -835,8 +745,7 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
   if (thresholds == nullptr || !thresholds->is_object()) {
     problems.emplace_back("missing object \"thresholds\"");
   } else {
-    for (const char* field : {"cpu_rel_tol", "counter_rel_tol", "insn_rel_tol",
-                              "rss_rel_tol", "min_iterations"}) {
+    for (const char* field : {"cpu_rel_tol", "rss_rel_tol", "min_iterations"}) {
       const json::Value* v = thresholds->find(field);
       if (v == nullptr || !v->is_number()) {
         problems.push_back("thresholds missing numeric \"" +
@@ -856,7 +765,7 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
                            '"');
       }
     }
-    for (const char* field : {"cpu_regression", "insn_regression"}) {
+    for (const char* field : {"cpu_regression", "counter_mismatch"}) {
       const json::Value* gate = summary->find(field);
       if (gate == nullptr || !gate->is_bool()) {
         problems.push_back("summary missing bool \"" + std::string(field) +
@@ -868,13 +777,8 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
                     {"baseline_cpu", "candidate_cpu", "baseline_iterations",
                      "candidate_iterations", "ratio"},
                     {"report", "benchmark", "verdict", "time_unit"}, problems);
-  check_delta_array(doc, "counters",
-                    {"baseline", "candidate", "ratio"},
+  check_delta_array(doc, "counters", {"baseline", "candidate"},
                     {"report", "counter", "verdict"}, problems);
-  check_delta_array(doc, "insn",
-                    {"baseline_insn", "candidate_insn", "baseline_ipc",
-                     "candidate_ipc", "ratio"},
-                    {"report", "benchmark", "verdict"}, problems);
   check_delta_array(doc, "rss", {"baseline_bytes", "candidate_bytes", "ratio"},
                     {"report", "verdict"}, problems);
   if (const json::Value* probs = doc.find("problems");
@@ -882,180 +786,6 @@ std::vector<std::string> validate_bench_diff(const json::Value& doc) {
     problems.emplace_back("missing array \"problems\"");
   }
   return problems;
-}
-
-TrajectoryAppend append_trajectory(const LoadResult& reports,
-                                   const std::string& trajectory_path) {
-  TrajectoryAppend result;
-  // Keys already on file: "name\nsha\nunix_time".  Unparseable lines are
-  // ignored here — the trajectory is an append-only log, and dedup only
-  // needs the keys it can read.
-  std::vector<std::string> seen;
-  {
-    std::ifstream in(trajectory_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        const json::Value doc = json::parse(line);
-        seen.push_back(string_or(doc, "name", "") + '\n' +
-                       string_or(doc, "git_sha", "") + '\n' +
-                       fmt_num(number_or(doc, "unix_time", 0.0)));
-      } catch (const util::contract_error&) {
-        continue;
-      }
-    }
-  }
-
-  const fs::path path(trajectory_path);
-  if (path.has_parent_path()) {
-    fs::create_directories(path.parent_path());
-  }
-  std::ofstream out(trajectory_path, std::ios::app);
-  CCMX_REQUIRE(out.is_open(),
-               "cannot open trajectory file: " + trajectory_path);
-  for (const LoadedReport& report : reports.reports) {
-    const std::string key = report.name + '\n' + report.git_sha + '\n' +
-                            fmt_num(static_cast<double>(report.unix_time));
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      ++result.skipped;
-      continue;
-    }
-    seen.push_back(key);
-    std::ostringstream os;
-    json::Writer w(os);
-    w.begin_object();
-    w.key("schema").value(kTrajectorySchema);
-    w.key("name").value(report.name);
-    w.key("git_sha").value(report.git_sha);
-    w.key("build_type").value(report.build_type);
-    w.key("unix_time").value(report.unix_time);
-    w.key("wall_seconds").value(report.wall_seconds);
-    w.key("cpu_seconds").value(report.cpu_seconds);
-    w.key("max_rss_bytes").value(report.max_rss_bytes);
-    w.key("benchmarks").begin_object();
-    for (const auto& [bench, row] : benchmark_map(report.doc)) {
-      w.key(bench).value(row.cpu_time);
-    }
-    w.end_object();
-    w.key("counters").begin_object();
-    for (const auto& [counter, value] : counter_map(report.doc)) {
-      w.key(counter).value(value);
-    }
-    w.end_object();
-    w.end_object();
-    out << os.str() << '\n';
-    ++result.appended;
-  }
-  out.flush();
-  CCMX_REQUIRE(out.good(), "trajectory append failed: " + trajectory_path);
-  return result;
-}
-
-TrajectorySeriesResult load_trajectory_series(
-    const std::string& trajectory_path) {
-  TrajectorySeriesResult result;
-  result.trajectory_path = trajectory_path;
-
-  // (report, benchmark) -> [(unix_time, cpu_time)].
-  std::map<std::pair<std::string, std::string>,
-           std::vector<std::pair<double, double>>>
-      series;
-  std::ifstream in(trajectory_path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value doc;
-    try {
-      doc = json::parse(line);
-    } catch (const util::contract_error&) {
-      ++result.skipped;
-      continue;
-    }
-    const json::Value* benches = doc.find("benchmarks");
-    const std::string name = string_or(doc, "name", "");
-    if (string_or(doc, "schema", "") != kTrajectorySchema || name.empty() ||
-        benches == nullptr || !benches->is_object()) {
-      ++result.skipped;
-      continue;
-    }
-    ++result.rows;
-    const double t = number_or(doc, "unix_time", 0.0);
-    for (const auto& [bench, value] : benches->object) {
-      if (value.is_number()) {
-        series[{name, bench}].emplace_back(t, value.number);
-      }
-    }
-  }
-
-  for (auto& [key, points] : series) {
-    std::sort(points.begin(), points.end());
-    TrajectorySeries one;
-    one.report = key.first;
-    one.benchmark = key.second;
-    one.points = std::move(points);
-    result.series.push_back(std::move(one));
-  }
-  return result;  // std::map iteration already sorted by (report, benchmark)
-}
-
-TrendResult trend_from_trajectory(const std::string& trajectory_path) {
-  constexpr std::size_t kMinPoints = 3;
-  TrendResult result;
-  TrajectorySeriesResult loaded = load_trajectory_series(trajectory_path);
-  result.rows = loaded.rows;
-  result.skipped = loaded.skipped;
-
-  constexpr double kSecondsPerDay = 86400.0;
-  for (TrajectorySeries& one : loaded.series) {
-    const std::pair<std::string, std::string> key{one.report, one.benchmark};
-    std::vector<std::pair<double, double>>& points = one.points;
-    const double t_first = points.front().first;
-    const double t_last = points.back().first;
-    if (points.size() < kMinPoints || t_last <= t_first) {
-      result.thin_series.push_back(key.first + "/" + key.second);
-      continue;
-    }
-    const double n = static_cast<double>(points.size());
-    double mean_t = 0.0;
-    double mean_y = 0.0;
-    for (const auto& [t, y] : points) {
-      mean_t += t;
-      mean_y += y;
-    }
-    mean_t /= n;
-    mean_y /= n;
-    double sxx = 0.0;
-    double sxy = 0.0;
-    double syy = 0.0;
-    for (const auto& [t, y] : points) {
-      const double dt = t - mean_t;
-      const double dy = y - mean_y;
-      sxx += dt * dt;
-      sxy += dt * dy;
-      syy += dy * dy;
-    }
-    TrendFit fit;
-    fit.report = key.first;
-    fit.benchmark = key.second;
-    fit.points = points.size();
-    fit.span_days = (t_last - t_first) / kSecondsPerDay;
-    fit.mean_cpu = mean_y;
-    fit.slope_per_day = (sxy / sxx) * kSecondsPerDay;  // sxx > 0: span > 0
-    fit.rel_slope_per_day = mean_y > 0.0 ? fit.slope_per_day / mean_y : 0.0;
-    // A flat series (syy == 0) is a perfect fit of a zero-slope line.
-    fit.r2 = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
-    result.fits.push_back(std::move(fit));
-  }
-  std::sort(result.fits.begin(), result.fits.end(),
-            [](const TrendFit& a, const TrendFit& b) {
-              const double da = std::fabs(a.rel_slope_per_day);
-              const double db = std::fabs(b.rel_slope_per_day);
-              if (da != db) return da > db;
-              return std::tie(a.report, a.benchmark) <
-                     std::tie(b.report, b.benchmark);
-            });
-  return result;
 }
 
 }  // namespace ccmx::obs

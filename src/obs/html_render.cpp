@@ -245,7 +245,6 @@ class Dashboard {
     header();
     reports_section();
     timeseries_section();
-    trajectory_section();
     diff_section();
     arch_section();
     traffic_section();
@@ -525,10 +524,7 @@ class Dashboard {
     w_.close();  // tr
   }
 
-  // ---- trajectory sparklines -------------------------------------------
-
-  /// One 220x40 sparkline over (x, y) points with a hover title; shared
-  /// by the trajectory and telemetry sections.
+  /// One 220x40 sparkline over (x, y) points with a hover title.
   void spark(const std::vector<std::pair<double, double>>& pts,
              const std::string& tooltip) {
     constexpr double kW = 220.0;
@@ -569,7 +565,7 @@ class Dashboard {
       points_attr += fmt_svg(x_of(t)) + ',' + fmt_svg(y_of(y));
     }
     if (pts.size() == 1) {
-      // A polyline needs two points; a single run renders as its dot.
+      // A polyline needs two points; a single sample renders as its dot.
     } else {
       w_.leaf("polyline", {{"points", points_attr},
                            {"fill", "none"},
@@ -583,90 +579,6 @@ class Dashboard {
                        {"r", "3"},
                        {"fill", "var(--s1)"}});
     w_.close();  // svg
-  }
-
-  void sparkline(const TrajectorySeries& series) {
-    double y_min = series.points.front().second;
-    double y_max = y_min;
-    for (const auto& [t, y] : series.points) {
-      y_min = std::min(y_min, y);
-      y_max = std::max(y_max, y);
-    }
-    spark(series.points,
-          series.report + "/" + series.benchmark + ": " +
-              std::to_string(series.points.size()) + " runs, cpu_time " +
-              fmt_fixed(y_min, 3) + " .. " + fmt_fixed(y_max, 3));
-  }
-
-  void trajectory_section() {
-    w_.open("section", {{"class", "card"}});
-    w_.element("h2", {}, "Perf trajectory");
-    if (data_.series == nullptr || data_.series->series.empty()) {
-      w_.element("p", {{"class", "note"}},
-                 "No trajectory provided (run ccmx_insight trajectory, then "
-                 "pass --trajectory).");
-      w_.close();
-      return;
-    }
-    // Trend fits index, to annotate each sparkline with its drift.
-    std::map<std::pair<std::string, std::string>, const TrendFit*> fit_of;
-    if (data_.trend != nullptr) {
-      for (const TrendFit& fit : data_.trend->fits) {
-        fit_of[{fit.report, fit.benchmark}] = &fit;
-      }
-    }
-    w_.element("p", {{"class", "legend"}},
-               "cpu_time per benchmark across the committed trajectory; "
-               "slope from a least-squares fit per day (positive = getting "
-               "slower).");
-    w_.open("table");
-    w_.open("thead").open("tr");
-    w_.element("th", {}, "report / benchmark");
-    w_.element("th", {}, "cpu_time over runs");
-    w_.element("th", {{"class", "num"}}, "runs");
-    w_.element("th", {{"class", "num"}}, "last");
-    w_.element("th", {{"class", "num"}}, "slope %/day");
-    w_.element("th", {{"class", "num"}}, "r\xC2\xB2");
-    w_.close().close();  // tr, thead
-    w_.open("tbody");
-    for (const TrajectorySeries& series : data_.series->series) {
-      w_.open("tr");
-      w_.element("td", {}, series.report + " / " + series.benchmark);
-      w_.open("td");
-      sparkline(series);
-      w_.close();
-      w_.element("td", {{"class", "num"}},
-                 std::to_string(series.points.size()));
-      w_.element("td", {{"class", "num"}},
-                 fmt_fixed(series.points.back().second, 3));
-      const auto fit_it = fit_of.find({series.report, series.benchmark});
-      if (fit_it == fit_of.end()) {
-        w_.element("td", {{"class", "num verdict-neutral"}},
-                   "\xE2\x80\x94");
-        w_.element("td", {{"class", "num verdict-neutral"}},
-                   "\xE2\x80\x94");
-      } else {
-        const TrendFit& fit = *fit_it->second;
-        const double rel_pct = fit.rel_slope_per_day * 100.0;
-        const bool worse = rel_pct > 0.0;
-        // Sign + arrow + class: the direction never rides on color alone.
-        w_.element(
-            "td",
-            {{"class", std::string("num ") + (worse ? "verdict-regression"
-                                                    : "verdict-improvement")}},
-            (worse ? "\xE2\x96\xB2 +" : "\xE2\x96\xBC ") +
-                fmt_fixed(rel_pct, 2));
-        w_.element("td", {{"class", "num"}}, fmt_fixed(fit.r2, 2));
-      }
-      w_.close();  // tr
-    }
-    w_.close().close();  // tbody, table
-    if (data_.trend != nullptr && !data_.trend->thin_series.empty()) {
-      w_.element("p", {{"class", "note"}},
-                 std::to_string(data_.trend->thin_series.size()) +
-                     " series with too few runs to fit a trend.");
-    }
-    w_.close();  // section
   }
 
   // ---- bench diff verdicts ---------------------------------------------
@@ -684,6 +596,21 @@ class Dashboard {
     w_.element("p", {{"class", "legend"}},
                string_or(diff, "baseline_dir", "?") + "  \xE2\x86\x92  " +
                    string_or(diff, "candidate_dir", "?"));
+    // The exact gate: each table counter that is not "equal", with both
+    // sides (the validator guarantees the rows' members).
+    if (const json::Value* counters = diff.find("counters")) {
+      for (const json::Value& row : counters->array) {
+        const std::string verdict = string_or(row, "verdict", "?");
+        if (verdict == "equal") continue;
+        w_.element("p", {{"class", "problems"}},
+                   "\xE2\x96\xB2 " + string_or(row, "report", "?") + " / " +
+                       string_or(row, "counter", "?") + ": " +
+                       fmt_fixed(number_or(row, "baseline", 0.0), 0) +
+                       " \xE2\x86\x92 " +
+                       fmt_fixed(number_or(row, "candidate", 0.0), 0) + " (" +
+                       verdict + ")");
+      }
+    }
     const json::Value* benchmarks = diff.find("benchmarks");
     if (benchmarks == nullptr || !benchmarks->is_array() ||
         benchmarks->array.empty()) {

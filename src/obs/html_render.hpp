@@ -1,8 +1,8 @@
 // Self-contained HTML dashboard over the observability artifacts.
 //
-// render_dashboard_html() turns run reports, the perf trajectory, a
-// bench diff, and a channel trace into ONE dependency-free HTML file:
-// every chart is inline SVG rendered here (sparklines per benchmark,
+// render_dashboard_html() turns run reports, a bench diff, a channel
+// trace, a telemetry series and a profile into ONE dependency-free HTML
+// file: every chart is inline SVG rendered here (telemetry sparklines,
 // per-round/per-agent traffic bars, a span-tree flame view, a sampled
 // CPU flame graph over the profiler's collapsed stacks), every color
 // and font is inline CSS, and there is no JavaScript and no network
@@ -35,11 +35,7 @@ struct DashboardData {
   std::string provenance;
   /// Validated run reports (required — the dashboard's identity).
   const LoadResult* reports = nullptr;
-  /// Raw trajectory series for the sparklines.
-  const TrajectorySeriesResult* series = nullptr;
-  /// Trend fits to annotate the sparklines with slopes.
-  const TrendResult* trend = nullptr;
-  /// A parsed ccmx.bench_diff/1 document for the verdict table.
+  /// A parsed ccmx.bench_diff/2 document for the verdict table.
   const json::Value* diff = nullptr;
   /// A parsed ccmx.arch_report/2 document (ccmx_lint arch --json) for
   /// the architecture panel: per-module fan-in/fan-out plus the open

@@ -1,6 +1,6 @@
 // Reading half of the obs JSON support: a small recursive-descent parser
 // that tools and tests use to load and schema-check what json::Writer
-// produced (run reports, bench diffs, trajectory, trace, profile and
+// produced (run reports, bench diffs, trace, profile and
 // timeseries rows).  Deliberately tiny: UTF-8 pass-through, doubles for
 // all numbers, ordered object members.  Part of the offline library
 // (ccmx_obs_offline); instrumented code only ever writes JSON.

@@ -61,33 +61,6 @@ RusageExtras current_rusage_extras() noexcept {
   return extras;
 }
 
-namespace {
-
-/// The shared hw sub-object shape: full numbers + derived rates when the
-/// delta is live, an explicit {"available": false} otherwise so readers
-/// can tell "degraded" from "zeros".
-void write_hw_object(json::Writer& w, const HwCounters& hw,
-                     bool with_reason) {
-  w.begin_object();
-  w.key("available").value(hw.available);
-  if (hw.available) {
-    w.key("instructions").value(hw.instructions);
-    w.key("cycles").value(hw.cycles);
-    w.key("ipc").value(hw.ipc());
-    w.key("cache_references").value(hw.cache_references);
-    w.key("cache_misses").value(hw.cache_misses);
-    w.key("cache_miss_rate").value(hw.cache_miss_rate());
-    w.key("branches").value(hw.branches);
-    w.key("branch_misses").value(hw.branch_misses);
-    w.key("task_clock_ns").value(hw.task_clock_ns);
-  } else if (with_reason) {
-    w.key("reason").value(hw_unavailable_reason());
-  }
-  w.end_object();
-}
-
-}  // namespace
-
 std::string render_run_report(const RunReport& report) {
   // Settle the async trace pipeline first so the obs.trace.* counters
   // below agree with what actually reached the trace file.
@@ -122,10 +95,26 @@ std::string render_run_report(const RunReport& report) {
   w.key("voluntary_ctx_switches").value(extras.voluntary_ctx_switches);
   w.key("involuntary_ctx_switches").value(extras.involuntary_ctx_switches);
   // Same at-render-time capture rule as max_rss_bytes: a report that
-  // never measured its own hw region gets the process totals.
-  w.key("hw");
-  write_hw_object(w, report.hw.available ? report.hw : hw_read(),
-                  /*with_reason=*/true);
+  // never measured its own hw region gets the process totals.  A
+  // degraded machine writes {"available": false, "reason": ...}, so
+  // readers can tell "degraded" from "zeros".
+  const HwCounters hw = report.hw.available ? report.hw : hw_read();
+  w.key("hw").begin_object();
+  w.key("available").value(hw.available);
+  if (hw.available) {
+    w.key("instructions").value(hw.instructions);
+    w.key("cycles").value(hw.cycles);
+    w.key("ipc").value(hw.ipc());
+    w.key("cache_references").value(hw.cache_references);
+    w.key("cache_misses").value(hw.cache_misses);
+    w.key("cache_miss_rate").value(hw.cache_miss_rate());
+    w.key("branches").value(hw.branches);
+    w.key("branch_misses").value(hw.branch_misses);
+    w.key("task_clock_ns").value(hw.task_clock_ns);
+  } else {
+    w.key("reason").value(hw_unavailable_reason());
+  }
+  w.end_object();
   w.key("argv").begin_array();
   for (const std::string& arg : report.argv) w.value(arg);
   w.end_array();
@@ -135,6 +124,13 @@ std::string render_run_report(const RunReport& report) {
   w.key("counters").begin_object();
   for (const auto& [name, value] : snap.counters) w.key(name).value(value);
   w.end_object();
+  if (report.table_counters) {
+    w.key("table_counters").begin_object();
+    for (const auto& [name, value] : *report.table_counters) {
+      w.key(name).value(value);
+    }
+    w.end_object();
+  }
   w.key("histograms").begin_object();
   for (const auto& [name, h] : snap.histograms) {
     w.key(name).begin_object();
@@ -159,16 +155,6 @@ std::string render_run_report(const RunReport& report) {
     if (run.error) {
       w.key("error").value(true);
       w.key("error_message").value(run.error_message);
-    }
-    if (run.hw.available) {
-      w.key("hw");
-      write_hw_object(w, run.hw, /*with_reason=*/false);
-      if (run.iterations > 0) {
-        // The near-deterministic number the diff gate compares.
-        w.key("insn_per_iteration")
-            .value(static_cast<double>(run.hw.instructions) /
-                   static_cast<double>(run.iterations));
-      }
     }
     w.end_object();
   }

@@ -3,16 +3,19 @@
 // A RunReport is the JSON summary every bench binary (and, via
 // CCMX_REPORT, the CLI) writes at exit: identity (name, git SHA, build
 // type, hardware parallelism), wall/CPU seconds, the google-benchmark
-// timing rows, and whatever the obs registry accumulated (counters,
-// histogram summaries, attributes).  Reports land in bench/out/
-// (override with CCMX_BENCH_OUT) as BENCH_<name>.json and form the
-// repo's perf trajectory.  This header is the writer; the schema check
+// timing rows, the counters a bench binary recorded after its tables,
+// and whatever the obs registry accumulated (counters, histogram
+// summaries, attributes).  Reports land in bench/out/ (override with
+// CCMX_BENCH_OUT) as BENCH_<name>.json; `ccmx_insight diff` compares two
+// directories of them.  This header is the writer; the schema check
 // that reads a report back (validate_run_report) is in obs/analysis.hpp.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/hwcounters.hpp"
@@ -31,10 +34,6 @@ struct BenchmarkRun {
   std::string time_unit = "ns";
   bool error = false;
   std::string error_message;
-  /// Hardware-counter delta attributed to this row's benchmark batch
-  /// (warm-up/calibration iterations included — see bench_common.hpp).
-  /// Rendered only when available.
-  HwCounters hw;
 };
 
 /// Process-wide rusage deltas beyond max RSS — page faults diagnose
@@ -59,6 +58,12 @@ struct RunReport {
   /// and degrades to {"available": false, "reason": ...}.
   HwCounters hw;
   std::vector<BenchmarkRun> benchmarks;
+  /// Counters a bench binary snapshots after its tables and before the
+  /// timings run (see bench_common.hpp), rendered as "table_counters".
+  /// They count fixed work, so `ccmx_insight diff` gates them exactly.
+  /// Absent for runs with no table phase (ccmx_cli).
+  std::optional<std::vector<std::pair<std::string, std::uint64_t>>>
+      table_counters;
 };
 
 /// Git SHA baked in at configure time (CCMX_GIT_SHA compile definition);

@@ -22,13 +22,9 @@ namespace ccmx::obs {
 /// (see obs/report.hpp).
 inline constexpr std::string_view kRunReportSchema = "ccmx.run_report/1";
 
-/// Benchmark-by-benchmark diff of two run-report directories — the CI
-/// perf gate artifact (see obs/analysis.hpp).
-inline constexpr std::string_view kBenchDiffSchema = "ccmx.bench_diff/1";
-
-/// One JSONL line per run report, accumulated across commits in
-/// bench/out/trajectory.jsonl (see obs/analysis.hpp).
-inline constexpr std::string_view kTrajectorySchema = "ccmx.trajectory/1";
+/// Diff of two run-report directories, cpu timings and table counters —
+/// the CI perf gate artifact (see obs/analysis.hpp).
+inline constexpr std::string_view kBenchDiffSchema = "ccmx.bench_diff/2";
 
 /// Findings of the project-invariant static-analysis pass — `ccmx_lint`
 /// (see lint/lint.hpp).
@@ -70,10 +66,9 @@ inline constexpr std::string_view kProfileSchema = "ccmx.profile/1";
 /// Every schema id this repo may stamp into a document, for validators
 /// that only need to know "is this one of ours".
 inline constexpr std::string_view kRegisteredSchemas[] = {
-    kRunReportSchema,     kBenchDiffSchema,     kTrajectorySchema,
-    kLintReportSchema,    kArchReportSchema,    kChromeTraceSchema,
-    kDashboardDataSchema, kTimeseriesSchema,    kTimeseriesSummarySchema,
-    kProfileSchema,
+    kRunReportSchema,  kBenchDiffSchema,         kLintReportSchema,
+    kArchReportSchema, kChromeTraceSchema,       kDashboardDataSchema,
+    kTimeseriesSchema, kTimeseriesSummarySchema, kProfileSchema,
 };
 
 [[nodiscard]] constexpr bool is_registered_schema(

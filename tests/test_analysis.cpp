@@ -1,5 +1,6 @@
-// Analysis module: report-directory loading, noise-aware diffing, the
-// ccmx.bench_diff/1 schema, and trajectory idempotence.
+// Analysis module: report-directory loading, the two diff gates (cpu time
+// within a tolerance, table counters exactly) and the ccmx.bench_diff/2
+// schema.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -46,25 +47,33 @@ void write_file(const fs::path& path, const std::string& content) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+/// The table-phase block make_report writes unless told otherwise.
+constexpr const char* kTableCounters =
+    "\"comm.bits.round1\":128,\"linalg.exact.primes\":1000";
+
 /// A minimal valid ccmx.run_report/1 document.  `cpu_scale` multiplies
 /// every benchmark cpu_time, so a candidate derived from the same call is
 /// a deterministic, exactly-known ratio away from the baseline.
+/// `table_counters` is the body of the table-phase block, or nullptr for
+/// a report without one.
 std::string make_report(const std::string& name, double cpu_scale = 1.0,
                         std::int64_t iterations = 100,
-                        double counter_value = 1000.0,
-                        std::int64_t rss = 1 << 20,
-                        const std::string& git_sha = "cafe0123",
-                        std::int64_t unix_time = 1754500000) {
+                        const char* table_counters = kTableCounters,
+                        std::int64_t rss = 1 << 20, bool traced = true) {
   std::ostringstream out;
   out << "{\"schema\":\"ccmx.run_report/1\",\"name\":\"" << name << "\","
-      << "\"git_sha\":\"" << git_sha << "\",\"build_type\":\"Release\","
-      << "\"unix_time\":" << unix_time << ","
-      << "\"hardware_parallelism\":4,\"trace_enabled\":false,"
+      << "\"git_sha\":\"cafe0123\",\"build_type\":\"Release\","
+      << "\"unix_time\":1754500000,"
+      << "\"hardware_parallelism\":4,"
+      << "\"trace_enabled\":" << (traced ? "true" : "false") << ","
       << "\"wall_seconds\":1.5,\"cpu_seconds\":1.4,"
       << "\"max_rss_bytes\":" << rss << ","
       << "\"argv\":[\"bench\"],\"attributes\":{},"
-      << "\"counters\":{\"" << name << ".calls\":" << counter_value << "},"
-      << "\"histograms\":{},"
+      << "\"counters\":{\"" << name << ".calls\":1000},";
+  if (table_counters != nullptr) {
+    out << "\"table_counters\":{" << table_counters << "},";
+  }
+  out << "\"histograms\":{},"
       << "\"benchmarks\":["
       << "{\"name\":\"BM_Fast/1\",\"iterations\":" << iterations << ","
       << "\"real_time\":" << 10.0 * cpu_scale << ","
@@ -181,19 +190,24 @@ TEST(DiffReports, TightenedToleranceCatchesSmallDrift) {
 
 TEST(DiffReports, CountersAndRssCompared) {
   const LoadResult base = load_one(
-      "b5", make_report("exact_cc", 1.0, 100, /*counter_value=*/1000.0,
+      "b5", make_report("exact_cc", 1.0, 100, kTableCounters,
                         /*rss=*/1000000));
-  // Counter doubled (beyond 25% tolerance), RSS halved (beyond 30%).
+  // One table counter moved by one, RSS halved (beyond 30%).
   const LoadResult cand = load_one(
-      "c5", make_report("exact_cc", 1.0, 100, /*counter_value=*/2000.0,
+      "c5", make_report("exact_cc", 1.0, 100,
+                        "\"comm.bits.round1\":128,"
+                        "\"linalg.exact.primes\":1001",
                         /*rss=*/500000));
   const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
-  ASSERT_EQ(diff.counters.size(), 1u);
-  EXPECT_EQ(diff.counters[0].counter, "exact_cc.calls");
-  EXPECT_EQ(diff.counters[0].verdict, Verdict::kRegression);
+  ASSERT_EQ(diff.counters.size(), 2u);  // sorted by name within the report
+  EXPECT_EQ(diff.counters[0].counter, "comm.bits.round1");
+  EXPECT_EQ(diff.counters[0].verdict, Verdict::kEqual);
+  EXPECT_EQ(diff.counters[1].counter, "linalg.exact.primes");
+  EXPECT_EQ(diff.counters[1].verdict, Verdict::kChanged);
+  EXPECT_TRUE(diff.has_counter_mismatch());
   ASSERT_EQ(diff.rss.size(), 1u);
   EXPECT_EQ(diff.rss[0].verdict, Verdict::kImprovement);
-  // Counter/RSS regressions are advisory: the CI gate is cpu-only.
+  // RSS is advisory, and equal timings leave the cpu gate quiet.
   EXPECT_FALSE(diff.has_cpu_regression());
 }
 
@@ -208,127 +222,130 @@ TEST(DiffReports, UnmatchedReportsAndBenchmarks) {
   const LoadResult cand = load_report_dir(cdir.str());
 
   const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
-  EXPECT_EQ(diff.count(Verdict::kOnlyBaseline), 2u);   // beta's 2 benchmarks
-  EXPECT_EQ(diff.count(Verdict::kOnlyCandidate), 2u);  // gamma's 2
+  // beta's and gamma's 2 benchmarks and 2 table counters each.
+  EXPECT_EQ(diff.count(Verdict::kOnlyBaseline), 4u);
+  EXPECT_EQ(diff.count(Verdict::kOnlyCandidate), 4u);
   EXPECT_FALSE(diff.has_cpu_regression());
+  // A vanished bench binary takes its counts with it: the gate fails.
+  EXPECT_TRUE(diff.has_counter_mismatch());
 }
 
-/// Like make_report, but every benchmark row carries an hw block whose
-/// instruction counts scale by `insn_scale` — so an instruction
-/// regression can be staged with zero noise.
-std::string make_hw_report(const std::string& name, double insn_scale = 1.0,
-                           std::int64_t iterations = 100) {
-  std::ostringstream out;
-  out << "{\"schema\":\"ccmx.run_report/1\",\"name\":\"" << name << "\","
-      << "\"git_sha\":\"cafe0123\",\"build_type\":\"Release\","
-      << "\"unix_time\":1754500000,"
-      << "\"hardware_parallelism\":4,\"trace_enabled\":false,"
-      << "\"wall_seconds\":1.5,\"cpu_seconds\":1.4,"
-      << "\"max_rss_bytes\":1048576,"
-      << "\"argv\":[\"bench\"],\"attributes\":{},"
-      << "\"counters\":{},\"histograms\":{},"
-      << "\"benchmarks\":[";
-  const struct {
-    const char* bench;
-    double insn_per_iter;
-  } rows[] = {{"BM_Fast/1", 1000.0}, {"BM_Slow/8", 5000.0}};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const double insn = rows[i].insn_per_iter * insn_scale;
-    if (i != 0) out << ",";
-    out << "{\"name\":\"" << rows[i].bench << "\","
-        << "\"iterations\":" << iterations << ","
-        << "\"real_time\":10.0,\"cpu_time\":10.0,\"time_unit\":\"us\","
-        << "\"hw\":{\"available\":true,"
-        << "\"instructions\":" << insn * static_cast<double>(iterations)
-        << ",\"cycles\":" << insn * static_cast<double>(iterations) / 2.0
-        << ",\"ipc\":2.0},"
-        << "\"insn_per_iteration\":" << insn << "}";
-  }
-  out << "]}\n";
-  return out.str();
-}
-
-TEST(DiffReports, InsnGateFlagsInstructionRegression) {
-  // +10% retired instructions per iteration on both benchmarks; cpu_time
-  // identical, so only the instruction gate can fire.
-  const LoadResult base = load_one("hb1", make_hw_report("exact_cc", 1.0));
-  const LoadResult cand = load_one("hc1", make_hw_report("exact_cc", 1.10));
+TEST(DiffReports, EqualTableCountersPass) {
+  const LoadResult base = load_one("b10", make_report("corollary13"));
+  const LoadResult cand = load_one("c10", make_report("corollary13", 1.1));
   const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
-  EXPECT_FALSE(diff.has_cpu_regression());
-  ASSERT_EQ(diff.insn.size(), 2u);
-  for (const InsnDelta& d : diff.insn) {
-    EXPECT_NEAR(d.ratio, 1.10, 1e-9) << d.benchmark;
-    EXPECT_EQ(d.verdict, Verdict::kRegression) << d.benchmark;
+  ASSERT_EQ(diff.counters.size(), 2u);
+  for (const CounterDelta& d : diff.counters) {
+    EXPECT_EQ(d.verdict, Verdict::kEqual) << d.counter;
+    EXPECT_EQ(d.baseline, d.candidate) << d.counter;
   }
-  EXPECT_TRUE(diff.has_insn_regression());
+  EXPECT_FALSE(diff.has_counter_mismatch());
+  EXPECT_NE(render_bench_diff_markdown(diff).find(
+                "All 2 table counters equal."),
+            std::string::npos);
 
-  // The same drift passes a loosened gate (CI on a shared runner).
-  DiffThresholds loose;
-  loose.insn_rel_tol = 0.5;
-  const BenchDiff ok = diff_reports(base, cand, loose);
-  EXPECT_FALSE(ok.has_insn_regression());
-  for (const InsnDelta& d : ok.insn) {
-    EXPECT_EQ(d.verdict, Verdict::kWithinNoise) << d.benchmark;
+  // Two reports without a table phase have nothing to gate.
+  const LoadResult bare = load_one("b11", make_report("cli", 1.0, 100,
+                                                       nullptr));
+  const BenchDiff none = diff_reports(bare, bare, DiffThresholds{});
+  EXPECT_TRUE(none.counters.empty());
+  EXPECT_FALSE(none.has_counter_mismatch());
+}
+
+TEST(DiffReports, CounterGateNamesAChangedCounter) {
+  // A count that rises or falls by one both fail: either way the
+  // committed baseline no longer describes the algorithm.
+  const LoadResult base = load_one("b12", make_report("corollary13"));
+  for (const char* primes : {"1001", "999"}) {
+    const std::string block =
+        std::string("\"comm.bits.round1\":128,\"linalg.exact.primes\":") +
+        primes;
+    const LoadResult cand =
+        load_one("c12", make_report("corollary13", 1.0, 100, block.c_str()));
+    const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
+    EXPECT_TRUE(diff.has_counter_mismatch()) << primes;
+    EXPECT_FALSE(diff.has_cpu_regression());
+    EXPECT_EQ(diff.count(Verdict::kChanged), 1u);
+    const std::string md = render_bench_diff_markdown(diff);
+    EXPECT_NE(md.find("| corollary13 | linalg.exact.primes | 1000 | " +
+                      std::string(primes) + " | changed |"),
+              std::string::npos)
+        << md;
   }
 }
 
-TEST(DiffReports, InsnImprovementNeverGates) {
-  const LoadResult base = load_one("hb2", make_hw_report("exact_cc", 1.0));
-  const LoadResult cand = load_one("hc2", make_hw_report("exact_cc", 0.80));
-  const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
-  ASSERT_EQ(diff.insn.size(), 2u);
-  EXPECT_EQ(diff.insn[0].verdict, Verdict::kImprovement);
-  EXPECT_FALSE(diff.has_insn_regression());
+TEST(DiffReports, OneSidedCounterFails) {
+  const LoadResult base = load_one("b13", make_report("lemma35"));
+  // A counter that only the candidate records, one that only the
+  // baseline records, and a candidate with no table phase at all.
+  const LoadResult added = load_one(
+      "c13", make_report("lemma35", 1.0, 100,
+                         "\"census.exact_sweeps\":2,\"comm.bits.round1\":128,"
+                         "\"linalg.exact.primes\":1000"));
+  const LoadResult dropped = load_one(
+      "c14", make_report("lemma35", 1.0, 100, "\"comm.bits.round1\":128"));
+  const LoadResult no_block =
+      load_one("c15", make_report("lemma35", 1.0, 100, nullptr));
+
+  const BenchDiff plus = diff_reports(base, added, DiffThresholds{});
+  EXPECT_TRUE(plus.has_counter_mismatch());
+  EXPECT_EQ(plus.count(Verdict::kOnlyCandidate), 1u);
+  EXPECT_NE(render_bench_diff_markdown(plus).find(
+                "| lemma35 | census.exact_sweeps | - | 2 | only_candidate |"),
+            std::string::npos);
+
+  const BenchDiff minus = diff_reports(base, dropped, DiffThresholds{});
+  EXPECT_TRUE(minus.has_counter_mismatch());
+  EXPECT_EQ(minus.count(Verdict::kOnlyBaseline), 1u);
+  EXPECT_NE(render_bench_diff_markdown(minus).find(
+                "| lemma35 | linalg.exact.primes | 1000 | - | only_baseline |"),
+            std::string::npos);
+
+  const BenchDiff gone = diff_reports(base, no_block, DiffThresholds{});
+  EXPECT_TRUE(gone.has_counter_mismatch());
+  EXPECT_EQ(gone.count(Verdict::kOnlyBaseline), 2u);
 }
 
-TEST(DiffReports, MixedOldAndNewReportsDegradeToNoHwVerdict) {
-  // Baseline predates hw counters (or ran degraded); candidate has them.
-  // The diff must note the asymmetry and skip the gate — never error,
-  // never fabricate a verdict from one side's numbers.
-  const LoadResult base = load_one("hb3", make_report("exact_cc"));
-  const LoadResult cand = load_one("hc3", make_hw_report("exact_cc", 5.0));
+TEST(DiffReports, UntracedCandidateFails) {
+  // An untraced run writes the same counter names with every value 0; it
+  // must fail the gate, not pass with zeros.
+  const LoadResult base = load_one("b16", make_report("singularity_cc"));
+  const LoadResult cand = load_one(
+      "c16", make_report("singularity_cc", 1.0, 100,
+                         "\"comm.bits.round1\":0,\"linalg.exact.primes\":0",
+                         1 << 20, /*traced=*/false));
   const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
-  EXPECT_TRUE(diff.insn.empty());
-  EXPECT_FALSE(diff.has_insn_regression());
-  bool noted = false;
-  for (const std::string& p : diff.problems) {
-    noted = noted ||
-            p.find("hw counters available on only one side") !=
-                std::string::npos;
-  }
-  EXPECT_TRUE(noted);
+  EXPECT_TRUE(diff.has_counter_mismatch());
+  EXPECT_EQ(diff.count(Verdict::kChanged), 2u);
   const std::string md = render_bench_diff_markdown(diff);
-  EXPECT_NE(md.find("no hw verdict"), std::string::npos);
-
-  // Two hw-less sides (both old, or both on a degraded machine): not
-  // even a problem note — nothing to compare is the normal state there.
-  const LoadResult base2 = load_one("hb4", make_report("exact_cc"));
-  const LoadResult cand2 = load_one("hc4", make_report("exact_cc"));
-  const BenchDiff quiet = diff_reports(base2, cand2, DiffThresholds{});
-  EXPECT_TRUE(quiet.insn.empty());
-  EXPECT_FALSE(quiet.has_insn_regression());
-  for (const std::string& p : quiet.problems) {
-    EXPECT_EQ(p.find("hw counters"), std::string::npos) << p;
-  }
+  EXPECT_NE(md.find("| singularity_cc | comm.bits.round1 | 128 | 0 | changed |"),
+            std::string::npos)
+      << md;
+  EXPECT_NE(md.find("only the baseline ran with CCMX_TRACE"),
+            std::string::npos)
+      << md;
 }
 
-TEST(BenchDiffJson, InsnRowsRoundTripThroughTheSchemaCheck) {
-  const LoadResult base = load_one("hb5", make_hw_report("exact_cc", 1.0));
-  const LoadResult cand = load_one("hc5", make_hw_report("exact_cc", 1.10));
+TEST(BenchDiffJson, CounterRowsRoundTripThroughTheSchemaCheck) {
+  const LoadResult base = load_one("b15", make_report("exact_cc"));
+  const LoadResult cand = load_one(
+      "c15", make_report("exact_cc", 1.0, 100, "\"comm.bits.round1\":129"));
   const BenchDiff diff = diff_reports(base, cand, DiffThresholds{});
   const std::string text = render_bench_diff_json(diff);
   const ccmx::obs::json::Value doc = ccmx::obs::json::parse(text);
   const std::vector<std::string> problems = validate_bench_diff(doc);
   EXPECT_TRUE(problems.empty())
       << (problems.empty() ? "" : problems.front());
-  EXPECT_DOUBLE_EQ(doc.find("thresholds")->find("insn_rel_tol")->number,
-                   0.02);
-  EXPECT_TRUE(doc.find("summary")->find("insn_regression")->boolean);
-  const ccmx::obs::json::Value* insn = doc.find("insn");
-  ASSERT_NE(insn, nullptr);
-  ASSERT_EQ(insn->array.size(), 2u);
-  EXPECT_EQ(insn->array[0].find("verdict")->string, "regression");
-  EXPECT_NEAR(insn->array[0].find("ratio")->number, 1.10, 1e-9);
+  EXPECT_TRUE(doc.find("summary")->find("counter_mismatch")->boolean);
+  EXPECT_FALSE(doc.find("summary")->find("cpu_regression")->boolean);
+  const ccmx::obs::json::Value* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_EQ(counters->array.size(), 2u);
+  EXPECT_EQ(counters->array[0].find("counter")->string, "comm.bits.round1");
+  EXPECT_EQ(counters->array[0].find("verdict")->string, "changed");
+  EXPECT_EQ(counters->array[0].find("baseline")->number, 128.0);
+  EXPECT_EQ(counters->array[0].find("candidate")->number, 129.0);
+  EXPECT_EQ(counters->array[1].find("verdict")->string, "only_baseline");
 }
 
 TEST(BenchDiffJson, RoundTripsThroughTheSchemaCheck) {
@@ -353,19 +370,23 @@ TEST(BenchDiffJson, RoundTripsThroughTheSchemaCheck) {
 TEST(BenchDiffJson, ValidatorRejectsCorruptedDocuments) {
   EXPECT_FALSE(
       validate_bench_diff(ccmx::obs::json::parse("{}")).empty());
-  EXPECT_FALSE(validate_bench_diff(
-                   ccmx::obs::json::parse(
-                       "{\"schema\":\"ccmx.bench_diff/2\"}"))
-                   .empty());
+  // A /1 document (with its instruction rows) is not read at all.
+  const LoadResult base = load_one("b17", make_report("exact_cc"));
+  ccmx::obs::json::Value old = ccmx::obs::json::parse(
+      render_bench_diff_json(diff_reports(base, base, DiffThresholds{})));
+  old.object.front().second.string = "ccmx.bench_diff/1";
+  const std::vector<std::string> problems = validate_bench_diff(old);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("unrecognized schema"), std::string::npos);
 }
 
-TEST(BenchDiffJson, ValidatorRequiresTheInstructionGate) {
+TEST(BenchDiffJson, ValidatorRequiresTheCounterGate) {
   const LoadResult base = load_one("b9", make_report("exact_cc", 1.0));
   const LoadResult cand = load_one("c9", make_report("exact_cc", 1.0));
   const ccmx::obs::json::Value doc = ccmx::obs::json::parse(
       render_bench_diff_json(diff_reports(base, cand, DiffThresholds{})));
   ASSERT_TRUE(validate_bench_diff(doc).empty());
-  // Drop each instruction-gate member the writer emits, one at a time.
+  // Drop each counter-gate member the writer emits, one at a time.
   const auto without = [&doc](std::string_view section, std::string_view key) {
     ccmx::obs::json::Value cut = doc;
     auto* members = &cut.object;  // the top level unless `section` names one
@@ -376,13 +397,11 @@ TEST(BenchDiffJson, ValidatorRequiresTheInstructionGate) {
                   [&](const auto& member) { return member.first == key; });
     return cut;
   };
-  const ccmx::obs::json::Value no_rows = without("", "insn");
-  const ccmx::obs::json::Value no_tol = without("thresholds", "insn_rel_tol");
-  const ccmx::obs::json::Value no_gate = without("summary", "insn_regression");
+  const ccmx::obs::json::Value no_rows = without("", "counters");
+  const ccmx::obs::json::Value no_gate = without("summary", "counter_mismatch");
   for (const auto& [cut, problem] :
-       {std::pair{&no_rows, "missing array \"insn\""},
-        std::pair{&no_tol, "missing numeric \"insn_rel_tol\""},
-        std::pair{&no_gate, "missing bool \"insn_regression\""}}) {
+       {std::pair{&no_rows, "missing array \"counters\""},
+        std::pair{&no_gate, "missing bool \"counter_mismatch\""}}) {
     const std::vector<std::string> problems = validate_bench_diff(*cut);
     ASSERT_EQ(problems.size(), 1u) << problem;
     EXPECT_NE(problems[0].find(problem), std::string::npos) << problems[0];
@@ -399,149 +418,6 @@ TEST(BenchDiffMarkdown, MentionsTheRegression) {
   EXPECT_NE(md.find("1.25"), std::string::npos);
 }
 
-TEST(Trajectory, AppendIsIdempotent) {
-  TempDir rdir("t0");
-  write_file(rdir.path() / "BENCH_a.json", make_report("alpha"));
-  write_file(rdir.path() / "BENCH_b.json", make_report("beta"));
-  const LoadResult reports = load_report_dir(rdir.str());
-
-  TempDir tdir("t1");
-  const std::string traj =
-      (tdir.path() / "sub" / "trajectory.jsonl").string();
-
-  const TrajectoryAppend first = append_trajectory(reports, traj);
-  EXPECT_EQ(first.appended, 2u);
-  EXPECT_EQ(first.skipped, 0u);
-  const TrajectoryAppend second = append_trajectory(reports, traj);
-  EXPECT_EQ(second.appended, 0u);
-  EXPECT_EQ(second.skipped, 2u);
-
-  // Every line is a standalone ccmx.trajectory/1 object carrying the
-  // per-benchmark cpu times.
-  std::ifstream in(traj);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    const ccmx::obs::json::Value v = ccmx::obs::json::parse(line);
-    EXPECT_EQ(v.find("schema")->string, kTrajectorySchema);
-    ASSERT_NE(v.find("benchmarks"), nullptr);
-    EXPECT_NE(v.find("benchmarks")->find("BM_Fast/1"), nullptr);
-  }
-  EXPECT_EQ(lines, 2u);
-
-  // A genuinely new run (different unix_time) does append.
-  TempDir rdir2("t2");
-  write_file(rdir2.path() / "BENCH_a.json",
-             make_report("alpha", 1.0, 100, 1000.0, 1 << 20, "cafe0123",
-                         1754500999));
-  const TrajectoryAppend third =
-      append_trajectory(load_report_dir(rdir2.str()), traj);
-  EXPECT_EQ(third.appended, 1u);
-}
-
-/// One ccmx.trajectory/1 JSONL row, as append_trajectory writes them.
-std::string trajectory_row(const std::string& name, std::int64_t unix_time,
-                           double fast_cpu, double flat_cpu) {
-  std::ostringstream out;
-  out << "{\"schema\":\"" << kTrajectorySchema << "\",\"name\":\"" << name
-      << "\",\"git_sha\":\"cafe0123\",\"unix_time\":" << unix_time << ","
-      << "\"benchmarks\":{\"BM_Fast/1\":" << fast_cpu << ","
-      << "\"BM_Flat/1\":" << flat_cpu << "}}\n";
-  return out.str();
-}
-
-TEST(TrajectorySeries, ExtractsSortedPerBenchmarkSeries) {
-  TempDir dir("series");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  // Rows intentionally out of time order, plus one foreign-schema line.
-  std::ostringstream rows;
-  rows << trajectory_row("alpha", 2000, 12.0, 5.0)
-       << "{\"schema\":\"ccmx.run_report/1\",\"name\":\"noise\"}\n"
-       << trajectory_row("alpha", 1000, 11.0, 5.0);
-  write_file(traj, rows.str());
-
-  const TrajectorySeriesResult result =
-      load_trajectory_series(traj.string());
-  EXPECT_EQ(result.rows, 2u);
-  EXPECT_EQ(result.skipped, 1u);
-  ASSERT_EQ(result.series.size(), 2u);  // sorted by (report, benchmark)
-  EXPECT_EQ(result.series[0].benchmark, "BM_Fast/1");
-  EXPECT_EQ(result.series[1].benchmark, "BM_Flat/1");
-  ASSERT_EQ(result.series[0].points.size(), 2u);
-  // Points come back time-sorted regardless of file order.
-  EXPECT_EQ(result.series[0].points[0].first, 1000.0);
-  EXPECT_EQ(result.series[0].points[0].second, 11.0);
-  EXPECT_EQ(result.series[0].points[1].second, 12.0);
-
-  // A missing file is empty, not fatal (same contract as trend).
-  const TrajectorySeriesResult missing =
-      load_trajectory_series((dir.path() / "absent.jsonl").string());
-  EXPECT_TRUE(missing.series.empty());
-  EXPECT_EQ(missing.rows, 0u);
-}
-
-TEST(Trend, FitsLinearDriftAndFlatSeries) {
-  TempDir dir("trend");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  // BM_Fast drifts +1us/day over four daily runs; BM_Flat is constant.
-  std::ostringstream rows;
-  for (int day = 0; day < 4; ++day) {
-    rows << trajectory_row("alpha", 1754500000 + day * 86400, 10.0 + day,
-                           5.0);
-  }
-  write_file(traj, rows.str());
-
-  const TrendResult trend = trend_from_trajectory(traj.string());
-  EXPECT_EQ(trend.rows, 4u);
-  EXPECT_EQ(trend.skipped, 0u);
-  EXPECT_TRUE(trend.thin_series.empty());
-  ASSERT_EQ(trend.fits.size(), 2u);
-
-  // Sorted by |relative slope| descending: the drifting series leads.
-  const TrendFit& fast = trend.fits[0];
-  EXPECT_EQ(fast.benchmark, "BM_Fast/1");
-  EXPECT_EQ(fast.report, "alpha");
-  EXPECT_EQ(fast.points, 4u);
-  EXPECT_NEAR(fast.span_days, 3.0, 1e-9);
-  EXPECT_NEAR(fast.mean_cpu, 11.5, 1e-9);
-  EXPECT_NEAR(fast.slope_per_day, 1.0, 1e-9);
-  EXPECT_NEAR(fast.rel_slope_per_day, 1.0 / 11.5, 1e-9);
-  EXPECT_NEAR(fast.r2, 1.0, 1e-12);
-
-  const TrendFit& flat = trend.fits[1];
-  EXPECT_EQ(flat.benchmark, "BM_Flat/1");
-  EXPECT_NEAR(flat.slope_per_day, 0.0, 1e-12);
-  EXPECT_NEAR(flat.r2, 1.0, 1e-12);  // zero-slope line fits perfectly
-}
-
-TEST(Trend, SkipsMalformedRowsAndReportsThinSeries) {
-  TempDir dir("trend2");
-  const fs::path traj = dir.path() / "trajectory.jsonl";
-  std::ostringstream rows;
-  rows << trajectory_row("alpha", 1754500000, 10.0, 5.0)
-       << trajectory_row("alpha", 1754586400, 11.0, 5.0)  // only 2 points
-       << "{not json at all\n"
-       << "{\"schema\":\"ccmx.run_report/1\",\"name\":\"alpha\","
-          "\"benchmarks\":{}}\n";
-  write_file(traj, rows.str());
-
-  const TrendResult trend = trend_from_trajectory(traj.string());
-  EXPECT_EQ(trend.rows, 2u);
-  EXPECT_EQ(trend.skipped, 2u);
-  EXPECT_TRUE(trend.fits.empty());
-  ASSERT_EQ(trend.thin_series.size(), 2u);
-  EXPECT_EQ(trend.thin_series[0], "alpha/BM_Fast/1");
-}
-
-TEST(Trend, MissingTrajectoryIsEmptyNotFatal) {
-  const TrendResult trend =
-      trend_from_trajectory("/nonexistent/ccmx/trajectory.jsonl");
-  EXPECT_EQ(trend.rows, 0u);
-  EXPECT_TRUE(trend.fits.empty());
-}
-
 TEST(Verdicts, NamesAreStable) {
   // The CI gate greps these out of the JSON; renaming them is a schema
   // break.
@@ -551,6 +427,8 @@ TEST(Verdicts, NamesAreStable) {
   EXPECT_EQ(verdict_name(Verdict::kLowIterations), "low_iterations");
   EXPECT_EQ(verdict_name(Verdict::kOnlyBaseline), "only_baseline");
   EXPECT_EQ(verdict_name(Verdict::kOnlyCandidate), "only_candidate");
+  EXPECT_EQ(verdict_name(Verdict::kEqual), "equal");
+  EXPECT_EQ(verdict_name(Verdict::kChanged), "changed");
 }
 
 }  // namespace

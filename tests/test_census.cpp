@@ -2,9 +2,12 @@
 // exact row census against Lemma 3.5's bounds, Lemma 3.4 exhaustively.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bigint/negabase.hpp"
 #include "core/census.hpp"
 #include "util/parallel.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -120,6 +123,25 @@ TEST(RowCensus, SampledModeTracksExact) {
                                        /*samples=*/20000, rng2);
   EXPECT_FALSE(sampled.exact);
   EXPECT_NEAR(sampled.log_q_ones, exact.log_q_ones, 0.5);
+}
+
+TEST(RowCensus, DefaultOptionsNeedSamplesOnTheSampledBranch) {
+  // Default CensusOptions (budget 1, samples 0) take the sampled branch,
+  // which must refuse to run with no samples instead of dividing by 0.
+  const ConstructionParams p(7, 2);
+  Xoshiro256 rng(5);
+  const FreeParts parts = FreeParts::random(p, rng);
+  try {
+    (void)row_census(p, parts.c, CensusOptions{}, rng);
+    ADD_FAILURE() << "default CensusOptions ran a sampled census";
+  } catch (const ccmx::util::contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("row_census"), std::string::npos)
+        << e.what();
+  }
+  // The exact branch never reads samples, so 0 stays legitimate there.
+  CensusOptions exact_only;
+  exact_only.budget = std::uint64_t{1} << 30;
+  EXPECT_TRUE(row_census(p, parts.c, exact_only, rng).exact);
 }
 
 TEST(RowCensus, ExactIsIdenticalAcrossParallelDegrees) {

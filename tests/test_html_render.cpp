@@ -124,7 +124,6 @@ TEST(HtmlRender, MinimalDashboardIsBalancedAndSelfContained) {
     EXPECT_EQ(html.find(banned), std::string::npos) << banned;
   }
   // Absent optional sections render as notes, not as missing markup.
-  EXPECT_NE(html.find("No trajectory provided"), std::string::npos);
   EXPECT_NE(html.find("No bench diff provided"), std::string::npos);
   EXPECT_NE(html.find("No channel trace provided"), std::string::npos);
 }
@@ -178,28 +177,25 @@ TEST(HtmlRender, EscapesScriptTerminatorsInsideTheIsland) {
 TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
   const obs::LoadResult reports = make_reports();
 
-  obs::TrajectorySeriesResult series;
-  series.rows = 3;
-  obs::TrajectorySeries one;
-  one.report = "exact_cc";
-  one.benchmark = "BM_ExactCcEquality/2";
-  one.points = {{1000.0, 11.0}, {2000.0, 11.5}, {3000.0, 12.0}};
-  series.series.push_back(one);
-
-  obs::TrendResult trend;
-  obs::TrendFit fit;
-  fit.report = one.report;
-  fit.benchmark = one.benchmark;
-  fit.points = 3;
-  fit.rel_slope_per_day = 0.01;
-  fit.r2 = 0.99;
-  trend.fits.push_back(fit);
+  obs::TimeseriesResult timeseries;
+  timeseries.path = "timeseries.jsonl";
+  for (const std::int64_t t_us : {0, 20000, 40000}) {
+    obs::TimeseriesRow row;
+    row.t_us = t_us;
+    row.dt_us = 20000;
+    row.rss_bytes = (8 << 20) + t_us;
+    timeseries.rows.push_back(row);
+  }
 
   const obs::json::Value diff = obs::json::parse(
       "{\"benchmarks\":[{\"report\":\"exact_cc\","
       "\"benchmark\":\"BM_ExactCcEquality/2\",\"baseline_cpu\":11.0,"
       "\"candidate_cpu\":14.0,\"ratio\":1.27,"
       "\"verdict\":\"regression\"}],"
+      "\"counters\":[{\"report\":\"exact_cc\",\"counter\":\"exact_cc.nodes\","
+      "\"baseline\":3120,\"candidate\":3121,\"verdict\":\"changed\"},"
+      "{\"report\":\"exact_cc\",\"counter\":\"exact_cc.calls\","
+      "\"baseline\":5,\"candidate\":5,\"verdict\":\"equal\"}],"
       "\"baseline_dir\":\"a\",\"candidate_dir\":\"b\"}");
 
   const obs::ChannelTrace trace = obs::parse_channel_trace(
@@ -215,8 +211,7 @@ TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
 
   obs::DashboardData data;
   data.reports = &reports;
-  data.series = &series;
-  data.trend = &trend;
+  data.timeseries = &timeseries;
   data.diff = &diff;
   data.trace = &trace;
   data.forest = &forest;
@@ -224,7 +219,7 @@ TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
 
   check_balanced(html);
   // Every section rendered its content, not its fallback note.
-  EXPECT_EQ(html.find("No trajectory provided"), std::string::npos);
+  EXPECT_EQ(html.find("No telemetry series provided"), std::string::npos);
   EXPECT_EQ(html.find("No bench diff provided"), std::string::npos);
   EXPECT_EQ(html.find("No channel trace provided"), std::string::npos);
   EXPECT_NE(html.find("<polyline"), std::string::npos);   // sparkline
@@ -234,6 +229,12 @@ TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
   // Identity never rides on color alone: the regression verdict carries
   // its arrow marker, and the flame view ships a table twin.
   EXPECT_NE(html.find("\xE2\x96\xB2 regression"), std::string::npos);
+  // The exact gate lists the changed table counter with both sides, and
+  // only that one.
+  EXPECT_NE(html.find("exact_cc / exact_cc.nodes: 3120 \xE2\x86\x92 3121 "
+                      "(changed)"),
+            std::string::npos);
+  EXPECT_EQ(html.find("exact_cc / exact_cc.calls"), std::string::npos);
   EXPECT_NE(html.find("Top spans by self time"), std::string::npos);
 }
 

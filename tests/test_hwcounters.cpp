@@ -203,34 +203,6 @@ TEST(HwReport, RusageExtrasAreRenderedAndNonNegative) {
   }
 }
 
-TEST(HwReport, BenchmarkRowCarriesHwAndInsnPerIteration) {
-  obs::RunReport report;
-  report.name = "hwtest_rows";
-  obs::BenchmarkRun with_hw;
-  with_hw.name = "bench_with_hw";
-  with_hw.iterations = 10;
-  with_hw.hw.available = true;
-  with_hw.hw.instructions = 1000;
-  with_hw.hw.cycles = 400;
-  report.benchmarks.push_back(with_hw);
-  obs::BenchmarkRun without_hw;
-  without_hw.name = "bench_without_hw";
-  without_hw.iterations = 10;
-  report.benchmarks.push_back(without_hw);
-  const Value doc = obs::json::parse(obs::render_run_report(report));
-  EXPECT_TRUE(obs::validate_run_report(doc).empty());
-  const Value* rows = find_key(doc, "benchmarks");
-  ASSERT_NE(rows, nullptr);
-  ASSERT_EQ(rows->array.size(), 2u);
-  const Value* hw0 = rows->array[0].find("hw");
-  ASSERT_NE(hw0, nullptr);
-  EXPECT_TRUE(hw0->find("available")->boolean);
-  EXPECT_DOUBLE_EQ(rows->array[0].find("insn_per_iteration")->number, 100.0);
-  // A row without counters has no hw object at all — absent, not zeros.
-  EXPECT_EQ(rows->array[1].find("hw"), nullptr);
-  EXPECT_EQ(rows->array[1].find("insn_per_iteration"), nullptr);
-}
-
 // ------------------------------------------------------------- sampler
 
 TEST(TelemetrySampler, StopBeforeFirstTickStillWritesOneRow) {

@@ -1,5 +1,5 @@
 // Seeded mutation fuzz for obs::json::parse, the reader under every
-// offline tool: run reports, bench diffs, trajectory, traces, profiles
+// offline tool: run reports, bench diffs, traces, profiles
 // and timeseries all go through it.  Writer-produced documents are
 // bit-flipped, overwritten, grown, cut, truncated and spliced into each
 // other by a Xoshiro256 mutator; every input must either parse or throw
@@ -62,7 +62,6 @@ std::vector<std::string> writer_seeds() {
   bits.counter = "comm.bits.total";
   bits.baseline = 4096.0;
   bits.candidate = 4096.0;
-  bits.ratio = 1.0;
   diff.counters.push_back(bits);
   diff.problems.emplace_back("bench/baseline/BENCH_gone.json: cannot open");
 

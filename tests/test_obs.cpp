@@ -362,6 +362,35 @@ TEST(RunReport, ErroredBenchmarksRenderAndValidate) {
   EXPECT_TRUE(found);
 }
 
+TEST(RunReport, TableCountersRenderOnlyWhenRecorded) {
+  obs::RunReport report;
+  report.name = "table_phase";
+  // No table phase (ccmx_cli): no member at all.
+  Value doc = obs::json::parse(obs::render_run_report(report));
+  EXPECT_EQ(doc.find("table_counters"), nullptr);
+
+  report.table_counters.emplace();
+  report.table_counters->emplace_back("comm.bits.round1", 128);
+  report.table_counters->emplace_back("linalg.exact.primes", 0);
+  doc = obs::json::parse(obs::render_run_report(report));
+  EXPECT_TRUE(obs::validate_run_report(doc).empty());
+  const Value* block = doc.find("table_counters");
+  ASSERT_NE(block, nullptr);
+  ASSERT_EQ(block->object.size(), 2u);
+  EXPECT_EQ(block->find("comm.bits.round1")->number, 128.0);
+  EXPECT_EQ(block->find("linalg.exact.primes")->number, 0.0);
+
+  // The validator types the block and its values.
+  for (auto& [key, value] : doc.object) {
+    if (key == "table_counters") value.object.front().second = Value{};
+  }
+  EXPECT_FALSE(obs::validate_run_report(doc).empty());
+  for (auto& [key, value] : doc.object) {
+    if (key == "table_counters") value = Value{};
+  }
+  EXPECT_FALSE(obs::validate_run_report(doc).empty());
+}
+
 TEST(RunReport, ValidatorCatchesCorruption) {
   obs::RunReport report;
   report.name = "bad";

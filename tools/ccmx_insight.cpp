@@ -2,14 +2,12 @@
 //
 // Subcommands:
 //   diff --baseline DIR --candidate DIR [options]
-//       Compare two directories of BENCH_*.json run reports benchmark-
-//       by-benchmark and counter-by-counter with noise-aware thresholds.
-//       Prints a markdown summary, optionally writes ccmx.bench_diff/1
-//       JSON (--json) and markdown (--md).  Exit 1 when any cpu_time
-//       regression survives the thresholds — the CI perf gate.
-//   trajectory --reports DIR [--out FILE]
-//       Append one ccmx.trajectory/1 JSONL line per report to the
-//       repo's perf trajectory (idempotent per name+git_sha+unix_time).
+//       Compare two directories of BENCH_*.json run reports: benchmark
+//       cpu_time with noise-aware thresholds, and the table-phase
+//       counters exactly.  Prints a markdown summary, optionally writes
+//       ccmx.bench_diff/2 JSON (--json) and markdown (--md).  Exit 1
+//       when a cpu_time regression survives the thresholds or a table
+//       counter differs — the CI perf gate.
 //   trace FILE [--report BENCH.json] [--chrome OUT.json]
 //       Parse a JSONL channel trace, print per-channel / per-round /
 //       per-agent traffic plus the reconstructed span trees, and (with
@@ -31,9 +29,9 @@
 //       joins the samples against the span forest of the same run for
 //       per-span attribution.  Exit 1 when the ledger is missing or
 //       does not balance (captured != written + dropped).
-//   html --reports DIR [--trajectory FILE] [--diff DIFF.json]
-//       [--arch ARCH.json] [--trace FILE] [--timeseries FILE]
-//       [--profile FILE] [--out FILE] [--title S]
+//   html --reports DIR [--diff DIFF.json] [--arch ARCH.json]
+//       [--trace FILE] [--timeseries FILE] [--profile FILE]
+//       [--out FILE] [--title S]
 //       Render the observability artifacts into ONE self-contained HTML
 //       dashboard (inline SVG/CSS, no scripts, no network) with the
 //       run-report JSON embedded as a ccmx.dashboard_data/1 island.
@@ -91,18 +89,16 @@ using namespace ccmx;
 int usage() {
   std::cerr <<
       "usage: ccmx_insight "
-      "<diff|trajectory|trace|timeseries|profile|html|fit> ...\n"
+      "<diff|trace|timeseries|profile|html|fit> ...\n"
       "  diff --baseline DIR --candidate DIR [--json PATH] [--md PATH]\n"
-      "       [--cpu-tol F=0.20] [--counter-tol F=0.25] [--rss-tol F=0.30]\n"
-      "       [--insn-tol F=0.02] [--min-iters N=3]\n"
+      "       [--cpu-tol F=0.20] [--rss-tol F=0.30] [--min-iters N=3]\n"
       "       [--allow-missing-baseline]\n"
-      "  trajectory --reports DIR [--out FILE=bench/out/trajectory.jsonl]\n"
       "  trace FILE [--report BENCH.json] [--chrome OUT.json]\n"
       "  timeseries FILE [--json PATH]\n"
       "  profile FILE [--top N=15] [--collapsed OUT] [--trace TRACE.jsonl]\n"
-      "  html --reports DIR [--trajectory FILE] [--diff DIFF.json]\n"
-      "       [--arch ARCH.json] [--trace FILE] [--timeseries FILE]\n"
-      "       [--profile FILE] [--out FILE=dashboard.html] [--title S]\n"
+      "  html --reports DIR [--diff DIFF.json] [--arch ARCH.json]\n"
+      "       [--trace FILE] [--timeseries FILE] [--profile FILE]\n"
+      "       [--out FILE=dashboard.html] [--title S]\n"
       "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n";
   return 2;
 }
@@ -228,11 +224,7 @@ int cmd_diff(Args& args) {
   const auto candidate_dir = args.option("--candidate");
   obs::DiffThresholds thresholds;
   thresholds.cpu_rel_tol = args.tolerance("--cpu-tol", thresholds.cpu_rel_tol);
-  thresholds.counter_rel_tol =
-      args.tolerance("--counter-tol", thresholds.counter_rel_tol);
   thresholds.rss_rel_tol = args.tolerance("--rss-tol", thresholds.rss_rel_tol);
-  thresholds.insn_rel_tol =
-      args.tolerance("--insn-tol", thresholds.insn_rel_tol);
   thresholds.min_iterations = args.integer<std::int64_t>(
       "--min-iters", thresholds.min_iterations, 1);
   const auto json_path = args.option("--json");
@@ -282,29 +274,7 @@ int cmd_diff(Args& args) {
     std::cerr << "error: cannot write " << *md_path << '\n';
     return 2;
   }
-  return diff.has_cpu_regression() || diff.has_insn_regression() ? 1 : 0;
-}
-
-// ---------------------------------------------------------- trajectory
-
-int cmd_trajectory(Args& args) {
-  const auto reports_dir = args.option("--reports");
-  const std::string out =
-      args.option("--out").value_or("bench/out/trajectory.jsonl");
-  args.done();
-  if (!reports_dir) return usage();
-  const obs::LoadResult reports = obs::load_report_dir(*reports_dir);
-  for (const std::string& p : reports.problems) {
-    std::cerr << "warning: " << p << '\n';
-  }
-  if (reports.reports.empty()) {
-    std::cerr << "error: no valid reports in " << *reports_dir << '\n';
-    return 2;
-  }
-  const obs::TrajectoryAppend result = obs::append_trajectory(reports, out);
-  std::cout << "trajectory: " << out << " (+" << result.appended
-            << " appended, " << result.skipped << " already present)\n";
-  return 0;
+  return diff.has_cpu_regression() || diff.has_counter_mismatch() ? 1 : 0;
 }
 
 // --------------------------------------------------------------- trace
@@ -729,7 +699,6 @@ int cmd_html(Args& args) {
   const std::string out = args.option("--out").value_or("dashboard.html");
   const std::string title =
       args.option("--title").value_or("ccmx observability dashboard");
-  const auto trajectory_path = args.option("--trajectory");
   const auto diff_path = args.option("--diff");
   const auto arch_path = args.option("--arch");
   const auto trace_path = args.option("--trace");
@@ -758,15 +727,6 @@ int cmd_html(Args& args) {
 
   // Optional sections — each loads independently; a missing artifact is
   // a note on the page, not a failure.
-  obs::TrajectorySeriesResult series;
-  obs::TrendResult trend;
-  if (trajectory_path) {
-    series = obs::load_trajectory_series(*trajectory_path);
-    trend = obs::trend_from_trajectory(*trajectory_path);
-    data.series = &series;
-    data.trend = &trend;
-  }
-
   obs::json::Value diff_doc;
   if (diff_path) {
     std::ifstream in(*diff_path, std::ios::binary);
@@ -1064,7 +1024,6 @@ int main(int argc, char** argv) {
   Args args(argc, argv, 2);
   try {
     if (cmd == "diff") return cmd_diff(args);
-    if (cmd == "trajectory") return cmd_trajectory(args);
     if (cmd == "trace") return cmd_trace(args);
     if (cmd == "timeseries") return cmd_timeseries(args);
     if (cmd == "profile") return cmd_profile(args);
