@@ -34,11 +34,11 @@ struct RowCensus {
   std::uint64_t evaluations = 0;  // digit assignments evaluated
 };
 
-/// Engine knobs for row_census.  The defaults (budget 1, samples 0) are
-/// not a runnable census: every caller sets the budget, and a census
-/// whose q^digits exceeds it needs samples >= 1.  `delta = false` keeps
-/// the recompute-from-scratch evaluator reachable for ablation benchmarks
-/// and cross-checks.
+/// Engine knobs for row_census.  The census is exact iff q^digits <=
+/// budget; above it, it needs samples >= 1, so the defaults (budget 1,
+/// samples 0) throw on any space of more than one digit vector.
+/// `delta = false` selects the recompute engine (the full x-chain per digit
+/// vector), run by ablation benchmarks, cross-checks and perfbench labels.
 struct CensusOptions {
   std::uint64_t budget = 1;  // exact-enumeration cap on q^digits
   std::size_t samples = 0;   // Monte Carlo draws above the budget

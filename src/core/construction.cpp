@@ -154,24 +154,30 @@ bool lemma32_singular(const ConstructionParams& p, const la::IntMatrix& a,
 
 namespace {
 
+/// x (length n - 1) with its tail forced by E: the unit rows half..n-2 of
+/// A give x[idx] = b_idx . u = E-row . w.  The head is left zero.
+std::vector<BigInt> forced_tail(const ConstructionParams& p,
+                                const la::IntMatrix& e) {
+  const std::size_t half = p.half();
+  const std::vector<BigInt> w = p.w_vector();
+  std::vector<BigInt> x(p.n() - 1);
+  for (std::size_t idx = half; idx + 1 < p.n(); ++idx) {
+    BigInt acc;
+    for (std::size_t t = 0; t < p.l(); ++t) acc += e(idx - half, t) * w[t];
+    x[idx] = acc;
+  }
+  return x;
+}
+
 /// Shared spine of the scalar characterization: the dependency A x = B u
 /// forces the tail of x through the unit rows and the head through the
 /// triangular D-rows; returns the full forced x (length n - 1).
 std::vector<BigInt> forced_x(const ConstructionParams& p,
                              const la::IntMatrix& c, const la::IntMatrix& d,
                              const la::IntMatrix& e) {
-  const std::size_t n = p.n();
   const std::size_t half = p.half();
   const BigInt q(static_cast<std::int64_t>(p.q()));
-  const std::vector<BigInt> w = p.w_vector();
-  std::vector<BigInt> x(n - 1);
-
-  // Unit rows half..n-2 of A give x[idx] = b_idx . u = E-row . w.
-  for (std::size_t idx = half; idx + 1 < n; ++idx) {
-    BigInt acc;
-    for (std::size_t t = 0; t < p.l(); ++t) acc += e(idx - half, t) * w[t];
-    x[idx] = acc;
-  }
+  std::vector<BigInt> x = forced_tail(p, e);
   // D-rows half-1..0: x[idx] = D_idx . u_D - q x[idx+1] - c_idx . tail.
   // u_D[j] = (-q)^{n-2-j} for j < G.
   const std::vector<BigInt> u = p.u_vector();
@@ -207,15 +213,7 @@ std::optional<FreeParts> lemma35_complete(const ConstructionParams& p,
   const std::size_t half = p.half();
   const BigInt q(static_cast<std::int64_t>(p.q()));
   const BigInt& m = p.m();
-  const std::vector<BigInt> w = p.w_vector();
-
-  // Tail of x: forced by the unit rows exactly as in forced_x().
-  std::vector<BigInt> x(n - 1);
-  for (std::size_t idx = half; idx + 1 < n; ++idx) {
-    BigInt acc;
-    for (std::size_t t = 0; t < p.l(); ++t) acc += e(idx - half, t) * w[t];
-    x[idx] = acc;
-  }
+  const std::vector<BigInt> x = forced_tail(p, e);
 
   // (-q)^L: u_D values are m' . (-q)^{G-1-j} with m' = (-q)^L.
   const BigInt neg_q_l =

@@ -18,11 +18,21 @@ double num_or(const json::Value& doc, const char* key, double fallback) {
   return v != nullptr && v->is_number() ? v->number : fallback;
 }
 
+// Numbers outside the integer's range read as the fallback: casting them
+// is undefined behaviour, and a JSON number can be any double (1e999 is
+// inf).
+bool fits_u64(double v) { return v >= 0 && v < 0x1p64; }
+
 std::uint64_t u64_or(const json::Value& doc, const char* key,
                      std::uint64_t fallback) {
   const json::Value* v = doc.find(key);
-  if (v == nullptr || !v->is_number() || v->number < 0) return fallback;
+  if (v == nullptr || !v->is_number() || !fits_u64(v->number)) return fallback;
   return static_cast<std::uint64_t>(v->number);
+}
+
+std::int64_t i64_or_zero(const json::Value& doc, const char* key) {
+  const double v = num_or(doc, key, 0);
+  return v >= -0x1p63 && v < 0x1p63 ? static_cast<std::int64_t>(v) : 0;
 }
 
 std::string str_or(const json::Value& doc, const char* key) {
@@ -69,7 +79,7 @@ ProfileData load_profile(const std::string& path) {
       saw_meta = true;
       data.hz = util::narrow_cast<unsigned>(u64_or(doc, "hz", 0));
       data.mechanism = str_or(doc, "mechanism");
-      data.start_us = static_cast<std::int64_t>(num_or(doc, "start_us", 0));
+      data.start_us = i64_or_zero(doc, "start_us");
     } else if (ev == "frame") {
       ProfileFrame frame;
       frame.id = u64_or(doc, "id", 0);
@@ -86,11 +96,11 @@ ProfileData load_profile(const std::string& path) {
       ProfileSample sample;
       sample.tid = util::narrow_cast<std::uint32_t>(u64_or(doc, "tid", 0));
       sample.span = u64_or(doc, "span", 0);
-      sample.t_us = static_cast<std::int64_t>(num_or(doc, "t_us", 0));
+      sample.t_us = i64_or_zero(doc, "t_us");
       if (const json::Value* stack = doc.find("stack");
           stack != nullptr && stack->is_array()) {
         for (const json::Value& f : stack->array) {
-          if (f.is_number() && f.number >= 0) {
+          if (f.is_number() && fits_u64(f.number)) {
             sample.stack.push_back(static_cast<std::uint64_t>(f.number));
           }
         }

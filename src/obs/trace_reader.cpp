@@ -630,9 +630,19 @@ double ts_number(const json::Value& obj, std::string_view key) {
   return v != nullptr && v->is_number() ? v->number : 0.0;
 }
 
+// Numbers outside the integer's range read as 0: casting them is
+// undefined behaviour, and a JSON number can be any double (1e999 is inf).
+std::uint64_t ts_u64(double v) {
+  return v > 0.0 && v < 0x1p64 ? static_cast<std::uint64_t>(v) : 0;
+}
+
 std::uint64_t ts_u64(const json::Value& obj, std::string_view key) {
+  return ts_u64(ts_number(obj, key));
+}
+
+std::int64_t ts_i64(const json::Value& obj, std::string_view key) {
   const double v = ts_number(obj, key);
-  return v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
+  return v >= -0x1p63 && v < 0x1p63 ? static_cast<std::int64_t>(v) : 0;
 }
 
 }  // namespace
@@ -665,9 +675,9 @@ TimeseriesResult load_timeseries(const std::string& path) {
     }
     TimeseriesRow row;
     row.seq = ts_u64(doc, "seq");
-    row.t_us = static_cast<std::int64_t>(ts_number(doc, "t_us"));
-    row.dt_us = static_cast<std::int64_t>(ts_number(doc, "dt_us"));
-    row.rss_bytes = static_cast<std::int64_t>(ts_number(doc, "rss_bytes"));
+    row.t_us = ts_i64(doc, "t_us");
+    row.dt_us = ts_i64(doc, "dt_us");
+    row.rss_bytes = ts_i64(doc, "rss_bytes");
     row.utime_s = ts_number(doc, "utime_s");
     row.stime_s = ts_number(doc, "stime_s");
     row.minor_faults = ts_u64(doc, "minor_faults");
@@ -675,10 +685,8 @@ TimeseriesResult load_timeseries(const std::string& path) {
     if (const json::Value* counters = doc.find("counters");
         counters != nullptr && counters->is_object()) {
       for (const auto& [name, value] : counters->object) {
-        if (value.is_number() && value.number > 0.0) {
-          row.counters.emplace_back(
-              name, static_cast<std::uint64_t>(value.number));
-        }
+        const std::uint64_t n = value.is_number() ? ts_u64(value.number) : 0;
+        if (n > 0) row.counters.emplace_back(name, n);
       }
     }
     if (const json::Value* hw = doc.find("hw");

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -35,18 +36,26 @@
 
 namespace ccmx::util {
 
-/// q^digits as std::uint64_t; throws if the space does not fit (callers
-/// gate exhaustive sweeps on an explicit budget first).
-[[nodiscard]] inline std::uint64_t digit_space_size(std::uint64_t q,
-                                                    std::size_t digits) {
+/// q^digits if it is at most budget, else nullopt: decided in integers,
+/// without overflow.  The census engines sweep exhaustively iff it fits.
+[[nodiscard]] inline std::optional<std::uint64_t> digit_space_within(
+    std::uint64_t q, std::size_t digits, std::uint64_t budget) {
   CCMX_REQUIRE(q >= 1, "digit base must be at least 1");
   std::uint64_t space = 1;
   for (std::size_t d = 0; d < digits; ++d) {
-    CCMX_REQUIRE(space <= ~std::uint64_t{0} / q,
-                 "q^digits overflows 64 bits; use a sampled sweep");
+    if (space > budget / q) return std::nullopt;  // space * q > budget
     space *= q;
   }
-  return space;
+  return space <= budget ? std::optional(space) : std::nullopt;
+}
+
+/// q^digits as std::uint64_t; throws if the space does not fit.
+[[nodiscard]] inline std::uint64_t digit_space_size(std::uint64_t q,
+                                                    std::size_t digits) {
+  const auto space = digit_space_within(q, digits, ~std::uint64_t{0});
+  CCMX_REQUIRE(space.has_value(),
+               "q^digits overflows 64 bits; use a sampled sweep");
+  return *space;
 }
 
 template <class MakeState, class Reset, class Delta, class Visit,

@@ -1,11 +1,17 @@
-// Census engines: the interval-counting kernel against brute force, the
-// exact row census against Lemma 3.5's bounds, Lemma 3.4 exhaustively.
+// Census engines: the shift model's interval count against brute force on
+// both integer types, the exact row census against Lemma 3.5's bounds,
+// Lemma 3.4 exhaustively.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bigint/negabase.hpp"
 #include "core/census.hpp"
+#include "core/census_model.hpp"
+#include "util/int128.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -15,6 +21,7 @@ namespace {
 using namespace ccmx::core;
 using ccmx::la::IntMatrix;
 using ccmx::num::BigInt;
+using ccmx::util::i128;
 using ccmx::util::Xoshiro256;
 
 TEST(Totals, MatchClosedForms) {
@@ -23,46 +30,128 @@ TEST(Totals, MatchClosedForms) {
   EXPECT_EQ(total_columns(p), BigInt::pow(BigInt(3), 24)); // q^{(n^2-1)/2}
 }
 
-TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
-  // For random (C, E, D_1..), enumerate all q^G choices of row D_0 and all
-  // y digit strings implicitly: brute-force count of (D_0, y) making the
-  // instance singular must equal q-free interval arithmetic's prediction.
-  const ConstructionParams p(7, 2);  // q = 3, G = 4 -> 81 D_0 rows
-  Xoshiro256 rng(1);
-  for (int trial = 0; trial < 10; ++trial) {
-    FreeParts parts = FreeParts::random(p, rng);
-    // Brute force over D_0.
-    std::size_t brute = 0;
-    for (std::uint64_t d0 = 0; d0 < 81; ++d0) {
-      std::uint64_t rest = d0;
-      for (std::size_t j = 0; j < p.g(); ++j) {
-        parts.d(0, j) = BigInt(static_cast<std::int64_t>(rest % 3));
-        rest /= 3;
-      }
-      const BigInt x1 = forced_x1(p, parts.c, parts.d, parts.e);
-      // Exactly one y works iff x1 is representable with n-1 digits.
-      if (ccmx::num::to_negabase(x1, p.q(), p.n() - 1).has_value()) ++brute;
+/// The digit vector row_census sweeps for a column's (E, D): E row-major,
+/// then D rows 1..half-1.
+std::vector<std::uint32_t> digit_vector(const ConstructionParams& p,
+                                        const FreeParts& parts) {
+  std::vector<std::uint32_t> dv;
+  for (std::size_t r = 0; r < p.half(); ++r) {
+    for (std::size_t t = 0; t < p.l(); ++t) {
+      dv.push_back(static_cast<std::uint32_t>(parts.e(r, t).to_int64()));
     }
-    // The census engine with a budget forcing full enumeration reports the
-    // total over (E, D_1, D_2) too; to isolate the inner count, compare
-    // against a direct evaluation: sum brute-force over a fixed (E, D_rest)
-    // equals the interval count embedded in row_census's evaluate().  We
-    // reach it indirectly: the exact census summed over all (E, D_rest) of
-    // the brute-force inner counts must match row_census exactly (done in
-    // ExactMatchesSampledBruteForce below for a full row).  Here we at
-    // least pin the brute count into the negabase interval's size bound.
-    EXPECT_LE(brute, 81u);
+  }
+  for (std::size_t idx = 1; idx < p.half(); ++idx) {
+    for (std::size_t j = 0; j < p.g(); ++j) {
+      dv.push_back(static_cast<std::uint32_t>(parts.d(idx, j).to_int64()));
+    }
+  }
+  return dv;
+}
+
+/// Brute force over the q^G choices of row D_0: how many give a forced x_1
+/// with an (n-1)-digit base-(-q) expansion, i.e. a y completing the column.
+BigInt brute_d0_count(const ConstructionParams& p, FreeParts parts) {
+  std::uint64_t rows = 1;
+  for (std::size_t j = 0; j < p.g(); ++j) rows *= p.q();
+  std::int64_t hits = 0;
+  for (std::uint64_t d0 = 0; d0 < rows; ++d0) {
+    std::uint64_t rest = d0;
+    for (std::size_t j = 0; j < p.g(); ++j) {
+      parts.d(0, j) = BigInt(static_cast<std::int64_t>(rest % p.q()));
+      rest /= p.q();
+    }
+    const BigInt x1 = forced_x1(p, parts.c, parts.d, parts.e);
+    if (ccmx::num::to_negabase(x1, p.q(), p.n() - 1).has_value()) ++hits;
+  }
+  return BigInt(hits);
+}
+
+/// Chain values at (7, 2) are far inside int64.
+BigInt to_big(i128 v) {
+  EXPECT_TRUE(v >= INT64_MIN && v <= INT64_MAX);
+  return BigInt(static_cast<std::int64_t>(v));
+}
+
+TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
+  // count(chain(dv)) is the census's inner count for one (C, E, D_1..):
+  // it must equal the brute-force count over the 81 D_0 rows.  Odd trials
+  // take D and y from Lemma 3.5(a)'s completion, so at least one D_0 row
+  // works.  chain must equal the linear form dot, step must move dot by
+  // one digit, and the i128 and BigInt models must agree on all of it.
+  const ConstructionParams p(7, 2);  // q = 3, G = 4
+  Xoshiro256 rng(1);
+  for (int trial = 0; trial < 24; ++trial) {
+    FreeParts parts = FreeParts::random(p, rng);
+    if (trial % 2 == 1) {
+      const std::optional<FreeParts> done =
+          lemma35_complete(p, parts.c, parts.e);
+      ASSERT_TRUE(done.has_value());
+      parts = *done;
+    }
+    const ShiftModel<i128> fast(p, parts.c);
+    const ShiftModel<BigInt> big(p, parts.c);
+    std::vector<std::uint32_t> dv = digit_vector(p, parts);
+    ASSERT_EQ(dv.size(), fast.digits());
+    std::vector<i128> x_fast(p.n() - 1);
+    std::vector<BigInt> x_big(p.n() - 1);
+    const BigInt shift = big.chain(dv, x_big);
+    EXPECT_EQ(to_big(fast.chain(dv, x_fast)), shift);
+    EXPECT_EQ(big.dot(dv), shift);
+    EXPECT_EQ(to_big(fast.dot(dv)), shift);
+    const BigInt brute = brute_d0_count(p, parts);
+    EXPECT_EQ(big.count(shift), brute) << "trial " << trial;
+    EXPECT_EQ(to_big(fast.count(fast.dot(dv))), brute) << "trial " << trial;
+    if (trial % 2 == 1) {
+      EXPECT_GE(brute, BigInt(1)) << "trial " << trial;
+    }
+
+    const std::size_t pos = static_cast<std::size_t>(trial) % dv.size();
+    const std::uint32_t old_d = dv[pos];
+    i128 moved_fast = fast.dot(dv);
+    BigInt moved_big = shift;
+    dv[pos] = (old_d + 1) % static_cast<std::uint32_t>(p.q());
+    fast.step(moved_fast, pos, old_d, dv[pos]);
+    big.step(moved_big, pos, old_d, dv[pos]);
+    EXPECT_EQ(moved_big, big.dot(dv));
+    EXPECT_EQ(to_big(moved_fast), moved_big);
   }
 }
 
+TEST(RowCensus, BothIntegerTypesGiveIdenticalCensuses) {
+  // row_census runs count_row<i128> at every size a caller uses; the
+  // BigInt instantiation must count the same exhaustive row in both sweep
+  // modes, and draw the same sampled estimate.
+  const ConstructionParams p(7, 2);
+  Xoshiro256 seed_rng(19);
+  const FreeParts parts = FreeParts::random(p, seed_rng);
+  CensusOptions options;
+  options.budget = std::uint64_t{1} << 30;
+  options.samples = 2000;
+  for (const bool delta : {true, false}) {
+    options.delta = delta;
+    Xoshiro256 rng_a(20);
+    Xoshiro256 rng_b(20);
+    const RowCensus a = count_row<i128>(p, parts.c, options, rng_a);
+    const RowCensus b = count_row<BigInt>(p, parts.c, options, rng_b);
+    EXPECT_TRUE(a.exact);
+    EXPECT_TRUE(b.exact);
+    EXPECT_EQ(a.ones, b.ones) << "delta " << delta;
+    EXPECT_EQ(a.evaluations, b.evaluations) << "delta " << delta;
+  }
+  options.budget = 1000;
+  Xoshiro256 rng_a(21);
+  Xoshiro256 rng_b(21);
+  const RowCensus a = count_row<i128>(p, parts.c, options, rng_a);
+  const RowCensus b = count_row<BigInt>(p, parts.c, options, rng_b);
+  EXPECT_FALSE(a.exact);
+  EXPECT_EQ(a.ones, b.ones);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
 TEST(RowCensus, ExactAgainstFullBruteForce) {
-  // n = 7, q = 3: exact census enumerates 3^{14} (E, D_1, D_2) combos with
-  // an O(1) interval count each.  Validate on a smaller scale: brute force
-  // the FULL (D, E) space restricted by fixing D_1, D_2, E to a few random
-  // draws and summing inner brute counts, comparing against evaluate()'s
-  // prediction path by running row_census in sampled mode with those seeds
-  // is awkward; instead validate the full exact census against an
-  // independent Monte Carlo estimate with tight tolerance.
+  // An independent cross-check of the whole exact census: the fraction of
+  // singular columns among 2e5 uniform (D, E, y) draws, each decided by
+  // restricted_singular, must match ones / columns.
   const ConstructionParams p(7, 2);
   Xoshiro256 rng(2);
   const FreeParts parts = FreeParts::random(p, rng);
@@ -70,12 +159,10 @@ TEST(RowCensus, ExactAgainstFullBruteForce) {
                                                      << 30,
                                      /*samples=*/0, rng);
   ASSERT_TRUE(exact.exact);
-  // Monte Carlo over full (D, E, y): fraction of singular columns.
   std::size_t hits = 0;
   const std::size_t trials = 200000;
   Xoshiro256 mc(3);
   FreeParts probe = parts;
-  const auto u = p.u_vector();
   for (std::size_t t = 0; t < trials; ++t) {
     const FreeParts draw = FreeParts::random(p, mc);
     probe.d = draw.d;
@@ -86,9 +173,17 @@ TEST(RowCensus, ExactAgainstFullBruteForce) {
   const double mc_fraction = static_cast<double>(hits) / trials;
   const double exact_fraction =
       exact.ones.to_double() / exact.columns.to_double();
-  // ~3^17/3^24 = 4.6e-4: with 2e5 trials expect ~92 hits, sigma ~10.
+  // ~3^16/3^24 = 1.5e-4: with 2e5 trials expect ~30 hits, sigma ~5.5.
   EXPECT_NEAR(mc_fraction, exact_fraction, exact_fraction * 0.6 + 1e-5);
-  (void)u;
+}
+
+TEST(RowCensus, BudgetEqualToTheSpaceIsExact) {
+  // q^digits <= budget is decided in integers: 3^14 at (7, 2).
+  const ConstructionParams p(7, 2);
+  Xoshiro256 rng(22);
+  const FreeParts parts = FreeParts::random(p, rng);
+  EXPECT_TRUE(row_census(p, parts.c, 4782969, 0, rng).exact);
+  EXPECT_FALSE(row_census(p, parts.c, 4782968, 100, rng).exact);
 }
 
 TEST(RowCensus, WithinLemma35Bounds) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -288,6 +289,27 @@ TEST(Sweep, SpaceSizeOverflowIsRejected) {
   EXPECT_EQ(digit_space_size(3, 5), 243u);
   EXPECT_EQ(digit_space_size(1, 100), 1u);
   EXPECT_THROW((void)digit_space_size(3, 41), contract_error);  // > 2^64
+}
+
+TEST(Sweep, SpaceWithinBudgetIsDecidedInIntegers) {
+  // Boundaries where comparing digits * log2(q) with log2(budget) in
+  // doubles goes wrong: it reads 7^9 and 15^15 (row_census's space at
+  // (7, 4)) as over budgets of exactly that size, 3^31 as within 3^31 - 1.
+  EXPECT_EQ(digit_space_within(7, 9, 40353607), 40353607u);
+  EXPECT_EQ(digit_space_within(7, 9, 40353606), std::nullopt);
+  const std::uint64_t three_31 = 617673396283947;
+  EXPECT_EQ(digit_space_within(3, 31, three_31 - 1), std::nullopt);
+  EXPECT_EQ(digit_space_within(3, 31, three_31), three_31);
+  const std::uint64_t fifteen_15 = 437893890380859375;
+  EXPECT_EQ(digit_space_within(15, 15, fifteen_15), fifteen_15);
+  EXPECT_EQ(digit_space_within(15, 15, fifteen_15 - 1), std::nullopt);
+  // Spaces past 2^64 are refused without overflowing.
+  const std::uint64_t max = ~std::uint64_t{0};
+  EXPECT_EQ(digit_space_within(2, 63, max), std::uint64_t{1} << 63);
+  EXPECT_EQ(digit_space_within(2, 64, max), std::nullopt);
+  EXPECT_EQ(digit_space_within(std::uint64_t{1} << 32, 3, max), std::nullopt);
+  EXPECT_EQ(digit_space_within(1, 100, 1), 1u);
+  EXPECT_EQ(digit_space_within(3, 0, 0), std::nullopt);
 }
 
 TEST(Timer, CpuSecondsAdvancesUnderWork) {
