@@ -1,12 +1,11 @@
-// BENCH_obs — self-overhead of the observability layer's trace pipeline.
+// BENCH_obs — self-overhead of the observability layer's trace sink.
 //
-// The same pre-rendered event line emitted through (a) the async
-// pipeline (per-thread buffer -> bounded MPSC ring -> background drainer)
-// and (b) no sink at all (the one-atomic-load disabled gate).  Events go
-// to /dev/null so the numbers measure the pipeline, not the filesystem.
-// The pipeline's recorded ablation against the retired mutex-per-event
-// sink (async 3.6x its throughput at 8 threads) is in
-// docs/OBSERVABILITY.md.
+// The same pre-rendered event line emitted through (a) the trace sink
+// (per-thread buffer; the emit that fills a 64-line batch writes it to
+// the file) and (b) no sink at all (the one-atomic-load disabled gate).
+// Events go to /dev/null so the numbers measure the sink, not the
+// filesystem.  The sink's recorded history (the mutex-per-event path and
+// the asynchronous ring it replaced) is in docs/OBSERVABILITY.md.
 //
 // The reproduction table storms the sink from 8 threads and prints the
 // emitted/dropped ledger, so losslessness (0 dropped) is visible next to
@@ -26,11 +25,7 @@ constexpr std::string_view kEventLine =
     "{\"ev\":\"send\",\"ch\":42,\"from\":0,\"bits\":128,\"round\":3,"
     "\"msg\":17,\"span\":9,\"tid\":1,\"t_us\":123456}";
 
-bool open_null_sink() {
-  obs::TraceSinkOptions options;
-  options.path = "/dev/null";
-  return obs::open_trace_sink(options);
-}
+bool open_null_sink() { return obs::open_trace_sink("/dev/null"); }
 
 // Each benchmark reconfigures the sink in its thread-0 SETUP, never in
 // teardown: Google Benchmark joins worker threads between runs, so an
@@ -38,7 +33,7 @@ bool open_null_sink() {
 // emitter — closing in a benchmark body would, and the post-close emits
 // would surface as phantom obs.trace.dropped in the run report.
 
-void BM_EmitAsync(benchmark::State& state) {
+void BM_Emit(benchmark::State& state) {
   if (state.thread_index() == 0) {
     obs::set_enabled(true);
     if (!open_null_sink()) {
@@ -50,7 +45,7 @@ void BM_EmitAsync(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EmitAsync)->ThreadRange(1, 8)->UseRealTime();
+BENCHMARK(BM_Emit)->ThreadRange(1, 8)->UseRealTime();
 
 void BM_EmitDisabled(benchmark::State& state) {
   if (state.thread_index() == 0) {
@@ -144,22 +139,22 @@ void print_tables() {
   obs::set_enabled(true);
 
   print_header(
-      "OBS: trace-pipeline conservation ledger",
-      "8 emitter threads storm the sink; emitters wait for ring space, so\n"
-      "every emitted event must be written: the row must show zero\n"
-      "drops at the default capacity.");
+      "OBS: trace-sink conservation ledger",
+      "8 emitter threads storm the sink; each full batch is written by\n"
+      "the emit that fills it and every residue before its thread exits,\n"
+      "so every emitted event must be written: the row must show zero\n"
+      "drops.  events/sec is timed from open to close.");
 
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 20'000;
   util::TextTable table(
-      {"backpressure", "threads", "emitted", "dropped", "lossless",
-       "events/sec"});
+      {"threads", "emitted", "dropped", "lossless", "events/sec"});
   const StormResult r = storm(kThreads, kPerThread);
   const double rate =
       r.wall_seconds > 0.0 ? static_cast<double>(r.emitted) / r.wall_seconds
                            : 0.0;
-  table.row("block", kThreads, r.emitted, r.dropped,
-            r.dropped == 0 ? "yes" : "no", static_cast<std::uint64_t>(rate));
+  table.row(kThreads, r.emitted, r.dropped, r.dropped == 0 ? "yes" : "no",
+            static_cast<std::uint64_t>(rate));
   print_table(table);
   obs::reset_values();
 

@@ -38,7 +38,7 @@ run identity_embedding 'BM_IdentityEmbeddingSearch/2'
 run lemma34            'BM_SpanCanonicalForm/7|BM_Lemma34Census'
 run lemma35            'BM_Lemma35Completion/7|BM_RowCensusExact'
 run linwu_rank         'BM_LinWuRank/3'
-run obs                'BM_Emit(Async|Disabled)/real_time/threads:8|BM_SpinUnderProfiler/(0|97)$'
+run obs                'BM_Emit(Disabled)?/real_time/threads:8|BM_SpinUnderProfiler/(0|97)$'
 run padding            'BM_PaddedDeterminant/4'
 run partitions         'BM_ProperTransform/7'
 run probabilistic      'BM_FingerprintProtocol/(4|64)$|BM_ExactSingularityLocal/64$'

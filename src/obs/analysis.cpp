@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -31,17 +32,8 @@ std::string read_whole_file(const std::string& path,
   return buffer.str();
 }
 
-double number_or(const json::Value& doc, std::string_view key,
-                 double fallback) {
-  const json::Value* v = doc.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-std::string string_or(const json::Value& doc, std::string_view key,
-                      std::string_view fallback) {
-  const json::Value* v = doc.find(key);
-  return v != nullptr && v->is_string() ? v->string : std::string(fallback);
-}
+using json::number_or;
+using json::string_or;
 
 bool bool_or(const json::Value& doc, std::string_view key) {
   const json::Value* v = doc.find(key);
@@ -101,8 +93,7 @@ std::map<std::string, BenchRow> benchmark_map(const json::Value& doc) {
     }
     BenchRow row;
     row.cpu_time = number_or(run, "cpu_time", 0.0);
-    row.iterations =
-        static_cast<std::int64_t>(number_or(run, "iterations", 0.0));
+    row.iterations = json::integer_or<std::int64_t>(run, "iterations", 0);
     row.time_unit = string_or(run, "time_unit", "ns");
     out[name->string] = row;
   }
@@ -143,6 +134,13 @@ std::string fmt_num(double v) {
     std::snprintf(buf, sizeof buf, "%.4g", v);
   }
   return buf;
+}
+
+/// True when `v` is a whole number in [0, 2^63): a count the loaders
+/// read back as std::int64_t.
+bool is_count(const json::Value& v) {
+  const std::optional<std::int64_t> n = json::integer<std::int64_t>(&v);
+  return n.has_value() && *n >= 0 && static_cast<double>(*n) == v.number;
 }
 
 void check_member(const json::Value& doc, std::string_view key,
@@ -207,8 +205,9 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
   if (const json::Value* rss = doc.find("max_rss_bytes"); rss != nullptr) {
     if (!rss->is_number()) {
       problems.emplace_back("member \"max_rss_bytes\" has wrong type");
-    } else if (rss->number < 0.0) {
-      problems.emplace_back("\"max_rss_bytes\" must be >= 0");
+    } else if (!is_count(*rss)) {
+      problems.emplace_back(
+          "\"max_rss_bytes\" is not an integer in [0, 2^63)");
     }
   }
   // Optional for the same reason: reports predating the async trace
@@ -310,6 +309,11 @@ std::vector<std::string> validate_run_report(const json::Value& doc) {
       }
       check_member(run, "name", Kind::kString, problems);
       check_member(run, "iterations", Kind::kNumber, problems);
+      if (const json::Value* it = run.find("iterations");
+          it != nullptr && it->is_number() && !is_count(*it)) {
+        problems.push_back(where +
+                           " \"iterations\" is not an integer in [0, 2^63)");
+      }
       check_member(run, "real_time", Kind::kNumber, problems);
       check_member(run, "cpu_time", Kind::kNumber, problems);
       check_member(run, "time_unit", Kind::kString, problems);
@@ -347,8 +351,7 @@ std::vector<std::string> load_report_file(const std::string& path,
   out.build_type = string_or(doc, "build_type", "unknown");
   out.wall_seconds = number_or(doc, "wall_seconds", 0.0);
   out.cpu_seconds = number_or(doc, "cpu_seconds", 0.0);
-  out.max_rss_bytes =
-      static_cast<std::int64_t>(number_or(doc, "max_rss_bytes", 0.0));
+  out.max_rss_bytes = json::integer_or<std::int64_t>(doc, "max_rss_bytes", 0);
   out.doc = std::move(doc);
   return problems;
 }

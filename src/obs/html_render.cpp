@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -142,17 +143,9 @@ std::string fmt_svg(double v) {
   return fmt_fixed(v, 1);
 }
 
-double number_or(const json::Value& obj, std::string_view key,
-                 double fallback) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-std::string string_or(const json::Value& obj, std::string_view key,
-                      std::string_view fallback) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->string : std::string(fallback);
-}
+using json::integer_or;
+using json::number_or;
+using json::string_or;
 
 /// Fixed categorical assignment (see docs: color follows the entity):
 /// the first 7 distinct names by rank get the palette slots in order,
@@ -386,19 +379,18 @@ class Dashboard {
           hw != nullptr && hw->is_object() ? hw->find("available") : nullptr;
       if (avail != nullptr && avail->is_bool() && avail->boolean) {
         w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(
-                       number_or(*hw, "instructions", 0.0))));
+                   fmt_count(
+                       integer_or<std::uint64_t>(*hw, "instructions", 0)));
         w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(
-                       number_or(*hw, "cycles", 0.0))));
+                   fmt_count(integer_or<std::uint64_t>(*hw, "cycles", 0)));
         w_.element("td", {{"class", "num"}},
                    fmt_fixed(number_or(*hw, "ipc", 0.0), 2));
         w_.element("td", {{"class", "num"}},
                    fmt_fixed(number_or(*hw, "cache_miss_rate", 0.0) * 100.0,
                              1) + " %");
         w_.element("td", {{"class", "num"}},
-                   fmt_us(static_cast<std::int64_t>(
-                       number_or(*hw, "task_clock_ns", 0.0) / 1000.0)));
+                   fmt_us(integer_or<std::int64_t>(*hw, "task_clock_ns", 0) /
+                          1000));
       } else {
         const bool has_block = hw != nullptr && hw->is_object();
         w_.open("td",
@@ -673,11 +665,9 @@ class Dashboard {
     const json::Value& arch = *data_.arch;
     w_.element(
         "p", {{"class", "legend"}},
-        fmt_count(static_cast<std::uint64_t>(
-            number_or(arch, "files_scanned", 0.0))) +
+        fmt_count(integer_or<std::uint64_t>(arch, "files_scanned", 0)) +
             " file(s), " +
-            fmt_count(static_cast<std::uint64_t>(
-                number_or(arch, "include_edges", 0.0))) +
+            fmt_count(integer_or<std::uint64_t>(arch, "include_edges", 0)) +
             " include edge(s); modules sorted by declared layer.");
     const json::Value* modules = arch.find("modules");
     if (modules != nullptr && modules->is_array() &&
@@ -699,14 +689,11 @@ class Dashboard {
         w_.element("td", {{"class", "num"}},
                    fmt_fixed(number_or(row, "layer", -1.0), 0));
         w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(
-                       number_or(row, "files", 0.0))));
+                   fmt_count(integer_or<std::uint64_t>(row, "files", 0)));
         w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(
-                       number_or(row, "fan_out", 0.0))));
+                   fmt_count(integer_or<std::uint64_t>(row, "fan_out", 0)));
         w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(
-                       number_or(row, "fan_in", 0.0))));
+                   fmt_count(integer_or<std::uint64_t>(row, "fan_in", 0)));
         std::string deps;
         const json::Value* dep_list = row.find("deps");
         if (dep_list != nullptr && dep_list->is_array()) {
@@ -878,24 +865,23 @@ class Dashboard {
 
   // ---- trace pipeline ---------------------------------------------------
 
-  /// Health of the async event pipeline: per-report emitted/dropped
-  /// conservation and self-overhead (obs.trace.* / obs.overhead.*
-  /// counters), plus the streaming reader's own stats for the rendered
-  /// trace.  Dropped events are never silent — this is where they show.
+  /// Health of the trace sink: per-report emitted/dropped conservation
+  /// and self-overhead (obs.trace.* / obs.overhead.* counters), plus the
+  /// streaming reader's own stats for the rendered trace.  Dropped events
+  /// are never silent — this is where they show.
   void pipeline_section() {
     w_.open("section", {{"class", "card"}});
     w_.element("h2", {}, "Trace pipeline");
 
+    // nullopt when the report lacks the counter or it is out of range.
     const auto counter = [](const json::Value& doc, std::string_view name) {
       const json::Value* counters = doc.find("counters");
-      if (counters == nullptr || !counters->is_object()) return -1.0;
-      return number_or(*counters, name, -1.0);
+      return json::integer<std::uint64_t>(
+          counters == nullptr ? nullptr : counters->find(name));
     };
     std::vector<const LoadedReport*> piped;
     for (const LoadedReport& report : data_.reports->reports) {
-      if (counter(report.doc, "obs.trace.emitted") >= 0.0) {
-        piped.push_back(&report);
-      }
+      if (counter(report.doc, "obs.trace.emitted")) piped.push_back(&report);
     }
     if (piped.empty() && data_.trace_stats == nullptr) {
       w_.element("p", {{"class", "note"}},
@@ -927,39 +913,39 @@ class Dashboard {
       w_.element("th", {{"class", "num"}}, "dropped");
       w_.element("th", {{"class", "num"}}, "open failed");
       w_.element("th", {{"class", "num"}}, "ns / emit");
-      w_.element("th", {{"class", "num"}}, "drain ms");
       w_.element("th", {{"class", "num"}}, "flush ms");
       w_.element("th", {}, "verdict");
       w_.close().close();  // tr, thead
       w_.open("tbody");
       for (const LoadedReport* report : piped) {
-        const double emitted = counter(report->doc, "obs.trace.emitted");
-        const double dropped =
-            std::max(0.0, counter(report->doc, "obs.trace.dropped"));
-        const double open_failed =
-            std::max(0.0, counter(report->doc, "obs.trace.open_failed"));
-        const double emit_ns = counter(report->doc, "obs.overhead.emit_ns");
-        const double drain_ns = counter(report->doc, "obs.overhead.drain_ns");
-        const double flush_ns = counter(report->doc, "obs.overhead.flush_ns");
+        const std::uint64_t emitted =
+            counter(report->doc, "obs.trace.emitted").value_or(0);
+        const std::uint64_t dropped =
+            counter(report->doc, "obs.trace.dropped").value_or(0);
+        const std::uint64_t open_failed =
+            counter(report->doc, "obs.trace.open_failed").value_or(0);
+        // The emit meter samples one emit in 64 per thread, so a short
+        // run can finish with no sample at all: show a dash, not 0 ns.
+        const std::uint64_t emit_ns =
+            counter(report->doc, "obs.overhead.emit_ns").value_or(0);
+        const std::optional<std::uint64_t> flush_ns =
+            counter(report->doc, "obs.overhead.flush_ns");
         w_.open("tr");
         w_.element("td", {}, report->name);
+        w_.element("td", {{"class", "num"}}, fmt_count(emitted));
+        w_.element("td", {{"class", "num"}}, fmt_count(dropped));
+        w_.element("td", {{"class", "num"}}, fmt_count(open_failed));
         w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(emitted)));
-        w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(dropped)));
-        w_.element("td", {{"class", "num"}},
-                   fmt_count(static_cast<std::uint64_t>(open_failed)));
-        w_.element("td", {{"class", "num"}},
-                   emit_ns >= 0.0 && emitted > 0.0
-                       ? fmt_fixed(emit_ns / emitted, 0)
+                   emit_ns > 0 && emitted > 0
+                       ? fmt_fixed(static_cast<double>(emit_ns) /
+                                       static_cast<double>(emitted),
+                                   0)
                        : std::string("\xE2\x80\x94"));
         w_.element("td", {{"class", "num"}},
-                   drain_ns >= 0.0 ? fmt_fixed(drain_ns * 1e-6, 2)
-                                   : std::string("\xE2\x80\x94"));
-        w_.element("td", {{"class", "num"}},
-                   flush_ns >= 0.0 ? fmt_fixed(flush_ns * 1e-6, 2)
-                                   : std::string("\xE2\x80\x94"));
-        const bool truncated = dropped > 0.0 || open_failed > 0.0;
+                   flush_ns.has_value()
+                       ? fmt_fixed(static_cast<double>(*flush_ns) * 1e-6, 2)
+                       : std::string("\xE2\x80\x94"));
+        const bool truncated = dropped > 0 || open_failed > 0;
         w_.element("td",
                    {{"class", truncated ? "verdict-regression"
                                         : "verdict-improvement"}},

@@ -21,8 +21,8 @@
 // every snapshot carries available=false so downstream consumers render
 // "unavailable" instead of zeros.
 //
-// TelemetrySampler is a background std::jthread (same shape as the trace
-// drainer: stop_token, explicit lifecycle) that appends one
+// TelemetrySampler is a background std::jthread (same shape as the
+// profiler's drainer: stop_token, explicit lifecycle) that appends one
 // ccmx.timeseries/1 JSONL row every CCMX_SAMPLE_MS: RSS and utime/stime
 // from /proc/self, obs counter deltas, and hw deltas over the interval.
 //

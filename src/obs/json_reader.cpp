@@ -308,6 +308,17 @@ void render_to(const Value& value, std::string& out) {
 
 }  // namespace
 
+double number_or(const Value& obj, std::string_view key, double fallback) {
+  const Value* v = obj.find(key);
+  return v != nullptr && v->is_number() ? v->number : fallback;
+}
+
+std::string string_or(const Value& obj, std::string_view key,
+                      std::string_view fallback) {
+  const Value* v = obj.find(key);
+  return v != nullptr && v->is_string() ? v->string : std::string(fallback);
+}
+
 std::string render(const Value& value) {
   std::string out;
   render_to(value, out);

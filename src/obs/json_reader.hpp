@@ -6,10 +6,14 @@
 // (ccmx_obs_offline); instrumented code only ever writes JSON.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -66,5 +70,40 @@ inline constexpr std::size_t kMaxDepth = 256;
 /// loaded documents into other artifacts (e.g. the HTML dashboard's data
 /// island).
 [[nodiscard]] std::string render(const Value& value);
+
+// Tolerant readers, for loaders that take what a document offers and
+// default the rest: each returns `fallback` when `obj` has no member
+// `key` or the member has another type.
+
+[[nodiscard]] double number_or(const Value& obj, std::string_view key,
+                               double fallback);
+
+[[nodiscard]] std::string string_or(const Value& obj, std::string_view key,
+                                    std::string_view fallback = {});
+
+/// `value` truncated toward zero as an Int; nullopt when `value` is
+/// null, not a number, or outside Int's range.  Casting such a double is
+/// undefined behaviour, and a JSON number can be any double (1e999
+/// parses as inf).
+template <std::integral Int>
+[[nodiscard]] std::optional<Int> integer(const Value* value) noexcept {
+  if (value == nullptr || !value->is_number()) return std::nullopt;
+  // 2^digits, exact as a double: Int holds every whole number in
+  // [-2^digits, 2^digits) when signed and in [0, 2^digits) when not.
+  constexpr double kLimit =
+      2.0 * static_cast<double>(Int{1}
+                                << (std::numeric_limits<Int>::digits - 1));
+  constexpr double kLow = std::is_signed_v<Int> ? -kLimit : 0.0;
+  if (!(value->number >= kLow && value->number < kLimit)) return std::nullopt;
+  return static_cast<Int>(value->number);
+}
+
+/// Member `key` of `obj` read by integer<Int>, or `fallback` when it is
+/// missing, not a number, or out of range.
+template <std::integral Int>
+[[nodiscard]] Int integer_or(const Value& obj, std::string_view key,
+                             Int fallback) noexcept {
+  return integer<Int>(obj.find(key)).value_or(fallback);
+}
 
 }  // namespace ccmx::obs::json

@@ -7,15 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
-#include <memory>
 #include <mutex>
-#include <stop_token>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/json.hpp"
@@ -50,7 +45,6 @@ struct HistData {
 struct Registry;
 Registry& registry();
 struct ThreadEventBuffer;
-class TraceSink;
 
 /// Hard cap on distinct counter names (ids index fixed per-thread slot
 /// arrays, so slots never reallocate while workers are adding).
@@ -79,11 +73,15 @@ struct Registry {
   std::vector<HistData> hists;
   std::vector<std::pair<std::string, std::string>> attributes;
 
-  /// Guards `sink` and the probe/report flags; only ever held alone.
+  /// Guards the trace file and the probe/report flags.  The registry is
+  /// built during static initialisation (file-scope Counters intern into
+  /// it), so the file outlives the worker pool, whose threads write their
+  /// residue when they exit.
   std::mutex trace_mu;
+  std::ofstream trace_file;  // open iff a trace sink is open
   bool env_probed = false;
   bool open_failure_reported = false;
-  /// Guards event_buffers (thread registration vs the drainer's sweep).
+  /// Guards event_buffers (thread registration vs the flush sweep).
   std::mutex buffers_mu;
   std::vector<ThreadEventBuffer*> event_buffers;
 
@@ -113,11 +111,6 @@ struct Registry {
     }
     return it->second;
   }
-
-  /// Declared last: destroyed first at process exit, so the drainer's
-  /// final sweep (joined inside ~TraceSink) still finds every mutex,
-  /// buffer list, and counter above alive.
-  std::shared_ptr<TraceSink> sink;
 };
 
 Registry& registry() {
@@ -151,51 +144,46 @@ ThreadSink& thread_sink() {
   return sink;
 }
 
-// --------------------------------------------------------- trace pipeline
+// ------------------------------------------------------------ trace sink
 //
-// Async JSONL path: emit_event appends to a per-thread staging buffer
-// (ThreadEventBuffer); a full buffer moves wholesale into the sink's
-// bounded MPSC ring; a dedicated drainer jthread sweeps straggler
-// buffers, drains the ring, and writes batched lines, flushing on a
-// clock.  Lock order is strictly
-//     Registry::buffers_mu  ->  ThreadEventBuffer::mu  ->  TraceSink::mu
+// emit_event appends each line to a per-thread staging buffer
+// (ThreadEventBuffer); the emit that fills a batch writes the buffer to
+// the one trace file and flushes it.  flush_trace_sink and
+// close_trace_sink sweep every thread's residue (a partial batch) into
+// the file; flush_thread and thread exit write the calling thread's.
+// A buffer's mutex is held across its write, so a sweep never overtakes
+// its owner's batch and each thread's lines stay in emission order.
+// Lock order is strictly
+//     Registry::buffers_mu  ->  ThreadEventBuffer::mu  ->  Registry::trace_mu
 // (Registry::mu, the counter mutex, is a leaf acquirable under any of
-// them; Registry::trace_mu is only ever held alone).  Emitters never
-// hold their buffer mutex across a ring push — a push blocked on
-// backpressure would deadlock the drainer's sweep — so each buffer
-// carries a `pushing` flag that makes the sweep skip it while its owner
-// is mid-push, preserving per-thread FIFO order in the file.
+// them).
 
 /// Fast-path gate for emit_event / event_sink_open: one atomic load
-/// instead of a mutex.  Unknown -> {None, Async} on the lazy env probe or
+/// instead of a mutex.  Unknown -> {None, Open} on the lazy env probe or
 /// an explicit open; anything -> None on close.
 constexpr std::uint8_t kSinkUnknown = 0;
 constexpr std::uint8_t kSinkNone = 1;
-constexpr std::uint8_t kSinkAsync = 2;
+constexpr std::uint8_t kSinkOpen = 2;
 std::atomic<std::uint8_t> g_sink_mode{kSinkUnknown};
 
-constexpr std::size_t kDefaultRingCapacity = 65536;  // events in the ring
-constexpr std::size_t kEmitBatch = 64;  // buffered events per ring push
+constexpr std::size_t kEmitBatch = 64;  // buffered lines per file write
 // Overhead metering samples one emit in kMeterPeriod per thread and
 // scales — metering every event would cost two clock reads per emit,
 // several times the buffered append it is supposed to measure.
 constexpr std::uint32_t kMeterPeriod = 64;
-constexpr std::chrono::milliseconds kDrainInterval{50};  // flush clock
 
 // Conservation ledger, validated by trace_reader against the run report:
 // lines-in-file + obs.trace.dropped == obs.trace.emitted at every
 // quiescent point, so a drop can never pass unnoticed.  Both sides count
-// at batch granularity — an event joins `emitted` when its batch leaves
-// the thread buffer, not per emit call — so events still staged in a
-// buffer are invisible to the ledger until a flush publishes them.
+// when a buffer's lines leave it, not per emit call, so lines still
+// staged in a buffer are invisible to the ledger until a write or a
+// flush takes them.
 const Counter g_emitted("obs.trace.emitted");
 const Counter g_dropped("obs.trace.dropped");
 const Counter g_open_failed("obs.trace.open_failed");
 const Counter g_batches("obs.trace.batches");
 // Self-overhead meters (summed nanoseconds): what observing costs.
 const Counter g_emit_ns("obs.overhead.emit_ns");
-const Counter g_block_ns("obs.overhead.block_ns");
-const Counter g_drain_ns("obs.overhead.drain_ns");
 const Counter g_flush_ns("obs.overhead.flush_ns");
 
 std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) noexcept {
@@ -205,87 +193,54 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) noexcept {
           .count());
 }
 
-/// Per-thread staging buffer for emitted event lines.  The owning thread
-/// appends (and pushes full batches to the ring); the drainer sweeps
-/// residue that never reached the batch threshold.  Lines live in one
+/// Per-thread staging buffer for emitted event lines.  Lines live in one
 /// newline-terminated byte blob — appending is an amortized memcpy, not
-/// a per-event heap allocation — with `count` carrying the event total
-/// for the conservation ledger and ring capacity accounting.
+/// a per-event heap allocation — with `count` carrying the line total
+/// for the batch threshold and the conservation ledger.
 struct ThreadEventBuffer {
   std::mutex mu;
   std::string bytes;
   std::size_t count = 0;
-  /// True while the owner pushes a moved-out batch into the ring; the
-  /// sweep skips the buffer then, or newer residue could overtake the
-  /// in-flight batch and break per-thread file order.
-  std::atomic<bool> pushing{false};
   ThreadEventBuffer();
   ~ThreadEventBuffer();
 };
 
-class TraceSink {
- public:
-  TraceSink(std::ofstream out, std::size_t capacity);
-  ~TraceSink() { shutdown(); }
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
-
-  /// Appends one thread's batch (a newline-terminated blob of `count`
-  /// lines) to the ring, waiting while the ring is at capacity.
-  /// Admission is batch-granular: a batch admitted just below capacity
-  /// may overshoot it by at most kEmitBatch-1 events until the drainer's
-  /// next pass, and a batch that arrives after close is dropped whole,
-  /// all `count` events landing in obs.trace.dropped.
-  void push_batch(std::string&& bytes, std::size_t count);
-
-  /// Drainer-only: ring insertion ignoring capacity (the drainer empties
-  /// the ring right after, so the overshoot is transient).
-  void force_push(std::string&& bytes, std::size_t count);
-
-  /// Blocks until everything pushed before the call is written and the
-  /// stream is flushed.
-  void flush_and_wait();
-
-  /// Drains, flushes, closes, and joins the drainer.  Late pushes are
-  /// counted as drops.  Idempotent.
-  void shutdown();
-
- private:
-  void drain_main(std::stop_token stop);
-  /// Moves straggler per-thread buffers into the ring.  Holds each
-  /// buffer's mutex across its ring insertion so the owner cannot slip a
-  /// newer batch underneath the swept (older) residue.
-  void sweep_buffers();
-
-  const std::size_t capacity_;
-  std::ofstream out_;  // drainer-owned after construction
-
-  /// One thread's staged batch in the ring: a blob of newline-terminated
-  /// lines plus its event count for capacity/ledger accounting.
-  struct EventBatch {
-    std::string bytes;
-    std::size_t count = 0;
-  };
-
-  std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable_any wake_;  // drainer's wait, stop_token-aware
-  std::condition_variable flush_cv_;
-  std::deque<EventBatch> ring_;
-  std::size_t ring_events_ = 0;  // sum of ring_ batch counts
-  bool closed_ = false;
-  std::uint64_t flush_asked_ = 0;
-  std::uint64_t flush_done_ = 0;
-
-  // Last member: the drainer joins (inside shutdown) while everything
-  // above is still alive.
-  std::jthread drainer_;
-};
+/// Writes `buffer`'s lines to the trace file, flushes it, and empties
+/// the buffer; the caller holds buffer.mu.  Lines that find no open file
+/// (the sink closed while they sat in the buffer, or an earlier write
+/// failed) count as dropped.
+void write_buffer(ThreadEventBuffer& buffer) {
+  if (buffer.count == 0) return;
+  Registry& reg = registry();
+  g_emitted.add(buffer.count);
+  bool written = false;
+  {
+    const std::scoped_lock lock(reg.trace_mu);
+    if (reg.trace_file.is_open()) {
+      const auto t0 = std::chrono::steady_clock::now();
+      reg.trace_file.write(buffer.bytes.data(),
+                           static_cast<std::streamsize>(buffer.bytes.size()));
+      reg.trace_file.flush();
+      g_flush_ns.add(ns_since(t0));
+      // A failed write (a full disk) may leave a torn line: close the
+      // file, so that this batch and every later one count as dropped.
+      if (!reg.trace_file.good()) reg.trace_file.close();
+      written = reg.trace_file.is_open();
+    }
+  }
+  if (written) {
+    g_batches.add();
+  } else {
+    g_dropped.add(buffer.count);
+  }
+  buffer.bytes.clear();  // keeps its capacity for the next batch
+  buffer.count = 0;
+}
 
 ThreadEventBuffer::ThreadEventBuffer() {
   // Force the ThreadSink into existence first: thread_locals destroy in
   // reverse construction order, so ~ThreadEventBuffer can still count
-  // drops through the counter slots.
+  // its residue through the counter slots.
   (void)thread_sink();
   Registry& reg = registry();
   const std::scoped_lock lock(reg.buffers_mu);
@@ -300,19 +255,8 @@ ThreadEventBuffer::~ThreadEventBuffer() {
         std::remove(reg.event_buffers.begin(), reg.event_buffers.end(), this),
         reg.event_buffers.end());
   }
-  if (count == 0) return;
-  std::shared_ptr<TraceSink> sink;
-  {
-    const std::scoped_lock lock(reg.trace_mu);
-    sink = reg.sink;
-  }
-  g_emitted.add(count);
-  if (sink != nullptr) {
-    sink->push_batch(std::move(bytes), count);
-  } else {
-    // Emitted but never written: the exiting thread outlived the sink.
-    g_dropped.add(count);
-  }
+  const std::scoped_lock lock(mu);
+  write_buffer(*this);
 }
 
 ThreadEventBuffer& thread_event_buffer() {
@@ -320,170 +264,34 @@ ThreadEventBuffer& thread_event_buffer() {
   return buffer;
 }
 
-std::shared_ptr<TraceSink> sink_ref() {
-  Registry& reg = registry();
-  const std::scoped_lock lock(reg.trace_mu);
-  return reg.sink;
-}
-
-TraceSink::TraceSink(std::ofstream out, std::size_t capacity)
-    : capacity_(capacity == 0 ? kDefaultRingCapacity : capacity),
-      out_(std::move(out)),
-      drainer_([this](std::stop_token stop) { drain_main(stop); }) {}
-
-void TraceSink::push_batch(std::string&& bytes, std::size_t count) {
-  bool dropped = false;
-  {
-    std::unique_lock lock(mu_);
-    if (!closed_ && ring_events_ >= capacity_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      wake_.notify_one();
-      not_full_.wait(lock,
-                     [&] { return closed_ || ring_events_ < capacity_; });
-      g_block_ns.add(ns_since(t0));
-    }
-    if (closed_) {
-      dropped = true;
-    } else {
-      ring_events_ += count;
-      ring_.push_back(EventBatch{std::move(bytes), count});
-    }
-  }
-  if (dropped) {
-    g_dropped.add(count);
-  } else {
-    wake_.notify_one();
-  }
-}
-
-void TraceSink::force_push(std::string&& bytes, std::size_t count) {
-  const std::scoped_lock lock(mu_);
-  ring_events_ += count;
-  ring_.push_back(EventBatch{std::move(bytes), count});
-}
-
-void TraceSink::flush_and_wait() {
-  std::unique_lock lock(mu_);
-  if (closed_) return;
-  const std::uint64_t gen = ++flush_asked_;
-  wake_.notify_one();
-  flush_cv_.wait(lock, [&] { return flush_done_ >= gen || closed_; });
-}
-
-void TraceSink::shutdown() {
-  {
-    const std::scoped_lock lock(mu_);
-    if (closed_) return;
-    closed_ = true;
-  }
-  not_full_.notify_all();
-  flush_cv_.notify_all();
-  drainer_.request_stop();
-  wake_.notify_all();
-  drainer_.join();  // the drainer's final pass sweeps, drains, flushes
-}
-
-void TraceSink::sweep_buffers() {
+/// Writes every live thread's residue to the trace file.
+void write_all_buffers() {
   Registry& reg = registry();
   const std::scoped_lock buffers_lock(reg.buffers_mu);
   for (ThreadEventBuffer* buffer : reg.event_buffers) {
     const std::scoped_lock buffer_lock(buffer->mu);
-    if (buffer->count == 0 ||
-        buffer->pushing.load(std::memory_order_acquire)) {
-      continue;
-    }
-    g_emitted.add(buffer->count);
-    force_push(std::move(buffer->bytes), buffer->count);
-    buffer->bytes.clear();
-    buffer->count = 0;
+    write_buffer(*buffer);
   }
 }
 
-void TraceSink::drain_main(std::stop_token stop) {
-  std::vector<EventBatch> batch;
-  std::uint64_t done = 0;  // drainer-local mirror of flush_done_
-  auto last_flush = std::chrono::steady_clock::now();
-  for (;;) {
-    bool stopping = false;
-    bool idle_tick = false;
-    std::uint64_t flush_target = 0;
-    {
-      std::unique_lock lock(mu_);
-      const bool woke = wake_.wait_for(lock, stop, kDrainInterval, [&] {
-        return !ring_.empty() || flush_asked_ > flush_done_ || closed_;
-      });
-      idle_tick = !woke;
-      stopping = stop.stop_requested() || closed_;
-      flush_target = flush_asked_;
-    }
-    const auto d0 = std::chrono::steady_clock::now();
-    if (stopping || idle_tick || flush_target > done) {
-      // Catch events idling below the batch threshold in per-thread
-      // buffers; skipped while the ring is hot so the sweep's buffer
-      // locking stays off the emitters' fast path.
-      sweep_buffers();
-    }
-    {
-      const std::scoped_lock lock(mu_);
-      while (!ring_.empty()) {
-        batch.push_back(std::move(ring_.front()));
-        ring_.pop_front();
-      }
-      ring_events_ = 0;
-    }
-    not_full_.notify_all();
-    if (!batch.empty()) {
-      for (const EventBatch& b : batch) {
-        out_.write(b.bytes.data(),
-                   static_cast<std::streamsize>(b.bytes.size()));
-      }
-      batch.clear();
-      g_batches.add();
-      g_drain_ns.add(ns_since(d0));
-    }
-    const bool flush_now =
-        stopping || flush_target > done ||
-        std::chrono::steady_clock::now() - last_flush >= kDrainInterval;
-    if (flush_now) {
-      const auto f0 = std::chrono::steady_clock::now();
-      out_.flush();
-      g_flush_ns.add(ns_since(f0));
-      last_flush = f0;
-      {
-        const std::scoped_lock lock(mu_);
-        if (stopping) flush_target = flush_asked_;  // release every waiter
-        flush_done_ = std::max(flush_done_, flush_target);
-        done = flush_done_;
-      }
-      flush_cv_.notify_all();
-    }
-    if (stopping) {
-      // Its thread-local ThreadSink folds as this jthread exits, so the
-      // drain/flush meters above land in the registry before join()
-      // returns.
-      return;
-    }
-  }
-}
-
-/// Opens the sink; reg.trace_mu must be held by the caller.  On failure
-/// counts obs.trace.open_failed and reports to stderr once per process.
-bool open_trace_sink_locked(Registry& reg, const TraceSinkOptions& options) {
-  std::ofstream out(options.path, std::ios::app);
-  if (!out.is_open()) {
+/// Opens the trace file; reg.trace_mu must be held by the caller.  On
+/// failure counts obs.trace.open_failed and reports to stderr once per
+/// process.
+bool open_trace_file_locked(Registry& reg, const std::string& path) {
+  reg.trace_file.open(path, std::ios::app);
+  if (!reg.trace_file.is_open()) {
     g_open_failed.add();
     if (!reg.open_failure_reported) {
       reg.open_failure_reported = true;
       std::fprintf(stderr,
                    "ccmx: cannot open trace file '%s': trace events will be "
                    "dropped (see obs.trace.open_failed)\n",
-                   options.path.c_str());
+                   path.c_str());
     }
     g_sink_mode.store(kSinkNone, std::memory_order_release);
     return false;
   }
-  reg.sink = std::make_shared<TraceSink>(std::move(out), options.capacity);
-  g_sink_mode.store(kSinkAsync, std::memory_order_release);
+  g_sink_mode.store(kSinkOpen, std::memory_order_release);
   return true;
 }
 
@@ -499,34 +307,19 @@ void probe_env_sink() {
     g_sink_mode.store(kSinkNone, std::memory_order_release);
     return;
   }
-  TraceSinkOptions options;
-  options.path = path;
-  (void)open_trace_sink_locked(reg, options);
+  (void)open_trace_file_locked(reg, path);
 }
 
-/// Moves this thread's buffered lines into the ring (waiting only for
-/// ring space) without waiting for the write.
-void publish_thread_buffer() {
-  if (g_sink_mode.load(std::memory_order_acquire) != kSinkAsync) return;
-  ThreadEventBuffer& buffer = thread_event_buffer();
-  std::string batch;
-  std::size_t count = 0;
-  {
-    const std::scoped_lock lock(buffer.mu);
-    if (buffer.count == 0) return;
-    batch = std::move(buffer.bytes);
-    count = buffer.count;
-    buffer.bytes.clear();
-    buffer.count = 0;
-    buffer.pushing.store(true, std::memory_order_release);
+/// The gate behind event_sink_open and emit_event: one atomic load once
+/// the lazy probe has run.  Declared inline so that emit_event on a
+/// closed sink makes no call.
+inline bool sink_open() noexcept {
+  std::uint8_t mode = g_sink_mode.load(std::memory_order_acquire);
+  if (mode == kSinkUnknown) {
+    probe_env_sink();
+    mode = g_sink_mode.load(std::memory_order_acquire);
   }
-  g_emitted.add(count);
-  if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-    sink->push_batch(std::move(batch), count);
-  } else {
-    g_dropped.add(count);
-  }
-  buffer.pushing.store(false, std::memory_order_release);
+  return mode == kSinkOpen;
 }
 
 /// Innermost-first stack of armed span ids on this thread; ScopedSpan
@@ -722,103 +515,49 @@ void set_attribute(std::string_view key, std::string_view value) {
   reg.attributes.emplace_back(std::string(key), std::string(value));
 }
 
-bool event_sink_open() noexcept {
-  std::uint8_t mode = g_sink_mode.load(std::memory_order_acquire);
-  if (mode == kSinkUnknown) {
-    probe_env_sink();
-    mode = g_sink_mode.load(std::memory_order_acquire);
-  }
-  return mode == kSinkAsync;
-}
+bool event_sink_open() noexcept { return sink_open(); }
 
 void emit_event(std::string_view json_object) {
-  std::uint8_t mode = g_sink_mode.load(std::memory_order_acquire);
-  if (mode == kSinkUnknown) {
-    probe_env_sink();
-    mode = g_sink_mode.load(std::memory_order_acquire);
-  }
-  if (mode != kSinkAsync) return;
+  if (!sink_open()) return;
+  ThreadEventBuffer& buffer = thread_event_buffer();
   // Sampled self-metering: one emit in kMeterPeriod per thread pays the
   // two clock reads, scaled back up, so obs.overhead.emit_ns stays an
-  // unbiased estimate without the clocks dominating the fast path.
+  // unbiased estimate without the clocks dominating the fast path.  The
+  // clock starts after the buffer exists and the sample is never a
+  // thread's first emit, so the buffer's one-time set-up is not scaled;
+  // it stops before a batch write, which flush_ns times in full.
   thread_local std::uint32_t meter_tick = 0;
-  const bool metered = (meter_tick++ % kMeterPeriod) == 0;
+  const bool metered = ++meter_tick % kMeterPeriod == 0;
   const auto t0 = metered ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
-  ThreadEventBuffer& buffer = thread_event_buffer();
-  std::string batch;
-  std::size_t count = 0;
-  {
-    const std::scoped_lock lock(buffer.mu);
-    buffer.bytes.append(json_object);
-    buffer.bytes.push_back('\n');
-    ++buffer.count;
-    if (buffer.count >= kEmitBatch) {
-      batch = std::move(buffer.bytes);
-      count = buffer.count;
-      buffer.bytes.clear();
-      buffer.bytes.reserve(batch.size());  // one alloc per batch, not ~log n
-      buffer.count = 0;
-      buffer.pushing.store(true, std::memory_order_release);
-    }
-  }
-  if (count > 0) {
-    g_emitted.add(count);
-    if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-      sink->push_batch(std::move(batch), count);
-    } else {
-      g_dropped.add(count);
-    }
-    buffer.pushing.store(false, std::memory_order_release);
-  }
+  const std::scoped_lock lock(buffer.mu);
+  buffer.bytes.append(json_object);
+  buffer.bytes.push_back('\n');
   if (metered) g_emit_ns.add(ns_since(t0) * kMeterPeriod);
+  if (++buffer.count >= kEmitBatch) write_buffer(buffer);
 }
 
-bool open_trace_sink(const TraceSinkOptions& options) {
+bool open_trace_sink(const std::string& path) {
   close_trace_sink();
+  // Residue an emitter buffered after close's sweep must not leak into
+  // the new file.  With no file open, this sweep counts it as emitted and
+  // dropped, so the loss stays visible and the ledger balanced.
+  write_all_buffers();
   Registry& reg = registry();
-  // Clear (and account) residue an emitter buffered after the previous
-  // sink closed: those lines will never be written and must not leak
-  // into the new sink's file.  They never reached the ledger (emitted is
-  // counted at batch move-out), so book both sides here to keep the loss
-  // visible and the ledger balanced.
-  std::size_t stale = 0;
-  {
-    const std::scoped_lock lock(reg.buffers_mu);
-    for (ThreadEventBuffer* buffer : reg.event_buffers) {
-      const std::scoped_lock buffer_lock(buffer->mu);
-      stale += buffer->count;
-      buffer->bytes.clear();
-      buffer->count = 0;
-    }
-  }
-  if (stale > 0) {
-    g_emitted.add(stale);
-    g_dropped.add(stale);
-  }
   const std::scoped_lock lock(reg.trace_mu);
   reg.env_probed = true;  // an explicit open overrides the environment
-  return open_trace_sink_locked(reg, options);
+  return open_trace_file_locked(reg, path);
 }
 
-void flush_trace_sink() {
-  publish_thread_buffer();
-  if (const std::shared_ptr<TraceSink> sink = sink_ref()) {
-    sink->flush_and_wait();
-  }
-}
+void flush_trace_sink() { write_all_buffers(); }
 
 void close_trace_sink() {
+  write_all_buffers();
   Registry& reg = registry();
-  std::shared_ptr<TraceSink> sink;
-  {
-    const std::scoped_lock lock(reg.trace_mu);
-    sink = std::move(reg.sink);
-    reg.sink.reset();
-    reg.env_probed = true;  // closed stays closed; no lazy re-open
-    g_sink_mode.store(kSinkNone, std::memory_order_release);
-  }
-  if (sink != nullptr) sink->shutdown();
+  const std::scoped_lock lock(reg.trace_mu);
+  reg.env_probed = true;  // closed stays closed; no lazy re-open
+  g_sink_mode.store(kSinkNone, std::memory_order_release);
+  if (reg.trace_file.is_open()) reg.trace_file.close();
 }
 
 bool trace_truncated() {
@@ -826,7 +565,11 @@ bool trace_truncated() {
 }
 
 void flush_thread() {
-  publish_thread_buffer();
+  if (g_sink_mode.load(std::memory_order_acquire) == kSinkOpen) {
+    ThreadEventBuffer& buffer = thread_event_buffer();
+    const std::scoped_lock lock(buffer.mu);
+    write_buffer(buffer);
+  }
   thread_sink().fold(/*unregister=*/false);
 }
 

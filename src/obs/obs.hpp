@@ -48,15 +48,6 @@ struct Snapshot {
   std::vector<std::pair<std::string, std::string>> attributes;
 };
 
-/// Explicit sink configuration for open_trace_sink (benches and tests;
-/// normal runs configure the sink through CCMX_TRACE_FILE instead).
-struct TraceSinkOptions {
-  std::string path;
-  /// Ring capacity in events; 0 picks the default (65536).  Only tests
-  /// shrink it, to force emitters through the backpressure wait.
-  std::size_t capacity = 0;
-};
-
 #ifndef CCMX_OBS_DISABLED
 
 /// True when tracing is on (CCMX_TRACE=1 / CCMX_TRACE_FILE set, or an
@@ -161,29 +152,32 @@ void set_attribute(std::string_view key, std::string_view value);
 /// Appends one pre-rendered JSON object as a line to the event sink
 /// (no-op when the sink is closed).  `json_object` must not contain '\n'.
 ///
-/// The write is asynchronous: events land in a per-thread buffer, move
-/// in batches through a bounded MPSC ring, and a background drainer
-/// thread writes them out.  Per-thread order is preserved, and an
-/// emitter that finds the ring full waits for space, so an open sink
-/// loses nothing.  Every call that reaches an open sink counts
-/// obs.trace.emitted; every event the sink could not write (a race with
-/// close) counts obs.trace.dropped.
+/// Lines collect in a per-thread buffer; the emit that fills a batch of
+/// 64 writes the batch to the trace file and flushes it before it
+/// returns.  A partial batch is written by flush_trace_sink,
+/// close_trace_sink, flush_thread or the thread's exit.  Each thread's
+/// lines reach the file in emission order, and an open sink loses
+/// nothing.  Every line a write takes from a buffer counts
+/// obs.trace.emitted; every such line that is not written counts
+/// obs.trace.dropped: its thread buffered it while close_trace_sink ran,
+/// or a write to the file failed (after which the file is closed).
 void emit_event(std::string_view json_object);
 
-/// Opens (or replaces, after draining) the trace sink.  Returns false —
-/// and counts obs.trace.open_failed, reporting to stderr once — when the
-/// file cannot be opened.  The environment path (CCMX_TRACE_FILE) goes
+/// Opens (or replaces, after closing the current one) the trace sink,
+/// appending to the file at `path`.  Returns false — and counts
+/// obs.trace.open_failed, reporting to stderr once — when the file
+/// cannot be opened.  The environment path (CCMX_TRACE_FILE) goes
 /// through this too, lazily on the first emit.
-bool open_trace_sink(const TraceSinkOptions& options);
+bool open_trace_sink(const std::string& path);
 
-/// Publishes this thread's buffered events and blocks until the drainer
-/// has written and flushed everything buffered so far (all threads'
-/// swept buffers included).  No-op without a sink.  Call before reading
-/// a trace file back in the writing process.
+/// Writes every thread's buffered lines to the trace file.  No-op
+/// without a sink.  Call before reading a trace file back in the writing
+/// process.
 void flush_trace_sink();
 
-/// Drains, flushes, and closes the sink; emit_event becomes a no-op
-/// until a sink is opened again.  Safe to call with no sink open.
+/// Writes every thread's buffered lines and closes the sink; emit_event
+/// becomes a no-op until a sink is opened again.  Safe to call with no
+/// sink open.
 void close_trace_sink();
 
 /// True when trace output is known incomplete: some events were dropped
@@ -193,8 +187,8 @@ void close_trace_sink();
 [[nodiscard]] bool trace_truncated();
 
 /// Folds the calling thread's counter slots into the global registry now
-/// (normally automatic at thread exit) and publishes its buffered trace
-/// events to the sink's ring (without waiting for the write).
+/// (normally automatic at thread exit) and writes its buffered trace
+/// lines to the sink.
 void flush_thread();
 
 /// Folded view of every counter/histogram/attribute registered so far.
@@ -240,7 +234,7 @@ class ScopedSpan {
 inline void set_attribute(std::string_view, std::string_view) {}
 [[nodiscard]] inline bool event_sink_open() noexcept { return false; }
 inline void emit_event(std::string_view) {}
-inline bool open_trace_sink(const TraceSinkOptions&) { return false; }
+inline bool open_trace_sink(const std::string&) { return false; }
 inline void flush_trace_sink() {}
 inline void close_trace_sink() {}
 [[nodiscard]] inline bool trace_truncated() { return false; }

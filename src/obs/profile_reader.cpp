@@ -6,39 +6,14 @@
 
 #include "obs/json_reader.hpp"
 #include "obs/schemas.hpp"
-#include "util/narrow.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::obs {
 
 namespace {
 
-double num_or(const json::Value& doc, const char* key, double fallback) {
-  const json::Value* v = doc.find(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-// Numbers outside the integer's range read as the fallback: casting them
-// is undefined behaviour, and a JSON number can be any double (1e999 is
-// inf).
-bool fits_u64(double v) { return v >= 0 && v < 0x1p64; }
-
-std::uint64_t u64_or(const json::Value& doc, const char* key,
-                     std::uint64_t fallback) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr || !v->is_number() || !fits_u64(v->number)) return fallback;
-  return static_cast<std::uint64_t>(v->number);
-}
-
-std::int64_t i64_or_zero(const json::Value& doc, const char* key) {
-  const double v = num_or(doc, key, 0);
-  return v >= -0x1p63 && v < 0x1p63 ? static_cast<std::int64_t>(v) : 0;
-}
-
-std::string str_or(const json::Value& doc, const char* key) {
-  const json::Value* v = doc.find(key);
-  return v != nullptr && v->is_string() ? v->string : std::string();
-}
+using json::integer_or;
+using json::string_or;
 
 }  // namespace
 
@@ -67,9 +42,9 @@ ProfileData load_profile(const std::string& path) {
       ++data.skipped;
       continue;
     }
-    const std::string ev = str_or(doc, "ev");
+    const std::string ev = string_or(doc, "ev");
     if (ev == "meta") {
-      const std::string schema = str_or(doc, "schema");
+      const std::string schema = string_or(doc, "schema");
       if (schema != kProfileSchema) {
         data.problems.push_back(path + ": schema is \"" + schema +
                                 "\", expected \"" +
@@ -77,16 +52,16 @@ ProfileData load_profile(const std::string& path) {
         return data;
       }
       saw_meta = true;
-      data.hz = util::narrow_cast<unsigned>(u64_or(doc, "hz", 0));
-      data.mechanism = str_or(doc, "mechanism");
-      data.start_us = i64_or_zero(doc, "start_us");
+      data.hz = integer_or<unsigned>(doc, "hz", 0);
+      data.mechanism = string_or(doc, "mechanism");
+      data.start_us = integer_or<std::int64_t>(doc, "start_us", 0);
     } else if (ev == "frame") {
       ProfileFrame frame;
-      frame.id = u64_or(doc, "id", 0);
-      frame.pc = u64_or(doc, "pc", 0);
-      frame.sym = str_or(doc, "sym");
-      frame.module = str_or(doc, "module");
-      frame.off = u64_or(doc, "off", 0);
+      frame.id = integer_or<std::uint64_t>(doc, "id", 0);
+      frame.pc = integer_or<std::uint64_t>(doc, "pc", 0);
+      frame.sym = string_or(doc, "sym");
+      frame.module = string_or(doc, "module");
+      frame.off = integer_or<std::uint64_t>(doc, "off", 0);
       const json::Value* symbolized = doc.find("symbolized");
       frame.symbolized = symbolized != nullptr && symbolized->is_bool() &&
                          symbolized->boolean;
@@ -94,25 +69,25 @@ ProfileData load_profile(const std::string& path) {
       data.frames.push_back(std::move(frame));
     } else if (ev == "sample") {
       ProfileSample sample;
-      sample.tid = util::narrow_cast<std::uint32_t>(u64_or(doc, "tid", 0));
-      sample.span = u64_or(doc, "span", 0);
-      sample.t_us = i64_or_zero(doc, "t_us");
+      sample.tid = integer_or<std::uint32_t>(doc, "tid", 0);
+      sample.span = integer_or<std::uint64_t>(doc, "span", 0);
+      sample.t_us = integer_or<std::int64_t>(doc, "t_us", 0);
       if (const json::Value* stack = doc.find("stack");
           stack != nullptr && stack->is_array()) {
         for (const json::Value& f : stack->array) {
-          if (f.is_number() && fits_u64(f.number)) {
-            sample.stack.push_back(static_cast<std::uint64_t>(f.number));
+          if (const auto id = json::integer<std::uint64_t>(&f)) {
+            sample.stack.push_back(*id);
           }
         }
       }
       data.samples.push_back(std::move(sample));
     } else if (ev == "ledger") {
       data.has_ledger = true;
-      data.ledger.captured = u64_or(doc, "captured", 0);
-      data.ledger.written = u64_or(doc, "written", 0);
-      data.ledger.dropped = u64_or(doc, "dropped", 0);
-      data.ledger.truncated = u64_or(doc, "truncated", 0);
-      data.ledger.threads = u64_or(doc, "threads", 0);
+      data.ledger.captured = integer_or<std::uint64_t>(doc, "captured", 0);
+      data.ledger.written = integer_or<std::uint64_t>(doc, "written", 0);
+      data.ledger.dropped = integer_or<std::uint64_t>(doc, "dropped", 0);
+      data.ledger.truncated = integer_or<std::uint64_t>(doc, "truncated", 0);
+      data.ledger.threads = integer_or<std::uint64_t>(doc, "threads", 0);
     } else {
       ++data.skipped;
     }

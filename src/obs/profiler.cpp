@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "obs/schemas.hpp"
 #include "util/env.hpp"
 #include "util/narrow.hpp"

@@ -7,8 +7,8 @@
 // interval timer delivers SIGPROF on the running thread, an
 // async-signal-safe handler walks the frame-pointer chain and records
 // the program-counter stack plus the enclosing span id into a per-thread
-// lock-free ring, and a background drainer (same std::jthread shape as
-// the trace writer) symbolizes the addresses offline — /proc/self/maps
+// lock-free ring, and a background std::jthread drainer symbolizes the
+// addresses offline — /proc/self/maps
 // snapshot + dladdr, never in signal context — and appends
 // ccmx.profile/1 JSONL rows.
 //
@@ -44,8 +44,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "obs/obs.hpp"
 
 namespace ccmx::obs {
 

@@ -62,8 +62,8 @@ RusageExtras current_rusage_extras() noexcept {
 }
 
 std::string render_run_report(const RunReport& report) {
-  // Settle the async trace pipeline first so the obs.trace.* counters
-  // below agree with what actually reached the trace file.
+  // Write every thread's buffered trace lines first so the obs.trace.*
+  // counters below agree with what actually reached the trace file.
   flush_trace_sink();
   const Snapshot snap = snapshot();
   std::ostringstream os;

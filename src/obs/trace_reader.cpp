@@ -316,7 +316,7 @@ std::vector<std::string> check_trace_against_report(
   }
   check("comm.bits.round_overflow", overflow);
 
-  // Event conservation for the async pipeline: every emitted event must
+  // Event conservation for the trace sink: every emitted event must
   // either reach the file or be accounted as a drop, so at a quiescent
   // point  lines-in-file + obs.trace.dropped >= obs.trace.emitted.  The
   // checks are one-sided because a parsed trace may legitimately hold
@@ -623,31 +623,9 @@ PowerLawFit fit_power_law(const std::vector<std::pair<double, double>>& xy) {
   return fit;
 }
 
-namespace {
-
-double ts_number(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : 0.0;
-}
-
-// Numbers outside the integer's range read as 0: casting them is
-// undefined behaviour, and a JSON number can be any double (1e999 is inf).
-std::uint64_t ts_u64(double v) {
-  return v > 0.0 && v < 0x1p64 ? static_cast<std::uint64_t>(v) : 0;
-}
-
-std::uint64_t ts_u64(const json::Value& obj, std::string_view key) {
-  return ts_u64(ts_number(obj, key));
-}
-
-std::int64_t ts_i64(const json::Value& obj, std::string_view key) {
-  const double v = ts_number(obj, key);
-  return v >= -0x1p63 && v < 0x1p63 ? static_cast<std::int64_t>(v) : 0;
-}
-
-}  // namespace
-
 TimeseriesResult load_timeseries(const std::string& path) {
+  using json::integer_or;
+  using json::number_or;
   TimeseriesResult result;
   result.path = path;
   std::ifstream in(path, std::ios::binary);
@@ -674,18 +652,19 @@ TimeseriesResult load_timeseries(const std::string& path) {
       continue;
     }
     TimeseriesRow row;
-    row.seq = ts_u64(doc, "seq");
-    row.t_us = ts_i64(doc, "t_us");
-    row.dt_us = ts_i64(doc, "dt_us");
-    row.rss_bytes = ts_i64(doc, "rss_bytes");
-    row.utime_s = ts_number(doc, "utime_s");
-    row.stime_s = ts_number(doc, "stime_s");
-    row.minor_faults = ts_u64(doc, "minor_faults");
-    row.major_faults = ts_u64(doc, "major_faults");
+    row.seq = integer_or<std::uint64_t>(doc, "seq", 0);
+    row.t_us = integer_or<std::int64_t>(doc, "t_us", 0);
+    row.dt_us = integer_or<std::int64_t>(doc, "dt_us", 0);
+    row.rss_bytes = integer_or<std::int64_t>(doc, "rss_bytes", 0);
+    row.utime_s = number_or(doc, "utime_s", 0.0);
+    row.stime_s = number_or(doc, "stime_s", 0.0);
+    row.minor_faults = integer_or<std::uint64_t>(doc, "minor_faults", 0);
+    row.major_faults = integer_or<std::uint64_t>(doc, "major_faults", 0);
     if (const json::Value* counters = doc.find("counters");
         counters != nullptr && counters->is_object()) {
       for (const auto& [name, value] : counters->object) {
-        const std::uint64_t n = value.is_number() ? ts_u64(value.number) : 0;
+        const std::uint64_t n =
+            json::integer<std::uint64_t>(&value).value_or(0);
         if (n > 0) row.counters.emplace_back(name, n);
       }
     }
@@ -695,11 +674,11 @@ TimeseriesResult load_timeseries(const std::string& path) {
       row.hw_available =
           avail != nullptr && avail->is_bool() && avail->boolean;
       if (row.hw_available) {
-        row.instructions = ts_u64(*hw, "instructions");
-        row.cycles = ts_u64(*hw, "cycles");
-        row.ipc = ts_number(*hw, "ipc");
-        row.cache_miss_rate = ts_number(*hw, "cache_miss_rate");
-        row.task_clock_ns = ts_u64(*hw, "task_clock_ns");
+        row.instructions = integer_or<std::uint64_t>(*hw, "instructions", 0);
+        row.cycles = integer_or<std::uint64_t>(*hw, "cycles", 0);
+        row.ipc = number_or(*hw, "ipc", 0.0);
+        row.cache_miss_rate = number_or(*hw, "cache_miss_rate", 0.0);
+        row.task_clock_ns = integer_or<std::uint64_t>(*hw, "task_clock_ns", 0);
       }
     }
     if (!result.rows.empty() && row.t_us < result.rows.back().t_us) {

@@ -183,10 +183,10 @@ class Pool {
       }
       if (index + 1 < job->slots) {
         participate(*job, index + 1);
-        // Fold counters and publish buffered trace events before parking:
-        // a worker may idle across many jobs (or forever), and the obs
-        // drainer outlives this pool, so the publish cannot deadlock even
-        // at shutdown.
+        // Fold counters and write buffered trace events before parking:
+        // a worker may idle across many jobs (or forever).  The trace
+        // file outlives this pool (the obs registry is built during
+        // static initialisation), so the write is safe even at shutdown.
         obs::flush_thread();
       }
     }

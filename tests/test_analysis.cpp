@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/analysis.hpp"
@@ -124,6 +125,31 @@ LoadResult load_one(const std::string& tag, const std::string& content) {
   write_file(dir.path() / "BENCH_r.json", content);
   return load_report_dir(dir.str());
   // TempDir is gone after return, but the LoadResult owns parsed copies.
+}
+
+TEST(LoadReportDir, IterationsAndRssOutsideInt64AreProblems) {
+  // The loader reads both members back as int64_t, and a JSON number can
+  // be any double: 1e999 parses as inf, and casting that is undefined
+  // behaviour.  A report that says so is rejected instead.
+  const std::string good = make_report("r");
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"iterations\":100", "\"iterations\":1e999"},
+      {"\"iterations\":100", "\"iterations\":1.5"},
+      {"\"iterations\":100", "\"iterations\":-3"},
+      {"\"max_rss_bytes\":1048576", "\"max_rss_bytes\":1e999"},
+      {"\"max_rss_bytes\":1048576",
+       "\"max_rss_bytes\":9223372036854775808"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string bad = good;
+    bad.replace(bad.find(from), from.size(), to);
+    const LoadResult result = load_one("range", bad);
+    EXPECT_TRUE(result.reports.empty()) << to;
+    ASSERT_EQ(result.problems.size(), 1u) << to;
+    EXPECT_NE(result.problems[0].find("is not an integer in [0, 2^63)"),
+              std::string::npos)
+        << result.problems[0];
+  }
 }
 
 TEST(DiffReports, IdenticalRunsAreWithinNoise) {

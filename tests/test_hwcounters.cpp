@@ -22,7 +22,6 @@
 #include "obs/analysis.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/json_reader.hpp"
-#include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_reader.hpp"
 

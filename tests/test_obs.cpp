@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -282,6 +284,30 @@ TEST(Json, CapsNestingDepth) {
   EXPECT_NO_THROW((void)obs::json::parse(deepest));
   EXPECT_THROW((void)obs::json::parse("{\"k\":" + deepest + "}"),
                util::contract_error);
+}
+
+TEST(Json, IntegerReadsRejectNumbersOutsideTheTargetType) {
+  const Value doc = obs::json::parse(
+      R"({"big": 1e999, "neg_big": -1e999, "i63": 9223372036854775808,
+          "min63": -9223372036854775808, "u64": 18446744073709551616,
+          "u32": 4294967296, "u32_max": 4294967295, "frac": -2.7,
+          "s": "7"})");
+  using obs::json::integer;
+  using obs::json::integer_or;
+  EXPECT_EQ(integer_or<std::int64_t>(doc, "big", -1), -1);
+  EXPECT_EQ(integer_or<std::int64_t>(doc, "neg_big", -1), -1);
+  EXPECT_EQ(integer_or<std::int64_t>(doc, "i63", -1), -1);
+  EXPECT_EQ(integer_or<std::int64_t>(doc, "min63", 0),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(integer_or<std::uint64_t>(doc, "i63", 0), std::uint64_t{1} << 63);
+  EXPECT_EQ(integer_or<std::uint64_t>(doc, "u64", 7), 7u);
+  EXPECT_EQ(integer_or<std::uint64_t>(doc, "frac", 7), 7u);
+  EXPECT_EQ(integer_or<std::int64_t>(doc, "frac", 0), -2);  // truncates
+  EXPECT_EQ(integer_or<std::uint32_t>(doc, "u32", 7), 7u);
+  EXPECT_EQ(integer_or<std::uint32_t>(doc, "u32_max", 7), 4294967295u);
+  EXPECT_EQ(integer_or<std::uint32_t>(doc, "s", 7), 7u);        // a string
+  EXPECT_EQ(integer_or<std::uint32_t>(doc, "missing", 7), 7u);
+  EXPECT_FALSE(integer<std::uint64_t>(nullptr).has_value());
 }
 
 TEST(RunReport, RendersValidSchema) {

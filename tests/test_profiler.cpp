@@ -241,9 +241,7 @@ TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
   const std::string prof_path = temp_profile_path("coexist_prof");
 
   obs::set_enabled(true);
-  obs::TraceSinkOptions sink;
-  sink.path = trace_path;
-  ASSERT_TRUE(obs::open_trace_sink(sink));
+  ASSERT_TRUE(obs::open_trace_sink(trace_path));
   obs::TelemetrySampler sampler;
   obs::SamplerOptions sampling;
   sampling.path = series_path;

@@ -130,9 +130,7 @@ std::string instrumented_trace() {
   std::filesystem::remove(path);
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  obs::TraceSinkOptions options;
-  options.path = path;
-  EXPECT_TRUE(obs::open_trace_sink(options));
+  EXPECT_TRUE(obs::open_trace_sink(path));
   {
     obs::ScopedSpan root("fuzz.seed");
     root.arg("n", std::uint64_t{4});
@@ -364,6 +362,41 @@ TEST(LoaderFuzz, OutOfRangeNumbersReadAsMissing) {
   EXPECT_EQ(prof.samples[0].span, 0u);
   EXPECT_EQ(prof.samples[0].t_us, 0);
   EXPECT_EQ(prof.samples[0].stack, std::vector<std::uint64_t>{2});
+}
+
+/// Loads a profile whose meta row carries `meta_extra` and whose one
+/// sample row carries `sample_extra`.
+obs::ProfileData profile_with(const std::string& tag,
+                              std::string_view meta_extra,
+                              std::string_view sample_extra) {
+  const std::string path = temp_path(tag);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << R"({"schema":"ccmx.profile/1","ev":"meta")" << meta_extra << "}\n"
+      << R"({"ev":"sample","span":1,"t_us":5,"stack":[])" << sample_extra
+      << "}\n"
+      << R"({"ev":"ledger","captured":1,"written":1,"dropped":0,)"
+      << R"("truncated":0,"threads":1})" << '\n';
+  obs::ProfileData prof = obs::load_profile(path);
+  std::filesystem::remove(path);
+  return prof;
+}
+
+TEST(LoaderFuzz, ProfileHzBeyondUnsignedReadsAsMissing) {
+  // hz is an unsigned: 1e10 used to fail a narrowing check (Debug) or
+  // wrap to 1410065408 (Release).  The load never throws for content.
+  obs::ProfileData prof;
+  ASSERT_NO_THROW(prof = profile_with("hz", R"(,"hz":1e10)", ""));
+  EXPECT_EQ(prof.hz, 0u);
+  EXPECT_TRUE(prof.problems.empty());
+  EXPECT_EQ(profile_with("hz_ok", R"(,"hz":97)", "").hz, 97u);
+}
+
+TEST(LoaderFuzz, ProfileTidBeyondUint32ReadsAsMissing) {
+  obs::ProfileData prof;
+  ASSERT_NO_THROW(prof = profile_with("tid", "", R"(,"tid":4294967297)"));
+  ASSERT_EQ(prof.samples.size(), 1u);
+  EXPECT_EQ(prof.samples[0].tid, 0u);
+  EXPECT_EQ(profile_with("tid_ok", "", R"(,"tid":3)").samples[0].tid, 3u);
 }
 
 }  // namespace

@@ -157,7 +157,8 @@ TEST(TraceReader, RoundTripsARealInstrumentedRun) {
   const comm::ProtocolOutcome outcome = comm::execute(
       proto::make_send_half_singularity(layout), input, pi);
 
-  // The async pipeline buffers events; settle it before reading back.
+  // The sink buffers a partial batch per thread; write it before
+  // reading back.
   obs::flush_trace_sink();
   const obs::ChannelTrace trace =
       obs::read_channel_trace_file(g_trace_path);
@@ -399,9 +400,10 @@ TEST(TraceReader, ConservationChecksPerRoundBitPartition) {
   EXPECT_NE(missing[8].find("comm.bits.round_overflow"), std::string::npos);
 }
 
-// The sink is lossless while open, but a batch racing its close is
-// dropped and counted: the ledger (lines + dropped >= emitted) and the
-// trace_truncated flag must still account for every event.
+// The sink is lossless while open, but lines a thread buffers while it
+// closes are dropped and counted: the ledger (lines + dropped >=
+// emitted) and the trace_truncated flag must still account for every
+// event.
 TEST(TraceReader, LedgerAccountsForDroppedEvents) {
   const obs::ChannelTrace trace = obs::parse_channel_trace(
       send_line(1, 0, 14, 1, 1, 0, 1) + send_line(1, 1, 1, 2, 2, 1, 1) +

@@ -1,10 +1,13 @@
-// Async trace sink: lossless multi-thread storms at the default ring
-// capacity and under backpressure, per-thread FIFO order in the file,
-// sub-batch flush, clean close, and open-failure accounting.  Runs under
-// TSan in CI — the storms are the data-race harness for the
-// emitter/drainer handoff.
+// Trace sink: lossless multi-thread storms, per-thread FIFO order in
+// the file, a full batch written by the emit that fills it, residue
+// written by flush, close and thread exit (and counted as dropped when it
+// outlives close), open- and write-failure accounting, and the sampled
+// emit meter.
+// Runs under TSan in CI — the storms are the data-race harness for
+// emitters writing their batches while a sweep writes their residue.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -72,13 +75,6 @@ std::vector<std::string> file_lines(const std::string& path) {
   return lines;
 }
 
-bool open_sink(const std::string& path, std::size_t capacity = 0) {
-  obs::TraceSinkOptions options;
-  options.path = path;
-  options.capacity = capacity;
-  return obs::open_trace_sink(options);
-}
-
 std::string storm_line(std::size_t tid, std::uint64_t seq) {
   return "{\"ev\":\"storm\",\"tid\":" + std::to_string(tid) +
          ",\"seq\":" + std::to_string(seq) + "}";
@@ -113,7 +109,7 @@ void storm(std::size_t threads, std::uint64_t events_per_thread) {
 TEST(TraceSink, BlockPolicyStormIsLosslessAtDefaultCapacity) {
   const TracingOn guard;
   const std::string path = temp_trace_path("block_default");
-  ASSERT_TRUE(open_sink(path));
+  ASSERT_TRUE(obs::open_trace_sink(path));
 
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerThread = 5'000;
@@ -126,13 +122,13 @@ TEST(TraceSink, BlockPolicyStormIsLosslessAtDefaultCapacity) {
   std::filesystem::remove(path);
 }
 
-TEST(TraceSink, BlockPolicyPreservesPerThreadOrderUnderBackpressure) {
+TEST(TraceSink, PreservesPerThreadOrderUnderContention) {
   const TracingOn guard;
-  const std::string path = temp_trace_path("block_order");
-  // A ring of 256 events under 4 x 2000 forces the emitters through the
-  // backpressure wait over and over; the file must still hold every
-  // thread's events in emission order.
-  ASSERT_TRUE(open_sink(path, /*capacity=*/256));
+  const std::string path = temp_trace_path("order");
+  // 4 x 2000 events make the emitters contend for the file over and
+  // over; the file must still hold every thread's events in emission
+  // order.
+  ASSERT_TRUE(obs::open_trace_sink(path));
 
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 2'000;
@@ -155,10 +151,10 @@ TEST(TraceSink, BlockPolicyPreservesPerThreadOrderUnderBackpressure) {
 TEST(TraceSink, FlushDrainsSubBatchEventsWhileOpen) {
   const TracingOn guard;
   const std::string path = temp_trace_path("flush");
-  ASSERT_TRUE(open_sink(path));
+  ASSERT_TRUE(obs::open_trace_sink(path));
 
   // Five events sit far below the per-thread batch threshold; only the
-  // explicit flush moves them through the ring and onto disk.
+  // explicit flush writes them to the file.
   for (std::uint64_t i = 0; i < 5; ++i) {
     obs::emit_event(storm_line(0, i));
   }
@@ -175,13 +171,13 @@ TEST(TraceSink, FlushDrainsSubBatchEventsWhileOpen) {
 TEST(TraceSink, CloseSweepsResidueWithoutAnExplicitFlush) {
   const TracingOn guard;
   const std::string path = temp_trace_path("close");
-  ASSERT_TRUE(open_sink(path));
+  ASSERT_TRUE(obs::open_trace_sink(path));
 
   for (std::uint64_t i = 0; i < 7; ++i) {
     obs::emit_event(storm_line(0, i));
   }
-  // No flush_thread / flush_trace_sink: the drainer's final pass must
-  // sweep this thread's buffer on its own before the file closes.
+  // No flush_thread / flush_trace_sink: close must write this thread's
+  // buffer on its own before the file closes.
   obs::close_trace_sink();
 
   EXPECT_EQ(file_lines(path).size(), 7u);
@@ -194,7 +190,7 @@ TEST(TraceSink, CloseSweepsResidueWithoutAnExplicitFlush) {
 TEST(TraceSink, EmitAfterCloseIsANoOpNotADrop) {
   const TracingOn guard;
   const std::string path = temp_trace_path("after_close");
-  ASSERT_TRUE(open_sink(path));
+  ASSERT_TRUE(obs::open_trace_sink(path));
   obs::emit_event(storm_line(0, 0));
   obs::close_trace_sink();
 
@@ -208,11 +204,124 @@ TEST(TraceSink, EmitAfterCloseIsANoOpNotADrop) {
   std::filesystem::remove(path);
 }
 
+TEST(TraceSink, FullBatchIsInTheFileWhenItsEmitReturns) {
+  const TracingOn guard;
+  const std::string path = temp_trace_path("full_batch");
+  ASSERT_TRUE(obs::open_trace_sink(path));
+
+  // No flush: the 64th emit fills the batch and writes it itself.
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    obs::emit_event(storm_line(0, i));
+  }
+  EXPECT_EQ(file_lines(path).size(), 64u);
+  EXPECT_EQ(counter("obs.trace.emitted"), 64u);
+  EXPECT_EQ(counter("obs.trace.dropped"), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceSink, ExitingThreadWritesItsResidueBeforeJoinReturns) {
+  const TracingOn guard;
+  const std::string path = temp_trace_path("thread_exit");
+  ASSERT_TRUE(obs::open_trace_sink(path));
+
+  // No flush_thread: the thread's exit writes its partial batch.
+  std::thread([] {
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      obs::emit_event(storm_line(1, i));
+    }
+  }).join();
+  EXPECT_EQ(file_lines(path).size(), 5u);
+  EXPECT_EQ(counter("obs.trace.emitted"), 5u);
+  EXPECT_EQ(counter("obs.trace.dropped"), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceSink, ResidueThatOutlivesCloseIsCountedAsDropped) {
+  const TracingOn guard;
+  // close_trace_sink writes every thread's residue, then closes the file.
+  // Threads still emitting meanwhile buffer lines after that write; the
+  // lines stay in their buffers and are dropped when the threads exit.
+  // The race is retried until a close strands some residue (almost
+  // always the first attempt; 4 emitters keep one on a CPU).
+  std::uint64_t dropped = 0;
+  for (int attempt = 0; attempt < 1'000 && dropped == 0; ++attempt) {
+    obs::reset_values();
+    const std::string path = temp_trace_path("outlives_close");
+    ASSERT_TRUE(obs::open_trace_sink(path));
+    std::atomic<std::uint64_t> emits{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::jthread> emitters;
+    for (std::size_t t = 0; t < 4; ++t) {
+      emitters.emplace_back([&, t] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          obs::emit_event(storm_line(t, emits.fetch_add(1)));
+        }
+      });
+    }
+    while (emits.load() < 1'000) std::this_thread::yield();
+    obs::close_trace_sink();
+    stop.store(true);
+    emitters.clear();  // join
+    dropped = counter("obs.trace.dropped");
+    EXPECT_EQ(file_lines(path).size() + dropped,
+              counter("obs.trace.emitted"))
+        << "ledger out of balance on attempt " << attempt;
+    std::filesystem::remove(path);
+  }
+  EXPECT_GT(dropped, 0u) << "no close stranded an emitter's residue";
+  EXPECT_TRUE(obs::trace_truncated());
+}
+
+TEST(TraceSink, FailedWriteCountsItsLinesAsDropped) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full to fail writes on";
+  }
+  const TracingOn guard;
+  // Every write to /dev/full fails (ENOSPC), like a full disk.  The lost
+  // batch must show in the ledger, and so must every line after it.
+  ASSERT_TRUE(obs::open_trace_sink("/dev/full"));
+  for (std::uint64_t i = 0; i < 65; ++i) {
+    obs::emit_event(storm_line(0, i));
+  }
+  obs::flush_trace_sink();
+  EXPECT_EQ(counter("obs.trace.emitted"), 65u);
+  EXPECT_EQ(counter("obs.trace.dropped"), 65u);
+  EXPECT_TRUE(obs::trace_truncated());
+}
+
+TEST(TraceSink, EmitMeterSkipsAThreadsFirstEmit) {
+  const TracingOn guard;
+  const std::string path = temp_trace_path("meter_first");
+  ASSERT_TRUE(obs::open_trace_sink(path));
+
+  // The first emit builds the thread's buffer; sampling it would scale
+  // that one-time set-up by the sampling period.
+  std::thread([] { obs::emit_event(storm_line(3, 0)); }).join();
+  EXPECT_EQ(counter("obs.trace.emitted"), 1u);
+  EXPECT_EQ(counter("obs.overhead.emit_ns"), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceSink, EmitMeterSamplesOneEmitInSixtyFour) {
+  const TracingOn guard;
+  const std::string path = temp_trace_path("meter_64");
+  ASSERT_TRUE(obs::open_trace_sink(path));
+
+  std::thread([] {
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      obs::emit_event(storm_line(4, i));
+    }
+  }).join();
+  EXPECT_EQ(counter("obs.trace.emitted"), 64u);
+  EXPECT_GT(counter("obs.overhead.emit_ns"), 0u);
+  std::filesystem::remove(path);
+}
+
 TEST(TraceSink, FailedOpenIsCountedAndDisablesTheSink) {
   const TracingOn guard;
   const std::string path =
       "/nonexistent_ccmx_dir/definitely/not/here/trace.jsonl";
-  EXPECT_FALSE(open_sink(path));
+  EXPECT_FALSE(obs::open_trace_sink(path));
   EXPECT_EQ(counter("obs.trace.open_failed"), 1u);
   EXPECT_TRUE(obs::trace_truncated())
       << "an open failure must mark the trace truncated";

@@ -850,8 +850,8 @@ int fit_report(const std::string& law, const std::vector<FitPoint>& points,
                const std::string& trace_path, const std::string& x_label,
                double max_dev) {
   // Read the measured bits back out of the JSONL trace: one channel per
-  // protocol execution, in run order.  The sweep's events sit in the
-  // async pipeline until flushed.
+  // protocol execution, in run order.  The sweep's last events sit in
+  // the threads' trace buffers until flushed.
   obs::flush_trace_sink();
   const obs::ChannelTrace trace = obs::read_channel_trace_file(trace_path);
   if (trace.channels.size() != points.size()) {
