@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -70,6 +71,40 @@ Int to_int(const BigInt& v) {
   }
 }
 
+/// v (|v| < 2^63) as int64.
+template <class Int>
+std::int64_t to_i64(const Int& v) {
+  if constexpr (std::is_same_v<Int, BigInt>) {
+    return v.to_int64();
+  } else {
+    return static_cast<std::int64_t>(v);
+  }
+}
+
+/// u on the model's integer type.
+template <class Int>
+Int from_u64(std::uint64_t u) {
+  if constexpr (std::is_same_v<Int, BigInt>) {
+    return BigInt::from_limbs({u}, false);
+  } else {
+    return static_cast<Int>(u);
+  }
+}
+
+/// v as a BigInt: one conversion per census on the i128 model.
+template <class Int>
+BigInt to_bigint(const Int& v) {
+  if constexpr (std::is_same_v<Int, BigInt>) {
+    return v;
+  } else {
+    const auto mag = v < 0 ? -static_cast<util::u128>(v)
+                           : static_cast<util::u128>(v);
+    return BigInt::from_limbs({static_cast<std::uint64_t>(mag),
+                               static_cast<std::uint64_t>(mag >> 64)},
+                              v < 0);
+  }
+}
+
 /// Exact sum of interval counts: a u64 word that spills into a BigInt at
 /// 2^62.  Per-worker tallies fold to the same total for every chunking.
 struct Tally {
@@ -88,6 +123,7 @@ struct Tally {
 };
 
 const obs::Counter g_census_evaluations("census.evaluations");
+const obs::Counter g_census_convolutions("census.convolutions");
 const obs::Counter g_census_exact("census.exact_sweeps");
 const obs::Counter g_census_sampled("census.sampled_sweeps");
 const obs::Counter g_span_instances("census.span_instances");
@@ -131,7 +167,8 @@ ShiftModel<Int>::ShiftModel(const ConstructionParams& p,
   t_hi_ = to_int<Int>(flip ? -r_g.lo : r_g.hi);
   y_lo_ = to_int<Int>(r_y.lo);
   y_hi_ = to_int<Int>(r_y.hi);
-  // coef[p] = chain(e_p), so dot and step agree with chain by construction.
+  // coef[p] = chain(e_p), so dot and the histogram agree with chain by
+  // construction.
   std::vector<std::uint32_t> unit(half_ * l_ + (half_ - 1) * g_, 0);
   std::vector<Int> x(p.n() - 1);
   for (std::size_t d = 0; d < unit.size(); ++d) {
@@ -180,18 +217,116 @@ Int ShiftModel<Int>::dot(const std::vector<std::uint32_t>& dv) const {
 }
 
 template <class Int>
-void ShiftModel<Int>::step(Int& shift, std::size_t pos, std::uint32_t old_d,
-                           std::uint32_t new_d) const {
-  shift += coef_[pos] * (static_cast<std::int64_t>(new_d) -
-                         static_cast<std::int64_t>(old_d));
-}
-
-template <class Int>
 Int ShiftModel<Int>::count(const Int& shift) const {
   const Int lo = std::max(div_ceil(y_lo_ + shift, step_), t_lo_);
   const Int hi = std::min(div_floor(y_hi_ + shift, step_), t_hi_);
   return hi < lo ? Int{} : hi - lo + 1;
 }
+
+namespace {
+
+/// Cap on the shift histogram's width: 2^23 uint64 cells, 64 MiB.  The
+/// supports at (7, 2), (9, 2) and (7, 3) are about 9 k, 260 k and 6.7 M
+/// shifts wide; (9, 3)'s is 2.3e9.
+constexpr std::uint64_t kMaxHistogramWidth = std::uint64_t{1} << 23;
+
+/// An exact census: its count and the digit vectors it accounts for.
+struct ExactCount {
+  BigInt ones;
+  std::uint64_t evaluations = 0;
+};
+
+/// The exact census by the histogram N of the shift over all q^digits
+/// digit vectors: ones = sum_s N(s) count(s).  One pass per digit p folds
+/// in its q values, N'(s) = sum_{d < q} N(s - d coef[p]), in place.  N
+/// lives on the shift range [lo, lo + width), width = sum_p (q - 1)
+/// |coef[p]| + 1, and N(s) <= q^digits fits a uint64.  nullopt when the
+/// width exceeds kMaxHistogramWidth, or when the passes' digits * q * width
+/// additions are not fewer than the sweep's q^digits visits.
+template <class Int>
+std::optional<ExactCount> convolve(const ShiftModel<Int>& model,
+                                   std::uint64_t q, std::uint64_t space) {
+  const Int cap(static_cast<std::int64_t>(kMaxHistogramWidth));
+  std::vector<std::int64_t> coef;
+  std::uint64_t width = 1;
+  std::int64_t lo = 0;
+  for (const Int& c : model.coef()) {
+    if (c > cap || c < -cap) return std::nullopt;
+    coef.push_back(to_i64(c));
+    const auto mag = static_cast<std::uint64_t>(std::abs(coef.back()));
+    if (mag != 0 && q - 1 > (kMaxHistogramWidth - width) / mag) {
+      return std::nullopt;
+    }
+    width += (q - 1) * mag;
+    if (coef.back() < 0) lo -= static_cast<std::int64_t>((q - 1) * mag);
+  }
+  if (static_cast<util::u128>(coef.size()) * q * width >= space) {
+    return std::nullopt;
+  }
+  // Cells [a, b] are those the passes so far reach.  Each pass walks them
+  // against the direction of c, so the cells it adds in are still N's.
+  std::vector<std::uint64_t> hist(width);
+  std::int64_t a = -lo;
+  std::int64_t b = -lo;
+  hist[static_cast<std::size_t>(a)] = 1;
+  const auto digit_values = static_cast<std::int64_t>(q);
+  for (const std::int64_t c : coef) {
+    (c > 0 ? b : a) += (digit_values - 1) * c;
+    const std::int64_t dir = c > 0 ? -1 : 1;
+    for (std::int64_t s = c > 0 ? b : a; a <= s && s <= b; s += dir) {
+      std::uint64_t n = hist[static_cast<std::size_t>(s)];
+      for (std::int64_t d = 1, t = s - c; d < digit_values && a <= t && t <= b;
+           ++d, t -= c) {
+        n += hist[static_cast<std::size_t>(t)];
+      }
+      hist[static_cast<std::size_t>(s)] = n;
+    }
+  }
+  // sum N(s) count(s) <= q^digits q^G < 2^126: exact on either model.
+  Int ones{};
+  ExactCount out;
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    if (hist[i] == 0) continue;
+    out.evaluations += hist[i];
+    ones += from_u64<Int>(hist[i]) *
+            model.count(Int(lo + static_cast<std::int64_t>(i)));
+  }
+  out.ones = to_bigint(ones);
+  return out;
+}
+
+/// The exact census by the recompute sweep: the full x-chain of every
+/// digit vector, on the worker pool.
+template <class Int>
+ExactCount recompute_sweep(const ShiftModel<Int>& model,
+                           const ConstructionParams& p, std::uint64_t space) {
+  obs::ProgressMeter progress("row_census[exact]", space);
+  struct SweepState {
+    std::vector<Int> x;  // chain scratch
+    Tally ones;
+    std::uint64_t evals = 0;
+  };
+  const auto states = util::sweep_digits(
+      p.q(), model.digits(),
+      [&] { return SweepState{std::vector<Int>(p.n() - 1), {}, 0}; },
+      [&](SweepState& st, const std::vector<std::uint32_t>& dv) {
+        st.ones.add(model.count(model.chain(dv, st.x)));
+      },
+      [&](SweepState& st, std::uint64_t items) {
+        st.evals += items;
+        progress.tick(items);
+      });
+  Tally ones;
+  ExactCount out;
+  for (const SweepState& st : states) {
+    ones.add(st.ones);
+    out.evaluations += st.evals;
+  }
+  out.ones = ones.total();
+  return out;
+}
+
+}  // namespace
 
 template <class Int>
 RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
@@ -207,42 +342,14 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
   census.exact = space.has_value();
 
   const obs::ScopedSpan span("row_census");
+  bool convolved = false;
   if (census.exact) {
-    obs::ProgressMeter progress("row_census[exact]", *space);
-    const bool delta = options.delta;
-    struct SweepState {
-      Int shift{};
-      std::vector<Int> x;  // recompute scratch
-      Tally ones;
-      std::uint64_t evals = 0;
-    };
-    const auto states = util::sweep_digits(
-        q, digits,
-        [&] {
-          SweepState st;
-          if (!delta) st.x.assign(p.n() - 1, Int{});
-          return st;
-        },
-        [&](SweepState& st, const std::vector<std::uint32_t>& dv) {
-          if (delta) st.shift = model.dot(dv);
-        },
-        [&](SweepState& st, std::size_t pos, std::uint32_t old_d,
-            std::uint32_t new_d) {
-          if (delta) model.step(st.shift, pos, old_d, new_d);
-        },
-        [&](SweepState& st, const std::vector<std::uint32_t>& dv) {
-          st.ones.add(model.count(delta ? st.shift : model.chain(dv, st.x)));
-        },
-        [&](SweepState& st, std::uint64_t items) {
-          st.evals += items;
-          progress.tick(items);
-        });
-    Tally ones;
-    for (const SweepState& st : states) {
-      ones.add(st.ones);
-      census.evaluations += st.evals;
-    }
-    census.ones = ones.total();
+    std::optional<ExactCount> count;
+    if (options.delta) count = convolve(model, q, *space);
+    convolved = count.has_value();
+    if (!convolved) count = recompute_sweep(model, p, *space);
+    census.ones = std::move(count->ones);
+    census.evaluations = count->evaluations;
   } else {
     CCMX_REQUIRE(options.samples >= 1,
                  "row_census: q^digits exceeds the budget, so the sampled "
@@ -287,7 +394,10 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
   }
   if (obs::enabled()) {
     g_census_evaluations.add(census.evaluations);
-    (census.exact ? g_census_exact : g_census_sampled).add();
+    (!census.exact ? g_census_sampled
+     : convolved   ? g_census_convolutions
+                   : g_census_exact)
+        .add();
   }
   census.log_q_ones = log_base_q(census.ones, q);
   return census;

@@ -10,10 +10,13 @@
 //
 // The D_0 row enters x_1 affinely through a full interval of negabase
 // values, so the innermost count is an exact interval intersection — this
-// removes a factor q^G from the enumeration and keeps the census exact for
-// (n = 7, q = 3).  When even that is too large the engine switches to a
-// stratified Monte Carlo estimate (uniform over (E, D_1..), exact over D_0)
-// and reports exact = false.
+// removes a factor q^G from the enumeration.  The interval's shift is
+// linear in the remaining digits, so counting the digit vectors per shift
+// value (a histogram as wide as the shift's range) replaces enumerating
+// them, and keeps the census exact up to (n, k) = (9, 2) and (7, 3).  Above
+// the caller's budget the engine switches to a stratified Monte Carlo
+// estimate (uniform over (E, D_1..), exact over D_0) and reports
+// exact = false.
 #pragma once
 
 #include <cstdint>
@@ -31,33 +34,36 @@ struct RowCensus {
   bool exact = true;
   double log_q_ones = 0.0;   // log_q of ones (for the lemma's exponents)
   double log_q_columns = 0.0;
-  std::uint64_t evaluations = 0;  // digit assignments evaluated
+  std::uint64_t evaluations = 0;  // digit vectors: q^digits, or the draws
 };
 
 /// Engine knobs for row_census.  The census is exact iff q^digits <=
 /// budget; above it, it needs samples >= 1, so the defaults (budget 1,
-/// samples 0) throw on any space of more than one digit vector.
-/// `delta = false` selects the recompute engine (the full x-chain per digit
-/// vector), run by ablation benchmarks, cross-checks and perfbench labels.
+/// samples 0) throw on any space of more than one digit vector.  An exact
+/// census is settled by the shift histogram (census_model.hpp) where that
+/// is narrower than the sweep; `delta = false` forces the recompute sweep
+/// (the full x-chain per digit vector), the oracle that ablation
+/// benchmarks, cross-checks and perfbench labels run.
 struct CensusOptions {
   std::uint64_t budget = 1;  // exact-enumeration cap on q^digits
   std::size_t samples = 0;   // Monte Carlo draws above the budget
-  bool delta = true;         // incremental shift updates in the exact sweep
+  bool delta = true;         // false: recompute sweep, never the histogram
 };
 
 /// Counts the singular columns of the truth-matrix row indexed by C.
 /// `options.budget` caps the number of (E, D_1..D_{half-1}) combinations
-/// enumerated exactly; above it, `options.samples` stratified draws estimate
-/// the count.  Runs on the parallel sweep engine; the result (including the
-/// evaluations counter) is identical for every parallel degree.  Throws
-/// contract_error when the sampled branch is taken with samples == 0;
-/// exact-only callers may pass samples 0.
+/// counted exactly; above it, `options.samples` stratified draws estimate
+/// the count.  The exact count comes from the histogram of the D_0 shift
+/// over all digit vectors, or from the parallel recompute sweep; either
+/// way evaluations is q^digits, and the result is identical for every
+/// parallel degree.  Throws contract_error when the sampled branch is taken
+/// with samples == 0; exact-only callers may pass samples 0.
 [[nodiscard]] RowCensus row_census(const ConstructionParams& p,
                                    const la::IntMatrix& c,
                                    const CensusOptions& options,
                                    util::Xoshiro256& rng);
 
-/// Convenience overload: (budget, samples) with delta updates on.
+/// Convenience overload: (budget, samples), other options at default.
 [[nodiscard]] RowCensus row_census(const ConstructionParams& p,
                                    const la::IntMatrix& c,
                                    std::uint64_t budget,

@@ -2,11 +2,11 @@
 // type.  For a fixed C, the D_0 interval shift of a digit vector dv (E
 // row-major, then D rows 1..half-1) is linear in dv: shift(dv) =
 // sum_p dv[p] * coef[p] with coef[p] = chain(e_p).  chain is the full
-// x-chain (the recompute engine), dot the linear form, step a one-digit
-// update (the delta engine), and count the number of D_0 rows whose x_1
-// is (n-1)-digit representable.  row_census runs count_row<util::i128>
-// when n (k + 1) + 20 < 120 and count_row<BigInt> otherwise; census.cpp
-// instantiates both.
+// x-chain (the recompute sweep's evaluator), coef what the shift histogram
+// convolves, dot the linear form (per sample), and count the number of
+// D_0 rows whose x_1 is (n-1)-digit representable.  row_census runs
+// count_row<util::i128> when n (k + 1) + 20 < 120 and count_row<BigInt>
+// otherwise; census.cpp instantiates both.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +23,12 @@ class ShiftModel {
 
   /// Width of dv: half * L + (half - 1) * G.
   [[nodiscard]] std::size_t digits() const noexcept { return coef_.size(); }
+  /// coef[p] = chain(e_p), the shift's weight on digit p.
+  [[nodiscard]] const std::vector<Int>& coef() const noexcept { return coef_; }
   /// Fills the caller-owned scratch x (length n - 1).
   [[nodiscard]] Int chain(const std::vector<std::uint32_t>& dv,
                           std::vector<Int>& x) const;
   [[nodiscard]] Int dot(const std::vector<std::uint32_t>& dv) const;
-  /// Moves shift by dv[pos] changing from old_d to new_d.
-  void step(Int& shift, std::size_t pos, std::uint32_t old_d,
-            std::uint32_t new_d) const;
   [[nodiscard]] Int count(const Int& shift) const;
 
  private:
@@ -40,8 +39,10 @@ class ShiftModel {
   Int step_, y_lo_, y_hi_, t_lo_, t_hi_;
 };
 
-/// row_census on ShiftModel<Int>: the exact sweep (delta or recompute, per
-/// options.delta) when q^digits <= options.budget, else the sampled one.
+/// row_census on ShiftModel<Int>.  When q^digits <= options.budget the
+/// census is exact: the shift histogram settles it when options.delta is
+/// set and the histogram is narrower than the sweep and a fixed cap,
+/// otherwise the recompute sweep does.  Above the budget it is sampled.
 template <class Int>
 [[nodiscard]] RowCensus count_row(const ConstructionParams& p,
                                   const la::IntMatrix& c,

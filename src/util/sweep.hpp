@@ -1,21 +1,14 @@
-// sweep_digits — index-sharded, delta-evaluated odometer sweeps.
+// sweep_digits — index-sharded odometer sweeps.
 //
 // The census engines enumerate every base-q digit vector of a fixed width
 // (q^digits assignments).  Flat index i maps to the little-endian base-q
 // numeral dv with dv[d] = (i / q^d) % q, so the space shards over the
 // worker pool by index ranges: each chunk decodes its first index into an
-// odometer state ONCE, then advances incrementally, telling the caller
-// exactly which digit changed at each step.  A caller that maintains a
-// linear functional of the digits (the censuses' interval shift) updates it
-// in O(changed digits) — amortized O(1) per step, since a base-q odometer
-// changes q/(q-1) digits per increment on average — instead of re-running
-// the full evaluation.
+// odometer state ONCE, then advances it by one increment per index.
 //
 // Callbacks (all invoked with the per-worker state; workers never share
 // state, so none of them needs synchronization):
 //   make_state()                 -> State   once per participating worker
-//   reset(state, dv)                        chunk start, dv freshly decoded
-//   delta(state, pos, old, neu)             digit dv[pos] changed old -> neu
 //   visit(state, dv)                        once per index, dv is current
 //   chunk_end(state, items)                 chunk done (batch progress here)
 //
@@ -58,11 +51,9 @@ namespace ccmx::util {
   return *space;
 }
 
-template <class MakeState, class Reset, class Delta, class Visit,
-          class ChunkEnd>
+template <class MakeState, class Visit, class ChunkEnd>
 auto sweep_digits(std::uint64_t q, std::size_t digits, MakeState&& make_state,
-                  Reset&& reset, Delta&& delta, Visit&& visit,
-                  ChunkEnd&& chunk_end)
+                  Visit&& visit, ChunkEnd&& chunk_end)
     -> std::vector<std::decay_t<decltype(make_state())>> {
   using State = std::decay_t<decltype(make_state())>;
   const std::uint64_t space = digit_space_size(q, digits);
@@ -80,21 +71,11 @@ auto sweep_digits(std::uint64_t q, std::size_t digits, MakeState&& make_state,
           dv[d] = narrow_cast<std::uint32_t>(rest % q);
           rest /= q;
         }
-        reset(state, dv);
         for (std::uint64_t i = lo;;) {
           visit(state, dv);
           if (++i == hi) break;
           // Odometer increment; hi <= q^digits bounds the carry chain.
-          for (std::size_t pos = 0;; ++pos) {
-            const std::uint32_t old = dv[pos];
-            if (old + 1 < q) {
-              dv[pos] = old + 1;
-              delta(state, pos, old, old + 1);
-              break;
-            }
-            dv[pos] = 0;
-            delta(state, pos, old, 0);
-          }
+          for (std::size_t pos = 0; ++dv[pos] == q; ++pos) dv[pos] = 0;
         }
         chunk_end(state, hi - lo);
       });

@@ -1,6 +1,6 @@
 // Census engines: the shift model's interval count against brute force on
-// both integer types, the exact row census against Lemma 3.5's bounds,
-// Lemma 3.4 exhaustively.
+// both integer types, the shift histogram against the recompute sweep, the
+// exact row census against Lemma 3.5's bounds, Lemma 3.4 exhaustively.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include "bigint/negabase.hpp"
 #include "core/census.hpp"
 #include "core/census_model.hpp"
+#include "obs/obs.hpp"
 #include "util/int128.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -76,8 +77,8 @@ TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
   // count(chain(dv)) is the census's inner count for one (C, E, D_1..):
   // it must equal the brute-force count over the 81 D_0 rows.  Odd trials
   // take D and y from Lemma 3.5(a)'s completion, so at least one D_0 row
-  // works.  chain must equal the linear form dot, step must move dot by
-  // one digit, and the i128 and BigInt models must agree on all of it.
+  // works.  chain must equal the linear form dot, and the i128 and BigInt
+  // models must agree on all of it.
   const ConstructionParams p(7, 2);  // q = 3, G = 4
   Xoshiro256 rng(1);
   for (int trial = 0; trial < 24; ++trial) {
@@ -104,39 +105,32 @@ TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
     if (trial % 2 == 1) {
       EXPECT_GE(brute, BigInt(1)) << "trial " << trial;
     }
-
-    const std::size_t pos = static_cast<std::size_t>(trial) % dv.size();
-    const std::uint32_t old_d = dv[pos];
-    i128 moved_fast = fast.dot(dv);
-    BigInt moved_big = shift;
-    dv[pos] = (old_d + 1) % static_cast<std::uint32_t>(p.q());
-    fast.step(moved_fast, pos, old_d, dv[pos]);
-    big.step(moved_big, pos, old_d, dv[pos]);
-    EXPECT_EQ(moved_big, big.dot(dv));
-    EXPECT_EQ(to_big(moved_fast), moved_big);
   }
 }
 
 TEST(RowCensus, BothIntegerTypesGiveIdenticalCensuses) {
   // row_census runs count_row<i128> at every size a caller uses; the
-  // BigInt instantiation must count the same exhaustive row in both sweep
-  // modes, and draw the same sampled estimate.
+  // BigInt instantiation must count the same exhaustive row by the
+  // histogram and by the recompute sweep, and draw the same sampled
+  // estimate.
   const ConstructionParams p(7, 2);
   Xoshiro256 seed_rng(19);
   const FreeParts parts = FreeParts::random(p, seed_rng);
   CensusOptions options;
   options.budget = std::uint64_t{1} << 30;
   options.samples = 2000;
+  std::vector<RowCensus> exact;
   for (const bool delta : {true, false}) {
     options.delta = delta;
     Xoshiro256 rng_a(20);
     Xoshiro256 rng_b(20);
-    const RowCensus a = count_row<i128>(p, parts.c, options, rng_a);
-    const RowCensus b = count_row<BigInt>(p, parts.c, options, rng_b);
-    EXPECT_TRUE(a.exact);
-    EXPECT_TRUE(b.exact);
-    EXPECT_EQ(a.ones, b.ones) << "delta " << delta;
-    EXPECT_EQ(a.evaluations, b.evaluations) << "delta " << delta;
+    exact.push_back(count_row<i128>(p, parts.c, options, rng_a));
+    exact.push_back(count_row<BigInt>(p, parts.c, options, rng_b));
+  }
+  for (const RowCensus& census : exact) {
+    EXPECT_TRUE(census.exact);
+    EXPECT_EQ(census.ones, exact[0].ones);
+    EXPECT_EQ(census.evaluations, exact[0].evaluations);
   }
   options.budget = 1000;
   Xoshiro256 rng_a(21);
@@ -146,6 +140,31 @@ TEST(RowCensus, BothIntegerTypesGiveIdenticalCensuses) {
   EXPECT_FALSE(a.exact);
   EXPECT_EQ(a.ones, b.ones);
   EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(RowCensus, HistogramMatchesTheRecomputeSweepOnSeededBlocks) {
+  // The shift histogram on both integer types against the recompute
+  // sweep, the oracle, on 20 seeded C blocks: ones, and the q^digits
+  // digit vectors each accounts for.
+  const ConstructionParams p(7, 2);
+  Xoshiro256 seed_rng(23);
+  CensusOptions histogram;
+  histogram.budget = std::uint64_t{1} << 30;
+  CensusOptions recompute = histogram;
+  recompute.delta = false;
+  for (int block = 0; block < 20; ++block) {
+    const FreeParts parts = FreeParts::random(p, seed_rng);
+    Xoshiro256 rng(24);
+    const RowCensus oracle = count_row<i128>(p, parts.c, recompute, rng);
+    ASSERT_TRUE(oracle.exact);
+    ASSERT_EQ(oracle.evaluations, 4782969u);  // 3^14
+    const RowCensus fast = count_row<i128>(p, parts.c, histogram, rng);
+    const RowCensus big = count_row<BigInt>(p, parts.c, histogram, rng);
+    EXPECT_EQ(fast.ones, oracle.ones) << "block " << block;
+    EXPECT_EQ(big.ones, oracle.ones) << "block " << block;
+    EXPECT_EQ(fast.evaluations, oracle.evaluations) << "block " << block;
+    EXPECT_EQ(big.evaluations, oracle.evaluations) << "block " << block;
+  }
 }
 
 TEST(RowCensus, ExactAgainstFullBruteForce) {
@@ -240,27 +259,33 @@ TEST(RowCensus, DefaultOptionsNeedSamplesOnTheSampledBranch) {
 }
 
 TEST(RowCensus, ExactIsIdenticalAcrossParallelDegrees) {
-  // The exact sweep folds per-worker integer accumulators, so ones and the
-  // evaluations counter must be bit-for-bit identical for every degree.
+  // The histogram runs on one thread and the recompute sweep folds
+  // per-worker integer accumulators, so ones and the evaluations counter
+  // must be bit-for-bit identical for every degree and both engines.
   const ConstructionParams p(7, 2);
   Xoshiro256 seed_rng(11);
   const FreeParts parts = FreeParts::random(p, seed_rng);
+  CensusOptions options;
+  options.budget = std::uint64_t{1} << 30;
   const std::size_t degrees[] = {1, 2, 0};  // serial, forced 2, hardware
-  RowCensus results[3];
-  for (int i = 0; i < 3; ++i) {
-    ccmx::util::set_parallelism(degrees[i]);
-    Xoshiro256 rng(12);
-    results[i] = row_census(p, parts.c, std::uint64_t{1} << 30, 0, rng);
+  std::vector<RowCensus> results;
+  for (const std::size_t degree : degrees) {
+    ccmx::util::set_parallelism(degree);
+    for (const bool delta : {true, false}) {
+      options.delta = delta;
+      Xoshiro256 rng(12);
+      results.push_back(row_census(p, parts.c, options, rng));
+    }
   }
   ccmx::util::set_parallelism(0);
-  // The sweep covers every (E, D_1..) assignment exactly once: q^digits.
+  // Each engine accounts for every (E, D_1..) assignment once: q^digits.
   std::uint64_t space = 1;
   const std::size_t digits = p.half() * p.l() + (p.half() - 1) * p.g();
   for (std::size_t d = 0; d < digits; ++d) space *= p.q();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(results[i].exact);
-    EXPECT_EQ(results[i].ones, results[0].ones);
-    EXPECT_EQ(results[i].evaluations, space);
+  for (const RowCensus& census : results) {
+    EXPECT_TRUE(census.exact);
+    EXPECT_EQ(census.ones, results[0].ones);
+    EXPECT_EQ(census.evaluations, space);
   }
 }
 
@@ -286,8 +311,9 @@ TEST(RowCensus, SampledIsIdenticalAcrossParallelDegrees) {
 }
 
 TEST(RowCensus, DeltaAndRecomputeEnginesAgree) {
-  // The incremental (delta) evaluator and the full-chain recompute are the
-  // same linear functional; their censuses must match exactly.
+  // The default engine (the shift histogram) and the full-chain recompute
+  // sweep (delta = false) count the same linear functional; their
+  // censuses must match exactly.
   const ConstructionParams p(7, 2);
   Xoshiro256 seed_rng(15);
   const FreeParts parts = FreeParts::random(p, seed_rng);
@@ -303,6 +329,34 @@ TEST(RowCensus, DeltaAndRecomputeEnginesAgree) {
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_TRUE(a.exact);
   EXPECT_TRUE(b.exact);
+}
+
+TEST(RowCensus, CountersNameTheEngine) {
+#ifdef CCMX_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (CCMX_OBS=OFF)";
+#else
+  // census.convolutions counts the exact censuses the histogram settled,
+  // census.exact_sweeps those the recompute sweep did.
+  const bool was_enabled = ccmx::obs::enabled();
+  ccmx::obs::set_enabled(true);
+  ccmx::obs::reset_values();
+  const ccmx::obs::Counter convolutions("census.convolutions");
+  const ccmx::obs::Counter sweeps("census.exact_sweeps");
+  const ConstructionParams p(7, 2);
+  Xoshiro256 rng(25);
+  const FreeParts parts = FreeParts::random(p, rng);
+  CensusOptions options;
+  options.budget = std::uint64_t{1} << 30;
+  (void)row_census(p, parts.c, options, rng);
+  EXPECT_EQ(convolutions.value(), 1u);
+  EXPECT_EQ(sweeps.value(), 0u);
+  options.delta = false;
+  (void)row_census(p, parts.c, options, rng);
+  EXPECT_EQ(convolutions.value(), 1u);
+  EXPECT_EQ(sweeps.value(), 1u);
+  ccmx::obs::reset_values();
+  ccmx::obs::set_enabled(was_enabled);
+#endif
 }
 
 TEST(Lemma34Census, IdenticalAcrossParallelDegrees) {

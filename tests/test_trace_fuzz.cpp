@@ -1,9 +1,9 @@
 // Seeded mutation fuzz for obs::TraceStream, the reader behind
 // `ccmx_insight trace`, `profile --trace` and `html --trace`.  The seed
 // is the JSONL trace a real instrumented comm::execute run writes (sends
-// and nested spans with args); a Xoshiro256 mutator flips bits,
-// overwrites bytes, cuts runs, truncates, and duplicates, swaps and
-// deletes whole lines.  Every input must either parse or throw
+// and nested spans with args); a Xoshiro256 mutator (fuzz_mutate.hpp)
+// flips bits, overwrites bytes, cuts runs, truncates, and duplicates,
+// swaps and deletes whole lines.  Every input must either parse or throw
 // contract_error — never crash or throw anything else — and
 // build_span_forest must not throw on anything that parsed.  Inputs are
 // fed in random chunks, with torn-tail tolerance on or off at random, so
@@ -31,6 +31,7 @@
 
 #include "comm/channel.hpp"
 #include "comm/partition.hpp"
+#include "fuzz_mutate.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
 #include "obs/trace_reader.hpp"
@@ -41,6 +42,8 @@
 namespace {
 
 using namespace ccmx;
+using fuzz::mutate;
+using fuzz::split_lines;
 
 constexpr std::size_t kIterations = 100000;
 
@@ -54,72 +57,9 @@ std::string temp_path(const std::string& stem) {
   return (std::filesystem::temp_directory_path() / (name + ".jsonl")).string();
 }
 
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t at = 0;
-  while (at < text.size()) {
-    const std::size_t eol = text.find('\n', at);
-    if (eol == std::string::npos) {
-      lines.push_back(text.substr(at));
-      break;
-    }
-    lines.push_back(text.substr(at, eol + 1 - at));
-    at = eol + 1;
-  }
-  return lines;
-}
-
 /// Bytes the trace grammar cares about, so overwrites hit the reader's
 /// branches (numbers, separators, line breaks) more often than noise.
 constexpr std::string_view kTokens = "{}[]\":,-.e0123456789\n";
-
-/// Applies one mutation: flip a bit, overwrite a byte, cut a run,
-/// truncate, or duplicate, swap or delete a line.
-void mutate(std::string& input, util::Xoshiro256& rng) {
-  const auto offset = [&rng](std::size_t size) {
-    return static_cast<std::size_t>(rng.below(size + 1));
-  };
-  const std::uint64_t kind = rng.below(7);
-  if (kind <= 3) {
-    switch (kind) {
-      case 0:  // bit flip
-        if (!input.empty()) {
-          input[rng.below(input.size())] ^=
-              static_cast<char>(1u << rng.below(8));
-        }
-        break;
-      case 1:  // overwrite a byte with a grammar token
-        if (!input.empty()) {
-          input[rng.below(input.size())] = kTokens[rng.below(kTokens.size())];
-        }
-        break;
-      case 2:  // cut a run
-        input.erase(offset(input.size()), 1 + rng.below(16));
-        break;
-      default:  // truncate
-        input.resize(offset(input.size()));
-        break;
-    }
-    return;
-  }
-  std::vector<std::string> lines = split_lines(input);
-  if (lines.empty()) return;
-  const std::size_t a = rng.below(lines.size());
-  const std::size_t b = rng.below(lines.size());
-  switch (kind) {
-    case 4:  // duplicate a line
-      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(b), lines[a]);
-      break;
-    case 5:  // swap two lines
-      std::swap(lines[a], lines[b]);
-      break;
-    default:  // delete a line
-      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(a));
-      break;
-  }
-  input.clear();
-  for (const std::string& line : lines) input += line;
-}
 
 #ifndef CCMX_OBS_DISABLED
 
@@ -165,7 +105,7 @@ TEST(TraceFuzz, MutatedTracesParseOrThrowContractError) {
   for (std::size_t i = 0; i < kIterations; ++i) {
     std::string input = seed;
     const std::uint64_t mutations = 1 + rng.below(4);
-    for (std::uint64_t m = 0; m < mutations; ++m) mutate(input, rng);
+    for (std::uint64_t m = 0; m < mutations; ++m) mutate(input, rng, kTokens);
     obs::TraceReadOptions options;
     options.tolerate_truncated_tail = rng.below(2) == 0;
     obs::TraceStream stream(options);
@@ -208,7 +148,7 @@ std::size_t fuzz_loader(const std::string& stem, const std::string& seed,
   for (std::size_t i = 0; i < kIterations; ++i) {
     std::string input = seed;
     const std::uint64_t mutations = 1 + rng.below(4);
-    for (std::uint64_t m = 0; m < mutations; ++m) mutate(input, rng);
+    for (std::uint64_t m = 0; m < mutations; ++m) mutate(input, rng, kTokens);
     // Rewriting one open file in place costs a tenth of recreating it.
     file.seekp(0);
     file << input << std::flush;

@@ -245,44 +245,36 @@ TEST(Parallel, PoolSurvivesManySmallCalls) {
   EXPECT_EQ(total.load(), 200u * (63u * 64u / 2u));
 }
 
-TEST(Sweep, VisitsEveryIndexWithConsistentDeltas) {
-  // Each worker tracks value = sum dv[d] * 3^d through reset + deltas; the
-  // sum over all visits must equal 0 + 1 + ... + (3^5 - 1) and every index
-  // must be visited exactly once regardless of chunking.
+TEST(Sweep, VisitsEveryIndexOnceWithItsDigits) {
+  // Every index of [0, 3^5) must be visited exactly once, with dv its
+  // little-endian base-3 digits, however the pool chunks the space.
   constexpr std::uint64_t kPow3[5] = {1, 3, 9, 27, 81};
+  constexpr std::uint64_t kSpace = 243;
   struct St {
-    std::uint64_t value = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t visits = 0;
+    std::vector<std::uint32_t> hits = std::vector<std::uint32_t>(kSpace);
     std::uint64_t chunk_items = 0;
   };
   set_parallelism(4);
   const auto states = sweep_digits(
       3, 5, [] { return St{}; },
       [&](St& st, const std::vector<std::uint32_t>& dv) {
-        st.value = 0;
-        for (std::size_t d = 0; d < dv.size(); ++d) st.value += dv[d] * kPow3[d];
-      },
-      [&](St& st, std::size_t pos, std::uint32_t old_d, std::uint32_t new_d) {
-        st.value += new_d * kPow3[pos];
-        st.value -= old_d * kPow3[pos];  // unsigned wrap cancels exactly
-      },
-      [](St& st, const std::vector<std::uint32_t>&) {
-        st.sum += st.value;
-        ++st.visits;
+        std::uint64_t index = 0;
+        for (std::size_t d = 0; d < dv.size(); ++d) {
+          EXPECT_LT(dv[d], 3u);
+          index += dv[d] * kPow3[d];
+        }
+        ++st.hits[index];
       },
       [](St& st, std::uint64_t items) { st.chunk_items += items; });
   set_parallelism(0);
-  std::uint64_t sum = 0, visits = 0, chunk_items = 0;
+  std::vector<std::uint32_t> hits(kSpace);
+  std::uint64_t chunk_items = 0;
   for (const St& st : states) {
-    sum += st.sum;
-    visits += st.visits;
+    for (std::size_t i = 0; i < kSpace; ++i) hits[i] += st.hits[i];
     chunk_items += st.chunk_items;
   }
-  const std::uint64_t space = 243;
-  EXPECT_EQ(sum, space * (space - 1) / 2);
-  EXPECT_EQ(visits, space);
-  EXPECT_EQ(chunk_items, space);
+  for (std::size_t i = 0; i < kSpace; ++i) EXPECT_EQ(hits[i], 1u) << i;
+  EXPECT_EQ(chunk_items, kSpace);
 }
 
 TEST(Sweep, SpaceSizeOverflowIsRejected) {
