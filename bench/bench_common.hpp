@@ -129,9 +129,10 @@ inline std::string bench_name_from_argv0(std::string_view argv0) {
 /// RunReport.
 inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   const util::WallTimer timer;
-  // Open the perf fds (inherit=1 covers pool threads spawned later) and
-  // the optional telemetry sampler before any work runs.
-  const obs::HwRegion process_hw;
+  // Open the perf fds (inherit=1 covers pool threads spawned later; the
+  // report reads their totals at exit) and the optional telemetry
+  // sampler before any work runs.
+  static_cast<void>(obs::hw_available());
   obs::TelemetrySampler sampler;
   sampler.start_from_env();
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
@@ -157,7 +158,6 @@ inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   for (int i = 0; i < argc; ++i) report.argv.emplace_back(argv[i]);
   report.wall_seconds = timer.seconds();
   report.cpu_seconds = timer.cpu_seconds();
-  report.hw = process_hw.delta();
   report.benchmarks = reporter.runs();
   obs::profiler_stop();  // drain rings + ledger; folds obs.prof.* counters
   sampler.stop();  // final timeseries row before the report is published

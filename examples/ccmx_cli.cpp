@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 
+#include "bigint/modular.hpp"
 #include "comm/channel.hpp"
 #include "core/construction.hpp"
 #include "core/rank_spectrum.hpp"
@@ -172,14 +173,15 @@ int cmd_mesh(std::size_t n, unsigned k) {
 }
 
 void usage() {
+  const std::string k = "k in [1, " + std::to_string(num::kZpBits) + "]\n";
   std::cerr << "usage: ccmx_cli <singularity|solvable|hard|rank|mesh> "
                "<args...>\n"
-               "  singularity n k [seed]   n in [1, 1024], k in [1, 62]\n"
-               "  solvable    n k [seed]   n in [1, 1024], k in [1, 62]\n"
-               "  hard        n k [seed]   n odd in [3, 1024], k in [2, 20]\n"
-               "  rank        n r [seed]   n in [1, 1024], r in [0, n]\n"
-               "  mesh        n k          n in [1, 1024], k in [1, 62]\n"
-               "  seed is any unsigned 64-bit decimal\n";
+            << "  singularity n k [seed]   n in [1, 1024], " << k
+            << "  solvable    n k [seed]   n in [1, 1024], " << k
+            << "  hard        n k [seed]   n odd in [3, 1024], k in [2, 20]\n"
+            << "  rank        n r [seed]   n in [1, 1024], r in [0, n]\n"
+            << "  mesh        n k          n in [1, 1024], " << k
+            << "  seed is any unsigned 64-bit decimal\n";
 }
 
 /// Largest matrix side accepted: n^2 k stays far from overflow and the
@@ -212,7 +214,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
   if (argc < 4) return std::nullopt;
   Args args;
   args.cmd = argv[1];
-  std::uint64_t n_lo = 1, arg3_lo = 1, arg3_hi = 62;
+  std::uint64_t n_lo = 1, arg3_lo = 1, arg3_hi = num::kZpBits;
   if (args.cmd == "hard") {
     n_lo = 3;
     arg3_lo = 2;
@@ -242,37 +244,25 @@ std::optional<Args> parse_args(int argc, char** argv) {
 int run_command(const std::string& cmd, std::size_t n, std::size_t arg3,
                 std::uint64_t seed) {
   // Root of the run's span tree: every protocol execution (comm.execute)
-  // and core-layer span nests under this in the JSONL trace.  The
-  // HwRegion attributes the command's hardware-counter delta to the root
-  // span (args stay absent on degraded machines, hw.available=false).
-  const obs::HwRegion hw;
+  // and core-layer span nests under this in the JSONL trace.
   obs::ScopedSpan span("cli." + cmd);
   span.arg("n", static_cast<std::uint64_t>(n));
   span.arg(cmd == "rank" ? "r" : "k", static_cast<std::uint64_t>(arg3));
-  const auto annotated = [&](int rc) {
-    obs::hw_annotate_span(span, hw.delta());
-    return rc;
-  };
   if (cmd == "singularity") {
-    return annotated(cmd_singularity(n, static_cast<unsigned>(arg3), seed));
+    return cmd_singularity(n, static_cast<unsigned>(arg3), seed);
   }
   if (cmd == "solvable") {
-    return annotated(cmd_solvable(n, static_cast<unsigned>(arg3), seed));
+    return cmd_solvable(n, static_cast<unsigned>(arg3), seed);
   }
-  if (cmd == "hard") {
-    return annotated(cmd_hard(n, static_cast<unsigned>(arg3), seed));
-  }
-  if (cmd == "rank") return annotated(cmd_rank(n, arg3, seed));
-  if (cmd == "mesh") {
-    return annotated(cmd_mesh(n, static_cast<unsigned>(arg3)));
-  }
+  if (cmd == "hard") return cmd_hard(n, static_cast<unsigned>(arg3), seed);
+  if (cmd == "rank") return cmd_rank(n, arg3, seed);
+  if (cmd == "mesh") return cmd_mesh(n, static_cast<unsigned>(arg3));
   usage();
   return 2;
 }
 
 /// Writes a ccmx.run_report/1 summary when CCMX_REPORT names a path.
-void maybe_write_report(int argc, char** argv, const util::WallTimer& timer,
-                        const obs::HwRegion& process_hw) {
+void maybe_write_report(int argc, char** argv, const util::WallTimer& timer) {
   const char* path = std::getenv("CCMX_REPORT");
   if (path == nullptr || path[0] == '\0') return;
   obs::RunReport report;
@@ -280,7 +270,6 @@ void maybe_write_report(int argc, char** argv, const util::WallTimer& timer,
   for (int i = 0; i < argc; ++i) report.argv.emplace_back(argv[i]);
   report.wall_seconds = timer.seconds();
   report.cpu_seconds = timer.cpu_seconds();
-  report.hw = process_hw.delta();
   obs::flush_thread();
   obs::write_run_report(report, path);
   std::cerr << "run report: " << path << "\n";
@@ -295,10 +284,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   const util::WallTimer timer;
-  // Process-wide hardware-counter window plus the background telemetry
-  // sampler (CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS); both degrade to no-ops
-  // where perf_event_open is unavailable.
-  const obs::HwRegion process_hw;
+  // Probe the hardware counters before any work, so the report's hw
+  // block counts the whole run; then the background telemetry sampler
+  // (CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS).  Both degrade to no-ops where
+  // they cannot run.
+  static_cast<void>(obs::hw_available());
   obs::TelemetrySampler sampler;
   sampler.start_from_env();
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
@@ -315,7 +305,7 @@ int main(int argc, char** argv) {
     const int rc = run_command(cmd, n, arg3, seed);
     obs::profiler_stop();
     sampler.stop();
-    maybe_write_report(argc, argv, timer, process_hw);
+    maybe_write_report(argc, argv, timer);
     return rc;
   } catch (const std::exception& e) {
     obs::profiler_stop();

@@ -16,7 +16,7 @@ static_assert(BigInt::kLimbBits == 8 * sizeof(std::uint64_t),
               "modular arithmetic assumes one-limb (64-bit) residues");
 
 Zp::Zp(std::uint64_t p) : p_(p) {
-  CCMX_REQUIRE(p >= 2 && p < (std::uint64_t{1} << 62),
+  CCMX_REQUIRE(p >= 2 && p < (std::uint64_t{1} << kZpBits),
                "Z_p modulus outside [2, 2^62)");
   shift_ = std::countl_zero(p);
   d_ = p << shift_;
@@ -107,7 +107,8 @@ std::uint64_t next_prime(std::uint64_t n) {
 }
 
 std::uint64_t random_prime(unsigned bits, ccmx::util::Xoshiro256& rng) {
-  CCMX_REQUIRE(bits >= 2 && bits <= 62, "random_prime bits out of range");
+  CCMX_REQUIRE(bits >= 2 && bits <= kZpBits,
+               "random_prime bits out of range");
   const std::uint64_t lo = std::uint64_t{1} << (bits - 1);
   const std::uint64_t hi = (std::uint64_t{1} << bits) - 1;
   for (;;) {

@@ -27,6 +27,11 @@ class BigInt;
   return static_cast<std::uint64_t>(static_cast<ccmx::util::u128>(a) * b % m);
 }
 
+/// Zp's moduli lie below 2^kZpBits.  This is also the one cap on the
+/// widths that get reduced mod p: matrix entries (comm::MatrixBitLayout,
+/// Freivalds' k) and the protocols' random primes.
+inline constexpr unsigned kZpBits = 62;
+
 /// Arithmetic modulo p for 2 <= p < 2^62: the field Z_p when p is prime.
 ///
 /// Elements are residues in [0, p).  No operation divides a 128-bit

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <string>
 
-#include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
 
 namespace ccmx::comm {
@@ -71,13 +70,6 @@ const BitVec& Channel::send(Agent from, BitVec payload) {
 
 ProtocolOutcome execute(const Protocol& protocol, const BitVec& input,
                         const Partition& partition) {
-  // Hardware-counter delta over exactly this execution, gated on
-  // enabled() so a non-traced run pays no perf read() syscalls.  On
-  // machines without perf_event_open the span just carries
-  // hw.available=false.
-  const bool want_hw = obs::enabled();
-  const obs::HwCounters hw_start =
-      want_hw ? obs::hw_read() : obs::HwCounters{};
   obs::ScopedSpan span("comm.execute");
   span.arg("protocol", protocol.name());
   const AgentView agent0(Agent::kZero, input, partition);
@@ -90,9 +82,6 @@ ProtocolOutcome execute(const Protocol& protocol, const BitVec& input,
   outcome.messages = channel.messages();
   span.arg("bits", static_cast<std::uint64_t>(outcome.bits));
   span.arg("rounds", static_cast<std::uint64_t>(outcome.rounds));
-  if (want_hw) {
-    obs::hw_annotate_span(span, obs::hw_delta(hw_start, obs::hw_read()));
-  }
   return outcome;
 }
 

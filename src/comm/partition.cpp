@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bigint/modular.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::comm {
@@ -10,7 +11,7 @@ MatrixBitLayout::MatrixBitLayout(std::size_t rows, std::size_t cols,
                                  unsigned bits_per_entry)
     : rows_(rows), cols_(cols), k_(bits_per_entry) {
   CCMX_REQUIRE(rows > 0 && cols > 0, "empty layout");
-  CCMX_REQUIRE(bits_per_entry >= 1 && bits_per_entry <= 62,
+  CCMX_REQUIRE(bits_per_entry >= 1 && bits_per_entry <= num::kZpBits,
                "entry width out of range");
 }
 

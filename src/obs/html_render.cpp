@@ -430,24 +430,12 @@ class Dashboard {
       return;
     }
 
-    // One point per sampler tick; hw-derived series only exist where the
-    // machine exposed counters (degraded runs still get the RSS line).
+    // One point per sampler tick.
     std::vector<std::pair<double, double>> rss;
-    std::vector<std::pair<double, double>> ipc;
-    std::vector<std::pair<double, double>> insn_rate;
     for (const TimeseriesRow& row : ts.rows) {
-      const double t = static_cast<double>(row.t_us) / 1e6;
-      rss.emplace_back(t, static_cast<double>(row.rss_bytes) /
-                              (1024.0 * 1024.0));
-      if (row.hw_available && row.cycles > 0) {
-        ipc.emplace_back(t, static_cast<double>(row.instructions) /
-                                static_cast<double>(row.cycles));
-      }
-      if (row.hw_available && row.dt_us > 0) {
-        insn_rate.emplace_back(
-            t, static_cast<double>(row.instructions) /
-                   (static_cast<double>(row.dt_us) / 1e6));
-      }
+      rss.emplace_back(static_cast<double>(row.t_us) / 1e6,
+                       static_cast<double>(row.rss_bytes) /
+                           (1024.0 * 1024.0));
     }
     std::string legend = std::to_string(ts.rows.size()) +
                          " sample(s) over " +
@@ -468,17 +456,6 @@ class Dashboard {
     w_.close().close();  // tr, thead
     w_.open("tbody");
     timeseries_metric_row("RSS (MiB)", rss, 1);
-    if (ipc.empty() && insn_rate.empty()) {
-      w_.open("tr");
-      w_.element("td", {}, "hardware counters");
-      w_.open("td", {{"class", "verdict-neutral"}, {"colspan", "4"}});
-      w_.text("unavailable on this machine (see the hw table above)");
-      w_.close();
-      w_.close();  // tr
-    } else {
-      timeseries_metric_row("IPC", ipc, 2);
-      timeseries_metric_row("instructions / s", insn_rate, 0);
-    }
     w_.close().close();  // tbody, table
     for (const std::string& problem : ts.problems) {
       w_.element("p", {{"class", "problems"}}, "\xE2\x9A\xA0 " + problem);
@@ -486,18 +463,12 @@ class Dashboard {
     w_.close();  // section
   }
 
+  /// One metric over a non-empty series: sparkline, min, max, last.
   void timeseries_metric_row(const std::string& label,
                              const std::vector<std::pair<double, double>>& pts,
                              int digits) {
     w_.open("tr");
     w_.element("td", {}, label);
-    if (pts.empty()) {
-      w_.open("td", {{"class", "verdict-neutral"}, {"colspan", "4"}});
-      w_.text("\xE2\x80\x94");
-      w_.close();
-      w_.close();  // tr
-      return;
-    }
     double y_min = pts.front().second;
     double y_max = y_min;
     for (const auto& [t, y] : pts) {
@@ -1166,7 +1137,7 @@ class Dashboard {
 
     std::string ledger_line =
         fmt_count(prof.samples.size()) + " sample(s) at " +
-        std::to_string(prof.hz) + " Hz via " +
+        profile_rate_text(prof) + " via " +
         (prof.mechanism.empty() ? std::string("?") : prof.mechanism);
     if (prof.has_ledger) {
       ledger_line += " \xE2\x80\x94 ledger: captured " +
@@ -1177,6 +1148,10 @@ class Dashboard {
                      fmt_count(prof.ledger.threads) + " thread(s)";
     }
     w_.element("p", {{"class", "legend"}}, ledger_line);
+    if (const std::string warning = profile_rate_warning(prof);
+        !warning.empty()) {
+      w_.element("p", {{"class", "problems"}}, "\xE2\x9A\xA0 " + warning);
+    }
     if (prof.has_ledger && !prof.ledger_balances()) {
       w_.element("p", {{"class", "problems"}},
                  "\xE2\x9A\xA0 conservation ledger does not balance "

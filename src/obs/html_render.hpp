@@ -49,8 +49,8 @@ struct DashboardData {
   /// Stats from the streaming read of `trace` (lines, torn tail) for
   /// the trace-pipeline panel.
   const TraceReadStats* trace_stats = nullptr;
-  /// A loaded ccmx.timeseries/1 series (background telemetry sampler)
-  /// for the RSS / IPC / instruction-rate sparklines.
+  /// A loaded ccmx.timeseries/2 series (background telemetry sampler)
+  /// for the RSS sparkline.
   const TimeseriesResult* timeseries = nullptr;
   /// A loaded ccmx.profile/1 stream (sampling CPU profiler) for the
   /// sampled flame graph next to the span-tree flame view.

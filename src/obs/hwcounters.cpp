@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "obs/schemas.hpp"
 #include "util/env.hpp"
 #include "util/narrow.hpp"
@@ -62,13 +63,6 @@ std::mutex& hw_mutex() {
 HwState& hw_state() {
   static HwState state;
   return state;
-}
-
-bool env_requests_off() {
-  const char* env = std::getenv("CCMX_HW");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "off" || v == "0" || v == "false" || v == "OFF";
 }
 
 #if defined(__linux__)
@@ -146,11 +140,6 @@ std::uint64_t read_scaled(int fd) noexcept {
 /// when absent.  Called once under hw_mutex().
 void probe_locked(HwState& state) {
   state.probed = true;
-  if (env_requests_off()) {
-    state.available = false;
-    state.reason = "disabled by CCMX_HW=off";
-    return;
-  }
   struct EventSpec {
     std::uint32_t type;
     std::uint64_t config;
@@ -194,8 +183,7 @@ void close_fds_locked(HwState& state) noexcept {
 void probe_locked(HwState& state) {
   state.probed = true;
   state.available = false;
-  state.reason = env_requests_off() ? "disabled by CCMX_HW=off"
-                                    : "perf_event_open requires Linux";
+  state.reason = "perf_event_open requires Linux";
 }
 
 void close_fds_locked(HwState&) noexcept {}
@@ -324,18 +312,6 @@ HwCounters hw_read() noexcept {
   return counters;
 }
 
-void hw_annotate_span(ScopedSpan& span, const HwCounters& delta) {
-  if (!delta.available) {
-    span.arg("hw.available", "false");
-    return;
-  }
-  span.arg("hw.instructions", delta.instructions);
-  span.arg("hw.cycles", delta.cycles);
-  span.arg("hw.cache_misses", delta.cache_misses);
-  span.arg("hw.branch_misses", delta.branch_misses);
-  span.arg("hw.task_clock_ns", delta.task_clock_ns);
-}
-
 void hw_reset_for_testing() noexcept {
   std::scoped_lock lock(hw_mutex());
   HwState& state = hw_state();
@@ -367,15 +343,11 @@ struct TelemetrySampler::Impl {
 
   std::uint64_t seq = 0;
   std::int64_t last_t_us = 0;
-  HwCounters last_hw;
   std::map<std::string, std::uint64_t> last_counters;
 
   void write_row() {
     const std::int64_t t = now_us();
     const ProcSample proc = read_proc_self();
-    const HwCounters hw_now = hw_read();
-    const HwCounters hw = hw_delta(last_hw, hw_now);
-    last_hw = hw_now;
 
     std::map<std::string, std::uint64_t> counters;
     for (const auto& [name, value] : snapshot().counters) {
@@ -402,20 +374,6 @@ struct TelemetrySampler::Impl {
       const std::uint64_t before =
           last == last_counters.end() ? 0 : last->second;
       if (value > before) w.key(name).value(value - before);
-    }
-    w.end_object();
-    w.key("hw").begin_object();
-    w.key("available").value(hw.available);
-    if (hw.available) {
-      w.key("instructions").value(hw.instructions);
-      w.key("cycles").value(hw.cycles);
-      w.key("ipc").value(hw.ipc());
-      w.key("cache_references").value(hw.cache_references);
-      w.key("cache_misses").value(hw.cache_misses);
-      w.key("cache_miss_rate").value(hw.cache_miss_rate());
-      w.key("branches").value(hw.branches);
-      w.key("branch_misses").value(hw.branch_misses);
-      w.key("task_clock_ns").value(hw.task_clock_ns);
     }
     w.end_object();
     w.end_object();
@@ -459,7 +417,6 @@ bool TelemetrySampler::start(const SamplerOptions& options) {
   impl_->seq = 0;
   impl_->rows.store(0, std::memory_order_relaxed);
   impl_->last_t_us = now_us();
-  impl_->last_hw = hw_read();
   impl_->last_counters.clear();
   for (const auto& [name, value] : snapshot().counters) {
     impl_->last_counters[name] = value;

@@ -1,10 +1,12 @@
-// Hardware-counter attribution and the background telemetry sampler.
+// Process-total hardware counters and the background telemetry sampler.
 //
-// Why: every perf claim in this repo rests on cpu_time, which is noisy on
-// shared CI runners (the regression gate needs a ±50% tolerance there).
-// Retired-instruction counts are near-deterministic run to run and
-// separate "doing more work" from "doing the same work with worse IPC",
-// so the diff gate can be far tighter on them.
+// Hardware counters appear in one place: the run report's "hw" block.
+// bench_main and ccmx_cli probe at startup, so the counters run from
+// before any work, and the report writer reads the process totals once
+// at exit.  Nothing gates on them: the perf gate compares cpu time and
+// the exact table counters (`ccmx_insight diff`), which every host can
+// measure, while perf_event_open often cannot run at all (containers
+// and VMs without a PMU).  The block still says which case a run was in.
 //
 // The counter set is fixed: instructions, cycles, cache-references,
 // cache-misses, branches, branch-misses (PERF_TYPE_HARDWARE) plus
@@ -15,16 +17,15 @@
 // they stay meaningful when the PMU multiplexes.
 //
 // Graceful degradation is a first-class mode, not an error: EPERM/EACCES
-// (perf_event_paranoid too strict), ENOSYS/ENOENT (no PMU — common in
-// containers and VMs), `CCMX_HW=off`, and non-Linux builds all yield
-// hw_available()==false with a once-per-probe stderr diagnostic, and
-// every snapshot carries available=false so downstream consumers render
-// "unavailable" instead of zeros.
+// (perf_event_paranoid too strict), ENOSYS/ENOENT (no PMU), and
+// non-Linux builds all yield hw_available()==false with a once-per-probe
+// stderr diagnostic, and the report renders {"available": false,
+// "reason": ...} instead of zeros.
 //
-// TelemetrySampler is a background std::jthread (same shape as the
-// profiler's drainer: stop_token, explicit lifecycle) that appends one
-// ccmx.timeseries/1 JSONL row every CCMX_SAMPLE_MS: RSS and utime/stime
-// from /proc/self, obs counter deltas, and hw deltas over the interval.
+// TelemetrySampler is a background std::jthread (stop_token, explicit
+// lifecycle) that appends one ccmx.timeseries/2 JSONL row every
+// CCMX_SAMPLE_MS: RSS and utime/stime from /proc/self and the obs
+// counter deltas over the interval.
 //
 // Defining CCMX_OBS_DISABLED (CMake CCMX_OBS=OFF) compiles all of this
 // down to inline no-ops, like the rest of the obs layer.
@@ -35,14 +36,12 @@
 #include <string>
 #include <string_view>
 
-#include "obs/obs.hpp"
-
 namespace ccmx::obs {
 
-/// One snapshot (or delta) of the fixed hardware-counter set.  A plain
-/// value type in every build mode; `available` is false when the
-/// numbers mean nothing (counters degraded or never opened) and
-/// consumers must render "unavailable", never the zeros.
+/// Process totals of the fixed hardware-counter set.  A plain value type
+/// in every build mode; `available` is false when the numbers mean
+/// nothing (counters degraded or never opened) and consumers must render
+/// "unavailable", never the zeros.
 struct HwCounters {
   bool available = false;
   std::uint64_t instructions = 0;
@@ -66,34 +65,7 @@ struct HwCounters {
                      static_cast<double>(cache_references)
                : 0.0;
   }
-  /// branch_misses / branches; 0 when unavailable or branch-free.
-  [[nodiscard]] double branch_miss_rate() const noexcept {
-    return available && branches > 0
-               ? static_cast<double>(branch_misses) /
-                     static_cast<double>(branches)
-               : 0.0;
-  }
 };
-
-/// end - start, field by field, saturating at 0 (multiplex scaling can
-/// make totals regress by a rounding error).  The result is available
-/// only when both operands are.
-[[nodiscard]] inline HwCounters hw_delta(const HwCounters& start,
-                                         const HwCounters& end) noexcept {
-  const auto sub = [](std::uint64_t a, std::uint64_t b) noexcept {
-    return b > a ? b - a : std::uint64_t{0};
-  };
-  HwCounters d;
-  d.available = start.available && end.available;
-  d.instructions = sub(start.instructions, end.instructions);
-  d.cycles = sub(start.cycles, end.cycles);
-  d.cache_references = sub(start.cache_references, end.cache_references);
-  d.cache_misses = sub(start.cache_misses, end.cache_misses);
-  d.branches = sub(start.branches, end.branches);
-  d.branch_misses = sub(start.branch_misses, end.branch_misses);
-  d.task_clock_ns = sub(start.task_clock_ns, end.task_clock_ns);
-  return d;
-}
 
 /// Explicit sampler configuration (CLIs and tests; normal runs configure
 /// through CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS instead).
@@ -106,51 +78,30 @@ struct SamplerOptions {
 #ifndef CCMX_OBS_DISABLED
 
 /// True when the perf counter set is open and counting.  The first call
-/// probes: honors CCMX_HW=off, opens the fds (instructions and cycles
-/// are required, the rest optional — some hypervisors expose only a
-/// partial PMU), and on failure reports the reason to stderr once and
-/// latches unavailable for the rest of the process.
+/// probes: opens the fds (instructions and cycles are required, the rest
+/// optional — some hypervisors expose only a partial PMU), and on
+/// failure reports the reason to stderr once and latches unavailable for
+/// the rest of the process.
 [[nodiscard]] bool hw_available() noexcept;
 
 /// Human-readable reason counters are unavailable ("" when available):
-/// "CCMX_HW=off", "perf_event_open failed: EPERM (perf_event_paranoid=N;
-/// lower it or run privileged)", "not a Linux build", ...
+/// "perf_event_open failed: ENOENT (event not supported by this PMU)",
+/// "perf_event_open requires Linux", ...
 [[nodiscard]] std::string hw_unavailable_reason();
 
 /// Current counter totals since the probe opened the fds (multiplex
 /// scaled).  available=false snapshot when degraded.
 [[nodiscard]] HwCounters hw_read() noexcept;
 
-/// RAII scoped measurement: snapshots at construction, delta() reads the
-/// distance travelled since.  Cheap when unavailable (no syscalls).
-class HwRegion {
- public:
-  HwRegion() : start_(hw_read()) {}
-
-  [[nodiscard]] bool available() const noexcept { return start_.available; }
-  [[nodiscard]] HwCounters delta() const noexcept {
-    return hw_delta(start_, hw_read());
-  }
-
- private:
-  HwCounters start_;
-};
-
-/// Attaches a delta's headline numbers to a span as args
-/// ("hw.instructions", "hw.cycles", "hw.cache_misses", "hw.branch_misses",
-/// "hw.task_clock_ns").  Emits "hw.available"="false" instead when the
-/// delta is degraded, so traces never show silent zeros.
-void hw_annotate_span(ScopedSpan& span, const HwCounters& delta);
-
 /// Test hooks.  hw_reset_for_testing() closes the fds and forgets the
-/// probe result so the next hw_available() re-reads the environment;
+/// probe result so the next hw_available() probes again;
 /// hw_force_unavailable_for_testing() latches the degraded mode with a
 /// given reason (simulating EPERM without needing a locked-down kernel).
 void hw_reset_for_testing() noexcept;
 void hw_force_unavailable_for_testing(std::string_view reason);
 
 /// Background telemetry sampler.  start() spawns a std::jthread that
-/// appends one ccmx.timeseries/1 JSONL row to the file every interval
+/// appends one ccmx.timeseries/2 JSONL row to the file every interval
 /// and a final row at stop(), so even a run shorter than one interval
 /// produces a usable series.  stop() is idempotent and implied by the
 /// destructor; start() while running is refused.
@@ -191,14 +142,6 @@ class TelemetrySampler {
 }
 [[nodiscard]] inline HwCounters hw_read() noexcept { return {}; }
 
-class HwRegion {
- public:
-  HwRegion() = default;
-  [[nodiscard]] bool available() const noexcept { return false; }
-  [[nodiscard]] HwCounters delta() const noexcept { return {}; }
-};
-
-inline void hw_annotate_span(ScopedSpan&, const HwCounters&) {}
 inline void hw_reset_for_testing() noexcept {}
 inline void hw_force_unavailable_for_testing(std::string_view) {}
 

@@ -1,6 +1,7 @@
 #include "obs/profile_reader.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <set>
 
@@ -88,6 +89,7 @@ ProfileData load_profile(const std::string& path) {
       data.ledger.dropped = integer_or<std::uint64_t>(doc, "dropped", 0);
       data.ledger.truncated = integer_or<std::uint64_t>(doc, "truncated", 0);
       data.ledger.threads = integer_or<std::uint64_t>(doc, "threads", 0);
+      data.ledger.cpu_ns = integer_or<std::uint64_t>(doc, "cpu_ns", 0);
     } else {
       ++data.skipped;
     }
@@ -100,6 +102,25 @@ ProfileData load_profile(const std::string& path) {
         path + ": no ledger row (profiler_stop() never ran?)");
   }
   return data;
+}
+
+std::string profile_rate_text(const ProfileData& data) {
+  const std::string requested = std::to_string(data.hz) + " Hz";
+  if (data.delivered_hz() <= 0.0) return requested;
+  char delivered[32];
+  std::snprintf(delivered, sizeof delivered, "%.1f", data.delivered_hz());
+  return requested + " requested, " + delivered + " Hz delivered";
+}
+
+std::string profile_rate_warning(const ProfileData& data) {
+  const double delivered = data.delivered_hz();
+  if (delivered <= 0.0 || delivered >= 0.8 * data.hz) return "";
+  char share[32];
+  std::snprintf(share, sizeof share, "%.0f%%", 100.0 * delivered / data.hz);
+  return "the timers delivered " + std::string(share) + " of the requested " +
+         std::to_string(data.hz) +
+         " Hz; divide samples by the delivered rate, not by hz, to read "
+         "CPU time";
 }
 
 std::vector<ProfileHotspot> profile_hotspots(const ProfileData& data) {

@@ -1,12 +1,13 @@
 // Reader and rollups for ccmx.profile/1 JSONL — the sampling CPU
 // profiler's output (see obs/profiler.hpp for the writer).
 //
-// The stream is: one "meta" row carrying the schema id, sampling rate,
-// and timer mechanism; interned "frame" rows (one per distinct program
-// counter, symbolized offline); "sample" rows whose leaf-first "stack"
-// arrays reference frames by id; and a closing "ledger" row whose
-// conservation invariant — captured == written + dropped — proves no
-// sample went missing unaccounted.
+// The stream is: one "meta" row carrying the schema id, the requested
+// sampling rate, and timer mechanism; interned "frame" rows (one per
+// distinct program counter, symbolized offline); "sample" rows whose
+// leaf-first "stack" arrays reference frames by id; and a closing
+// "ledger" row whose conservation invariant — captured == written +
+// dropped — proves no sample went missing unaccounted, and whose cpu_ns
+// gives the rate the timers actually delivered.
 //
 // Loading is tolerant, like load_timeseries: a torn final line (killed
 // process) or foreign line is skipped and counted, and structural
@@ -55,6 +56,9 @@ struct ProfileLedger {
   std::uint64_t dropped = 0;
   std::uint64_t truncated = 0;
   std::uint64_t threads = 0;
+  /// CPU time the samples cover; 0 in a profile written before the
+  /// field existed.
+  std::uint64_t cpu_ns = 0;
 };
 
 struct ProfileData {
@@ -78,7 +82,25 @@ struct ProfileData {
   [[nodiscard]] bool ledger_balances() const noexcept {
     return has_ledger && ledger.captured == ledger.written + ledger.dropped;
   }
+  /// Samples captured per CPU second: the rate the timers delivered,
+  /// which the kernel's tick can hold below `hz`.  0 when unknown (no
+  /// ledger, or no cpu_ns in it).
+  [[nodiscard]] double delivered_hz() const noexcept {
+    return has_ledger && ledger.cpu_ns > 0
+               ? static_cast<double>(ledger.captured) /
+                     (static_cast<double>(ledger.cpu_ns) / 1e9)
+               : 0.0;
+  }
 };
+
+/// The sampling rate as `ccmx_insight profile` and the dashboard print
+/// it: "997 Hz requested, 249.3 Hz delivered", or "97 Hz" when the
+/// delivered rate is unknown.
+[[nodiscard]] std::string profile_rate_text(const ProfileData& data);
+
+/// A one-line warning when the delivered rate is below 0.8x the requested
+/// one, "" otherwise: time read as samples / hz would under-read the run.
+[[nodiscard]] std::string profile_rate_warning(const ProfileData& data);
 
 /// Tolerant load (never throws for content reasons; see file comment).
 [[nodiscard]] ProfileData load_profile(const std::string& path);

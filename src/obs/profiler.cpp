@@ -295,6 +295,7 @@ struct Engine {
   bool sa_installed = false;
   struct sigaction old_sa {};
   bool itimer_armed = false;
+  std::int64_t armed_cpu_ns = 0;  ///< process CPU clock when timers armed
   ProfilerLedger final_ledger;
 
   /// Data mutex: guards everything the drainer sweeps — the thread
@@ -320,6 +321,13 @@ struct Engine {
 Engine& engine() {
   static Engine* e = new Engine;
   return *e;
+}
+
+/// CPU time of the whole process (every thread), in nanoseconds.
+std::int64_t process_cpu_ns() noexcept {
+  struct timespec ts {};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
 pid_t current_kernel_tid() noexcept {
@@ -751,6 +759,7 @@ bool profiler_start(const ProfilerOptions& options) {
       static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec,
       std::memory_order_relaxed);
   g_origin_obs_us.store(now_us(), std::memory_order_relaxed);
+  eng.armed_cpu_ns = process_cpu_ns();
 
   // Arm: per-thread CLOCK_THREAD_CPUTIME_ID timers when the platform has
   // them, otherwise one process-wide ITIMER_PROF.
@@ -844,6 +853,7 @@ ProfilerLedger profiler_stop() {
     setitimer(ITIMER_PROF, &zero, nullptr);
     eng.itimer_armed = false;
   }
+  const std::int64_t cpu_ns = process_cpu_ns() - eng.armed_cpu_ns;
   if (eng.sa_installed) {
     sigaction(SIGPROF, &eng.old_sa, nullptr);
     eng.sa_installed = false;
@@ -857,6 +867,7 @@ ProfilerLedger profiler_stop() {
     const std::scoped_lock data(eng.data_mu);
     sweep_locked(eng);  // final drain: nothing left in the rings
     ledger = ledger_locked(eng);
+    ledger.cpu_ns = cpu_ns > 0 ? static_cast<std::uint64_t>(cpu_ns) : 0;
     std::ostringstream os;
     json::Writer w(os);
     w.begin_object();
@@ -866,6 +877,7 @@ ProfilerLedger profiler_stop() {
     w.key("dropped").value(ledger.dropped);
     w.key("truncated").value(ledger.truncated);
     w.key("threads").value(ledger.threads);
+    w.key("cpu_ns").value(ledger.cpu_ns);
     w.end_object();
     eng.out << os.str() << '\n';
     eng.out.close();

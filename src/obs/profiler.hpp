@@ -69,6 +69,10 @@ struct ProfilerLedger {
   std::uint64_t dropped = 0;   ///< samples lost to ring overflow
   std::uint64_t truncated = 0; ///< samples whose stack hit the depth cap
   std::uint64_t threads = 0;   ///< threads that were armed for sampling
+  /// Process CPU time from arming the timers to disarming them, the time
+  /// the samples cover; set by profiler_stop() (0 before it).  captured
+  /// per CPU second is the rate the timers delivered.
+  std::uint64_t cpu_ns = 0;
   /// True when per-thread CLOCK_THREAD_CPUTIME_ID timers drove the
   /// sampling; false when the setitimer(ITIMER_PROF) fallback did.
   bool thread_timers = false;

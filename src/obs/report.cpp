@@ -94,10 +94,9 @@ std::string render_run_report(const RunReport& report) {
   w.key("major_faults").value(extras.major_faults);
   w.key("voluntary_ctx_switches").value(extras.voluntary_ctx_switches);
   w.key("involuntary_ctx_switches").value(extras.involuntary_ctx_switches);
-  // Same at-render-time capture rule as max_rss_bytes: a report that
-  // never measured its own hw region gets the process totals.  A
-  // degraded machine writes {"available": false, "reason": ...}, so
-  // readers can tell "degraded" from "zeros".
+  // Same at-render-time capture rule as max_rss_bytes: the process
+  // totals, read once here.  A degraded machine writes {"available":
+  // false, "reason": ...}, so readers can tell "degraded" from "zeros".
   const HwCounters hw = report.hw.available ? report.hw : hw_read();
   w.key("hw").begin_object();
   w.key("available").value(hw.available);

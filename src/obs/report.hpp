@@ -53,9 +53,11 @@ struct RunReport {
   /// Peak resident set size; <= 0 means "capture via getrusage at render
   /// time" (the report is written at process exit, so that is the peak).
   std::int64_t max_rss_bytes = 0;
-  /// Process-total hardware counters; when not available at render time
-  /// the renderer captures hw_read() itself (same rule as max_rss_bytes)
-  /// and degrades to {"available": false, "reason": ...}.
+  /// Hardware counters to render.  Left unavailable, as bench_main and
+  /// ccmx_cli leave it, the renderer reads the process totals itself
+  /// (hw_read(), the max_rss_bytes rule) and degrades to
+  /// {"available": false, "reason": ...}; tests set it to render an
+  /// available block on a host without a PMU.
   HwCounters hw;
   std::vector<BenchmarkRun> benchmarks;
   /// Counters a bench binary snapshots after its tables and before the

@@ -47,15 +47,17 @@ inline constexpr std::string_view kChromeTraceSchema = "ccmx.chrome_trace/1";
 inline constexpr std::string_view kDashboardDataSchema =
     "ccmx.dashboard_data/1";
 
-/// One JSONL row per sampler tick — RSS, utime/stime, obs counter
-/// deltas, and hardware-counter deltas over the interval, written by the
-/// background telemetry sampler (see obs/hwcounters.hpp).
-inline constexpr std::string_view kTimeseriesSchema = "ccmx.timeseries/1";
+/// One JSONL row per sampler tick — RSS, utime/stime and the obs
+/// counter deltas over the interval, written by the background telemetry
+/// sampler (see obs/hwcounters.hpp).  Version 2 dropped the per-row
+/// "hw" object; hardware counters live only in the run report.
+inline constexpr std::string_view kTimeseriesSchema = "ccmx.timeseries/2";
 
 /// Whole-series rollup of a timeseries file — `ccmx_insight timeseries
-/// --json` (sample count, wall span, RSS range, aggregate IPC).
+/// --json` (sample count, wall span, RSS range, CPU time, faults).
+/// Version 2 dropped the "hw" object.
 inline constexpr std::string_view kTimeseriesSummarySchema =
-    "ccmx.timeseries_summary/1";
+    "ccmx.timeseries_summary/2";
 
 /// JSONL stream of the sampling CPU profiler (see obs/profiler.hpp):
 /// a "meta" row, interned "frame" rows, leaf-first "sample" rows

@@ -111,8 +111,6 @@ std::uint64_t ChannelTrace::total_rounds() const noexcept {
   return total;
 }
 
-TraceStream::TraceStream(TraceReadOptions options) : options_(options) {}
-
 void TraceStream::feed(std::string_view chunk) {
   CCMX_REQUIRE(!finished_, "TraceStream::feed after finish");
   std::size_t pos = 0;
@@ -139,11 +137,7 @@ void TraceStream::finish() {
   finished_ = true;
   if (carry_.empty()) return;
   // A line without its newline is the signature of a killed writer.
-  if (!options_.tolerate_truncated_tail) {
-    fail(line_no_ + 1,
-         "truncated trace: final line is not newline-terminated");
-  }
-  stats_.truncated_tail = true;  // one tolerated truncation, line dropped
+  stats_.truncated_tail = true;
   carry_.clear();
 }
 
@@ -250,17 +244,31 @@ void TraceStream::handle_send(const json::Value& obj) {
   ++trace_.send_events;
 }
 
+namespace {
+
+/// The strict readers' one rule beyond TraceStream's: a torn final line
+/// is an error, not a tolerated truncation.
+ChannelTrace take_complete_trace(TraceStream& stream) {
+  if (stream.stats().truncated_tail) {
+    throw util::contract_error(
+        "truncated trace: final line is not newline-terminated");
+  }
+  return stream.take_trace();
+}
+
+}  // namespace
+
 ChannelTrace parse_channel_trace(std::string_view text) {
   TraceStream stream;
   stream.feed(text);
   stream.finish();
-  return stream.take_trace();
+  return take_complete_trace(stream);
 }
 
 ChannelTrace read_channel_trace_file(const std::string& path) {
   TraceStream stream;
   stream.consume_file(path);
-  return stream.take_trace();
+  return take_complete_trace(stream);
 }
 
 std::vector<std::string> check_trace_against_report(
@@ -666,19 +674,6 @@ TimeseriesResult load_timeseries(const std::string& path) {
         const std::uint64_t n =
             json::integer<std::uint64_t>(&value).value_or(0);
         if (n > 0) row.counters.emplace_back(name, n);
-      }
-    }
-    if (const json::Value* hw = doc.find("hw");
-        hw != nullptr && hw->is_object()) {
-      const json::Value* avail = hw->find("available");
-      row.hw_available =
-          avail != nullptr && avail->is_bool() && avail->boolean;
-      if (row.hw_available) {
-        row.instructions = integer_or<std::uint64_t>(*hw, "instructions", 0);
-        row.cycles = integer_or<std::uint64_t>(*hw, "cycles", 0);
-        row.ipc = number_or(*hw, "ipc", 0.0);
-        row.cache_miss_rate = number_or(*hw, "cache_miss_rate", 0.0);
-        row.task_clock_ns = integer_or<std::uint64_t>(*hw, "task_clock_ns", 0);
       }
     }
     if (!result.rows.empty() && row.t_us < result.rows.back().t_us) {

@@ -98,12 +98,12 @@ struct ChannelTrace {
   [[nodiscard]] std::uint64_t total_rounds() const noexcept;
 };
 
-/// Parses a complete JSONL trace.  Throws util::contract_error (with a
-/// 1-based line number) on: a line that is not a JSON object, a missing
-/// or non-string "ev", a "send" or "span" event with a missing or
-/// ill-typed field or an out-of-range agent, a per-channel
-/// message-sequence gap, a recorded round number that contradicts the
-/// speaker-alternation reconstruction, or input whose final line is not
+/// Parses a complete JSONL trace.  Throws util::contract_error on: a
+/// line that is not a JSON object, a missing or non-string "ev", a
+/// "send" or "span" event with a missing or ill-typed field or an
+/// out-of-range agent, a per-channel message-sequence gap, or a recorded
+/// round number that contradicts the speaker-alternation reconstruction
+/// (each naming its 1-based line), and on input whose final line is not
 /// newline-terminated (truncation).
 [[nodiscard]] ChannelTrace parse_channel_trace(std::string_view text);
 
@@ -114,19 +114,12 @@ struct ChannelTrace {
 
 // ------------------------------------------------------ streaming reader
 
-/// Options for TraceStream.  The default reproduces parse_channel_trace's
-/// strict behavior exactly.
-struct TraceReadOptions {
-  /// Tolerate a final line without its newline (a killed writer):
-  /// counted as one truncation, the partial line is discarded.  Every
-  /// other defect still throws.
-  bool tolerate_truncated_tail = false;
-};
-
 /// What the streaming reader observed beyond the trace content itself.
 struct TraceReadStats {
   std::uint64_t lines = 0;      ///< non-empty event lines parsed
-  bool truncated_tail = false;  ///< final line lacked its newline
+  /// The final line lacked its newline (a killed writer); the partial
+  /// line was discarded.
+  bool truncated_tail = false;
 };
 
 /// Chunked streaming parser over JSONL trace bytes: feed() arbitrary
@@ -134,11 +127,12 @@ struct TraceReadStats {
 /// into per-channel and per-round aggregates and are not stored, so
 /// memory grows with channels, rounds and spans, not with messages;
 /// per-event callbacks see every send/span in file order (the Chrome
-/// export streams sends through on_send).
+/// export streams sends through on_send).  A torn final line, the one
+/// damage a live writer legitimately leaves, is reported in
+/// stats().truncated_tail; every other defect throws like
+/// parse_channel_trace.
 class TraceStream {
  public:
-  explicit TraceStream(TraceReadOptions options = {});
-
   /// Per-event hooks, invoked before the event folds into the
   /// aggregates.  Install before feeding.
   std::function<void(const SendEvent&)> on_send;
@@ -148,8 +142,8 @@ class TraceStream {
   /// carried into the next feed().  Throws like parse_channel_trace.
   void feed(std::string_view chunk);
 
-  /// Settles the carry buffer (a leftover partial line is a truncated
-  /// tail).  feed() must not be called afterwards.
+  /// Settles the carry buffer: a leftover partial line is dropped and
+  /// sets stats().truncated_tail.  feed() must not be called afterwards.
   void finish();
 
   /// Streams a whole file through feed()/finish() in bounded chunks;
@@ -169,7 +163,6 @@ class TraceStream {
   void parse_line(std::string_view line);
   void handle_send(const json::Value& obj);
 
-  TraceReadOptions options_;
   TraceReadStats stats_;
   ChannelTrace trace_;
   std::map<std::uint64_t, std::size_t> channels_;  // id -> trace_.channels
@@ -180,10 +173,9 @@ class TraceStream {
 
 // -------------------------------------------------- telemetry timeseries
 
-/// One parsed ccmx.timeseries/1 row (see obs/hwcounters.hpp for the
+/// One parsed ccmx.timeseries/2 row (see obs/hwcounters.hpp for the
 /// writer).  rss/utime/stime are cumulative at the sample instant; the
-/// hw numbers and counter deltas cover the interval since the previous
-/// row (dt_us).
+/// counter deltas cover the interval since the previous row (dt_us).
 struct TimeseriesRow {
   std::uint64_t seq = 0;
   std::int64_t t_us = 0;
@@ -195,12 +187,6 @@ struct TimeseriesRow {
   std::uint64_t major_faults = 0;
   /// obs counter deltas over the interval (only counters that moved).
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  bool hw_available = false;
-  std::uint64_t instructions = 0;
-  std::uint64_t cycles = 0;
-  double ipc = 0.0;
-  double cache_miss_rate = 0.0;
-  std::uint64_t task_clock_ns = 0;
 };
 
 /// A loaded telemetry series.  Foreign-schema or unparseable lines are
@@ -222,7 +208,7 @@ struct TimeseriesResult {
   }
 };
 
-/// Loads a ccmx.timeseries/1 JSONL file.  A missing file is a problem
+/// Loads a ccmx.timeseries/2 JSONL file.  A missing file is a problem
 /// (callers asked for this path explicitly), malformed or foreign lines
 /// are skipped and counted, and a torn final line (killed sampler) counts
 /// as one skip, not an error.

@@ -45,7 +45,7 @@ bool EqualitySendAll::run(const AgentView& agent0, const AgentView& agent1,
 EqualityFingerprint::EqualityFingerprint(std::size_t s, unsigned prime_bits,
                                          std::uint64_t seed)
     : s_(s), prime_bits_(prime_bits), coins_(seed) {
-  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= 62,
+  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= num::kZpBits,
                "prime width out of range");
 }
 

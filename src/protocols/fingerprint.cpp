@@ -21,10 +21,11 @@ FingerprintProtocol::FingerprintProtocol(comm::MatrixBitLayout layout,
                                          std::uint64_t seed)
     : layout_(layout), task_(task), prime_bits_(prime_bits),
       repetitions_(repetitions), coins_(seed) {
-  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= 62,
+  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= num::kZpBits,
                "prime width out of range");
   CCMX_REQUIRE(repetitions >= 1, "need at least one repetition");
-  CCMX_REQUIRE(layout.entry_bits() <= 62, "entries must fit a machine word");
+  CCMX_REQUIRE(layout.entry_bits() <= num::kZpBits,
+               "entries must fit a machine word");
 }
 
 std::string FingerprintProtocol::name() const {
@@ -83,7 +84,7 @@ RankThresholdProtocol::RankThresholdProtocol(comm::MatrixBitLayout layout,
                                              std::uint64_t seed)
     : layout_(layout), threshold_(threshold), prime_bits_(prime_bits),
       repetitions_(repetitions), coins_(seed) {
-  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= 62,
+  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= num::kZpBits,
                "prime width out of range");
   CCMX_REQUIRE(repetitions >= 1, "need at least one repetition");
   CCMX_REQUIRE(threshold <= std::min(layout.rows(), layout.cols()),
@@ -115,10 +116,10 @@ bool RankThresholdProtocol::run(const AgentView& agent0,
 
 unsigned recommend_prime_bits(std::size_t n, unsigned k, double epsilon) {
   CCMX_REQUIRE(epsilon > 0.0 && epsilon < 1.0, "epsilon out of range");
-  for (unsigned b = 3; b <= 62; ++b) {
+  for (unsigned b = 3; b <= num::kZpBits; ++b) {
     if (singularity_error_bound(n, k, b) <= epsilon) return b;
   }
-  return 62;
+  return num::kZpBits;
 }
 
 double singularity_error_bound(std::size_t n, unsigned k,

@@ -82,10 +82,10 @@ FreivaldsProtocol::FreivaldsProtocol(std::size_t n, unsigned k,
                                      std::uint64_t seed)
     : n_(n), k_(k), prime_bits_(prime_bits), repetitions_(repetitions),
       coins_(seed) {
-  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= 62,
+  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= num::kZpBits,
                "prime width out of range");
   CCMX_REQUIRE(repetitions >= 1, "need at least one repetition");
-  CCMX_REQUIRE(k >= 1 && k <= 62, "entry width out of range");
+  CCMX_REQUIRE(k >= 1 && k <= num::kZpBits, "entry width out of range");
 }
 
 bool FreivaldsProtocol::run(const AgentView& agent0, const AgentView& agent1,

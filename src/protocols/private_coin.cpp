@@ -19,7 +19,7 @@ PrivateCoinSingularity::PrivateCoinSingularity(comm::MatrixBitLayout layout,
                                                std::uint64_t private_seed)
     : layout_(layout), prime_bits_(prime_bits),
       private_coins_(private_seed) {
-  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= 62,
+  CCMX_REQUIRE(prime_bits >= 2 && prime_bits <= num::kZpBits,
                "prime width out of range");
   CCMX_REQUIRE(table_size >= 2, "table needs at least two primes");
   util::Xoshiro256 table_rng(table_seed);

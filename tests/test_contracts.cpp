@@ -14,6 +14,10 @@
 #include "linalg/poly.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/rref.hpp"
+#include "protocols/equality.hpp"
+#include "protocols/fingerprint.hpp"
+#include "protocols/freivalds.hpp"
+#include "protocols/private_coin.hpp"
 #include "protocols/send_half.hpp"
 #include "vlsi/mesh.hpp"
 #include "vlsi/tradeoffs.hpp"
@@ -137,6 +141,35 @@ TEST(Contracts, ProtocolInputValidation) {
                contract_error);
   (void)pi;
 }
+
+/// num::kZpBits is the one width cap: every entry point that takes an
+/// entry width or a prime width accepts 62 bits and rejects 63.
+class WidthCap : public testing::TestWithParam<unsigned> {};
+
+TEST_P(WidthCap, EveryEntryPointHoldsTheZpCap) {
+  const unsigned width = GetParam();
+  const auto check = [&](const auto& construct) {
+    if (width <= 62) {
+      EXPECT_NO_THROW(construct());
+    } else {
+      EXPECT_THROW(construct(), contract_error);
+    }
+  };
+  namespace proto = ccmx::proto;
+  const ccmx::comm::MatrixBitLayout layout(2, 2, 2);
+  check([&] { (void)ccmx::comm::MatrixBitLayout(2, 2, width); });
+  check([&] { (void)proto::FreivaldsProtocol(2, width, 8, 1, 1); });
+  check([&] { (void)proto::FreivaldsProtocol(2, 2, width, 1, 1); });
+  check([&] { (void)proto::EqualityFingerprint(8, width, 1); });
+  check([&] {
+    (void)proto::FingerprintProtocol(
+        layout, proto::FingerprintTask::kSingularity, width, 1, 1);
+  });
+  check([&] { (void)proto::RankThresholdProtocol(layout, 1, width, 1, 1); });
+  check([&] { (void)proto::PrivateCoinSingularity(layout, width, 2, 1, 2); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Contracts, WidthCap, testing::Values(62u, 63u));
 
 TEST(Contracts, ConstructionFamily) {
   EXPECT_THROW((void)ccmx::core::ConstructionParams(6, 2), contract_error);

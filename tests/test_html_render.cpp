@@ -332,6 +332,19 @@ TEST(HtmlRender, ProfileSectionRendersFlameGraphAndLedger) {
   // A balanced ledger renders without the conservation warning.
   EXPECT_NE(html.find("captured 3"), std::string::npos);
   EXPECT_EQ(html.find("does not balance"), std::string::npos);
+  // Without the ledger's cpu_ns only the requested rate is known.
+  EXPECT_NE(html.find("3 sample(s) at 97 Hz via timer_create"),
+            std::string::npos);
+  EXPECT_EQ(html.find("delivered"), std::string::npos);
+
+  // 3 samples over 0.5 s of CPU: 6 Hz delivered, far below 0.8x of 97.
+  prof.ledger.cpu_ns = 500'000'000;
+  const std::string short_rate = obs::render_dashboard_html(data);
+  EXPECT_NE(short_rate.find("at 97 Hz requested, 6.0 Hz delivered via"),
+            std::string::npos);
+  EXPECT_NE(short_rate.find("delivered 6% of the requested 97 Hz"),
+            std::string::npos);
+  prof.ledger.cpu_ns = 0;
 
   // An unbalanced ledger must surface the warning.
   prof.ledger.written = 2;

@@ -71,7 +71,7 @@ std::vector<std::string> writer_seeds() {
       // One line each as the trace sink and the profiler write them.
       R"j({"ev":"span","id":2,"parent":1,"tid":1,"name":"comm.execute",)j"
       R"j("t_us":652,"dur_us":23,"args":{"protocol":"send-half/singularity",)j"
-      R"j("bits":129,"rounds":2,"hw.available":"false"}})j",
+      R"j("bits":129,"rounds":2}})j",
       R"j({"ev":"frame","id":1,"pc":94194285725889,"sym":)j"
       R"j("ccmx::la::rank(ccmx::la::Matrix<ccmx::num::BigInt> const&)",)j"
       R"j("module":"ccmx_cli","off":321,"symbolized":true})j",

@@ -235,7 +235,7 @@ TEST(LintReport, JsonValidatesAgainstSchema) {
   EXPECT_FALSE(lint::validate_lint_report(bad).empty());
 }
 
-TEST(LintGate, RepoIsCleanUnderTheCommittedBaseline) {
+TEST(LintGate, RepoHasNoLintFindings) {
   // The acceptance gate, enforced from tier-1 tests: linting the actual
   // repo yields zero findings, and the lexical and arch passes walk the
   // same files (one default subdir list for both).

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <ctime>
 #include <filesystem>
 #include <string>
@@ -185,6 +186,20 @@ TEST(Profiler, AttributesSamplesToTheHotFunctionAndBalances) {
   ASSERT_TRUE(prof.has_ledger);
   EXPECT_TRUE(prof.ledger_balances());
   EXPECT_EQ(prof.ledger.written, prof.samples.size());
+
+  // The ledger records the CPU time the samples cover, and the printed
+  // rate is captured samples per CPU second, whatever the kernel's tick
+  // let the timers deliver of the 997 Hz asked for.
+  EXPECT_GT(ledger.cpu_ns, 0u);
+  EXPECT_EQ(prof.ledger.cpu_ns, ledger.cpu_ns);
+  const double rate = static_cast<double>(ledger.captured) /
+                      (static_cast<double>(ledger.cpu_ns) / 1e9);
+  EXPECT_DOUBLE_EQ(prof.delivered_hz(), rate);
+  char delivered[32];
+  std::snprintf(delivered, sizeof delivered, "%.1f Hz delivered", rate);
+  EXPECT_EQ(obs::profile_rate_text(prof),
+            std::string("997 Hz requested, ") + delivered);
+  EXPECT_EQ(obs::profile_rate_warning(prof).empty(), rate >= 0.8 * 997);
 
   // The known-hot spin function dominates the self profile.
   const std::vector<obs::ProfileHotspot> hotspots =

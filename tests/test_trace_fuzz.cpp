@@ -6,8 +6,8 @@
 // swaps and deletes whole lines.  Every input must either parse or throw
 // contract_error — never crash or throw anything else — and
 // build_span_forest must not throw on anything that parsed.  Inputs are
-// fed in random chunks, with torn-tail tolerance on or off at random, so
-// the carry buffer and both finish() paths are fuzzed too.  The seed's
+// fed in random chunks, so the carry buffer is fuzzed too, and half of
+// them also go through the strict parse_channel_trace.  The seed's
 // timestamps differ from run to run, so a failure prints its input.
 // The same mutator runs over seeds in the telemetry sampler's and the
 // profiler's row formats, through obs::load_timeseries and
@@ -106,9 +106,10 @@ TEST(TraceFuzz, MutatedTracesParseOrThrowContractError) {
     std::string input = seed;
     const std::uint64_t mutations = 1 + rng.below(4);
     for (std::uint64_t m = 0; m < mutations; ++m) mutate(input, rng, kTokens);
-    obs::TraceReadOptions options;
-    options.tolerate_truncated_tail = rng.below(2) == 0;
-    obs::TraceStream stream(options);
+    // Half the inputs also go through the strict reader, which rejects
+    // the torn tail the stream tolerates.
+    const bool strict = rng.below(2) != 0;
+    obs::TraceStream stream;
     try {
       for (std::size_t at = 0; at < input.size();) {
         const std::size_t chunk = 1 + rng.below(256);
@@ -116,6 +117,7 @@ TEST(TraceFuzz, MutatedTracesParseOrThrowContractError) {
         at += chunk;
       }
       stream.finish();
+      if (strict) (void)obs::parse_channel_trace(input);
     } catch (const util::contract_error&) {
       ++rejected;
       continue;
@@ -170,26 +172,20 @@ std::size_t fuzz_loader(const std::string& stem, const std::string& seed,
 }
 
 /// Rows as hwcounters.cpp's sampler writes them: one idle, one with
-/// counter deltas and a PMU, one closing row.
+/// counter deltas, one closing row.
 constexpr std::string_view kTimeseriesSeed =
-    R"({"schema":"ccmx.timeseries/1","seq":0,"t_us":1200,"dt_us":1200,)"
+    R"({"schema":"ccmx.timeseries/2","seq":0,"t_us":1200,"dt_us":1200,)"
     R"("rss_bytes":8388608,"utime_s":0.012,"stime_s":0.004,)"
-    R"("minor_faults":210,"major_faults":0,"counters":{},)"
-    R"("hw":{"available":false}})"
+    R"("minor_faults":210,"major_faults":0,"counters":{}})"
     "\n"
-    R"({"schema":"ccmx.timeseries/1","seq":1,"t_us":21200,"dt_us":20000,)"
+    R"({"schema":"ccmx.timeseries/2","seq":1,"t_us":21200,"dt_us":20000,)"
     R"("rss_bytes":9437184,"utime_s":0.031,"stime_s":0.005,)"
     R"("minor_faults":40,"major_faults":1,"counters":)"
-    R"({"census.evaluations":4782969,"parallel.items":64},)"
-    R"("hw":{"available":true,"instructions":123456789,"cycles":98765432,)"
-    R"("ipc":1.25,"cache_references":1000,"cache_misses":37,)"
-    R"("cache_miss_rate":0.037,"branches":2000,"branch_misses":12,)"
-    R"("task_clock_ns":20000000}})"
+    R"({"census.evaluations":4782969,"parallel.items":64}})"
     "\n"
-    R"({"schema":"ccmx.timeseries/1","seq":2,"t_us":23000,"dt_us":1800,)"
+    R"({"schema":"ccmx.timeseries/2","seq":2,"t_us":23000,"dt_us":1800,)"
     R"("rss_bytes":9437184,"utime_s":0.033,"stime_s":0.005,)"
-    R"("minor_faults":0,"major_faults":0,"counters":{"obs.trace.emitted":3},)"
-    R"("hw":{"available":false}})"
+    R"("minor_faults":0,"major_faults":0,"counters":{"obs.trace.emitted":3}})"
     "\n";
 
 TEST(TimeseriesFuzz, MutatedSeriesLoadOrThrowContractError) {
@@ -238,7 +234,7 @@ constexpr std::string_view kProfileSeed =
     R"({"ev":"sample","tid":7,"span":3,"t_us":1600,"stack":[2]})"
     "\n"
     R"({"ev":"ledger","captured":3,"written":3,"dropped":0,"truncated":0,)"
-    R"("threads":2})"
+    R"("threads":2,"cpu_ns":30000000})"
     "\n";
 
 TEST(ProfileFuzz, MutatedProfilesLoadOrThrowContractError) {
@@ -262,6 +258,8 @@ TEST(ProfileFuzz, MutatedProfilesLoadOrThrowContractError) {
           (void)obs::profile_hotspots(prof);
           (void)obs::collapsed_stacks(prof);
           (void)obs::samples_by_span(prof);
+          (void)obs::profile_rate_text(prof);
+          (void)obs::profile_rate_warning(prof);
         }) << "iteration "
            << i;
       });
@@ -277,7 +275,7 @@ TEST(LoaderFuzz, OutOfRangeNumbersReadAsMissing) {
   // loaders read such a number as absent.
   const std::string path = temp_path("out_of_range");
   std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << R"({"schema":"ccmx.timeseries/1","seq":1e999,"t_us":-1e300,)"
+      << R"({"schema":"ccmx.timeseries/2","seq":1e999,"t_us":-1e300,)"
       << R"("dt_us":9.3e18,"minor_faults":1.8446744073709552e19,)"
       << R"("counters":{"census.evaluations":1e20,"parallel.items":5}})"
       << '\n';

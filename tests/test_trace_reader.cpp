@@ -542,9 +542,7 @@ TEST(TraceStream, ToleratesTruncatedFinalLineWhenAsked) {
   const std::string truncated =
       good + "{\"ev\":\"send\",\"ch\":1,\"from\":0,\"bi";  // writer killed
 
-  obs::TraceReadOptions options;
-  options.tolerate_truncated_tail = true;
-  obs::TraceStream stream(options);
+  obs::TraceStream stream;
   stream.feed(truncated);
   stream.finish();
   // The complete line parsed; the torn tail is one tolerated truncation.
@@ -552,10 +550,15 @@ TEST(TraceStream, ToleratesTruncatedFinalLineWhenAsked) {
   EXPECT_EQ(stream.stats().lines, 1u);
   EXPECT_EQ(stream.take_trace().send_events, 1u);
 
-  // Strict mode still throws on the same bytes.
-  obs::TraceStream strict;
-  strict.feed(truncated);
-  EXPECT_THROW(strict.finish(), util::contract_error);
+  // The strict readers still throw on the same bytes.
+  EXPECT_THROW((void)obs::parse_channel_trace(truncated),
+               util::contract_error);
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "ccmx_torn.trace.jsonl")
+          .string();
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << truncated;
+  EXPECT_THROW((void)obs::read_channel_trace_file(path), util::contract_error);
+  std::filesystem::remove(path);
 }
 
 // What comm::Channel and ScopedSpan write is the one accepted format: a
@@ -573,12 +576,16 @@ TEST(TraceStream, RejectsIncompleteEventsAndGapsEvenWhenToleratingTornTails) {
       first + send_line(1, 1, 1, 2, 3, 1),  // msg 2 missing
       first + send_line(1, 0, 8, 1, 1, 1),  // msg 1 repeated
   };
-  for (const bool tolerate : {false, true}) {
-    for (const std::string& text : cases) {
-      obs::TraceStream stream(obs::TraceReadOptions{tolerate});
+  for (const std::string& text : cases) {
+    for (const bool strict : {false, true}) {
       try {
-        stream.feed(text);
-        stream.finish();
+        if (strict) {
+          (void)obs::parse_channel_trace(text);
+        } else {
+          obs::TraceStream stream;
+          stream.feed(text);
+          stream.finish();
+        }
         ADD_FAILURE() << "accepted: " << text;
       } catch (const util::contract_error& e) {
         EXPECT_NE(std::string(e.what()).find("trace line 2:"),

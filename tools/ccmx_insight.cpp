@@ -16,19 +16,20 @@
 //       trace-event JSON (ccmx.chrome_trace/1) for Perfetto /
 //       chrome://tracing.  Exit 1 on conservation mismatch.
 //   timeseries FILE [--json PATH]
-//       Summarize a ccmx.timeseries/1 JSONL file written by the
+//       Summarize a ccmx.timeseries/2 JSONL file written by the
 //       background telemetry sampler (CCMX_SAMPLE_FILE): sample count,
-//       wall span, RSS range, CPU time, and — when the machine exposes
-//       hardware counters — aggregate IPC and instruction rate.
+//       wall span, RSS range, CPU time and page faults.
 //   profile FILE [--top N] [--collapsed OUT] [--trace TRACE.jsonl]
 //       Summarize a ccmx.profile/1 JSONL stream written by the sampling
-//       CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE): the conservation
-//       ledger, the fraction of samples landing in symbolized frames,
-//       and the top functions by self/total samples.  --collapsed
-//       writes classic folded stacks (flamegraph.pl input); --trace
-//       joins the samples against the span forest of the same run for
-//       per-span attribution.  Exit 1 when the ledger is missing or
-//       does not balance (captured != written + dropped).
+//       CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE): the requested and
+//       delivered sampling rates, the conservation ledger, the fraction
+//       of samples landing in symbolized frames, and the top functions
+//       by self/total samples.  --collapsed writes classic folded
+//       stacks (flamegraph.pl input); --trace joins the samples against
+//       the span forest of the same run for per-span attribution.  A
+//       delivered rate below 0.8x the requested one prints a warning.
+//       Exit 1 when the ledger is missing or does not balance
+//       (captured != written + dropped).
 //   html --reports DIR [--diff DIFF.json] [--arch ARCH.json]
 //       [--trace FILE] [--timeseries FILE] [--profile FILE]
 //       [--out FILE] [--title S]
@@ -292,9 +293,7 @@ int cmd_trace(Args& args) {
   // diagnostic, not an unhandled exception.  Sends are folded into
   // aggregates as they stream (and forwarded to the Chrome writer
   // below), so memory stays bounded by the span count, not the trace.
-  obs::TraceReadOptions options;
-  options.tolerate_truncated_tail = true;
-  obs::TraceStream stream(options);
+  obs::TraceStream stream;
 
   std::ofstream chrome_out;
   std::optional<obs::ChromeTraceWriter> chrome;
@@ -450,28 +449,14 @@ int cmd_timeseries(Args& args) {
     return 2;
   }
 
-  // Aggregate the interval deltas: hw numbers in each row cover that
-  // row's dt, so summing them and dividing by the wall span gives the
-  // sampled-run averages.
   std::int64_t rss_min = series.rows.front().rss_bytes;
   std::int64_t rss_max = rss_min;
-  std::uint64_t insn = 0;
-  std::uint64_t cycles = 0;
-  std::size_t hw_rows = 0;
   for (const obs::TimeseriesRow& row : series.rows) {
     rss_min = std::min(rss_min, row.rss_bytes);
     rss_max = std::max(rss_max, row.rss_bytes);
-    if (row.hw_available) {
-      ++hw_rows;
-      insn += row.instructions;
-      cycles += row.cycles;
-    }
   }
   const obs::TimeseriesRow& last = series.rows.back();
   const double span = series.span_seconds();
-  const double ipc =
-      cycles > 0 ? static_cast<double>(insn) / static_cast<double>(cycles)
-                 : 0.0;
 
   std::cout << "timeseries: " << *path << " — " << series.rows.size()
             << " sample(s) over " << util::fmt_double(span, 3) << " s";
@@ -487,18 +472,6 @@ int cmd_timeseries(Args& args) {
   table.row("stime final (s)", util::fmt_double(last.stime_s, 3));
   table.row("minor faults", last.minor_faults);
   table.row("major faults", last.major_faults);
-  if (hw_rows > 0) {
-    table.row("hw samples", hw_rows);
-    table.row("instructions", insn);
-    table.row("cycles", cycles);
-    table.row("ipc", util::fmt_double(ipc, 3));
-    if (span > 0.0) {
-      table.row("insn/sec",
-                util::fmt_double(static_cast<double>(insn) / span, 0));
-    }
-  } else {
-    table.row("hw counters", "unavailable");
-  }
   table.print(std::cout);
 
   if (json_path) {
@@ -517,17 +490,6 @@ int cmd_timeseries(Args& args) {
     w.key("stime_s").value(last.stime_s);
     w.key("minor_faults").value(last.minor_faults);
     w.key("major_faults").value(last.major_faults);
-    w.key("hw").begin_object();
-    w.key("available").value(hw_rows > 0);
-    if (hw_rows > 0) {
-      w.key("samples").value(static_cast<std::uint64_t>(hw_rows));
-      w.key("instructions").value(insn);
-      w.key("cycles").value(cycles);
-      w.key("ipc").value(ipc);
-      w.key("insn_per_second")
-          .value(span > 0.0 ? static_cast<double>(insn) / span : 0.0);
-    }
-    w.end_object();
     w.end_object();
     os << '\n';
     if (!write_text_file(*json_path, os.str())) {
@@ -558,10 +520,16 @@ int cmd_profile(Args& args) {
   }
 
   std::cout << "profile: " << *path << " \xE2\x80\x94 "
-            << prof.samples.size() << " sample(s) at " << prof.hz
-            << " Hz via "
+            << prof.samples.size() << " sample(s) at "
+            << obs::profile_rate_text(prof) << " via "
             << (prof.mechanism.empty() ? std::string("?") : prof.mechanism)
             << '\n';
+  // A short rate is the host's timer granularity, not lost samples, so
+  // it warns without failing the ledger gate below.
+  if (const std::string warning = obs::profile_rate_warning(prof);
+      !warning.empty()) {
+    std::cout << "warning: " << warning << '\n';
+  }
   // The conservation invariant is the gate: a missing or unbalanced
   // ledger means samples went missing unaccounted, and CI should say so.
   int rc = 0;
@@ -628,9 +596,7 @@ int cmd_profile(Args& args) {
     // Join sample span ids against the span forest of the same run: the
     // instrumented view (span wall time) and the statistical view
     // (sample counts) land in one table.
-    obs::TraceReadOptions options;
-    options.tolerate_truncated_tail = true;
-    obs::TraceStream stream(options);
+    obs::TraceStream stream;
     try {
       stream.consume_file(*trace_path);
     } catch (const std::exception& e) {
@@ -766,9 +732,7 @@ int cmd_html(Args& args) {
   if (trace_path) {
     // Same chunked read as `trace`: a dashboard over a torn trace
     // should render the damage, not die on it.
-    obs::TraceReadOptions options;
-    options.tolerate_truncated_tail = true;
-    obs::TraceStream stream(options);
+    obs::TraceStream stream;
     try {
       stream.consume_file(*trace_path);
     } catch (const std::exception& e) {
@@ -846,14 +810,21 @@ std::string arm_private_trace_file() {
   return path.string();
 }
 
+/// Reads the sweep's trace back, one channel per protocol execution in
+/// run order, and deletes the private file.  The sweep's last events sit
+/// in the threads' trace buffers until flushed.
+obs::ChannelTrace take_fit_trace(const std::string& trace_path) {
+  obs::flush_trace_sink();
+  obs::ChannelTrace trace = obs::read_channel_trace_file(trace_path);
+  std::filesystem::remove(trace_path);
+  return trace;
+}
+
 int fit_report(const std::string& law, const std::vector<FitPoint>& points,
                const std::string& trace_path, const std::string& x_label,
                double max_dev) {
-  // Read the measured bits back out of the JSONL trace: one channel per
-  // protocol execution, in run order.  The sweep's last events sit in
-  // the threads' trace buffers until flushed.
-  obs::flush_trace_sink();
-  const obs::ChannelTrace trace = obs::read_channel_trace_file(trace_path);
+  // Read the measured bits back out of the JSONL trace.
+  const obs::ChannelTrace trace = take_fit_trace(trace_path);
   if (trace.channels.size() != points.size()) {
     std::cerr << "error: trace holds " << trace.channels.size()
               << " channels for " << points.size() << " runs\n";
@@ -964,8 +935,7 @@ int cmd_fit(Args& args) {
            : k_dominant)
           .push_back(p);
     }
-    obs::flush_trace_sink();
-    const obs::ChannelTrace trace = obs::read_channel_trace_file(trace_path);
+    const obs::ChannelTrace trace = take_fit_trace(trace_path);
     if (trace.channels.size() != all.size()) {
       std::cerr << "error: trace holds " << trace.channels.size()
                 << " channels for " << all.size() << " runs\n";
