@@ -957,22 +957,4 @@ std::size_t BigInt::hash() const noexcept {
   return h;
 }
 
-void BigInt::append_key_bytes(std::string& out) const {
-  // The magnitude is trimmed and the representation canonical, so (sign,
-  // limb count, limb bytes) is a canonical key.  The count is part of the
-  // key so concatenated keys stay prefix-free.
-  const auto push_byte = [&out](std::uint64_t byte) {
-    out.push_back(std::bit_cast<char>(static_cast<unsigned char>(byte)));
-  };
-  push_byte(static_cast<unsigned char>(sign_ + 1));
-  const std::size_t count = limb_count();
-  for (unsigned shift = 0; shift < 32; shift += 8) push_byte(count >> shift);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Limb l = limb(i);
-    for (unsigned shift = 0; shift < kLimbBits; shift += 8) {
-      push_byte(l >> shift);
-    }
-  }
-}
-
 }  // namespace ccmx::num

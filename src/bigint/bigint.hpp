@@ -14,9 +14,9 @@
 // kInlineLimbs limbs live *inline* in the object (no heap allocation at
 // all), and only wider magnitudes promote to a heap vector.  The form is
 // canonical — a value is stored inline if and only if it fits, so equal
-// values always have identical bytes and operator==, operator<=>, hash()
-// and append_key_bytes() are representation-independent by construction
-// (lemma34_census key dedup depends on exactly this).  Promotions and
+// values always have identical bytes and operator==, operator<=> and
+// hash() are representation-independent by construction (hash-based
+// digests and containers depend on exactly this).  Promotions and
 // inline-path hits are metered as obs counters bigint.promotions /
 // bigint.small_ops when tracing is enabled.
 #pragma once
@@ -221,12 +221,6 @@ class BigInt {
   /// FNV-style hash for use in unordered containers.  Depends only on the
   /// value (the representation is canonical), never on where limbs live.
   [[nodiscard]] std::size_t hash() const noexcept;
-
-  /// Appends a canonical byte encoding (sign, limb count, little-endian limb
-  /// bytes) to out.  Two BigInts append equal bytes iff they are equal, so
-  /// concatenations of these keys dedup composite values without the
-  /// quadratic cost of to_string().
-  void append_key_bytes(std::string& out) const;
 
  private:
   // tag_ holds the inline limb count (0..kInlineLimbs); kHeapTag marks the

@@ -1,21 +1,19 @@
 #include "core/census.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
-#include <string>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 
 #include "bigint/negabase.hpp"
 #include "core/census_model.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
-#include "util/int128.hpp"
 #include "linalg/rref.hpp"
+#include "linalg/span_form.hpp"
+#include "util/int128.hpp"
 #include "util/narrow.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -128,6 +126,7 @@ const obs::Counter g_census_exact("census.exact_sweeps");
 const obs::Counter g_census_sampled("census.sampled_sweeps");
 const obs::Counter g_span_instances("census.span_instances");
 const obs::Counter g_span_forms("census.span_forms");
+const obs::Counter g_span_wide_forms("census.span_wide_forms");
 
 }  // namespace
 
@@ -440,29 +439,142 @@ Lemma35Bounds lemma35_bounds(const ConstructionParams& p) {
 
 namespace {
 
-void append_entry_key(std::string& out, const BigInt& v) {
-  v.append_key_bytes(out);
-}
+/// Records of int64 words, appended one at a time; `ends` holds where each
+/// record ends.
+struct Records {
+  std::vector<std::int64_t> words;
+  std::vector<std::size_t> ends;
 
-void append_entry_key(std::string& out, const Rational& v) {
-  v.num().append_key_bytes(out);  // canonical after reduction
-  v.den().append_key_bytes(out);
-}
+  void close() { ends.push_back(words.size()); }
 
-/// Canonical byte key of a matrix: dims + entry key bytes.  Cheap compared
-/// to decimal to_string() (which is quadratic in the magnitude), and
-/// injective because BigInt::append_key_bytes is.
-template <class Matrix>
-void append_matrix_key(std::string& out, const Matrix& m) {
-  for (const std::size_t dim : {m.rows(), m.cols()}) {
-    for (unsigned shift = 0; shift < 32; shift += 8) {
-      out.push_back(std::bit_cast<char>(static_cast<unsigned char>(
-          static_cast<std::uint64_t>(dim) >> shift)));
+  void append(const Records& other) {
+    const std::size_t base = words.size();
+    words.insert(words.end(), other.words.begin(), other.words.end());
+    for (const std::size_t end : other.ends) ends.push_back(base + end);
+  }
+
+  /// The number of distinct records.  Sorting the records by a hash, then
+  /// by the words themselves, puts equal records side by side; two records
+  /// are compared word by word only when their hashes tie.
+  [[nodiscard]] std::uint64_t distinct() const {
+    using Word = std::vector<std::int64_t>::const_iterator;
+    const auto first = [this](std::size_t r) -> Word {
+      return words.begin() +
+             static_cast<std::ptrdiff_t>(r == 0 ? 0 : ends[r - 1]);
+    };
+    const auto last = [this](std::size_t r) -> Word {
+      return words.begin() + static_cast<std::ptrdiff_t>(ends[r]);
+    };
+    // (hash, record index), sorted by hash, then by record.
+    std::vector<std::pair<std::uint64_t, std::size_t>> keyed(ends.size());
+    for (std::size_t r = 0; r < ends.size(); ++r) {
+      std::uint64_t h = 0;
+      for (Word w = first(r); w != last(r); ++w) {
+        h = (h ^ static_cast<std::uint64_t>(*w)) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 29;
+      }
+      keyed[r] = {h, r};
     }
+    std::sort(keyed.begin(), keyed.end(), [&](const auto& x, const auto& y) {
+      if (x.first != y.first) return x.first < y.first;
+      return std::lexicographical_compare(first(x.second), last(x.second),
+                                          first(y.second), last(y.second));
+    });
+    std::uint64_t count = keyed.empty() ? 0 : 1;
+    for (std::size_t i = 1; i < keyed.size(); ++i) {
+      const auto& [hx, x] = keyed[i - 1];
+      const auto& [hy, y] = keyed[i];
+      if (hx != hy || !std::equal(first(x), last(x), first(y), last(y))) {
+        ++count;
+      }
+    }
+    return count;
   }
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) append_entry_key(out, m(i, j));
+};
+
+/// The Lemma 3.4 census's keys.  A form F (la::SpanForm) is RREF-shaped:
+/// its pivot columns hold lambda * I, and any other column with k pivot
+/// columns to its left is zero outside its top k rows.  So its record
+/// keeps its rank, lambda, its pivot columns and, for each other column,
+/// those top k entries: equal records mean equal forms, and a census form
+/// ([I | v] for A(C)) takes 2n words instead of n(n - 1).  A form with an
+/// entry past int64 goes to `wide` instead; a form has one
+/// representation, so no span lands in both.  The sampled census also
+/// keeps a record of each draw's C.
+struct SpanKeys {
+  Records forms;
+  std::vector<la::IntMatrix> wide;
+  Records draws;
+  std::uint64_t fallbacks = 0;
+
+  void add(const la::SpanForm& form) {
+    fallbacks += form.fallback ? 1 : 0;
+    if (form.wide) {
+      wide.push_back(*form.wide);
+      return;
+    }
+    const auto entry = [&form](std::size_t i, std::size_t j) {
+      return form.words[i * form.dim + j];
+    };
+    // Column j is the k-th pivot column iff entry(k, j) != 0, where k
+    // pivot columns lie left of it.
+    const auto is_pivot = [&](std::size_t k, std::size_t j) {
+      return k < form.rank && entry(k, j) != 0;
+    };
+    std::vector<std::int64_t>& out = forms.words;
+    out.push_back(static_cast<std::int64_t>(form.rank));
+    const std::size_t lambda = out.size();
+    out.push_back(0);  // every pivot's value, set below
+    for (std::size_t j = 0, k = 0; j < form.dim; ++j) {
+      if (is_pivot(k, j)) {
+        out[lambda] = entry(k++, j);
+        out.push_back(static_cast<std::int64_t>(j));
+      }
+    }
+    for (std::size_t j = 0, k = 0; j < form.dim; ++j) {
+      if (is_pivot(k, j)) {
+        ++k;
+      } else {
+        for (std::size_t i = 0; i < k; ++i) out.push_back(entry(i, j));
+      }
+    }
+    forms.close();
   }
+
+  void merge(const SpanKeys& other) {
+    forms.append(other.forms);
+    wide.insert(wide.end(), other.wide.begin(), other.wide.end());
+    draws.append(other.draws);
+    fallbacks += other.fallbacks;
+  }
+};
+
+/// The number of distinct matrices in `forms`.
+std::uint64_t count_distinct(std::vector<la::IntMatrix> forms) {
+  const auto before = [](const la::IntMatrix& x, const la::IntMatrix& y) {
+    return x.rows() != y.rows() ? x.rows() < y.rows() : x.data() < y.data();
+  };
+  std::sort(forms.begin(), forms.end(), before);
+  return static_cast<std::uint64_t>(
+      std::unique(forms.begin(), forms.end()) - forms.begin());
+}
+
+/// Appends C's digits as one record: each is below q = 2^k - 1, so k bits
+/// wide, and 64 / k share a word.
+void add_draw(Records& draws, const la::IntMatrix& c, unsigned k) {
+  const unsigned per_word = 64 / k;
+  std::uint64_t word = 0;
+  unsigned used = 0;
+  for (const BigInt& digit : c.data()) {
+    if (used == per_word) {
+      draws.words.push_back(static_cast<std::int64_t>(std::exchange(word, 0)));
+      used = 0;
+    }
+    word |= static_cast<std::uint64_t>(digit.to_int64()) << (used * k);
+    ++used;
+  }
+  draws.words.push_back(static_cast<std::int64_t>(word));
+  draws.close();
 }
 
 }  // namespace
@@ -472,62 +584,50 @@ SpanCensus lemma34_census(const ConstructionParams& p,
                           util::Xoshiro256& rng) {
   const obs::ScopedSpan span("lemma34_census");
   SpanCensus census;
-  using KeySet = std::unordered_set<std::string>;
-  const auto canonical_key = [&p](const la::IntMatrix& cm) {
-    std::string key;
-    append_matrix_key(key, span_canonical(p, cm));
-    return key;
+  const auto merge = [](SpanKeys& into, const SpanKeys& from) {
+    into.merge(from);
   };
-  const auto merge = [](KeySet& into, const KeySet& from) {
-    into.insert(from.begin(), from.end());
-  };
+  SpanKeys keys;
   if (const std::optional<std::uint64_t> total = util::digit_space_within(
           p.q(), p.free_entries_c(), max_instances)) {
     census.exhaustive = true;
     obs::ProgressMeter progress("lemma34_census", *total);
-    const KeySet forms = util::parallel_reduce<KeySet>(
-        0, *total, [] { return KeySet{}; },
-        [&](KeySet& set, std::size_t index) {
-          set.insert(canonical_key(
-              c_instance(p, static_cast<std::uint64_t>(index))));
+    keys = util::parallel_reduce<SpanKeys>(
+        0, *total, [] { return SpanKeys{}; },
+        [&](SpanKeys& acc, std::size_t index) {
+          acc.add(span_canonical(
+              p, c_instance(p, static_cast<std::uint64_t>(index))));
           progress.tick();
         },
         merge);
     census.tested = *total;
-    census.distinct = forms.size();
   } else {
     // Per-trial derived generators keep the sampled census independent of
-    // the worker that runs each trial; duplicate C draws are removed when
-    // the per-worker key sets merge, matching the sequential dup-skip.
+    // the worker that runs each trial.  A C drawn twice is keyed twice, and
+    // both copies of it and of its form dedup below.
     const std::uint64_t base_seed = rng();
-    struct Acc {
-      KeySet seen_c;
-      KeySet forms;
-    };
     obs::ProgressMeter progress("lemma34_census", max_instances);
-    const Acc acc = util::parallel_reduce<Acc>(
-        0, static_cast<std::size_t>(max_instances), [] { return Acc{}; },
-        [&](Acc& a, std::size_t trial) {
+    keys = util::parallel_reduce<SpanKeys>(
+        0, static_cast<std::size_t>(max_instances),
+        [] { return SpanKeys{}; },
+        [&](SpanKeys& acc, std::size_t trial) {
           util::Xoshiro256 draw(
               base_seed +
               0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(trial) + 1));
           const FreeParts parts = FreeParts::random(p, draw);
+          add_draw(acc.draws, parts.c, p.k());
+          acc.add(span_canonical(p, parts.c));
           progress.tick();
-          std::string c_key;
-          append_matrix_key(c_key, parts.c);
-          if (!a.seen_c.insert(std::move(c_key)).second) return;  // dup C
-          a.forms.insert(canonical_key(parts.c));
         },
-        [&merge](Acc& into, const Acc& a) {
-          merge(into.seen_c, a.seen_c);
-          merge(into.forms, a.forms);
-        });
-    census.tested = acc.seen_c.size();
-    census.distinct = acc.forms.size();
+        merge);
+    census.tested = keys.draws.distinct();
   }
+  census.distinct =
+      keys.forms.distinct() + count_distinct(std::move(keys.wide));
   if (obs::enabled()) {
     g_span_instances.add(census.tested);
     g_span_forms.add(census.distinct);
+    g_span_wide_forms.add(keys.fallbacks);
   }
   return census;
 }

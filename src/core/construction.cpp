@@ -279,9 +279,9 @@ std::optional<FreeParts> lemma35_complete(const ConstructionParams& p,
   return std::nullopt;
 }
 
-la::RatMatrix span_canonical(const ConstructionParams& p,
-                             const la::IntMatrix& c) {
-  return la::column_span_canonical(la::to_rational(build_a(p, c)));
+la::SpanForm span_canonical(const ConstructionParams& p,
+                            const la::IntMatrix& c) {
+  return la::column_span_form(build_a(p, c));
 }
 
 la::IntMatrix c_instance(const ConstructionParams& p, std::uint64_t index) {

@@ -36,6 +36,7 @@
 
 #include "bigint/bigint.hpp"
 #include "linalg/convert.hpp"
+#include "linalg/span_form.hpp"
 #include "util/rng.hpp"
 
 namespace ccmx::core {
@@ -142,9 +143,12 @@ struct FreeParts {
     const ConstructionParams& p, const la::IntMatrix& c,
     const la::IntMatrix& e);
 
-/// Canonical form of Span(A(C)) — equal forms iff equal spans (Lemma 3.4).
-[[nodiscard]] la::RatMatrix span_canonical(const ConstructionParams& p,
-                                           const la::IntMatrix& c);
+/// Canonical integer form of Span(A(C)) (linalg/span_form.hpp) — equal
+/// forms iff equal spans (Lemma 3.4).  A's top (n-1) x (n-1) block is unit
+/// upper triangular, so every pivot of the elimination is 1 and the form
+/// is the RREF of A^T itself, integral.
+[[nodiscard]] la::SpanForm span_canonical(const ConstructionParams& p,
+                                          const la::IntMatrix& c);
 
 /// Enumeration helpers: the i-th C (resp. (D,E,y)) instance in
 /// lexicographic digit order, i < q^{free_entries}.

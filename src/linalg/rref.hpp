@@ -2,13 +2,14 @@
 // out of it: rank, nullspace, linear solves, span membership / equality.
 // Rational Gauss-Jordan is the exact oracle the tests check the modular
 // engine against, and the engine for callers that need a solution vector
-// or a span (in_column_span, the Lemma 3.4 span census); the exact rank of
-// an integer matrix is the modular engine's job (linalg/exact.cpp).
+// or a span (in_column_span, the range test of singular_via_range); the
+// exact rank of an integer matrix is the modular engine's job
+// (linalg/exact.cpp).
 //
-// Span equality via canonical RREF is the comparison the reproduction of
-// Lemma 3.4 uses ("distinct instances of C yield distinct vector spaces"):
-// two column spans are equal iff the RREFs of the transposed generators
-// coincide.
+// Two column spans are equal iff the RREFs of the transposed generators
+// coincide.  The Lemma 3.4 census compares the integer multiple of that
+// RREF instead (linalg/span_form.hpp), which needs no rational arithmetic;
+// the tests check the two against each other.
 #pragma once
 
 #include <optional>

@@ -1,16 +1,20 @@
 // Census engines: the shift model's interval count against brute force on
 // both integer types, the shift histogram against the recompute sweep, the
-// exact row census against Lemma 3.5's bounds, Lemma 3.4 exhaustively.
+// exact row census against Lemma 3.5's bounds, Lemma 3.4 exhaustively and
+// its integer span keys against the rational RREF.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bigint/negabase.hpp"
 #include "core/census.hpp"
 #include "core/census_model.hpp"
+#include "linalg/rref.hpp"
 #include "obs/obs.hpp"
 #include "util/int128.hpp"
 #include "util/parallel.hpp"
@@ -399,6 +403,85 @@ TEST(Lemma34Census, SampledAtLargerParams) {
   const SpanCensus census = lemma34_census(p, 150, rng);
   EXPECT_FALSE(census.exhaustive);
   EXPECT_EQ(census.distinct, census.tested);  // still all distinct
+}
+
+/// Checks that the census's integer span keys (span_canonical's int64
+/// words) and the rational RREF of A(C)^T split `blocks` into the same
+/// classes.  A(C)'s pivots are all 1, so the two forms agree entry by
+/// entry as well.
+void expect_same_classes(const ConstructionParams& p,
+                         const std::vector<IntMatrix>& blocks) {
+  std::map<std::vector<std::int64_t>, std::size_t> by_words;
+  std::map<std::string, std::size_t> by_rref;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const ccmx::la::SpanForm form = span_canonical(p, blocks[b]);
+    ASSERT_FALSE(form.wide.has_value());
+    const ccmx::la::RatMatrix rref = ccmx::la::column_span_canonical(
+        ccmx::la::to_rational(build_a(p, blocks[b])));
+    ASSERT_EQ(ccmx::la::to_rational(form.matrix()), rref) << blocks[b];
+    const std::size_t word_class =
+        by_words.emplace(form.words, b).first->second;
+    const std::size_t rref_class =
+        by_rref.emplace(rref.to_string(), b).first->second;
+    ASSERT_EQ(word_class, rref_class) << "block " << b << ":\n" << blocks[b];
+  }
+  EXPECT_EQ(by_words.size(), by_rref.size());
+}
+
+TEST(Lemma34Census, IntegerKeysSplitLikeTheRationalRref) {
+  for (const auto& [n, k] : {std::pair<std::size_t, unsigned>{5, 3},
+                             std::pair<std::size_t, unsigned>{7, 2}}) {
+    const ConstructionParams p(n, k);
+    const auto total = static_cast<std::uint64_t>(total_rows(p).to_int64());
+    std::vector<IntMatrix> blocks;
+    for (std::uint64_t i = 0; i < total; ++i) {
+      blocks.push_back(c_instance(p, i));
+    }
+    expect_same_classes(p, blocks);
+  }
+  // A seeded (9, 3) sample; its last 100 blocks repeat earlier ones, so
+  // some classes hold two blocks.
+  const ConstructionParams p(9, 3);
+  Xoshiro256 rng(34);
+  std::vector<IntMatrix> blocks;
+  for (int i = 0; i < 1000; ++i) blocks.push_back(FreeParts::random(p, rng).c);
+  for (int i = 0; i < 100; ++i) blocks.push_back(blocks[rng.below(1000)]);
+  expect_same_classes(p, blocks);
+}
+
+TEST(Lemma34Census, SampledCountsEachDrawnCOnce) {
+  // 3000 draws from the 3^9 C blocks at (7, 2) repeat about 200 of them:
+  // tested counts the distinct draws, and each is its own span.
+  const ConstructionParams p(7, 2);
+  Xoshiro256 rng(12);
+  const SpanCensus census = lemma34_census(p, 3000, rng);
+  EXPECT_FALSE(census.exhaustive);
+  EXPECT_LT(census.tested, 3000u);
+  EXPECT_GT(census.tested, 2500u);
+  EXPECT_EQ(census.distinct, census.tested);
+}
+
+TEST(Lemma34Census, WideFormsTakeTheFallback) {
+  // Every exhaustive (7, 2) form fits int64.  At (21, 8) every form has
+  // entries past int64, so each takes the BigInt fallback and keys into
+  // the wide side set, which still finds the draws' spans distinct.
+  const bool was_enabled = ccmx::obs::enabled();
+  ccmx::obs::set_enabled(true);
+  ccmx::obs::reset_values();
+  const ccmx::obs::Counter wide("census.span_wide_forms");
+  Xoshiro256 rng(21);
+  const SpanCensus exhaustive =
+      lemma34_census(ConstructionParams(7, 2), 20000, rng);
+  EXPECT_EQ(exhaustive.distinct, 19683u);
+  EXPECT_EQ(wide.value(), 0u);
+  const SpanCensus sampled = lemma34_census(ConstructionParams(21, 8), 12, rng);
+  EXPECT_EQ(sampled.tested, 12u);
+  EXPECT_EQ(sampled.distinct, 12u);
+#ifndef CCMX_OBS_DISABLED
+  EXPECT_EQ(wide.value(), 12u);
+#endif
+  ccmx::obs::reset_values();
+  ccmx::obs::set_enabled(was_enabled);
 }
 
 TEST(SpanIntersection, ProfileIsNonIncreasing) {

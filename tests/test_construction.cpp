@@ -196,7 +196,7 @@ TEST(Lemma34, DistinctCGiveDistinctSpans) {
   for (int trial = 0; trial < 40; ++trial) {
     const FreeParts parts = FreeParts::random(p, rng);
     cs.insert(parts.c.to_string());
-    spans.insert(span_canonical(p, parts.c).to_string());
+    spans.insert(span_canonical(p, parts.c).matrix().to_string());
   }
   EXPECT_EQ(cs.size(), spans.size());
 }

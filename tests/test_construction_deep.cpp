@@ -1,10 +1,12 @@
 // Deeper structural properties of the hard-instance family: the forced
 // dependency against a rational solve, digit-geometry identities, instance
-// enumeration bijectivity, canonical-form invariances.
+// enumeration bijectivity, canonical-form invariances (rational and
+// integer).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/construction.hpp"
 #include "linalg/det.hpp"
@@ -110,6 +112,27 @@ TEST(SpanCanonical, InvariantUnderColumnOperations) {
     ra(i, 2) *= Rational(2);
   }
   EXPECT_EQ(ccmx::la::column_span_canonical(ra), canon);
+}
+
+TEST(SpanCanonical, IntegerFormInvariantUnderColumnOperations) {
+  // The integer twin: the same operations on A's integer columns, plus a
+  // swap and a negation, leave span_canonical's int64 words unchanged.
+  const ConstructionParams p(7, 2);
+  Xoshiro256 rng(4);
+  const FreeParts parts = FreeParts::random(p, rng);
+  IntMatrix a = build_a(p, parts.c);
+  const ccmx::la::SpanForm canon = span_canonical(p, parts.c);
+  // col_1 += 3 col_0; col_2 *= 2; swap col_3, col_4; col_5 = -col_5.
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    a(i, 1) += a(i, 0) * 3;
+    a(i, 2) *= 2;
+    std::swap(a(i, 3), a(i, 4));
+    a(i, 5) = -a(i, 5);
+  }
+  const ccmx::la::SpanForm moved = ccmx::la::column_span_form(a);
+  EXPECT_EQ(moved.rank, canon.rank);
+  EXPECT_EQ(moved.words, canon.words);
+  EXPECT_EQ(moved.rank, p.n() - 1);
 }
 
 TEST(RestrictedSingular, RandomInstancesAlmostNeverSingular) {
