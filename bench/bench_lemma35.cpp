@@ -4,7 +4,8 @@
 //
 // Exact censuses at (n, k) = (7, 2), (7, 3) and (9, 2) via the shift
 // histogram; stratified estimates at larger parameters; completion success
-// rate swept broadly.
+// rate swept broadly.  The timed rows: an exact (7, 2) census, a sampled
+// (11, 2) one and Lemma 3.5(a) completions.
 #include "bench_common.hpp"
 #include "core/census.hpp"
 
@@ -95,6 +96,27 @@ void BM_RowCensusExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RowCensusExact)->Unit(benchmark::kMillisecond);
+
+// The sampled census at (11, 2): 2e5 draws of 45 digits each, on the int64
+// shift model and the worker pool.  Process CPU time counts the pool's
+// workers as well as the caller; 0.2 s of it is about four runs, enough
+// for the cpu-time gate of `ccmx_insight diff`, which ignores rows of
+// fewer than three.
+void BM_RowCensusSampled(benchmark::State& state) {
+  const core::ConstructionParams p(11, 2);
+  util::Xoshiro256 rng(1);
+  const auto parts = core::FreeParts::random(p, rng);
+  core::CensusOptions options;
+  options.samples = 200000;
+  for (auto _ : state) {
+    util::Xoshiro256 inner(2);
+    benchmark::DoNotOptimize(core::row_census(p, parts.c, options, inner).ones);
+  }
+}
+BENCHMARK(BM_RowCensusSampled)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->MinTime(0.2);
 
 void BM_Lemma35Completion(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

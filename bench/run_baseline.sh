@@ -36,7 +36,7 @@ run crossover          'BM_DeterministicBits/2'
 run exact_cc           'BM_ExactCcEquality/[12]'
 run identity_embedding 'BM_IdentityEmbeddingSearch/2'
 run lemma34            'BM_SpanCanonicalForm/7|BM_Lemma34Census'
-run lemma35            'BM_Lemma35Completion/7|BM_RowCensusExact'
+run lemma35            'BM_Lemma35Completion/7|BM_RowCensusExact|BM_RowCensusSampled'
 run linwu_rank         'BM_LinWuRank/3'
 run obs                'BM_Emit(Disabled)?/real_time/threads:8|BM_SpinUnderProfiler/(0|97)$'
 run padding            'BM_PaddedDeterminant/4'

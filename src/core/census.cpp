@@ -50,12 +50,15 @@ Int div_ceil(const Int& a, const Int& b) {
   return quot * b < a ? quot + 1 : quot;
 }
 
-/// v on the model's integer type.  The i128 gate bounds every chain value
-/// below 2^120, so its magnitude is at most two limbs.
+/// v on the model's integer type.  The gates (model_int) bound every chain
+/// value below 2^56 on int64 and 2^120 on i128, so on i128 its magnitude
+/// is at most two limbs.
 template <class Int>
 Int to_int(const BigInt& v) {
   if constexpr (std::is_same_v<Int, BigInt>) {
     return v;
+  } else if constexpr (std::is_same_v<Int, std::int64_t>) {
+    return v.to_int64();  // checks the fit
   } else {
     static_assert(BigInt::kLimbBits == 64,
                   "an __int128 packs exactly two BigInt limbs");
@@ -79,17 +82,22 @@ std::int64_t to_i64(const Int& v) {
   }
 }
 
-/// u on the model's integer type.
+/// The type of a sum of interval counts times histogram cells, up to
+/// q^digits q^G < 2^126: i128 on the machine-word models.
 template <class Int>
-Int from_u64(std::uint64_t u) {
+using WideSum = std::conditional_t<std::is_same_v<Int, BigInt>, BigInt, i128>;
+
+/// u as a WideSum.
+template <class Int>
+WideSum<Int> wide_from_u64(std::uint64_t u) {
   if constexpr (std::is_same_v<Int, BigInt>) {
     return BigInt::from_limbs({u}, false);
   } else {
-    return static_cast<Int>(u);
+    return static_cast<i128>(u);
   }
 }
 
-/// v as a BigInt: one conversion per census on the i128 model.
+/// v as a BigInt: one conversion per census on the machine-word models.
 template <class Int>
 BigInt to_bigint(const Int& v) {
   if constexpr (std::is_same_v<Int, BigInt>) {
@@ -109,7 +117,7 @@ struct Tally {
   std::uint64_t word = 0;
   BigInt spill;
 
-  void add(i128 count) {  // < 2^62: the i128 gate bounds q^G far below
+  void add(i128 count) {  // < 2^62: the gates bound q^G far below
     word += static_cast<std::uint64_t>(count);
     if (word >= std::uint64_t{1} << 62) {
       spill += static_cast<std::int64_t>(std::exchange(word, 0));
@@ -127,6 +135,16 @@ const obs::Counter g_census_sampled("census.sampled_sweeps");
 const obs::Counter g_span_instances("census.span_instances");
 const obs::Counter g_span_forms("census.span_forms");
 const obs::Counter g_span_wide_forms("census.span_wide_forms");
+
+/// The census loops tick their progress meter once per kTickBatch items of
+/// a worker and tick each worker's remainder in the fold: a tick per item
+/// makes the workers contend on the meter's atomics while it is active.
+constexpr std::uint64_t kTickBatch = 1024;
+
+/// Called with a worker's item count just after it grew by one.
+void tick_batched(obs::ProgressMeter& progress, std::uint64_t items) {
+  if (items % kTickBatch == 0) progress.tick(kTickBatch);
+}
 
 }  // namespace
 
@@ -210,7 +228,10 @@ template <class Int>
 Int ShiftModel<Int>::dot(const std::vector<std::uint32_t>& dv) const {
   Int shift{};
   for (std::size_t d = 0; d < coef_.size(); ++d) {
-    if (dv[d] != 0) shift += coef_[d] * static_cast<std::int64_t>(dv[d]);
+    if constexpr (std::is_same_v<Int, BigInt>) {
+      if (dv[d] == 0) continue;
+    }
+    shift += coef_[d] * static_cast<std::int64_t>(dv[d]);
   }
   return shift;
 }
@@ -281,14 +302,15 @@ std::optional<ExactCount> convolve(const ShiftModel<Int>& model,
       hist[static_cast<std::size_t>(s)] = n;
     }
   }
-  // sum N(s) count(s) <= q^digits q^G < 2^126: exact on either model.
-  Int ones{};
+  // sum N(s) count(s) <= q^digits q^G < 2^126 can pass 2^63, so the int64
+  // model sums in i128 too.
+  WideSum<Int> ones{};
   ExactCount out;
   for (std::size_t i = 0; i < hist.size(); ++i) {
     if (hist[i] == 0) continue;
     out.evaluations += hist[i];
-    ones += from_u64<Int>(hist[i]) *
-            model.count(Int(lo + static_cast<std::int64_t>(i)));
+    ones += wide_from_u64<Int>(hist[i]) *
+            WideSum<Int>(model.count(Int(lo + static_cast<std::int64_t>(i))));
   }
   out.ones = to_bigint(ones);
   return out;
@@ -357,6 +379,7 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
     // One base draw from the caller's stream seeds a per-sample generator,
     // so sample s sees the same digits no matter which worker runs it.
     const std::uint64_t base_seed = rng();
+    const util::Xoshiro256::Bound digit_bound = util::Xoshiro256::prepare(q);
     struct SampleAcc {
       std::vector<std::uint32_t> dv;
       Tally sum;
@@ -374,15 +397,15 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
                                 0x9e3779b97f4a7c15ULL *
                                     (static_cast<std::uint64_t>(s) + 1));
           for (auto& digit : acc.dv) {
-            digit = util::narrow_cast<std::uint32_t>(draw.below(q));
+            digit = util::narrow_cast<std::uint32_t>(draw.below(digit_bound));
           }
           acc.sum.add(model.count(model.dot(acc.dv)));
-          ++acc.evals;
-          progress.tick();
+          tick_batched(progress, ++acc.evals);
         },
-        [](SampleAcc& into, const SampleAcc& acc) {
+        [&progress](SampleAcc& into, const SampleAcc& acc) {
           into.sum.add(acc.sum);
           into.evals += acc.evals;
+          progress.tick(acc.evals % kTickBatch);
         });
     // ones ~ q^digits * mean(count).
     census.ones = BigInt::pow(BigInt(static_cast<std::int64_t>(q)),
@@ -402,8 +425,13 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
   return census;
 }
 
+template class ShiftModel<std::int64_t>;
 template class ShiftModel<i128>;
 template class ShiftModel<BigInt>;
+template RowCensus count_row<std::int64_t>(const ConstructionParams&,
+                                           const la::IntMatrix&,
+                                           const CensusOptions&,
+                                           util::Xoshiro256&);
 template RowCensus count_row<i128>(const ConstructionParams&,
                                    const la::IntMatrix&, const CensusOptions&,
                                    util::Xoshiro256&);
@@ -413,10 +441,15 @@ template RowCensus count_row<BigInt>(const ConstructionParams&,
 
 RowCensus row_census(const ConstructionParams& p, const la::IntMatrix& c,
                      const CensusOptions& options, util::Xoshiro256& rng) {
-  // Every chain quantity is bounded by ~n * q^n, so i128 is exact whenever
-  // n * (k + 1) + 20 < 120 bits.
-  return p.n() * (p.k() + 1) + 20 < 120 ? count_row<i128>(p, c, options, rng)
-                                        : count_row<BigInt>(p, c, options, rng);
+  switch (model_int(p.n(), p.k())) {
+    case ModelInt::kInt64:
+      return count_row<std::int64_t>(p, c, options, rng);
+    case ModelInt::kI128:
+      return count_row<i128>(p, c, options, rng);
+    case ModelInt::kBigInt:
+      break;
+  }
+  return count_row<BigInt>(p, c, options, rng);
 }
 
 RowCensus row_census(const ConstructionParams& p, const la::IntMatrix& c,
@@ -506,6 +539,7 @@ struct SpanKeys {
   std::vector<la::IntMatrix> wide;
   Records draws;
   std::uint64_t fallbacks = 0;
+  std::uint64_t items = 0;  // C blocks this worker keyed
 
   void add(const la::SpanForm& form) {
     fallbacks += form.fallback ? 1 : 0;
@@ -546,6 +580,7 @@ struct SpanKeys {
     wide.insert(wide.end(), other.wide.begin(), other.wide.end());
     draws.append(other.draws);
     fallbacks += other.fallbacks;
+    items += other.items;
   }
 };
 
@@ -584,20 +619,22 @@ SpanCensus lemma34_census(const ConstructionParams& p,
                           util::Xoshiro256& rng) {
   const obs::ScopedSpan span("lemma34_census");
   SpanCensus census;
-  const auto merge = [](SpanKeys& into, const SpanKeys& from) {
+  const std::optional<std::uint64_t> total =
+      util::digit_space_within(p.q(), p.free_entries_c(), max_instances);
+  obs::ProgressMeter progress("lemma34_census", total.value_or(max_instances));
+  const auto merge = [&progress](SpanKeys& into, const SpanKeys& from) {
     into.merge(from);
+    progress.tick(from.items % kTickBatch);
   };
   SpanKeys keys;
-  if (const std::optional<std::uint64_t> total = util::digit_space_within(
-          p.q(), p.free_entries_c(), max_instances)) {
+  if (total) {
     census.exhaustive = true;
-    obs::ProgressMeter progress("lemma34_census", *total);
     keys = util::parallel_reduce<SpanKeys>(
         0, *total, [] { return SpanKeys{}; },
         [&](SpanKeys& acc, std::size_t index) {
           acc.add(span_canonical(
               p, c_instance(p, static_cast<std::uint64_t>(index))));
-          progress.tick();
+          tick_batched(progress, ++acc.items);
         },
         merge);
     census.tested = *total;
@@ -606,7 +643,6 @@ SpanCensus lemma34_census(const ConstructionParams& p,
     // the worker that runs each trial.  A C drawn twice is keyed twice, and
     // both copies of it and of its form dedup below.
     const std::uint64_t base_seed = rng();
-    obs::ProgressMeter progress("lemma34_census", max_instances);
     keys = util::parallel_reduce<SpanKeys>(
         0, static_cast<std::size_t>(max_instances),
         [] { return SpanKeys{}; },
@@ -617,7 +653,7 @@ SpanCensus lemma34_census(const ConstructionParams& p,
           const FreeParts parts = FreeParts::random(p, draw);
           add_draw(acc.draws, parts.c, p.k());
           acc.add(span_canonical(p, parts.c));
-          progress.tick();
+          tick_batched(progress, ++acc.items);
         },
         merge);
     census.tested = keys.draws.distinct();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/int128.hpp"
 #include "util/require.hpp"
 
 namespace ccmx::util {
@@ -52,11 +53,49 @@ class Xoshiro256 {
   /// Uniform integer in [0, bound).  bound must be positive.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) {
     CCMX_REQUIRE(bound > 0, "below() needs a positive bound");
-    // Lemire-style rejection to avoid modulo bias.
+    // Rejecting the draws below 2^64 mod bound leaves a multiple of bound
+    // consecutive values, so r % bound has no modulo bias.
     const std::uint64_t threshold = (~bound + 1) % bound;
     for (;;) {
       const std::uint64_t r = (*this)();
       if (r >= threshold) return r % bound;
+    }
+  }
+
+  /// A bound b >= 1 prepared for many draws: below's rejection threshold
+  /// 2^64 mod b, and M = ceil(2^128 / b) mod 2^128 for the remainder.
+  struct Bound {
+    std::uint64_t value = 1;
+    std::uint64_t threshold = 0;
+    u128 inverse = 0;
+  };
+
+  /// Prepares bound for below(const Bound&).  Throws contract_error when
+  /// bound is 0, as below(0) does.
+  [[nodiscard]] static Bound prepare(std::uint64_t bound) {
+    CCMX_REQUIRE(bound > 0, "below() needs a positive bound");
+    return {bound, (~bound + 1) % bound, ~u128{0} / bound + 1};
+  }
+
+  /// below(bound.value), draw for draw: the same draws are rejected, and
+  /// r mod b comes from M without a division (Lemire, Kaser and Kurz,
+  /// "Faster remainder by direct computation", Softw. Pract. Exp. 49
+  /// (2019)).  The low 128 bits of M r hold the fractional part of r / b
+  /// scaled by 2^128, rounded up; times b, their top 64 bits are r mod b.
+  /// That is exact for every 64-bit r and b because 128 >= 64 + log2(b).
+  /// For b = 1, M wraps to 0 and so does the remainder.  Worth it when one
+  /// bound serves many draws; below(b) is cheaper for a bound used once.
+  [[nodiscard]] std::uint64_t below(const Bound& bound) noexcept {
+    for (;;) {
+      const std::uint64_t r = (*this)();
+      if (r >= bound.threshold) {
+        const u128 fraction = bound.inverse * r;
+        const u128 low =
+            static_cast<u128>(static_cast<std::uint64_t>(fraction)) *
+            bound.value;
+        const u128 high = (fraction >> 64) * bound.value;
+        return static_cast<std::uint64_t>((high + (low >> 64)) >> 64);
+      }
     }
   }
 

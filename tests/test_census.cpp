@@ -1,7 +1,9 @@
 // Census engines: the shift model's interval count against brute force on
-// both integer types, the shift histogram against the recompute sweep, the
-// exact row census against Lemma 3.5's bounds, Lemma 3.4 exhaustively and
-// its integer span keys against the rational RREF.
+// all three integer types, the int64 model at its gate's edge, the shift
+// histogram against the recompute sweep, the sampled census against an
+// independent rebuild, the exact row census against Lemma 3.5's bounds,
+// Lemma 3.4 exhaustively and its integer span keys against the rational
+// RREF.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -81,8 +83,8 @@ TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
   // count(chain(dv)) is the census's inner count for one (C, E, D_1..):
   // it must equal the brute-force count over the 81 D_0 rows.  Odd trials
   // take D and y from Lemma 3.5(a)'s completion, so at least one D_0 row
-  // works.  chain must equal the linear form dot, and the i128 and BigInt
-  // models must agree on all of it.
+  // works.  chain must equal the linear form dot, and the int64, i128 and
+  // BigInt models must agree on all of it.
   const ConstructionParams p(7, 2);  // q = 3, G = 4
   Xoshiro256 rng(1);
   for (int trial = 0; trial < 24; ++trial) {
@@ -93,18 +95,23 @@ TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
       ASSERT_TRUE(done.has_value());
       parts = *done;
     }
+    const ShiftModel<std::int64_t> word(p, parts.c);
     const ShiftModel<i128> fast(p, parts.c);
     const ShiftModel<BigInt> big(p, parts.c);
     std::vector<std::uint32_t> dv = digit_vector(p, parts);
     ASSERT_EQ(dv.size(), fast.digits());
+    std::vector<std::int64_t> x_word(p.n() - 1);
     std::vector<i128> x_fast(p.n() - 1);
     std::vector<BigInt> x_big(p.n() - 1);
     const BigInt shift = big.chain(dv, x_big);
+    EXPECT_EQ(BigInt(word.chain(dv, x_word)), shift);
     EXPECT_EQ(to_big(fast.chain(dv, x_fast)), shift);
     EXPECT_EQ(big.dot(dv), shift);
+    EXPECT_EQ(BigInt(word.dot(dv)), shift);
     EXPECT_EQ(to_big(fast.dot(dv)), shift);
     const BigInt brute = brute_d0_count(p, parts);
     EXPECT_EQ(big.count(shift), brute) << "trial " << trial;
+    EXPECT_EQ(BigInt(word.count(word.dot(dv))), brute) << "trial " << trial;
     EXPECT_EQ(to_big(fast.count(fast.dot(dv))), brute) << "trial " << trial;
     if (trial % 2 == 1) {
       EXPECT_GE(brute, BigInt(1)) << "trial " << trial;
@@ -113,10 +120,9 @@ TEST(RowCensus, InnerIntervalCountMatchesBruteForce) {
 }
 
 TEST(RowCensus, BothIntegerTypesGiveIdenticalCensuses) {
-  // row_census runs count_row<i128> at every size a caller uses; the
-  // BigInt instantiation must count the same exhaustive row by the
-  // histogram and by the recompute sweep, and draw the same sampled
-  // estimate.
+  // row_census runs count_row<std::int64_t> at (7, 2); the i128 and BigInt
+  // instantiations must count the same exhaustive row by the histogram and
+  // by the recompute sweep, and draw the same sampled estimate.
   const ConstructionParams p(7, 2);
   Xoshiro256 seed_rng(19);
   const FreeParts parts = FreeParts::random(p, seed_rng);
@@ -126,8 +132,10 @@ TEST(RowCensus, BothIntegerTypesGiveIdenticalCensuses) {
   std::vector<RowCensus> exact;
   for (const bool delta : {true, false}) {
     options.delta = delta;
+    Xoshiro256 rng_w(20);
     Xoshiro256 rng_a(20);
     Xoshiro256 rng_b(20);
+    exact.push_back(count_row<std::int64_t>(p, parts.c, options, rng_w));
     exact.push_back(count_row<i128>(p, parts.c, options, rng_a));
     exact.push_back(count_row<BigInt>(p, parts.c, options, rng_b));
   }
@@ -137,13 +145,125 @@ TEST(RowCensus, BothIntegerTypesGiveIdenticalCensuses) {
     EXPECT_EQ(census.evaluations, exact[0].evaluations);
   }
   options.budget = 1000;
+  Xoshiro256 rng_w(21);
   Xoshiro256 rng_a(21);
   Xoshiro256 rng_b(21);
+  const RowCensus w = count_row<std::int64_t>(p, parts.c, options, rng_w);
   const RowCensus a = count_row<i128>(p, parts.c, options, rng_a);
   const RowCensus b = count_row<BigInt>(p, parts.c, options, rng_b);
   EXPECT_FALSE(a.exact);
+  EXPECT_EQ(w.ones, b.ones);
   EXPECT_EQ(a.ones, b.ones);
+  EXPECT_EQ(w.evaluations, b.evaluations);
   EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(RowCensus, Int64ModelMatchesI128AtTheEdgeOfItsGate) {
+  // For each k, at the largest valid n whose model_int is int64, the int64
+  // model's coef, chain and count must equal the i128 model's on the zero
+  // vector, the all-(q - 1) vector and seeded digit vectors, for C blocks
+  // of all zeros, all q - 1 and seeded digits.  A gate that admits too much
+  // overflows here, which the UBSan build reports.
+  std::size_t sizes = 0;
+  for (unsigned k = 2; k <= 20; ++k) {
+    std::optional<ConstructionParams> edge;
+    for (std::size_t n = 5; model_int(n, k) == ModelInt::kInt64; n += 2) {
+      if (ConstructionParams(n, k).valid()) edge.emplace(n, k);
+    }
+    if (!edge) continue;
+    ++sizes;
+    const ConstructionParams& p = *edge;
+    const auto top = static_cast<std::uint32_t>(p.q() - 1);
+    Xoshiro256 rng(p.n() * 37 + k);
+    const std::vector<IntMatrix> blocks = {
+        IntMatrix(p.half(), p.half()),
+        IntMatrix(p.half(), p.half(), BigInt(static_cast<std::int64_t>(top))),
+        FreeParts::random(p, rng).c};
+    for (const IntMatrix& c : blocks) {
+      const ShiftModel<std::int64_t> word(p, c);
+      const ShiftModel<i128> wide(p, c);
+      ASSERT_EQ(word.digits(), wide.digits());
+      for (std::size_t d = 0; d < word.digits(); ++d) {
+        EXPECT_EQ(i128{word.coef()[d]}, wide.coef()[d])
+            << "(" << p.n() << ", " << k << ") digit " << d;
+      }
+      std::vector<std::vector<std::uint32_t>> vectors = {
+          std::vector<std::uint32_t>(word.digits(), 0),
+          std::vector<std::uint32_t>(word.digits(), top)};
+      for (int i = 0; i < 50; ++i) {
+        std::vector<std::uint32_t> dv(word.digits());
+        for (auto& digit : dv) {
+          digit = static_cast<std::uint32_t>(rng.below(p.q()));
+        }
+        vectors.push_back(std::move(dv));
+      }
+      std::vector<std::int64_t> x_word(p.n() - 1);
+      std::vector<i128> x_wide(p.n() - 1);
+      for (const auto& dv : vectors) {
+        const std::int64_t shift = word.chain(dv, x_word);
+        ASSERT_EQ(i128{shift}, wide.chain(dv, x_wide))
+            << "(" << p.n() << ", " << k << ")";
+        EXPECT_EQ(i128{word.count(shift)}, wide.count(i128{shift}))
+            << "(" << p.n() << ", " << k << ")";
+      }
+    }
+  }
+  // (11, 2), (7, 3), (7, 4), (5, 5) and (5, 6).
+  EXPECT_EQ(sizes, 5u);
+}
+
+/// The sampled census rebuilt from its definition: one base draw from the
+/// caller's stream, sample s's own generator, below(q) per digit, the
+/// BigInt model's full chain and interval count, and ones = q^digits *
+/// sum / samples.
+BigInt sampled_oracle(const ConstructionParams& p, const IntMatrix& c,
+                      std::size_t samples, Xoshiro256& rng) {
+  const ShiftModel<BigInt> model(p, c);
+  const std::uint64_t base_seed = rng();
+  std::vector<std::uint32_t> dv(model.digits());
+  std::vector<BigInt> x(p.n() - 1);
+  BigInt sum(0);
+  for (std::size_t s = 0; s < samples; ++s) {
+    Xoshiro256 draw(base_seed + 0x9e3779b97f4a7c15ULL * (s + 1));
+    for (auto& digit : dv) {
+      digit = static_cast<std::uint32_t>(draw.below(p.q()));
+    }
+    sum += model.count(model.chain(dv, x));
+  }
+  return BigInt::pow(BigInt(static_cast<std::int64_t>(p.q())),
+                     static_cast<unsigned>(model.digits())) *
+         sum / BigInt(static_cast<std::int64_t>(samples));
+}
+
+TEST(RowCensus, SampledCensusMatchesAnIndependentRebuild) {
+  // On every integer type row_census picks: int64 at (7, 2), (9, 2) and
+  // (11, 2), i128 at (9, 3) and BigInt at (9, 11).
+  struct Size {
+    std::size_t n;
+    unsigned k;
+    ModelInt type;
+  };
+  for (const Size& size : {Size{7, 2, ModelInt::kInt64},
+                           Size{9, 2, ModelInt::kInt64},
+                           Size{11, 2, ModelInt::kInt64},
+                           Size{9, 3, ModelInt::kI128},
+                           Size{9, 11, ModelInt::kBigInt}}) {
+    const ConstructionParams p(size.n, size.k);
+    ASSERT_EQ(model_int(size.n, size.k), size.type);
+    Xoshiro256 seed_rng(size.n * 41 + size.k);
+    const FreeParts parts = FreeParts::random(p, seed_rng);
+    CensusOptions options;
+    options.samples = 3000;
+    Xoshiro256 rng(size.n + size.k);
+    Xoshiro256 oracle_rng(size.n + size.k);
+    const RowCensus census = row_census(p, parts.c, options, rng);
+    EXPECT_FALSE(census.exact);
+    EXPECT_EQ(census.evaluations, options.samples);
+    EXPECT_EQ(census.ones,
+              sampled_oracle(p, parts.c, options.samples, oracle_rng))
+        << "(" << size.n << ", " << size.k << ")";
+    EXPECT_EQ(rng(), oracle_rng());  // one base draw from the caller
+  }
 }
 
 TEST(RowCensus, HistogramMatchesTheRecomputeSweepOnSeededBlocks) {

@@ -55,6 +55,36 @@ TEST(Rng, BelowIsInRangeAndRoughlyUniform) {
   EXPECT_THROW((void)rng.below(0), contract_error);
 }
 
+TEST(Rng, PreparedBoundDrawsWhatBelowDraws) {
+  // below(prepare(b)) must return below(b)'s values from the same stream
+  // and leave the generator where below(b) leaves it, rejections included.
+  std::vector<std::uint64_t> bounds = {1, 2, 3, std::uint64_t{1} << 32,
+                                       (std::uint64_t{1} << 63) + 1,
+                                       ~std::uint64_t{0}};
+  for (unsigned k = 2; k <= 20; ++k) bounds.push_back((1u << k) - 1);
+  Xoshiro256 bound_rng(31);
+  for (int i = 0; i < 20; ++i) {
+    // Random bounds of every width from 1 to 64 bits.
+    const std::uint64_t word = bound_rng();
+    bounds.push_back(std::max<std::uint64_t>(1, word >> bound_rng.below(64)));
+  }
+  for (const std::uint64_t bound : bounds) {
+    const Xoshiro256::Bound prepared = Xoshiro256::prepare(bound);
+    Xoshiro256 plain(bound ^ 0x5eed);
+    Xoshiro256 fast(bound ^ 0x5eed);
+    bool same = true;
+    for (int draw = 0; draw < 100000 && same; ++draw) {
+      same = plain.below(bound) == fast.below(prepared);
+    }
+    EXPECT_TRUE(same) << "bound " << bound;
+    EXPECT_EQ(plain(), fast()) << "bound " << bound;  // the same state
+  }
+  // 2^63 + 1 rejects the draws below 2^64 mod b = 2^63 - 1.
+  EXPECT_EQ(Xoshiro256::prepare((std::uint64_t{1} << 63) + 1).threshold,
+            (std::uint64_t{1} << 63) - 1);
+  EXPECT_THROW((void)Xoshiro256::prepare(0), contract_error);
+}
+
 TEST(Rng, RangeEndpointsReachable) {
   Xoshiro256 rng(8);
   std::set<std::int64_t> seen;
