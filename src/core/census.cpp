@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -480,7 +481,12 @@ struct Records {
 
   void close() { ends.push_back(words.size()); }
 
-  void append(const Records& other) {
+  /// Appends other's records; into an empty one, by taking its buffers.
+  void append(Records&& other) {
+    if (ends.empty()) {
+      *this = std::move(other);
+      return;
+    }
     const std::size_t base = words.size();
     words.insert(words.end(), other.words.begin(), other.words.end());
     for (const std::size_t end : other.ends) ends.push_back(base + end);
@@ -575,10 +581,11 @@ struct SpanKeys {
     forms.close();
   }
 
-  void merge(const SpanKeys& other) {
-    forms.append(other.forms);
-    wide.insert(wide.end(), other.wide.begin(), other.wide.end());
-    draws.append(other.draws);
+  void merge(SpanKeys&& other) {
+    forms.append(std::move(other.forms));
+    wide.insert(wide.end(), std::make_move_iterator(other.wide.begin()),
+                std::make_move_iterator(other.wide.end()));
+    draws.append(std::move(other.draws));
     fallbacks += other.fallbacks;
     items += other.items;
   }
@@ -622,9 +629,9 @@ SpanCensus lemma34_census(const ConstructionParams& p,
   const std::optional<std::uint64_t> total =
       util::digit_space_within(p.q(), p.free_entries_c(), max_instances);
   obs::ProgressMeter progress("lemma34_census", total.value_or(max_instances));
-  const auto merge = [&progress](SpanKeys& into, const SpanKeys& from) {
-    into.merge(from);
+  const auto merge = [&progress](SpanKeys& into, SpanKeys&& from) {
     progress.tick(from.items % kTickBatch);
+    into.merge(std::move(from));
   };
   SpanKeys keys;
   if (total) {

@@ -1,6 +1,7 @@
 #include "core/reductions.hpp"
 
 #include "linalg/det.hpp"
+#include "linalg/exact.hpp"
 #include "linalg/hnf.hpp"
 #include "linalg/lup.hpp"
 #include "linalg/qr.hpp"
@@ -47,11 +48,7 @@ bool singular_via_smith(const la::IntMatrix& m) {
 }
 
 bool solvable(const la::IntMatrix& a, const std::vector<BigInt>& b) {
-  CCMX_REQUIRE(b.size() == a.rows(), "solvable shape mismatch");
-  la::IntMatrix augmented(a.rows(), a.cols() + 1);
-  augmented.set_block(0, 0, a);
-  for (std::size_t i = 0; i < a.rows(); ++i) augmented(i, a.cols()) = b[i];
-  return la::rank(a) == la::rank(augmented);
+  return la::solvable(a, b);
 }
 
 SolvabilityInstance corollary13_instance(const la::IntMatrix& m) {

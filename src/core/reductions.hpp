@@ -33,8 +33,8 @@ namespace ccmx::core {
 
 // --- Corollary 1.3: solvability of A x = b --------------------------------
 
-/// Exact solvability of A x = b over Q: rank(A) == rank([A | b]), both on
-/// the modular rank engine (la::rank).
+/// Exact solvability of A x = b over Q: la::solvable, which proves only
+/// the answer (a lifted solution, or b's pivot and A's rank).
 [[nodiscard]] bool solvable(const la::IntMatrix& a,
                             const std::vector<num::BigInt>& b);
 

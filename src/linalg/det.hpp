@@ -7,10 +7,11 @@
 // about.  Bareiss serves callers that need the value (the Corollary 1.2
 // determinant reduction) and is the oracle the tests check the modular
 // engine against; a cofactor expansion is an independent reference for
-// Bareiss itself.  Deciding singularity needs no value: is_singular is
-// rank(m) < n on the modular engine (linalg/exact.cpp), which proves a
-// singular matrix singular with a kernel vector checked over Z or with the
-// prime ladder's Hadamard stop rule.
+// Bareiss itself.  Deciding singularity needs no value: is_singular runs
+// on the modular engine (linalg/exact.cpp), which proves a nonsingular
+// matrix nonsingular by a nonzero determinant residue, and a singular one
+// singular by one kernel vector checked over Z or by the prime ladder's
+// Hadamard stop rule.
 #pragma once
 
 #include "bigint/bigint.hpp"
@@ -24,8 +25,8 @@ namespace ccmx::la {
 /// det(m) by cofactor expansion — O(n!) reference oracle for small n.
 [[nodiscard]] num::BigInt det_cofactor(const IntMatrix& m);
 
-/// True iff det(m) == 0, decided exactly as rank(m) < n by the modular
-/// engine (linalg/exact.cpp).  Requires square.
+/// True iff det(m) == 0, decided exactly by the modular engine
+/// (singularity_certificate in linalg/exact.hpp).  Requires square.
 [[nodiscard]] bool is_singular(const IntMatrix& m);
 
 /// Hadamard upper bound on |det| for an n x n matrix whose entries have

@@ -47,10 +47,12 @@ std::vector<std::size_t> largest_first(std::vector<std::size_t> bits) {
   return bits;
 }
 
-/// For each nonzero row (by_rows) or column of m, ceil(bits(||line||^2) / 2).
-std::vector<std::size_t> norm_bits(const IntMatrix& m, bool by_rows) {
-  const std::size_t lines = by_rows ? m.rows() : m.cols();
-  const std::size_t length = by_rows ? m.cols() : m.rows();
+/// For each nonzero row (by_rows) or column of m's first cols columns,
+/// ceil(bits(||line||^2) / 2).
+std::vector<std::size_t> norm_bits(const IntMatrix& m, std::size_t cols,
+                                   bool by_rows) {
+  const std::size_t lines = by_rows ? m.rows() : cols;
+  const std::size_t length = by_rows ? cols : m.rows();
   std::vector<std::size_t> bits;
   for (std::size_t a = 0; a < lines; ++a) {
     BigInt squares(0);
@@ -65,9 +67,10 @@ std::vector<std::size_t> norm_bits(const IntMatrix& m, bool by_rows) {
 }
 
 /// The same bits from words: squares below 2^126 summed in 192 bits.
-std::vector<std::size_t> norm_bits(const WordMatrix& m, bool by_rows) {
-  const std::size_t lines = by_rows ? m.rows() : m.cols();
-  const std::size_t length = by_rows ? m.cols() : m.rows();
+std::vector<std::size_t> norm_bits(const WordMatrix& m, std::size_t cols,
+                                   bool by_rows) {
+  const std::size_t lines = by_rows ? m.rows() : cols;
+  const std::size_t length = by_rows ? cols : m.rows();
   std::vector<std::size_t> bits;
   for (std::size_t a = 0; a < lines; ++a) {
     u128 low = 0;
@@ -315,7 +318,6 @@ class Dixon {
   }
 
   [[nodiscard]] std::size_t rank() const noexcept { return r_; }
-  [[nodiscard]] std::size_t columns() const noexcept { return w_; }
   [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
   [[nodiscard]] const num::Zp& field() const noexcept { return field_; }
   /// p^steps.
@@ -424,8 +426,10 @@ class ExactSum {
 
   void clear() { std::fill(acc_.begin(), acc_.end(), 0); }
 
-  /// sum += w x.
+  /// sum += w x.  The paper's hard instances are mostly zeros, so a zero
+  /// w returns at once.
   void add(std::int64_t w, const Nat& x, bool x_negative) {
+    if (w == 0) return;
     const auto wmag = w < 0 ? 0 - static_cast<std::uint64_t>(w)
                             : static_cast<std::uint64_t>(w);
     CCMX_ASSERT(x.size() + 2 <= acc_.size());
@@ -499,8 +503,6 @@ Check check_kernel(const WordMatrix& a, const Echelon& e, std::size_t f,
   return Check::kHolds;
 }
 
-enum class Attempt { kDone, kContinue, kStop };
-
 /// Work units of one reconstruction attempt after `steps` steps, against
 /// 2 r^2 w per lifting step: a Wang reconstruction runs Euclid on
 /// steps-limb numbers.
@@ -508,39 +510,27 @@ std::uint64_t attempt_work(std::size_t steps) {
   return std::uint64_t{576} * steps + std::uint64_t{36} * steps * steps;
 }
 
-/// Lifts until `attempt` settles: it gets the reconstruction bound and
-/// whether the step cap is reached.  Attempts are spaced so that their
-/// predicted work roughly matches the lifting work between them.
-template <class TryAll>
-Attempt lift_until(Dixon& lift, std::size_t minor_bits, TryAll&& attempt) {
-  const std::size_t cap = step_cap(minor_bits);
-  const std::uint64_t r = lift.rank();
-  const std::uint64_t step_work = (2 * r * r + 1) * lift.columns();
-  std::uint64_t since_attempt = 0;
-  for (;;) {
-    lift.step();
-    since_attempt += step_work;
-    const bool at_cap = lift.steps() >= cap;
-    if (!at_cap && since_attempt < attempt_work(lift.steps())) continue;
-    since_attempt = 0;
-    // 2 bound^2 < 2^{61 steps} < p^steps keeps the reconstruction unique.
-    const std::size_t half = (kLadderPrimeBits * lift.steps() - 2) / 2;
-    Nat bound(std::min(half, minor_bits) / 64 + 1, 0);
-    bound.back() = std::uint64_t{1} << (std::min(half, minor_bits) % 64);
-    const Attempt outcome = attempt(bound, at_cap);
-    if (outcome != Attempt::kContinue) return outcome;
-    if (at_cap) return Attempt::kStop;
-  }
+/// The reconstruction bound after `steps` steps: 2^min(half, minor_bits),
+/// where 2 bound^2 < 2^{61 steps} < p^steps keeps the reconstruction
+/// unique.
+Nat reconstruction_bound(std::size_t steps, std::size_t minor_bits) {
+  const std::size_t half = (kLadderPrimeBits * steps - 2) / 2;
+  const std::size_t bits = std::min(half, minor_bits);
+  Nat bound(bits / 64 + 1, 0);
+  bound.back() = std::uint64_t{1} << (bits % 64);
+  return bound;
 }
 
-}  // namespace
-
-std::optional<Words> to_words(const IntMatrix& m) {
-  Words out{WordMatrix(m.rows(), m.cols())};
+/// m's entries as words, read through entry(i, j); nullopt when one has
+/// more than 63 bits.
+template <class Entry>
+std::optional<Words> words_of(std::size_t rows, std::size_t cols,
+                              Entry&& entry) {
+  Words out{WordMatrix(rows, cols)};
   std::uint64_t widest = 0;  // the OR of the magnitudes: same bit length
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      const BigInt& v = m(i, j);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      const BigInt& v = entry(i, j);
       const std::uint64_t mag = v.limb_count() == 0 ? 0 : v.limb(0);
       if (v.limb_count() > 1 || (mag >> 63) != 0) return std::nullopt;
       const auto w = static_cast<std::int64_t>(mag);
@@ -550,6 +540,23 @@ std::optional<Words> to_words(const IntMatrix& m) {
   }
   out.entry_bits = std::bit_width(widest);
   return out;
+}
+
+}  // namespace
+
+std::optional<Words> to_words(const IntMatrix& m) {
+  return words_of(m.rows(), m.cols(),
+                  [&m](std::size_t i, std::size_t j) -> const BigInt& {
+                    return m(i, j);
+                  });
+}
+
+std::optional<Words> to_words(const IntMatrix& a, const std::vector<BigInt>& b) {
+  CCMX_REQUIRE(b.size() == a.rows(), "[a | b] shape mismatch");
+  return words_of(a.rows(), a.cols() + 1,
+                  [&](std::size_t i, std::size_t j) -> const BigInt& {
+                    return j < a.cols() ? a(i, j) : b[i];
+                  });
 }
 
 ModMatrix reduce_words(const WordMatrix& m, const num::Zp& field) {
@@ -571,11 +578,11 @@ std::optional<Rational> rational_reconstruct(const BigInt& value,
   return Rational(num, den);
 }
 
-MinorBound::MinorBound(const IntMatrix& m)
-    : cols_(norm_bits(m, false)), rows_(norm_bits(m, true)) {}
+MinorBound::MinorBound(const IntMatrix& m, std::size_t cols)
+    : cols_(norm_bits(m, cols, false)), rows_(norm_bits(m, cols, true)) {}
 
-MinorBound::MinorBound(const WordMatrix& m)
-    : cols_(norm_bits(m, false)), rows_(norm_bits(m, true)) {}
+MinorBound::MinorBound(const WordMatrix& m, std::size_t cols)
+    : cols_(norm_bits(m, cols, false)), rows_(norm_bits(m, cols, true)) {}
 
 std::size_t MinorBound::bits(std::size_t order) const {
   return std::min(top_sum(cols_, order), top_sum(rows_, order));
@@ -601,16 +608,13 @@ std::uint64_t predicted_lift_work(std::size_t rows, std::size_t cols,
 
 KernelLift lift_kernel(const Words& words, const ModMatrix& lu,
                        const Echelon& e, const num::Zp& field,
-                       std::size_t minor_bits) {
+                       std::size_t minor_bits,
+                       std::vector<std::size_t> free_cols) {
   const WordMatrix& a = words.m;
   const std::size_t r = e.rank;
   CCMX_ASSERT(lifting_fits(words.entry_bits, r));
   KernelLift out;
-  std::vector<bool> pivot(a.cols(), false);
-  for (const std::size_t c : e.pivot_cols) pivot[c] = true;
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    if (!pivot[j]) out.free_cols.push_back(j);
-  }
+  out.free_cols = std::move(free_cols);
   const std::size_t w = out.free_cols.size();
   std::vector<i128> rhs(r * w);
   for (std::size_t v = 0; v < w; ++v) {
@@ -619,35 +623,39 @@ KernelLift lift_kernel(const Words& words, const ModMatrix& lu,
     }
   }
   Dixon lift(a, lu, e, field, w, std::move(rhs));
+  // Lift until every vector verifies, one shows a false drop, or the step
+  // cap passes.  Attempts are spaced so that their predicted work roughly
+  // matches the lifting work between them, and an attempt stops at the
+  // first vector that does not verify yet.
+  const std::size_t cap = step_cap(minor_bits);
+  const std::uint64_t step_work = (2 * std::uint64_t{r} * r + 1) * w;
   std::vector<std::optional<Fraction>> verified(w);
   std::size_t pending = w;
-  bool false_drop = false;
-  const Attempt outcome = lift_until(
-      lift, minor_bits, [&](const Nat& bound, bool at_cap) {
-        for (std::size_t v = 0; v < w; ++v) {
-          if (verified[v]) continue;
-          std::optional<Fraction> x = reconstruct(lift, v, bound);
-          if (!x) return at_cap ? Attempt::kStop : Attempt::kContinue;
-          switch (check_kernel(a, e, out.free_cols[v], *x)) {
-            case Check::kHolds:
-              verified[v] = std::move(x);
-              --pending;
-              break;
-            case Check::kWrongCandidate:
-              return at_cap ? Attempt::kStop : Attempt::kContinue;
-            case Check::kFalseDrop:
-              false_drop = true;
-              return Attempt::kStop;
-          }
-        }
-        return pending == 0 ? Attempt::kDone : Attempt::kContinue;
-      });
-  out.steps = lift.steps();
-  if (outcome != Attempt::kDone) {
-    out.outcome = false_drop ? KernelLift::Outcome::kFalseDrop
-                             : KernelLift::Outcome::kFailed;
-    return out;
+  for (std::uint64_t since_attempt = 0; pending > 0;) {
+    lift.step();
+    since_attempt += step_work;
+    const bool at_cap = lift.steps() >= cap;
+    if (!at_cap && since_attempt < attempt_work(lift.steps())) continue;
+    since_attempt = 0;
+    const Nat bound = reconstruction_bound(lift.steps(), minor_bits);
+    for (std::size_t v = 0; v < w; ++v) {
+      if (verified[v]) continue;
+      std::optional<Fraction> x = reconstruct(lift, v, bound);
+      if (!x) break;
+      const Check check = check_kernel(a, e, out.free_cols[v], *x);
+      if (check == Check::kWrongCandidate) break;
+      if (check == Check::kFalseDrop) {
+        out.outcome = KernelLift::Outcome::kFalseDrop;
+        out.steps = lift.steps();
+        return out;
+      }
+      verified[v] = std::move(x);
+      --pending;
+    }
+    if (pending > 0 && at_cap) break;
   }
+  out.steps = lift.steps();
+  if (pending > 0) return out;
   out.outcome = KernelLift::Outcome::kVerified;
   out.vectors.assign(w, std::vector<BigInt>(a.cols()));
   for (std::size_t v = 0; v < w; ++v) {
@@ -666,56 +674,40 @@ std::optional<std::vector<Rational>> solve_lifted(
   CCMX_REQUIRE(b.size() == a.rows(), "solve_lifted shape mismatch");
   const std::size_t n = a.rows();
   if (n == 0) return std::vector<Rational>{};
-  IntMatrix augmented(n, n + 1);
-  augmented.set_block(0, 0, a);
-  for (std::size_t i = 0; i < n; ++i) augmented(i, n) = b[i];
-  const std::optional<Words> augmented_words = to_words(augmented);
-  if (!augmented_words || !lifting_fits(augmented_words->entry_bits, n)) {
+  const std::optional<Words> words = to_words(a, b);
+  if (!words || !lifting_fits(words->entry_bits, n)) {
     std::vector<Rational> rhs;
     rhs.reserve(n);
     for (const BigInt& v : b) rhs.emplace_back(v);
     return la::solve(to_rational(a), rhs);
   }
-  const WordMatrix& words = augmented_words->m;
-  const WordMatrix square = words.block(0, 0, n, n);
   // The first ladder prime at which a is nonsingular; one exists iff a is.
+  // There a's columns take every pivot of [a | b], so b's column is free.
+  const auto a_nonsingular = [n](const Echelon& e) {
+    return e.rank == n && e.pivot_cols.back() < n;
+  };
   std::uint64_t p = next_ladder_prime(0);
-  ModMatrix lu = reduce_words(square, num::Zp(p));
+  ModMatrix lu = reduce_words(words->m, num::Zp(p));
   Echelon e = echelon(lu, num::Zp(p));
-  if (e.rank < n && is_singular(a)) return std::nullopt;
-  while (e.rank < n) {
+  if (!a_nonsingular(e) && is_singular(a)) return std::nullopt;
+  while (!a_nonsingular(e)) {
     p = next_ladder_prime(p);
-    lu = reduce_words(square, num::Zp(p));
+    lu = reduce_words(words->m, num::Zp(p));
     e = echelon(lu, num::Zp(p));
   }
-  const num::Zp field(p);
-  std::vector<i128> rhs(n);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = words(e.row_order[i], n);
-  Dixon lift(words, lu, e, field, 1, std::move(rhs));
   // Cramer: every numerator and the denominator are n x n minors of [a | b].
-  const std::size_t minor_bits = MinorBound(words).bits(n);
-  std::optional<Fraction> solution;
-  const Attempt outcome = lift_until(
-      lift, minor_bits, [&](const Nat& bound, bool at_cap) {
-        solution = reconstruct(lift, 0, bound);
-        if (solution) {
-          // a num = b den exactly when (num, -den) is in the kernel of
-          // [a | b].
-          Fraction kernel_vector = *solution;
-          kernel_vector.den = -kernel_vector.den;
-          if (check_kernel(words, e, n, kernel_vector) == Check::kHolds) {
-            return Attempt::kDone;
-          }
-        }
-        return at_cap ? Attempt::kStop : Attempt::kContinue;
-      });
-  // At the cap the reconstruction is unique, so a miss there is a bug.
-  CCMX_REQUIRE(outcome == Attempt::kDone,
+  KernelLift lift = lift_kernel(*words, lu, e, num::Zp(p),
+                                MinorBound(words->m, n + 1).bits(n), {n});
+  // At the cap the reconstruction is unique and every row is a pivot row,
+  // so a miss there is a bug.
+  CCMX_REQUIRE(lift.outcome == KernelLift::Outcome::kVerified,
                "no lifted solution at the Cramer cap");
+  // a x_a + d b = 0 for the kernel vector (x_a, d): the solution is -x_a / d.
+  std::vector<BigInt>& kernel = lift.vectors.front();
   std::vector<Rational> x;
   x.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
-    x.emplace_back(std::move(solution->num[j]), solution->den);
+    x.emplace_back(-std::move(kernel[j]), kernel[n]);
   }
   return x;
 }

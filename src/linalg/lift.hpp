@@ -36,6 +36,10 @@ struct Words {
 
 /// m as words; nullopt when an entry has more than 63 bits.
 [[nodiscard]] std::optional<Words> to_words(const IntMatrix& m);
+/// [a | b] as words, read straight from a and b; nullopt when an entry has
+/// more than 63 bits.
+[[nodiscard]] std::optional<Words> to_words(const IntMatrix& a,
+                                            const std::vector<num::BigInt>& b);
 
 /// Words reduced mod p, in [0, p).
 [[nodiscard]] ModMatrix reduce_words(const WordMatrix& m,
@@ -48,14 +52,15 @@ struct Words {
     const num::BigInt& value, const num::BigInt& modulus,
     const num::BigInt& bound);
 
-/// Hadamard bounds on the minors of a matrix: bits(s) bounds log2 |det| of
-/// every s x s minor, as the smaller of the sums of the s largest column
-/// and row norm bits (each ceil(bits(||line||^2) / 2)).  0 when fewer
-/// than s lines are nonzero, as every such minor then has a zero line.
+/// Hadamard bounds on the minors of the first `cols` columns of a matrix:
+/// bits(s) bounds log2 |det| of every s x s minor, as the smaller of the
+/// sums of the s largest column and row norm bits (each
+/// ceil(bits(||line||^2) / 2)).  0 when fewer than s lines are nonzero, as
+/// every such minor then has a zero line.
 class MinorBound {
  public:
-  explicit MinorBound(const IntMatrix& m);
-  explicit MinorBound(const WordMatrix& m);
+  MinorBound(const IntMatrix& m, std::size_t cols);
+  MinorBound(const WordMatrix& m, std::size_t cols);
 
   [[nodiscard]] std::size_t bits(std::size_t order) const;
 
@@ -87,27 +92,31 @@ struct KernelLift {
     kFailed,     // no candidate verified within the step cap
   };
   Outcome outcome = Outcome::kFailed;
-  /// For kVerified, one vector per non-pivot column f (free_cols, in
-  /// order): A x = 0 over Z, x[f] = d > 0, and x is 0 on the other free
-  /// columns.
+  /// For kVerified, one vector per column f of free_cols, in order:
+  /// A x = 0 over Z, x[f] = d > 0, and x is 0 on every column that is
+  /// neither f nor a pivot.
   std::vector<std::vector<num::BigInt>> vectors;
   std::vector<std::size_t> free_cols;
   std::size_t steps = 0;  // lifting steps taken
 };
 
-/// Lifts the kernel of a, given lu and e from echelon(a mod p) and a
-/// bound minor_bits on its r x r minors (r = e.rank).  For each
-/// non-pivot column f it solves A[I, J] y = -A[I, f], reconstructs
-/// x = (d y on J, d at f), and checks A x = 0 exactly.  Requires
-/// lifting_fits(words.entry_bits, r) and an odd p.
+/// Lifts one kernel vector of a for each column f of free_cols, none of
+/// them a pivot, given lu and e from echelon(a mod p) and a bound
+/// minor_bits on a's r x r minors (r = e.rank; e may cover only a prefix
+/// of a's columns, its pivots then being that prefix's).  For each f it
+/// solves A[I, J] y = -A[I, f], reconstructs x = (d y on J, d at f), and
+/// checks A x = 0 exactly.  Requires lifting_fits(words.entry_bits, r) and
+/// an odd p.
 [[nodiscard]] KernelLift lift_kernel(const Words& words, const ModMatrix& lu,
                                      const Echelon& e, const num::Zp& field,
-                                     std::size_t minor_bits);
+                                     std::size_t minor_bits,
+                                     std::vector<std::size_t> free_cols);
 
 /// Solves a x = b exactly for square a; nullopt iff a is singular.  Lifts
-/// modulo the first ladder prime at which a is nonsingular and checks the
-/// result by substitution.  Entries too wide for lifting_fits go to
-/// rational Gauss-Jordan (la::solve).
+/// the kernel vector of [a | b] at b's column, modulo the first ladder
+/// prime at which a is nonsingular: x = -(its a part) / (its b entry).
+/// Entries too wide for lifting_fits go to rational Gauss-Jordan
+/// (la::solve).
 [[nodiscard]] std::optional<std::vector<num::Rational>> solve_lifted(
     const IntMatrix& a, const std::vector<num::BigInt>& b);
 

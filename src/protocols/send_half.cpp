@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "linalg/det.hpp"
+#include "linalg/exact.hpp"
 #include "linalg/rref.hpp"
 #include "util/require.hpp"
 
@@ -72,8 +73,8 @@ SendHalfProtocol make_send_half_solvability(
       layout,
       [](const la::IntMatrix& m) {
         CCMX_REQUIRE(m.cols() >= 2, "solvability needs [A | b]");
-        const la::IntMatrix a = m.block(0, 0, m.rows(), m.cols() - 1);
-        return la::rank(a) == la::rank(m);
+        return la::solvable(m.block(0, 0, m.rows(), m.cols() - 1),
+                            m.col(m.cols() - 1));
       },
       "send-half/solvability");
 }

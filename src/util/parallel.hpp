@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace ccmx::util {
@@ -53,14 +54,16 @@ void parallel_for(std::size_t begin, std::size_t end,
 /// make_acc() on the worker's own thread when it takes its first chunk (so
 /// make_acc must be safe to call concurrently); combine() folds the
 /// accumulators of the participating workers into a fresh make_acc()
-/// serially at the end and returns the total.  A worker's accumulator may
-/// receive several disjoint index chunks (dynamic scheduling), so the fold
-/// is only order-deterministic for commutative-associative combines.
+/// serially at the end and returns the total.  Each accumulator is handed
+/// to combine as an rvalue, so a combine may take its buffers instead of
+/// copying them.  A worker's accumulator may receive several disjoint index
+/// chunks (dynamic scheduling), so the fold is only order-deterministic for
+/// commutative-associative combines.
 template <class Acc>
 Acc parallel_reduce(std::size_t begin, std::size_t end,
                     const std::function<Acc()>& make_acc,
                     const std::function<void(Acc&, std::size_t)>& body,
-                    const std::function<void(Acc&, const Acc&)>& combine);
+                    const std::function<void(Acc&, Acc&&)>& combine);
 
 // --- implementation ---
 
@@ -94,7 +97,7 @@ template <class Acc>
 Acc parallel_reduce(std::size_t begin, std::size_t end,
                     const std::function<Acc()>& make_acc,
                     const std::function<void(Acc&, std::size_t)>& body,
-                    const std::function<void(Acc&, const Acc&)>& combine) {
+                    const std::function<void(Acc&, Acc&&)>& combine) {
   std::vector<detail::WorkerSlot<Acc>> slots(parallelism());
   detail::parallel_shards(
       begin, end, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
@@ -102,8 +105,8 @@ Acc parallel_reduce(std::size_t begin, std::size_t end,
         for (std::size_t i = lo; i < hi; ++i) body(acc, i);
       });
   Acc total = make_acc();
-  for (const auto& slot : slots) {
-    if (slot.state) combine(total, *slot.state);
+  for (auto& slot : slots) {
+    if (slot.state) combine(total, std::move(*slot.state));
   }
   return total;
 }

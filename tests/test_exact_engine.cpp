@@ -1,11 +1,14 @@
-// The modular exact-rank engine behind la::rank(IntMatrix), la::is_singular
-// and core::solvable, checked against the oracles it replaced: Bareiss
-// (det_bareiss == 0), rational Gauss-Jordan rank, and rational la::solve.
-// Every kernel-witness certificate is re-verified here with BigInt
-// arithmetic alone.
+// The modular exact engine behind la::rank(IntMatrix), la::is_singular and
+// la::solvable (and core::solvable), checked against the oracles it
+// replaced: Bareiss (det_bareiss == 0), rational Gauss-Jordan rank, and
+// rational la::solve.  Every certificate is re-verified here by a checker
+// that calls no engine entry point: BigInt products, Bareiss minors reduced
+// mod their prime, rank_mod_p, and Hadamard bounds recomputed from the
+// entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "core/construction.hpp"
@@ -24,6 +27,10 @@ namespace {
 using ccmx::la::IntMatrix;
 using ccmx::la::RankCertificate;
 using ccmx::la::RankPath;
+using ccmx::la::SingularityCertificate;
+using ccmx::la::SingularPath;
+using ccmx::la::SolvabilityCertificate;
+using ccmx::la::SolvablePath;
 using ccmx::num::BigInt;
 using ccmx::num::Rational;
 using ccmx::util::Xoshiro256;
@@ -74,18 +81,78 @@ std::vector<Rational> to_rationals(const std::vector<BigInt>& v) {
   return out;
 }
 
-/// Re-verifies a certificate without the engine, in BigInt arithmetic: a
-/// kernel witness must hold cols - rank vectors x with m x = 0, each
-/// positive at its own free column and 0 at the other free columns (a
-/// positive diagonal block: the vectors are independent, so the rank is at
-/// most the certified one).
+/// The Hadamard bound, in bits, on every s x s minor of m: the smaller of
+/// the sums of the s largest column and row norm bits, each
+/// ceil(bits(||line||^2) / 2); 0 when fewer than s lines are nonzero.
+std::size_t hadamard_bits(const IntMatrix& m, std::size_t s) {
+  const auto top = [s](std::vector<std::size_t> bits) -> std::size_t {
+    if (s > bits.size()) return 0;
+    std::sort(bits.begin(), bits.end(), std::greater<>());
+    std::size_t sum = 0;
+    for (std::size_t i = 0; i < s; ++i) sum += bits[i];
+    return sum;
+  };
+  std::vector<std::size_t> cols, rows;
+  for (const bool by_rows : {false, true}) {
+    const std::size_t lines = by_rows ? m.rows() : m.cols();
+    const std::size_t length = by_rows ? m.cols() : m.rows();
+    for (std::size_t a = 0; a < lines; ++a) {
+      BigInt squares(0);
+      for (std::size_t b = 0; b < length; ++b) {
+        const BigInt& v = by_rows ? m(a, b) : m(b, a);
+        squares += v * v;
+      }
+      if (!squares.is_zero()) {
+        (by_rows ? rows : cols).push_back((squares.bit_length() + 1) / 2);
+      }
+    }
+  }
+  return std::min(top(cols), top(rows));
+}
+
+/// m's rank modulo p, by the Z_p elimination (no exact engine).
+std::size_t rank_mod(const IntMatrix& m, std::uint64_t p) {
+  return ccmx::la::rank_mod_p(ccmx::la::reduce_mod(m, p), p);
+}
+
+/// Whether every prime saw rank <= r and together they pass the stop rule:
+/// their product, above 2^{61 x primes}, divides every (r+1)-minor.
+::testing::AssertionResult stop_rule_holds(
+    const IntMatrix& m, std::size_t r,
+    const std::vector<std::uint64_t>& primes) {
+  for (const std::uint64_t p : primes) {
+    if (rank_mod(m, p) > r) {
+      return ::testing::AssertionFailure() << "rank above " << r << " mod "
+                                           << p;
+    }
+  }
+  if (61 * primes.size() <= hadamard_bits(m, r + 1)) {
+    return ::testing::AssertionFailure()
+           << primes.size() << " primes under the bound on " << r + 1
+           << "-minors";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Re-verifies a rank certificate's upper bound rank(m) <= c.rank without
+/// the engine.  Full rank needs nothing.  A kernel witness must hold
+/// cols - rank vectors x with m x = 0, each positive at its own free column
+/// and 0 at the other free columns (a positive diagonal block: the vectors
+/// are independent, so the rank is at most the certified one).  The ladder
+/// must reach full rank or pass the stop rule.
 ::testing::AssertionResult certificate_holds(const IntMatrix& m,
                                              const RankCertificate& c) {
+  const std::size_t full = std::min(m.rows(), m.cols());
   if (c.path != RankPath::kKernel) {
-    if (c.kernel.empty() && c.free_cols.empty()) {
-      return ::testing::AssertionSuccess();
+    if (!c.kernel.empty() || !c.free_cols.empty()) {
+      return ::testing::AssertionFailure() << "vectors off the kernel path";
     }
-    return ::testing::AssertionFailure() << "vectors off the kernel path";
+    if (c.path == RankPath::kFullRank || c.rank == full) {
+      return c.rank == full ? ::testing::AssertionSuccess()
+                            : ::testing::AssertionFailure()
+                                  << "full rank path at " << c.rank;
+    }
+    return stop_rule_holds(m, c.rank, c.primes);
   }
   const std::size_t w = m.cols() - c.rank;
   if (c.kernel.size() != w || c.free_cols.size() != w) {
@@ -116,6 +183,133 @@ std::vector<Rational> to_rationals(const std::vector<BigInt>& v) {
   return ::testing::AssertionSuccess();
 }
 
+/// Both bounds of a rank certificate: the upper one, and rank(m) >= c.rank
+/// from the largest rank m shows modulo its primes.
+::testing::AssertionResult rank_holds(const IntMatrix& m,
+                                      const RankCertificate& c) {
+  std::size_t seen = 0;
+  for (const std::uint64_t p : c.primes) seen = std::max(seen, rank_mod(m, p));
+  if (seen != c.rank) {
+    return ::testing::AssertionFailure()
+           << "primes show rank " << seen << ", certified " << c.rank;
+  }
+  return certificate_holds(m, c);
+}
+
+/// m x as BigInts.
+std::vector<BigInt> times(const IntMatrix& m, const std::vector<BigInt>& x) {
+  std::vector<BigInt> out(m.rows(), BigInt(0));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) out[i] += m(i, j) * x[j];
+  }
+  return out;
+}
+
+/// Re-verifies an is_singular answer without the engine.
+::testing::AssertionResult singularity_holds(const IntMatrix& m,
+                                             const SingularityCertificate& c) {
+  const std::size_t n = m.rows();
+  switch (c.path) {
+    case SingularPath::kResidue:
+      if (c.singular) return ::testing::AssertionFailure() << "residue path";
+      if (n == 0) return ::testing::AssertionSuccess();  // det = 1
+      if (c.primes.empty() ||
+          ccmx::la::det_bareiss(m).mod_floor_u64(c.primes.back()) == 0) {
+        return ::testing::AssertionFailure() << "det is 0 mod the last prime";
+      }
+      return ::testing::AssertionSuccess();
+    case SingularPath::kKernel: {
+      const bool nonzero =
+          std::any_of(c.kernel.begin(), c.kernel.end(),
+                      [](const BigInt& v) { return !v.is_zero(); });
+      if (!c.singular || c.kernel.size() != n || !nonzero) {
+        return ::testing::AssertionFailure() << "no nonzero kernel vector";
+      }
+      for (const BigInt& v : times(m, c.kernel)) {
+        if (!v.is_zero()) {
+          return ::testing::AssertionFailure() << "M x != 0";
+        }
+      }
+      return ::testing::AssertionSuccess();
+    }
+    case SingularPath::kBounded:
+      if (!c.singular || c.rank >= n) {
+        return ::testing::AssertionFailure() << "bounded at rank " << c.rank;
+      }
+      return stop_rule_holds(m, c.rank, c.primes);
+  }
+  return ::testing::AssertionFailure() << "unknown path";
+}
+
+/// Re-verifies a solvable(a, b) answer without the engine.
+::testing::AssertionResult solvability_holds(const IntMatrix& a,
+                                             const std::vector<BigInt>& b,
+                                             const SolvabilityCertificate& c) {
+  const IntMatrix ab = IntMatrix::generate(
+      a.rows(), a.cols() + 1, [&](std::size_t i, std::size_t j) {
+        return j < a.cols() ? a(i, j) : b[i];
+      });
+  switch (c.path) {
+    case SolvablePath::kSolution: {
+      if (!c.solvable || c.x.size() != a.cols() || c.d <= BigInt(0)) {
+        return ::testing::AssertionFailure() << "malformed solution";
+      }
+      const std::vector<BigInt> ax = times(a, c.x);
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        if (ax[i] != c.d * b[i]) {
+          return ::testing::AssertionFailure() << "A x != d b at row " << i;
+        }
+      }
+      return ::testing::AssertionSuccess();
+    }
+    case SolvablePath::kPivot: {
+      const std::size_t order = c.a_rank.rank + 1;
+      std::vector<std::size_t> rows = c.minor_rows;
+      std::sort(rows.begin(), rows.end());
+      if (c.solvable || c.minor_rows.size() != order ||
+          c.minor_cols.size() != order || c.minor_cols.back() != a.cols() ||
+          std::adjacent_find(rows.begin(), rows.end()) != rows.end() ||
+          std::adjacent_find(c.minor_cols.begin(), c.minor_cols.end(),
+                             std::greater_equal<>()) != c.minor_cols.end()) {
+        return ::testing::AssertionFailure() << "malformed pivot minor";
+      }
+      const IntMatrix minor =
+          IntMatrix::generate(order, order, [&](std::size_t i, std::size_t j) {
+            return ab(c.minor_rows[i], c.minor_cols[j]);
+          });
+      if (ccmx::la::det_bareiss(minor).mod_floor_u64(c.prime) == 0) {
+        return ::testing::AssertionFailure() << "pivot minor is 0 mod p";
+      }
+      return certificate_holds(a, c.a_rank);
+    }
+    case SolvablePath::kRanks: {
+      if (c.solvable != (c.a_rank.rank == c.ab_rank.rank)) {
+        return ::testing::AssertionFailure() << "answer against the ranks";
+      }
+      const ::testing::AssertionResult a_holds = rank_holds(a, c.a_rank);
+      return a_holds ? rank_holds(ab, c.ab_rank) : a_holds;
+    }
+  }
+  return ::testing::AssertionFailure() << "unknown path";
+}
+
+/// The engine's answers to is_singular(m) and solvable(a, b), each checked
+/// against its certificate and the bool entry points.
+SingularityCertificate checked_singularity(const IntMatrix& m) {
+  const SingularityCertificate c = ccmx::la::singularity_certificate(m);
+  EXPECT_TRUE(singularity_holds(m, c)) << m.to_string();
+  EXPECT_EQ(ccmx::la::is_singular(m), c.singular);
+  return c;
+}
+
+SolvabilityCertificate checked_solvability(const IntMatrix& a,
+                                           const std::vector<BigInt>& b) {
+  const SolvabilityCertificate c = ccmx::la::solvability_certificate(a, b);
+  EXPECT_TRUE(solvability_holds(a, b, c)) << a.to_string();
+  EXPECT_EQ(ccmx::core::solvable(a, b), c.solvable);
+  return c;
+}
+
 /// Checks every entry point on m against its oracle, plus solvability for
 /// a solvable, an arbitrary and a zero right-hand side.
 void check_against_oracles(const IntMatrix& m, Xoshiro256& rng) {
@@ -126,19 +320,21 @@ void check_against_oracles(const IntMatrix& m, Xoshiro256& rng) {
   ASSERT_EQ(cert.rank, rank);
   ASSERT_TRUE(certificate_holds(m, cert)) << m.to_string();
   if (m.is_square()) {
-    ASSERT_EQ(ccmx::la::is_singular(m), ccmx::la::det_bareiss(m).is_zero())
+    ASSERT_EQ(checked_singularity(m).singular,
+              ccmx::la::det_bareiss(m).is_zero())
         << m.to_string();
   }
   std::vector<BigInt> x(m.cols()), arbitrary(m.rows());
   for (auto& v : x) v = BigInt(rng.range(-3, 3));
   for (auto& v : arbitrary) v = BigInt(rng.range(-3, 3));
   for (const std::vector<BigInt>& b : {ccmx::la::multiply(m, x), arbitrary}) {
-    ASSERT_EQ(ccmx::core::solvable(m, b),
+    ASSERT_EQ(checked_solvability(m, b).solvable,
               ccmx::la::solve(rational, to_rationals(b)).has_value())
         << m.to_string();
   }
   ASSERT_TRUE(
-      ccmx::core::solvable(m, std::vector<BigInt>(m.rows(), BigInt(0))));
+      checked_solvability(m, std::vector<BigInt>(m.rows(), BigInt(0)))
+          .solvable);
 }
 
 class ExactEngineSweep
@@ -218,6 +414,24 @@ TEST(ExactEngine, FirstLadderPrimeDividingDetIsNotSingular) {
   EXPECT_FALSE(ccmx::la::is_singular(m));
   EXPECT_EQ(ccmx::la::rank(m), 5u);
   EXPECT_FALSE(ccmx::la::det_bareiss(m).is_zero());
+  // Column 0 is free mod p1, and its lifted vector e_0 misses row 0: a
+  // false drop, so the ladder goes on and p2 shows full rank.
+  const SingularityCertificate sc = checked_singularity(m);
+  EXPECT_FALSE(sc.singular);
+  EXPECT_EQ(sc.path, SingularPath::kResidue);
+  EXPECT_EQ(sc.primes, (std::vector<std::uint64_t>{
+                           p1, ccmx::la::next_ladder_prime(p1)}));
+  // Every b is solvable.  b = e_0 takes a pivot mod p1 beside A's false
+  // drop, so both ranks are certified; b = m (1, ..., 1) is free mod p1,
+  // and its lifted vector misses row 0 too.
+  std::vector<BigInt> e0(5, BigInt(0));
+  e0[0] = BigInt(1);
+  for (const std::vector<BigInt>& b :
+       {e0, ccmx::la::multiply(m, std::vector<BigInt>(5, BigInt(1)))}) {
+    const SolvabilityCertificate c = checked_solvability(m, b);
+    EXPECT_TRUE(c.solvable);
+    EXPECT_EQ(c.path, SolvablePath::kRanks);
+  }
 }
 
 TEST(ExactEngine, RankSurvivesTwoPrimesSeeingZero) {
@@ -248,15 +462,24 @@ TEST(ExactEngine, HardInstancesAndCorollary13PairsMatchOracles) {
       }
       const IntMatrix m = ccmx::core::build_m(p, parts);
       const bool singular = ccmx::la::det_bareiss(m).is_zero();
-      EXPECT_EQ(ccmx::la::is_singular(m), singular);
+      const SingularityCertificate sc = checked_singularity(m);
+      EXPECT_EQ(sc.singular, singular);
+      EXPECT_EQ(sc.primes.size(), 1u);  // one elimination settles it
       EXPECT_EQ(ccmx::la::rank(m), ccmx::la::rank(ccmx::la::to_rational(m)));
       const auto pair = ccmx::core::corollary13_instance(m);
       const bool oracle =
           ccmx::la::solve(ccmx::la::to_rational(pair.m_prime),
                           to_rationals(pair.b))
               .has_value();
-      EXPECT_EQ(ccmx::core::solvable(pair.m_prime, pair.b), oracle);
+      const SolvabilityCertificate c = checked_solvability(pair.m_prime, pair.b);
+      EXPECT_EQ(c.solvable, oracle);
       EXPECT_EQ(oracle, singular);  // Corollary 1.3
+      // A solvable pair lifts its solution; an unsolvable one has b's pivot,
+      // and M''s zero column settles rank(M') by the stop rule at once.
+      EXPECT_EQ(c.path, singular ? SolvablePath::kSolution : SolvablePath::kPivot);
+      if (!singular) {
+        EXPECT_EQ(c.a_rank.primes.size(), 1u);
+      }
       singular_seen += singular ? 1 : 0;
     }
     EXPECT_EQ(singular_seen, 4);  // every completion is singular
@@ -289,6 +512,8 @@ TEST(ExactEngineCounters, FullRankUsesOnePrimeAndDeficientIsBounded) {
   const ccmx::obs::Counter calls("linalg.exact.calls");
   const ccmx::obs::Counter primes("linalg.exact.primes");
   const ccmx::obs::Counter bounded("linalg.exact.bounded");
+  const ccmx::obs::Counter residue("linalg.exact.cert.residue");
+  const ccmx::obs::Counter kernel_vector("linalg.exact.cert.kernel_vector");
   Xoshiro256 rng(5);
   IntMatrix m = random_box(12, 12, 1000, rng);
   while (ccmx::la::det_bareiss(m).is_zero()) m = random_box(12, 12, 1000, rng);
@@ -296,6 +521,7 @@ TEST(ExactEngineCounters, FullRankUsesOnePrimeAndDeficientIsBounded) {
   EXPECT_EQ(calls.value(), 1u);
   EXPECT_EQ(primes.value(), 1u);
   EXPECT_EQ(bounded.value(), 0u);
+  EXPECT_EQ(residue.value(), 1u);
 
   // diag(p1, 1, ...): one prime short of full rank, the second settles it.
   const std::uint64_t p1 = ccmx::la::next_ladder_prime(0);
@@ -306,12 +532,15 @@ TEST(ExactEngineCounters, FullRankUsesOnePrimeAndDeficientIsBounded) {
   EXPECT_EQ(primes.value(), 3u);
   EXPECT_EQ(bounded.value(), 0u);
 
-  // A zero column: deficient, settled by the stop rule after one prime.
+  // A zero column: deficient, settled by the stop rule after one prime,
+  // before any lifting.
   for (std::size_t i = 0; i < 12; ++i) m(i, 3) = BigInt(0);
   EXPECT_TRUE(ccmx::la::is_singular(m));
   EXPECT_EQ(calls.value(), 3u);
   EXPECT_EQ(primes.value(), 4u);
   EXPECT_EQ(bounded.value(), 1u);
+  EXPECT_EQ(residue.value(), 1u);
+  EXPECT_EQ(kernel_vector.value(), 0u);
 
   // Rank 2 of 12: the Hadamard bound on 3-minors needs more than one prime.
   const IntMatrix low = ccmx::la::map_matrix<BigInt>(
@@ -386,6 +615,22 @@ TEST(ExactEngineWitness, FalseDropThatLiftsFallsBackToTheLadder) {
   EXPECT_EQ(lifted.value(), 0u);
   EXPECT_GT(steps.value(), 0u);  // the cost model chose to lift first
 #endif
+  // is_singular lifts the same first free column, sees the same false drop
+  // and climbs from the second prime to the stop rule at rank 63.
+  const SingularityCertificate sc = checked_singularity(m);
+  EXPECT_TRUE(sc.singular);
+  EXPECT_EQ(sc.path, SingularPath::kBounded);
+  EXPECT_EQ(sc.rank, 63u);
+  EXPECT_EQ(sc.primes, cert.primes);
+  // b = m (1, ..., 1) uses B's second column, outside the first prime's
+  // pivots: its lifted vector is a false drop too, so both ranks are
+  // certified.
+  const std::vector<BigInt> b =
+      ccmx::la::multiply(m, std::vector<BigInt>(64, BigInt(1)));
+  const SolvabilityCertificate c = checked_solvability(m, b);
+  EXPECT_TRUE(c.solvable);
+  EXPECT_EQ(c.path, SolvablePath::kRanks);
+  EXPECT_EQ(c.a_rank.rank, 63u);
 }
 
 TEST(ExactEngineWitness, NullityOneAndTwoProductsLiftWhenTheLadderIsLong) {
@@ -504,6 +749,66 @@ TEST(ExactEngineCounters, KernelWitnessCountsOneLiftedCallAndItsSteps) {
   EXPECT_EQ(bounded.value(), 0u);
   EXPECT_EQ(lifted.value(), 1u);
   EXPECT_GT(steps.value(), 1u);
+#endif
+}
+
+TEST(ExactEngineCounters, EachDecisionCountsOneCallAndItsCertificate) {
+#ifdef CCMX_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (CCMX_OBS=OFF)";
+#else
+  const TracingOn guard;
+  const ccmx::obs::Counter calls("linalg.exact.calls");
+  const ccmx::obs::Counter primes("linalg.exact.primes");
+  const ccmx::obs::Counter bounded("linalg.exact.bounded");
+  const ccmx::obs::Counter lifted("linalg.exact.lifted");
+  const ccmx::obs::Counter steps("linalg.exact.lift_steps");
+  const ccmx::obs::Counter kernel_vector("linalg.exact.cert.kernel_vector");
+  const ccmx::obs::Counter solution("linalg.exact.cert.solution");
+  const ccmx::obs::Counter b_pivot("linalg.exact.cert.b_pivot");
+  const ccmx::obs::Counter two_ranks("linalg.exact.cert.two_ranks");
+  Xoshiro256 rng(47);
+  // Nullity 1: one prime, one lifted vector (not a rank witness, so
+  // lifted stays 0).
+  const IntMatrix m = dense_product(64, 64, 63, 9, rng);
+  EXPECT_TRUE(ccmx::la::is_singular(m));
+  EXPECT_EQ(calls.value(), 1u);
+  EXPECT_EQ(primes.value(), 1u);
+  EXPECT_EQ(kernel_vector.value(), 1u);
+  EXPECT_EQ(lifted.value(), 0u);
+  const std::uint64_t one_lift = steps.value();
+  EXPECT_GT(one_lift, 1u);
+  // b in the column span: one elimination of [m | b], one lifted solution.
+  const std::vector<BigInt> b =
+      ccmx::la::multiply(m, std::vector<BigInt>(64, BigInt(1)));
+  EXPECT_TRUE(ccmx::la::solvable(m, b));
+  EXPECT_EQ(calls.value(), 2u);
+  EXPECT_EQ(primes.value(), 2u);
+  EXPECT_EQ(solution.value(), 1u);
+  EXPECT_GT(steps.value(), one_lift);
+  // An unsolvable Corollary 1.3 pair: b's pivot, and the stop rule on A
+  // at the same prime, as A has a zero column.
+  IntMatrix square = random_box(12, 12, 1000, rng);
+  while (ccmx::la::det_bareiss(square).is_zero()) {
+    square = random_box(12, 12, 1000, rng);
+  }
+  const auto pair = ccmx::core::corollary13_instance(square);
+  EXPECT_FALSE(ccmx::la::solvable(pair.m_prime, pair.b));
+  EXPECT_EQ(calls.value(), 3u);
+  EXPECT_EQ(primes.value(), 3u);
+  EXPECT_EQ(b_pivot.value(), 1u);
+  EXPECT_EQ(bounded.value(), 1u);
+  // diag(p1, 1, ..., 1) with b = e_0: b's pivot beside A's false drop, so
+  // both ranks are certified: two more rank calls, each one prime short
+  // of full rank at p1.
+  const std::uint64_t p1 = ccmx::la::next_ladder_prime(0);
+  IntMatrix diag = IntMatrix::identity(4, BigInt(1));
+  diag(0, 0) = BigInt(static_cast<std::int64_t>(p1));
+  std::vector<BigInt> e0(4, BigInt(0));
+  e0[0] = BigInt(1);
+  EXPECT_TRUE(ccmx::la::solvable(diag, e0));
+  EXPECT_EQ(calls.value(), 6u);
+  EXPECT_EQ(two_ranks.value(), 1u);
+  EXPECT_EQ(solution.value() + b_pivot.value(), 2u);
 #endif
 }
 
