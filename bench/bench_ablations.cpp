@@ -1,7 +1,6 @@
 // A0 — design-choice ablations (DESIGN.md section 5 follow-ups):
-//   * exact determinant engines: Bareiss vs cofactor vs CRT-over-primes vs
-//     |det| via Smith normal form — all must agree; costs differ sharply,
-//   * product kernels: naive vs blocked vs Strassen over BigInt,
+//   * exact determinant engines: Bareiss vs cofactor vs |det| via Smith
+//     normal form — all must agree; costs differ sharply,
 //   * mesh scheduling: sequential vs wavefront-pipelined (same traffic,
 //     Theta(n^2) -> Theta(n) cycles, AT^2 approaching the bound),
 //   * census engines: serial recompute vs pooled recompute sweeps vs the
@@ -12,11 +11,7 @@
 #include "core/census.hpp"
 #include "linalg/det.hpp"
 #include "util/parallel.hpp"
-#include "linalg/det_crt.hpp"
 #include "linalg/hnf.hpp"
-#include "linalg/lift.hpp"
-#include "linalg/rref.hpp"
-#include "linalg/strassen.hpp"
 #include "vlsi/mesh.hpp"
 #include "vlsi/tradeoffs.hpp"
 
@@ -28,25 +23,24 @@ using bench::random_entries;
 void print_tables() {
   bench::print_header(
       "A0a — determinant engine agreement",
-      "Four independent exact engines on the same inputs (incl. singular).");
-  util::TextTable det_table({"n", "bits", "trials", "bareiss=crt",
-                             "bareiss=snf(|.|)", "bareiss=cofactor"});
+      "Three independent exact engines on the same inputs (incl. singular).");
+  util::TextTable det_table(
+      {"n", "bits", "trials", "bareiss=snf(|.|)", "bareiss=cofactor"});
   for (const auto& [n, bits] : std::vector<std::pair<std::size_t, unsigned>>{
            {4, 8}, {6, 16}, {8, 32}}) {
     util::Xoshiro256 rng(n * 7 + bits);
     const int trials = 10;
-    int crt_ok = 0, snf_ok = 0, cof_ok = 0;
+    int snf_ok = 0, cof_ok = 0;
     for (int trial = 0; trial < trials; ++trial) {
       la::IntMatrix m = random_entries(n, n, bits, rng);
       if (trial % 3 == 0) {
         for (std::size_t i = 0; i < n; ++i) m(i, n - 1) = m(i, 0);
       }
       const num::BigInt det = la::det_bareiss(m);
-      crt_ok += la::det_crt(m) == det;
       snf_ok += la::abs_det_via_snf(m) == det.abs();
       cof_ok += n > 8 || la::det_cofactor(m) == det;
     }
-    det_table.row(n, bits, trials, crt_ok, snf_ok, cof_ok);
+    det_table.row(n, bits, trials, snf_ok, cof_ok);
   }
   bench::print_table(det_table);
 
@@ -78,45 +72,11 @@ void print_tables() {
   bench::print_table(mesh);
 }
 
-void BM_SolveLifted(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(n);
-  const la::IntMatrix a = random_entries(n, n, 16, rng);
-  std::vector<num::BigInt> b;
-  for (std::size_t i = 0; i < n; ++i) {
-    b.push_back(num::BigInt(static_cast<std::int64_t>(rng.below(100))));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::solve_lifted(a, b).has_value());
-  }
-}
-void BM_SolveRational(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(n);
-  const la::IntMatrix a = random_entries(n, n, 16, rng);
-  std::vector<num::Rational> b;
-  for (std::size_t i = 0; i < n; ++i) {
-    b.emplace_back(num::BigInt(static_cast<std::int64_t>(rng.below(100))));
-  }
-  const la::RatMatrix ra = la::to_rational(a);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::solve(ra, b).has_value());
-  }
-}
-BENCHMARK(BM_SolveLifted)->Arg(4)->Arg(8)->Arg(12);
-BENCHMARK(BM_SolveRational)->Arg(4)->Arg(8)->Arg(12);
-
 void BM_DetBareiss(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Xoshiro256 rng(n);
   const la::IntMatrix m = random_entries(n, n, 32, rng);
   for (auto _ : state) benchmark::DoNotOptimize(la::det_bareiss(m).signum());
-}
-void BM_DetCrt(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(n);
-  const la::IntMatrix m = random_entries(n, n, 32, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(la::det_crt(m).signum());
 }
 void BM_DetSnf(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -127,37 +87,7 @@ void BM_DetSnf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetBareiss)->Arg(4)->Arg(8)->Arg(16);
-BENCHMARK(BM_DetCrt)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_DetSnf)->Arg(4)->Arg(8);
-
-void BM_MultiplyNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(n);
-  const la::IntMatrix a = random_entries(n, n, 32, rng);
-  const la::IntMatrix b = random_entries(n, n, 32, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(multiply_naive(a, b).rows());
-}
-void BM_MultiplyBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(n);
-  const la::IntMatrix a = random_entries(n, n, 32, rng);
-  const la::IntMatrix b = random_entries(n, n, 32, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(multiply_blocked(a, b).rows());
-  }
-}
-void BM_MultiplyStrassen(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(n);
-  const la::IntMatrix a = random_entries(n, n, 32, rng);
-  const la::IntMatrix b = random_entries(n, n, 32, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::multiply_strassen(a, b, 16).rows());
-  }
-}
-BENCHMARK(BM_MultiplyNaive)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK(BM_MultiplyBlocked)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK(BM_MultiplyStrassen)->Arg(16)->Arg(32)->Arg(64);
 
 // BigInt representation ablation: one op sequence (mul, add, sub, word
 // reduce), run once on word-sized operands that stay in the inline form and
@@ -193,9 +123,10 @@ void bigint_chain_bench(benchmark::State& state, std::size_t limbs) {
 }
 void BM_BigIntSmall(benchmark::State& state) { bigint_chain_bench(state, 1); }
 void BM_BigIntHeap(benchmark::State& state) { bigint_chain_bench(state, 3); }
-// CRT-style accumulation: the value crosses the promotion boundary after two
-// folds, so the loop exercises the word fast paths against a heap
-// accumulator — the mix det_crt runs per coordinate.
+// Fold-style accumulation (value += modulus * delta, then modulus *= step):
+// the value crosses the promotion boundary after two folds, so the loop
+// exercises the word fast paths of BigInt::add_mul against a heap
+// accumulator.
 void BM_BigIntMixed(benchmark::State& state) {
   util::Xoshiro256 rng(7);
   constexpr std::size_t kFolds = 24;

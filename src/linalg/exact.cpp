@@ -1,6 +1,6 @@
 // The exact decision engine behind la::rank(IntMatrix), la::is_singular and
 // la::solvable (and through it core::solvable).  Every question starts
-// from one elimination modulo the first ladder prime of linalg/crt.hpp,
+// from one elimination modulo the first ladder prime of linalg/ladder.hpp,
 // which gives r, a lower bound: rank mod p never exceeds the rank over Q.
 //
 // The rank.  At r = min(rows, cols) that settles it.  Otherwise one of two
@@ -44,9 +44,9 @@
 #include <algorithm>
 #include <optional>
 
-#include "linalg/crt.hpp"
 #include "linalg/det.hpp"
 #include "linalg/fp.hpp"
+#include "linalg/ladder.hpp"
 #include "linalg/lift.hpp"
 #include "linalg/rref.hpp"
 #include "obs/obs.hpp"

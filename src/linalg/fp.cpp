@@ -76,34 +76,6 @@ bool solvable_mod_p(ModMatrix m, std::uint64_t p) {
   return e.rank == 0 || e.pivot_cols.back() + 1 != m.cols();
 }
 
-std::optional<std::vector<std::uint64_t>> solve_mod_p(
-    ModMatrix m, std::vector<std::uint64_t> b, std::uint64_t p) {
-  const num::Zp field(p);
-  CCMX_REQUIRE(b.size() == m.rows(), "solve shape mismatch");
-  const std::size_t rows = m.rows();
-  const std::size_t cols = m.cols();
-  ModMatrix augmented(rows, cols + 1);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      augmented(i, j) = field.reduce(m(i, j));
-    }
-    augmented(i, cols) = field.reduce(b[i]);
-  }
-  const Echelon e = echelon(augmented, field);
-  if (e.rank > 0 && e.pivot_cols.back() == cols) return std::nullopt;
-  // Back substitution through U, free variables 0.
-  std::vector<std::uint64_t> x(cols, 0);
-  for (std::size_t k = e.rank; k-- > 0;) {
-    const std::size_t c = e.pivot_cols[k];
-    std::uint64_t s = augmented(k, cols);
-    for (std::size_t j = c + 1; j < cols; ++j) {
-      s = field.sub(s, field.mul(augmented(k, j), x[j]));
-    }
-    x[c] = field.mul(s, field.inv(augmented(k, c)));
-  }
-  return x;
-}
-
 ModMatrix multiply_mod_p(const ModMatrix& a, const ModMatrix& b,
                          std::uint64_t p) {
   const num::Zp field(p);
@@ -117,24 +89,6 @@ ModMatrix multiply_mod_p(const ModMatrix& a, const ModMatrix& b,
       for (std::size_t j = 0; j < b.cols(); ++j) {
         out(i, j) = field.add(out(i, j), field.mul(b(k, j), w));
       }
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> multiply_mod_p(const ModMatrix& a,
-                                          const std::vector<std::uint64_t>& x,
-                                          std::uint64_t p) {
-  const num::Zp field(p);
-  CCMX_REQUIRE(a.cols() == x.size(), "matvec shape mismatch");
-  std::vector<num::Zp::Fixed> w(x.size());
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    w[j] = field.fixed(field.reduce(x[j]));
-  }
-  std::vector<std::uint64_t> out(a.rows(), 0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      out[i] = field.add(out[i], field.mul(a(i, j), w[j]));
     }
   }
   return out;

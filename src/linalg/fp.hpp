@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "bigint/modular.hpp"
@@ -52,18 +51,9 @@ struct Echelon {
 /// column gets no pivot.
 [[nodiscard]] bool solvable_mod_p(ModMatrix m, std::uint64_t p);
 
-/// Solves m x = b over Z_p, with every free variable 0; nullopt when
-/// inconsistent.  Entries of m and b need not be reduced.
-[[nodiscard]] std::optional<std::vector<std::uint64_t>> solve_mod_p(
-    ModMatrix m, std::vector<std::uint64_t> b, std::uint64_t p);
-
 /// Product over Z_p.
 [[nodiscard]] ModMatrix multiply_mod_p(const ModMatrix& a, const ModMatrix& b,
                                        std::uint64_t p);
-
-/// Matrix-vector product over Z_p.
-[[nodiscard]] std::vector<std::uint64_t> multiply_mod_p(
-    const ModMatrix& a, const std::vector<std::uint64_t>& x, std::uint64_t p);
 
 /// The row update of every Z_p elimination here (echelon and the vlsi
 /// mesh): row dst -= factor * row src over columns [from, cols),

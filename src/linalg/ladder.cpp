@@ -1,4 +1,4 @@
-#include "linalg/crt.hpp"
+#include "linalg/ladder.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -6,8 +6,6 @@
 #include "bigint/modular.hpp"
 
 namespace ccmx::la {
-
-using num::BigInt;
 
 namespace {
 
@@ -37,24 +35,6 @@ std::uint64_t next_ladder_prime(std::uint64_t previous) {
   const std::vector<std::uint64_t>& rungs = first_rungs();
   const auto it = std::upper_bound(rungs.begin(), rungs.end(), previous);
   return it != rungs.end() ? *it : scan_next_rung(previous);
-}
-
-void CrtFold::add(std::uint64_t residue, std::uint64_t p) {
-  // delta = (residue - value) * modulus^{-1} mod p.
-  const num::Zp field(p);
-  const std::uint64_t diff =
-      field.sub(field.reduce(residue), field.reduce(value_));
-  const std::uint64_t delta =
-      field.mul(diff, field.inv(field.reduce(modulus_)));
-  // 62-bit delta and p: fused word-sized fold, no BigInt temporaries.
-  value_.add_mul(modulus_, static_cast<std::int64_t>(delta));
-  modulus_ *= static_cast<std::int64_t>(p);
-}
-
-BigInt CrtFold::symmetric() const {
-  BigInt result = value_;
-  if (result + result > modulus_) result -= modulus_;
-  return result;
 }
 
 }  // namespace ccmx::la

@@ -6,9 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "linalg/crt.hpp"
-#include "linalg/det.hpp"
-#include "linalg/rref.hpp"
+#include "linalg/ladder.hpp"
 #include "util/int128.hpp"
 #include "util/require.hpp"
 
@@ -666,50 +664,6 @@ KernelLift lift_kernel(const Words& words, const ModMatrix& lu,
     x[out.free_cols[v]] = std::move(verified[v]->den);
   }
   return out;
-}
-
-std::optional<std::vector<Rational>> solve_lifted(
-    const IntMatrix& a, const std::vector<BigInt>& b) {
-  CCMX_REQUIRE(a.is_square(), "solve_lifted needs a square system");
-  CCMX_REQUIRE(b.size() == a.rows(), "solve_lifted shape mismatch");
-  const std::size_t n = a.rows();
-  if (n == 0) return std::vector<Rational>{};
-  const std::optional<Words> words = to_words(a, b);
-  if (!words || !lifting_fits(words->entry_bits, n)) {
-    std::vector<Rational> rhs;
-    rhs.reserve(n);
-    for (const BigInt& v : b) rhs.emplace_back(v);
-    return la::solve(to_rational(a), rhs);
-  }
-  // The first ladder prime at which a is nonsingular; one exists iff a is.
-  // There a's columns take every pivot of [a | b], so b's column is free.
-  const auto a_nonsingular = [n](const Echelon& e) {
-    return e.rank == n && e.pivot_cols.back() < n;
-  };
-  std::uint64_t p = next_ladder_prime(0);
-  ModMatrix lu = reduce_words(words->m, num::Zp(p));
-  Echelon e = echelon(lu, num::Zp(p));
-  if (!a_nonsingular(e) && is_singular(a)) return std::nullopt;
-  while (!a_nonsingular(e)) {
-    p = next_ladder_prime(p);
-    lu = reduce_words(words->m, num::Zp(p));
-    e = echelon(lu, num::Zp(p));
-  }
-  // Cramer: every numerator and the denominator are n x n minors of [a | b].
-  KernelLift lift = lift_kernel(*words, lu, e, num::Zp(p),
-                                MinorBound(words->m, n + 1).bits(n), {n});
-  // At the cap the reconstruction is unique and every row is a pivot row,
-  // so a miss there is a bug.
-  CCMX_REQUIRE(lift.outcome == KernelLift::Outcome::kVerified,
-               "no lifted solution at the Cramer cap");
-  // a x_a + d b = 0 for the kernel vector (x_a, d): the solution is -x_a / d.
-  std::vector<BigInt>& kernel = lift.vectors.front();
-  std::vector<Rational> x;
-  x.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    x.emplace_back(-std::move(kernel[j]), kernel[n]);
-  }
-  return x;
 }
 
 }  // namespace ccmx::la

@@ -1,6 +1,9 @@
-// Exact rational solutions by p-adic lifting (Dixon, "Exact solution of
+// Integer kernel vectors by p-adic lifting (Dixon, "Exact solution of
 // linear equations using p-adic expansions", Numer. Math. 40 (1982)
-// 137-141), and the pieces the exact rank engine shares with it.
+// 137-141), and the pieces the exact decision engine shares with it.  The
+// engine's kernel witnesses, its singularity vector and its solutions of
+// A x = b (the kernel vector of [A | b] at b's column) all come from
+// lift_kernel.
 //
 // One elimination modulo a prime p (echelon, linalg/fp.hpp) factors the
 // pivot block B = A[I, J] as L U mod p.  Lifting then solves B Y = R one
@@ -111,13 +114,5 @@ struct KernelLift {
                                      const Echelon& e, const num::Zp& field,
                                      std::size_t minor_bits,
                                      std::vector<std::size_t> free_cols);
-
-/// Solves a x = b exactly for square a; nullopt iff a is singular.  Lifts
-/// the kernel vector of [a | b] at b's column, modulo the first ladder
-/// prime at which a is nonsingular: x = -(its a part) / (its b entry).
-/// Entries too wide for lifting_fits go to rational Gauss-Jordan
-/// (la::solve).
-[[nodiscard]] std::optional<std::vector<num::Rational>> solve_lifted(
-    const IntMatrix& a, const std::vector<num::BigInt>& b);
 
 }  // namespace ccmx::la

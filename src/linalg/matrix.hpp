@@ -5,7 +5,6 @@
 // polynomials) and std::uint64_t (mod-p protocol arithmetic).
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <initializer_list>
 #include <ostream>
@@ -241,34 +240,6 @@ template <class T>
       const T& aik = a(i, k);
       for (std::size_t j = 0; j < b.cols(); ++j) {
         out(i, j) += aik * b(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-/// Cache-blocked product; identical results, better locality for large T=u64.
-template <class T>
-[[nodiscard]] Matrix<T> multiply_blocked(const Matrix<T>& a,
-                                         const Matrix<T>& b,
-                                         std::size_t block = 32) {
-  CCMX_REQUIRE(a.cols() == b.rows(), "product shape mismatch");
-  CCMX_REQUIRE(block > 0, "block size must be positive");
-  Matrix<T> out(a.rows(), b.cols());
-  for (std::size_t ii = 0; ii < a.rows(); ii += block) {
-    const std::size_t imax = std::min(a.rows(), ii + block);
-    for (std::size_t kk = 0; kk < a.cols(); kk += block) {
-      const std::size_t kmax = std::min(a.cols(), kk + block);
-      for (std::size_t jj = 0; jj < b.cols(); jj += block) {
-        const std::size_t jmax = std::min(b.cols(), jj + block);
-        for (std::size_t i = ii; i < imax; ++i) {
-          for (std::size_t k = kk; k < kmax; ++k) {
-            const T& aik = a(i, k);
-            for (std::size_t j = jj; j < jmax; ++j) {
-              out(i, j) += aik * b(k, j);
-            }
-          }
-        }
       }
     }
   }

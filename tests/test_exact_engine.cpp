@@ -9,14 +9,15 @@
 
 #include <algorithm>
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "core/construction.hpp"
 #include "core/reductions.hpp"
-#include "linalg/crt.hpp"
 #include "linalg/det.hpp"
 #include "linalg/exact.hpp"
 #include "linalg/fp.hpp"
+#include "linalg/ladder.hpp"
 #include "linalg/rref.hpp"
 #include "obs/obs.hpp"
 #include "util/require.hpp"
@@ -484,6 +485,68 @@ TEST(ExactEngine, HardInstancesAndCorollary13PairsMatchOracles) {
     }
     EXPECT_EQ(singular_seen, 4);  // every completion is singular
   }
+}
+
+/// The solution the engine lifts for a x = b, checked like every
+/// certificate and against rational Gauss-Jordan: the path is kSolution
+/// and x / d is la::solve's answer.
+SolvabilityCertificate lifted_solution(const IntMatrix& a,
+                                       const std::vector<BigInt>& b) {
+  const SolvabilityCertificate c = checked_solvability(a, b);
+  EXPECT_EQ(c.path, SolvablePath::kSolution) << a.to_string();
+  const auto reference =
+      ccmx::la::solve(ccmx::la::to_rational(a), to_rationals(b));
+  if (!reference || c.x.size() != reference->size()) {
+    ADD_FAILURE() << "no solution to compare\n" << a.to_string();
+    return c;
+  }
+  for (std::size_t j = 0; j < c.x.size(); ++j) {
+    EXPECT_EQ(Rational(c.x[j], c.d), (*reference)[j]) << "x[" << j << "]";
+  }
+  return c;
+}
+
+class ExactEngineSolutionSweep
+    : public ::testing::TestWithParam<std::tuple<std::size_t, unsigned>> {};
+
+TEST_P(ExactEngineSolutionSweep, NonsingularSystemsMatchRationalGaussian) {
+  const auto [n, bits] = GetParam();
+  Xoshiro256 rng(n * 100 + bits);
+  for (int trial = 0; trial < 6; ++trial) {
+    // Random (almost surely nonsingular) system with entries below 2^bits.
+    const IntMatrix a =
+        IntMatrix::generate(n, n, [&](std::size_t, std::size_t) {
+          BigInt v(static_cast<std::int64_t>(
+              rng.below(std::uint64_t{1} << bits)));
+          return rng.coin() ? v : -v;
+        });
+    if (ccmx::la::det_bareiss(a).is_zero()) continue;
+    std::vector<BigInt> b;
+    for (std::size_t i = 0; i < n; ++i) b.push_back(BigInt(rng.range(-99, 99)));
+    SCOPED_TRACE(testing::Message() << "n=" << n << " bits=" << bits << " #"
+                                    << trial);
+    (void)lifted_solution(a, b);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ExactEngineSolutionSweep,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{3},
+                                         std::size_t{6}, std::size_t{9}),
+                       ::testing::Values(3u, 20u, 40u)));
+
+TEST(ExactEngineSolution, SolutionIsExactRational) {
+  // 2x = 1 -> x = 1/2 (a genuinely non-integer solution).
+  const SolvabilityCertificate c =
+      lifted_solution(IntMatrix{{BigInt(2)}}, {BigInt(1)});
+  ASSERT_EQ(c.x.size(), 1u);
+  EXPECT_EQ(Rational(c.x[0], c.d), Rational(BigInt(1), BigInt(2)));
+}
+
+TEST(ExactEngineSolution, EmptySystem) {
+  const SolvabilityCertificate c = lifted_solution(IntMatrix(0, 0), {});
+  EXPECT_TRUE(c.solvable);
+  EXPECT_TRUE(c.x.empty());
 }
 
 /// Turns tracing on for one test and restores the prior state after.

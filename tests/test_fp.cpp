@@ -73,30 +73,6 @@ TEST(RankModP, SmallPrimeCanOnlyDropRank) {
   }
 }
 
-TEST(SolveModP, RoundTrip) {
-  Xoshiro256 rng(5);
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t n = 2 + rng.below(5);
-    ModMatrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.below(kPrime);
-    }
-    std::vector<std::uint64_t> x(n);
-    for (auto& v : x) v = rng.below(kPrime);
-    const auto b = ccmx::la::multiply_mod_p(a, x, kPrime);
-    const auto sol = ccmx::la::solve_mod_p(a, b, kPrime);
-    ASSERT_TRUE(sol.has_value());
-    EXPECT_EQ(ccmx::la::multiply_mod_p(a, *sol, kPrime), b);
-  }
-}
-
-TEST(SolveModP, DetectsInconsistency) {
-  // [[1,1],[1,1]] x = (0,1) has no solution mod any p > 1.
-  ModMatrix a(2, 2, 1);
-  EXPECT_FALSE(ccmx::la::solve_mod_p(a, {0, 1}, kPrime).has_value());
-  EXPECT_TRUE(ccmx::la::solve_mod_p(a, {1, 1}, kPrime).has_value());
-}
-
 TEST(MultiplyModP, MatchesExactProduct) {
   Xoshiro256 rng(6);
   const IntMatrix a = random_matrix(4, 3, rng);
@@ -139,9 +115,6 @@ TEST(MultiplyModP, NearTheTopOfTheModulusRange) {
   const ModMatrix row{{p - 1, p - 1}};
   const ModMatrix col{{2}, {2}};
   EXPECT_EQ(ccmx::la::multiply_mod_p(row, col, p)(0, 0), p - 4);
-  EXPECT_EQ(ccmx::la::multiply_mod_p(row, std::vector<std::uint64_t>{2, 2},
-                                     p)[0],
-            p - 4);
   Xoshiro256 rng(8);
   ModMatrix a(3, 4), b(4, 2);
   for (std::size_t i = 0; i < 3; ++i) {

@@ -105,22 +105,6 @@ TEST(Matrix, MatVec) {
             (std::vector<int>{-2, -2}));
 }
 
-class MatrixProductEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(MatrixProductEquivalence, BlockedMatchesNaive) {
-  const auto [dim, block] = GetParam();
-  Xoshiro256 rng(dim * 100 + block);
-  const IntMatrix a = random_matrix(dim, dim + 1, rng);
-  const IntMatrix b = random_matrix(dim + 1, dim, rng);
-  EXPECT_EQ(multiply_naive(a, b), multiply_blocked(a, b, block));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, MatrixProductEquivalence,
-    ::testing::Combine(::testing::Values(1u, 3u, 8u, 17u, 33u),
-                       ::testing::Values(1u, 4u, 32u)));
-
 TEST(MatrixConvert, ReduceMod) {
   const IntMatrix m{{BigInt(-1), BigInt(7)}, {BigInt(12), BigInt(0)}};
   const auto reduced = ccmx::la::reduce_mod(m, 5);

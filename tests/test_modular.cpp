@@ -1,11 +1,11 @@
-// Machine-word modular arithmetic and primality.
+// Machine-word modular arithmetic, primality and the prime ladder.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/modular.hpp"
-#include "linalg/crt.hpp"
+#include "linalg/ladder.hpp"
 
 namespace {
 
@@ -191,6 +191,18 @@ TEST(NextPrime, Steps) {
   EXPECT_EQ(next_prime(4), 5u);
   EXPECT_EQ(next_prime(90), 97u);
   EXPECT_EQ(next_prime(1000000000), 1000000007u);
+}
+
+TEST(PrimeLadder, ConsecutivePrimesAbove2To61) {
+  // Past the cached first rungs too: every prime above 2^61, in order.
+  std::uint64_t p = 0;
+  std::uint64_t expected = std::uint64_t{1} << 61;
+  for (int rung = 0; rung < 80; ++rung) {
+    expected = ccmx::num::next_prime(expected + 1);
+    p = ccmx::la::next_ladder_prime(p);
+    EXPECT_EQ(p, expected) << "rung " << rung;
+  }
+  EXPECT_LT(p, std::uint64_t{1} << 62);
 }
 
 TEST(RandomPrime, InRangeAndPrime) {

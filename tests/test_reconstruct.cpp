@@ -1,15 +1,12 @@
-// Extended gcd, rational reconstruction, and the exact nonsingular solver
-// (p-adic lifting, linalg/lift.hpp).
+// Extended gcd, modular inverses and rational reconstruction
+// (linalg/lift.hpp), the number theory under the exact engine's lifting.
 #include <gtest/gtest.h>
 
-#include "linalg/det.hpp"
-#include "linalg/rref.hpp"
 #include "linalg/lift.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using ccmx::la::IntMatrix;
 using ccmx::num::BigInt;
 using ccmx::num::Rational;
 using ccmx::util::Xoshiro256;
@@ -78,62 +75,6 @@ TEST(RationalReconstruct, FailsWhenBoundTooSmall) {
   const auto i = ccmx::la::rational_reconstruct(BigInt(42), m, BigInt(100));
   ASSERT_TRUE(i.has_value());
   EXPECT_EQ(*i, Rational(42));
-}
-
-class SolveCrtSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, unsigned>> {};
-
-TEST_P(SolveCrtSweep, MatchesRationalGaussian) {
-  const auto [n, bits] = GetParam();
-  Xoshiro256 rng(n * 100 + bits);
-  for (int trial = 0; trial < 6; ++trial) {
-    // Random (almost surely nonsingular) system.
-    const IntMatrix a = IntMatrix::generate(n, n, [&](std::size_t, std::size_t) {
-      BigInt v(static_cast<std::int64_t>(rng.below(std::uint64_t{1} << bits)));
-      return rng.coin() ? v : -v;
-    });
-    if (ccmx::la::det_bareiss(a).is_zero()) continue;
-    std::vector<BigInt> b;
-    for (std::size_t i = 0; i < n; ++i) b.push_back(BigInt(rng.range(-99, 99)));
-    const auto fast = ccmx::la::solve_lifted(a, b);
-    ASSERT_TRUE(fast.has_value());
-    std::vector<Rational> rhs;
-    for (const BigInt& v : b) rhs.emplace_back(v);
-    const auto reference = ccmx::la::solve(ccmx::la::to_rational(a), rhs);
-    ASSERT_TRUE(reference.has_value());
-    EXPECT_EQ(*fast, *reference);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, SolveCrtSweep,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{3},
-                                         std::size_t{6}, std::size_t{9}),
-                       ::testing::Values(3u, 20u, 40u)));
-
-TEST(SolveCrt, DetectsSingularSystems) {
-  Xoshiro256 rng(4);
-  IntMatrix a = IntMatrix::generate(4, 4, [&](std::size_t, std::size_t) {
-    return BigInt(rng.range(-9, 9));
-  });
-  for (std::size_t i = 0; i < 4; ++i) a(i, 3) = a(i, 0);
-  std::vector<BigInt> b(4, BigInt(1));
-  EXPECT_FALSE(ccmx::la::solve_lifted(a, b).has_value());
-}
-
-TEST(SolveCrt, EmptySystem) {
-  const auto x = ccmx::la::solve_lifted(IntMatrix(0, 0), {});
-  ASSERT_TRUE(x.has_value());
-  EXPECT_TRUE(x->empty());
-}
-
-TEST(SolveCrt, SolutionIsExactRational) {
-  // 2x = 1 -> x = 1/2 (a genuinely non-integer solution).
-  IntMatrix a(1, 1);
-  a(0, 0) = BigInt(2);
-  const auto x = ccmx::la::solve_lifted(a, {BigInt(1)});
-  ASSERT_TRUE(x.has_value());
-  EXPECT_EQ((*x)[0], Rational(BigInt(1), BigInt(2)));
 }
 
 }  // namespace

@@ -154,12 +154,13 @@ class Args {
   }
 
   /// A relative tolerance: the whole value must be a finite number
-  /// >= 0.  `fallback` when the option is absent.
+  /// >= 0, written without a sign ("-0" too is refused).  `fallback`
+  /// when the option is absent.
   double tolerance(const std::string& key, double fallback) {
     const auto text = option(key);
     if (!text) return fallback;
     const double value = parse<double>(key, *text);
-    if (!std::isfinite(value) || value < 0.0) {
+    if (!std::isfinite(value) || std::signbit(value)) {
       throw UsageError(key + " needs a finite number >= 0, got \"" + *text +
                        "\"");
     }
