@@ -129,12 +129,9 @@ inline std::string bench_name_from_argv0(std::string_view argv0) {
 /// RunReport.
 inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   const util::WallTimer timer;
-  // Open the perf fds (inherit=1 covers pool threads spawned later; the
-  // report reads their totals at exit) and the optional telemetry
-  // sampler before any work runs.
+  // Open the perf fds before any work runs (inherit=1 covers pool
+  // threads spawned later; the report reads their totals at exit).
   static_cast<void>(obs::hw_available());
-  obs::TelemetrySampler sampler;
-  sampler.start_from_env();
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
   // a reasoned no-op when unconfigured or unavailable.
   obs::profiler_start_from_env();
@@ -160,7 +157,6 @@ inline int bench_main(int argc, char** argv, void (*print_tables)()) {
   report.cpu_seconds = timer.cpu_seconds();
   report.benchmarks = reporter.runs();
   obs::profiler_stop();  // drain rings + ledger; folds obs.prof.* counters
-  sampler.stop();  // final timeseries row before the report is published
   obs::flush_thread();
   const std::string path =
       obs::write_run_report(report, obs::default_report_path(report.name));

@@ -285,12 +285,9 @@ int main(int argc, char** argv) {
   }
   const util::WallTimer timer;
   // Probe the hardware counters before any work, so the report's hw
-  // block counts the whole run; then the background telemetry sampler
-  // (CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS).  Both degrade to no-ops where
-  // they cannot run.
+  // block counts the whole run; the probe degrades to a no-op where the
+  // counters cannot run.
   static_cast<void>(obs::hw_available());
-  obs::TelemetrySampler sampler;
-  sampler.start_from_env();
   // Sampling CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE); degrades to
   // a reasoned no-op when unconfigured or unavailable.
   obs::profiler_start_from_env();
@@ -304,12 +301,10 @@ int main(int argc, char** argv) {
   try {
     const int rc = run_command(cmd, n, arg3, seed);
     obs::profiler_stop();
-    sampler.stop();
     maybe_write_report(argc, argv, timer);
     return rc;
   } catch (const std::exception& e) {
     obs::profiler_stop();
-    sampler.stop();
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

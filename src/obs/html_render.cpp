@@ -237,7 +237,6 @@ class Dashboard {
     w_.open("main");
     header();
     reports_section();
-    timeseries_section();
     diff_section();
     arch_section();
     traffic_section();
@@ -404,144 +403,6 @@ class Dashboard {
       w_.close();  // tr
     }
     w_.close().close();  // tbody, table
-  }
-
-  // ---- telemetry timeseries --------------------------------------------
-
-  void timeseries_section() {
-    w_.open("section", {{"class", "card"}});
-    w_.element("h2", {}, "Telemetry over the run");
-    if (data_.timeseries == nullptr) {
-      w_.element("p", {{"class", "note"}},
-                 "No telemetry series provided (set CCMX_SAMPLE_FILE on the "
-                 "run, then pass --timeseries).");
-      w_.close();
-      return;
-    }
-    const TimeseriesResult& ts = *data_.timeseries;
-    if (ts.rows.empty()) {
-      w_.element("p", {{"class", "note"}},
-                 "No " + std::string(kTimeseriesSchema) + " rows in " +
-                     ts.path + ".");
-      for (const std::string& problem : ts.problems) {
-        w_.element("p", {{"class", "problems"}}, "\xE2\x9A\xA0 " + problem);
-      }
-      w_.close();
-      return;
-    }
-
-    // One point per sampler tick.
-    std::vector<std::pair<double, double>> rss;
-    for (const TimeseriesRow& row : ts.rows) {
-      rss.emplace_back(static_cast<double>(row.t_us) / 1e6,
-                       static_cast<double>(row.rss_bytes) /
-                           (1024.0 * 1024.0));
-    }
-    std::string legend = std::to_string(ts.rows.size()) +
-                         " sample(s) over " +
-                         fmt_fixed(ts.span_seconds(), 2) + " s from " +
-                         ts.path;
-    if (ts.skipped > 0) {
-      legend += " (" + std::to_string(ts.skipped) + " line(s) skipped)";
-    }
-    w_.element("p", {{"class", "legend"}}, legend);
-
-    w_.open("table");
-    w_.open("thead").open("tr");
-    w_.element("th", {}, "metric");
-    w_.element("th", {}, "over the run");
-    w_.element("th", {{"class", "num"}}, "min");
-    w_.element("th", {{"class", "num"}}, "max");
-    w_.element("th", {{"class", "num"}}, "last");
-    w_.close().close();  // tr, thead
-    w_.open("tbody");
-    timeseries_metric_row("RSS (MiB)", rss, 1);
-    w_.close().close();  // tbody, table
-    for (const std::string& problem : ts.problems) {
-      w_.element("p", {{"class", "problems"}}, "\xE2\x9A\xA0 " + problem);
-    }
-    w_.close();  // section
-  }
-
-  /// One metric over a non-empty series: sparkline, min, max, last.
-  void timeseries_metric_row(const std::string& label,
-                             const std::vector<std::pair<double, double>>& pts,
-                             int digits) {
-    w_.open("tr");
-    w_.element("td", {}, label);
-    double y_min = pts.front().second;
-    double y_max = y_min;
-    for (const auto& [t, y] : pts) {
-      y_min = std::min(y_min, y);
-      y_max = std::max(y_max, y);
-    }
-    w_.open("td");
-    spark(pts, label + ": " + std::to_string(pts.size()) + " samples, " +
-                   fmt_fixed(y_min, digits) + " .. " +
-                   fmt_fixed(y_max, digits));
-    w_.close();
-    w_.element("td", {{"class", "num"}}, fmt_fixed(y_min, digits));
-    w_.element("td", {{"class", "num"}}, fmt_fixed(y_max, digits));
-    w_.element("td", {{"class", "num"}},
-               fmt_fixed(pts.back().second, digits));
-    w_.close();  // tr
-  }
-
-  /// One 220x40 sparkline over (x, y) points with a hover title.
-  void spark(const std::vector<std::pair<double, double>>& pts,
-             const std::string& tooltip) {
-    constexpr double kW = 220.0;
-    constexpr double kH = 40.0;
-    constexpr double kPad = 3.0;
-    double t_min = pts.front().first;
-    double t_max = pts.back().first;
-    double y_min = pts.front().second;
-    double y_max = y_min;
-    for (const auto& [t, y] : pts) {
-      y_min = std::min(y_min, y);
-      y_max = std::max(y_max, y);
-    }
-    const double t_span = t_max > t_min ? t_max - t_min : 1.0;
-    const double y_span = y_max > y_min ? y_max - y_min : 1.0;
-    const auto x_of = [&](double t) {
-      return kPad + (t - t_min) / t_span * (kW - 2 * kPad);
-    };
-    const auto y_of = [&](double y) {
-      return kH - kPad - (y - y_min) / y_span * (kH - 2 * kPad);
-    };
-
-    w_.open("svg", {{"viewBox", "0 0 220 40"},
-                    {"width", "220"},
-                    {"height", "40"},
-                    {"role", "img"}});
-    w_.element("title", {}, tooltip);
-    // Hairline baseline so a flat series still reads as "on the floor".
-    w_.leaf("line", {{"x1", fmt_svg(kPad)},
-                     {"y1", fmt_svg(kH - kPad)},
-                     {"x2", fmt_svg(kW - kPad)},
-                     {"y2", fmt_svg(kH - kPad)},
-                     {"stroke", "var(--axis)"},
-                     {"stroke-width", "1"}});
-    std::string points_attr;
-    for (const auto& [t, y] : pts) {
-      if (!points_attr.empty()) points_attr += ' ';
-      points_attr += fmt_svg(x_of(t)) + ',' + fmt_svg(y_of(y));
-    }
-    if (pts.size() == 1) {
-      // A polyline needs two points; a single sample renders as its dot.
-    } else {
-      w_.leaf("polyline", {{"points", points_attr},
-                           {"fill", "none"},
-                           {"stroke", "var(--s1)"},
-                           {"stroke-width", "2"},
-                           {"stroke-linecap", "round"},
-                           {"stroke-linejoin", "round"}});
-    }
-    w_.leaf("circle", {{"cx", fmt_svg(x_of(pts.back().first))},
-                       {"cy", fmt_svg(y_of(pts.back().second))},
-                       {"r", "3"},
-                       {"fill", "var(--s1)"}});
-    w_.close();  // svg
   }
 
   // ---- bench diff verdicts ---------------------------------------------

@@ -1,13 +1,12 @@
 // Self-contained HTML dashboard over the observability artifacts.
 //
 // render_dashboard_html() turns run reports, a bench diff, a channel
-// trace, a telemetry series and a profile into ONE dependency-free HTML
-// file: every chart is inline SVG rendered here (telemetry sparklines,
-// per-round/per-agent traffic bars, a span-tree flame view, a sampled
-// CPU flame graph over the profiler's collapsed stacks), every color
-// and font is inline CSS, and there is no JavaScript and no network
-// fetch of any kind — the file opens identically from a CI artifact, an
-// email attachment, or file://.  The run-report documents the page was
+// trace and a profile into ONE dependency-free HTML file: every chart is
+// inline SVG rendered here (per-round/per-agent traffic bars, a
+// span-tree flame view, a sampled CPU flame graph over the profiler's
+// collapsed stacks), every color and font is inline CSS, and there is no
+// JavaScript and no network fetch of any kind — the file opens
+// identically from a CI artifact, an email attachment, or file://.  The run-report documents the page was
 // rendered from are embedded verbatim in a
 // <script type="application/json"> data island (schema
 // ccmx.dashboard_data/1), so the machine-readable truth travels with the
@@ -49,9 +48,6 @@ struct DashboardData {
   /// Stats from the streaming read of `trace` (lines, torn tail) for
   /// the trace-pipeline panel.
   const TraceReadStats* trace_stats = nullptr;
-  /// A loaded ccmx.timeseries/2 series (background telemetry sampler)
-  /// for the RSS sparkline.
-  const TimeseriesResult* timeseries = nullptr;
   /// A loaded ccmx.profile/1 stream (sampling CPU profiler) for the
   /// sampled flame graph next to the span-tree flame view.
   const ProfileData* profile = nullptr;

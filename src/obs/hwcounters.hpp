@@ -1,4 +1,4 @@
-// Process-total hardware counters and the background telemetry sampler.
+// Process-total hardware counters.
 //
 // Hardware counters appear in one place: the run report's "hw" block.
 // bench_main and ccmx_cli probe at startup, so the counters run from
@@ -22,17 +22,11 @@
 // stderr diagnostic, and the report renders {"available": false,
 // "reason": ...} instead of zeros.
 //
-// TelemetrySampler is a background std::jthread (stop_token, explicit
-// lifecycle) that appends one ccmx.timeseries/2 JSONL row every
-// CCMX_SAMPLE_MS: RSS and utime/stime from /proc/self and the obs
-// counter deltas over the interval.
-//
 // Defining CCMX_OBS_DISABLED (CMake CCMX_OBS=OFF) compiles all of this
 // down to inline no-ops, like the rest of the obs layer.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -67,14 +61,6 @@ struct HwCounters {
   }
 };
 
-/// Explicit sampler configuration (CLIs and tests; normal runs configure
-/// through CCMX_SAMPLE_FILE / CCMX_SAMPLE_MS instead).
-struct SamplerOptions {
-  std::string path;
-  /// Milliseconds between rows; values below 1 are clamped to 1.
-  std::int64_t interval_ms = 100;
-};
-
 #ifndef CCMX_OBS_DISABLED
 
 /// True when the perf counter set is open and counting.  The first call
@@ -100,40 +86,6 @@ struct SamplerOptions {
 void hw_reset_for_testing() noexcept;
 void hw_force_unavailable_for_testing(std::string_view reason);
 
-/// Background telemetry sampler.  start() spawns a std::jthread that
-/// appends one ccmx.timeseries/2 JSONL row to the file every interval
-/// and a final row at stop(), so even a run shorter than one interval
-/// produces a usable series.  stop() is idempotent and implied by the
-/// destructor; start() while running is refused.
-class TelemetrySampler {
- public:
-  TelemetrySampler();
-  ~TelemetrySampler();
-
-  TelemetrySampler(const TelemetrySampler&) = delete;
-  TelemetrySampler& operator=(const TelemetrySampler&) = delete;
-
-  /// False (with a one-line stderr diagnostic) when the file cannot be
-  /// opened or the sampler is already running.
-  bool start(const SamplerOptions& options);
-
-  /// Reads CCMX_SAMPLE_FILE (+ CCMX_SAMPLE_MS, default 100); false
-  /// without starting when CCMX_SAMPLE_FILE is unset or empty.
-  bool start_from_env();
-
-  /// Writes the final row, joins the thread, flushes, and closes.
-  void stop();
-
-  [[nodiscard]] bool running() const noexcept;
-
-  /// Rows written so far (final row included after stop()); for tests.
-  [[nodiscard]] std::uint64_t rows_written() const noexcept;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 #else  // CCMX_OBS_DISABLED: inline no-ops, like the rest of the layer.
 
 [[nodiscard]] inline bool hw_available() noexcept { return false; }
@@ -144,16 +96,6 @@ class TelemetrySampler {
 
 inline void hw_reset_for_testing() noexcept {}
 inline void hw_force_unavailable_for_testing(std::string_view) {}
-
-class TelemetrySampler {
- public:
-  TelemetrySampler() = default;
-  bool start(const SamplerOptions&) { return false; }
-  bool start_from_env() { return false; }
-  void stop() {}
-  [[nodiscard]] bool running() const noexcept { return false; }
-  [[nodiscard]] std::uint64_t rows_written() const noexcept { return 0; }
-};
 
 #endif  // CCMX_OBS_DISABLED
 

@@ -1,6 +1,6 @@
 // Writing half of the obs JSON support: a streaming Writer that renders
-// RunReports, JSONL trace events, profile rows and timeseries rows (no
-// intermediate DOM, deterministic field order).  The parser that reads
+// RunReports, JSONL trace events and profile rows (no intermediate DOM,
+// deterministic field order).  The parser that reads
 // them back lives in obs/json_reader.hpp, in the offline library.
 #pragma once
 

@@ -9,11 +9,10 @@
 // dropped — proves no sample went missing unaccounted, and whose cpu_ns
 // gives the rate the timers actually delivered.
 //
-// Loading is tolerant, like load_timeseries: a torn final line (killed
-// process) or foreign line is skipped and counted, and structural
-// problems (unopenable file, wrong schema, missing ledger) land in
-// `problems` instead of throwing — the analysis CLI renders partial
-// data with a note rather than refusing.
+// Loading is tolerant: a torn final line (killed process) or foreign
+// line is skipped and counted, and structural problems (unopenable file,
+// wrong schema, missing ledger) land in `problems` instead of throwing —
+// the analysis CLI renders partial data with a note rather than refusing.
 //
 // This header is NOT gated on CCMX_OBS_DISABLED: reading a profile that
 // some other build wrote is pure file analysis and must work from an
@@ -28,8 +27,10 @@
 namespace ccmx::obs {
 
 /// One interned program counter.  `symbolized` is true when dladdr
-/// named the enclosing function; false frames carry module+offset (or a
-/// bare hex address) in `sym` instead.
+/// named the enclosing function, and `off` is then pc minus the
+/// function's start.  Other frames carry module+0x<off> in `sym`, with
+/// `off` the pc's offset in the module's file (what `addr2line -e
+/// module` takes), or a bare hex address outside every mapping.
 struct ProfileFrame {
   std::uint64_t id = 0;
   std::uint64_t pc = 0;

@@ -269,10 +269,12 @@ CCMX_PROF_SIGNAL_FN void sigprof_handler(int /*signo*/, siginfo_t* /*info*/,
 
 /// One executable mapping from the /proc/self/maps snapshot taken at
 /// start(): the symbolizer's fallback when dladdr knows nothing about a
-/// program counter (static binaries without an exported symbol nearby).
+/// program counter (static functions, stripped libraries).  `offset` is
+/// the file offset mapped at `lo`.
 struct MapsEntry {
   std::uintptr_t lo = 0;
   std::uintptr_t hi = 0;
+  std::uint64_t offset = 0;
   std::string path;
 };
 
@@ -399,13 +401,15 @@ void snapshot_maps(std::vector<MapsEntry>& maps) {
     std::istringstream row(line);
     std::string range;
     std::string perms;
-    row >> range >> perms;
+    std::string offset;
+    row >> range >> perms >> offset;
     if (perms.size() < 3 || perms[2] != 'x') continue;
     const std::size_t dash = range.find('-');
     if (dash == std::string::npos) continue;
     MapsEntry entry;
     entry.lo = std::strtoull(range.substr(0, dash).c_str(), nullptr, 16);
     entry.hi = std::strtoull(range.substr(dash + 1).c_str(), nullptr, 16);
+    entry.offset = std::strtoull(offset.c_str(), nullptr, 16);
     std::string rest;
     std::getline(row, rest);
     const std::size_t slash = rest.rfind(' ');
@@ -462,8 +466,11 @@ std::string demangle(const char* name) {
 
 /// Symbolizes one program counter (normal context only): dladdr against
 /// the dynamic symbol table first — the build links with
-/// -Wl,--export-dynamic so the repo's own functions resolve — then the
-/// maps snapshot for a module+offset, then a bare hex address.
+/// -Wl,--export-dynamic so the repo's own functions resolve; `offset` is
+/// then pc minus the symbol's start.  Otherwise the maps snapshot names
+/// the frame module+0x<file offset>, which stays the same from run to
+/// run whatever the load address and which `addr2line -e module`
+/// resolves; a pc outside every mapping is a bare hex address.
 void describe_pc(Engine& eng, std::uintptr_t pc, std::string* sym,
                  std::string* module, std::uint64_t* offset,
                  bool* symbolized) {
@@ -484,21 +491,24 @@ void describe_pc(Engine& eng, std::uintptr_t pc, std::string* sym,
     }
     if (info.dli_fname != nullptr) *module = basename_of(info.dli_fname);
   }
-  if (!*symbolized) {
-    for (const MapsEntry& entry : eng.maps) {
-      if (pc < entry.lo || pc >= entry.hi) continue;
-      if (module->empty()) {
-        *module = entry.path.empty() ? "anon" : basename_of(entry.path);
-      }
-      *offset = pc - entry.lo;
-      break;
-    }
-    char buf[32];
+  if (*symbolized) return;
+  const auto mapping = std::find_if(
+      eng.maps.begin(), eng.maps.end(),
+      [pc](const MapsEntry& e) { return pc >= e.lo && pc < e.hi; });
+  char buf[32];
+  if (mapping == eng.maps.end()) {
     std::snprintf(buf, sizeof buf, "0x%llx",
                   static_cast<unsigned long long>(pc));
-    *sym = module->empty() ? std::string(buf)
-                           : *module + "+" + std::string(buf);
+    *sym = buf;
+    return;
   }
+  if (module->empty()) {
+    *module = mapping->path.empty() ? "anon" : basename_of(mapping->path);
+  }
+  *offset = mapping->offset + (pc - mapping->lo);
+  std::snprintf(buf, sizeof buf, "+0x%llx",
+                static_cast<unsigned long long>(*offset));
+  *sym = *module + buf;
 }
 
 /// Interns a pc, writing its "frame" row on first sight.  data_mu held.

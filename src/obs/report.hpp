@@ -36,8 +36,10 @@ struct BenchmarkRun {
   std::string error_message;
 };
 
-/// Process-wide rusage deltas beyond max RSS — page faults diagnose
-/// memory behaviour, context switches diagnose trace-sink `block` stalls.
+/// Process-wide rusage totals beyond max RSS.  Page faults show memory
+/// behaviour; voluntary context switches count waits (pool workers
+/// parking, blocking writes) and involuntary ones preemption by other
+/// work on the host.
 struct RusageExtras {
   std::int64_t minor_faults = 0;
   std::int64_t major_faults = 0;

@@ -47,18 +47,6 @@ inline constexpr std::string_view kChromeTraceSchema = "ccmx.chrome_trace/1";
 inline constexpr std::string_view kDashboardDataSchema =
     "ccmx.dashboard_data/1";
 
-/// One JSONL row per sampler tick — RSS, utime/stime and the obs
-/// counter deltas over the interval, written by the background telemetry
-/// sampler (see obs/hwcounters.hpp).  Version 2 dropped the per-row
-/// "hw" object; hardware counters live only in the run report.
-inline constexpr std::string_view kTimeseriesSchema = "ccmx.timeseries/2";
-
-/// Whole-series rollup of a timeseries file — `ccmx_insight timeseries
-/// --json` (sample count, wall span, RSS range, CPU time, faults).
-/// Version 2 dropped the "hw" object.
-inline constexpr std::string_view kTimeseriesSummarySchema =
-    "ccmx.timeseries_summary/2";
-
 /// JSONL stream of the sampling CPU profiler (see obs/profiler.hpp):
 /// a "meta" row, interned "frame" rows, leaf-first "sample" rows
 /// referencing frames by id, and a closing "ledger" row whose
@@ -68,9 +56,9 @@ inline constexpr std::string_view kProfileSchema = "ccmx.profile/1";
 /// Every schema id this repo may stamp into a document, for validators
 /// that only need to know "is this one of ours".
 inline constexpr std::string_view kRegisteredSchemas[] = {
-    kRunReportSchema,  kBenchDiffSchema,         kLintReportSchema,
-    kArchReportSchema, kChromeTraceSchema,       kDashboardDataSchema,
-    kTimeseriesSchema, kTimeseriesSummarySchema, kProfileSchema,
+    kRunReportSchema,  kBenchDiffSchema,   kLintReportSchema,
+    kArchReportSchema, kChromeTraceSchema, kDashboardDataSchema,
+    kProfileSchema,
 };
 
 [[nodiscard]] constexpr bool is_registered_schema(

@@ -631,58 +631,4 @@ PowerLawFit fit_power_law(const std::vector<std::pair<double, double>>& xy) {
   return fit;
 }
 
-TimeseriesResult load_timeseries(const std::string& path) {
-  using json::integer_or;
-  using json::number_or;
-  TimeseriesResult result;
-  result.path = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    result.problems.push_back(path + ": cannot open");
-    return result;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value doc;
-    try {
-      doc = json::parse(line);
-    } catch (const util::contract_error&) {
-      // A torn final line is the signature of a killed sampler; any
-      // other unparseable line is equally just skipped and counted.
-      ++result.skipped;
-      continue;
-    }
-    const json::Value* schema = doc.find("schema");
-    if (schema == nullptr || !schema->is_string() ||
-        schema->string != kTimeseriesSchema) {
-      ++result.skipped;
-      continue;
-    }
-    TimeseriesRow row;
-    row.seq = integer_or<std::uint64_t>(doc, "seq", 0);
-    row.t_us = integer_or<std::int64_t>(doc, "t_us", 0);
-    row.dt_us = integer_or<std::int64_t>(doc, "dt_us", 0);
-    row.rss_bytes = integer_or<std::int64_t>(doc, "rss_bytes", 0);
-    row.utime_s = number_or(doc, "utime_s", 0.0);
-    row.stime_s = number_or(doc, "stime_s", 0.0);
-    row.minor_faults = integer_or<std::uint64_t>(doc, "minor_faults", 0);
-    row.major_faults = integer_or<std::uint64_t>(doc, "major_faults", 0);
-    if (const json::Value* counters = doc.find("counters");
-        counters != nullptr && counters->is_object()) {
-      for (const auto& [name, value] : counters->object) {
-        const std::uint64_t n =
-            json::integer<std::uint64_t>(&value).value_or(0);
-        if (n > 0) row.counters.emplace_back(name, n);
-      }
-    }
-    if (!result.rows.empty() && row.t_us < result.rows.back().t_us) {
-      result.problems.push_back(
-          path + ": rows out of order at seq " + std::to_string(row.seq));
-    }
-    result.rows.push_back(std::move(row));
-  }
-  return result;
-}
-
 }  // namespace ccmx::obs

@@ -18,7 +18,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -179,13 +178,22 @@ fs::path enter_scratch(const std::string& name) {
   return dir;
 }
 
-/// Runs every seed once as it stands, expecting exit status expect[i] (any
-/// of 0, 1 and 2 where it is -1), then kRuns mutated seeds, each seed
-/// equally often.  Before each run the files in `inputs` (if any) are
-/// copied into the current directory, over what a run may have written.
-void fuzz(const std::string& program, const std::vector<Command>& seeds,
-          const std::vector<int>& expect, const std::vector<std::string>& env,
-          const fs::path& inputs, std::uint64_t seed) {
+/// The expected status of a seed that may exit with any of 0, 1 and 2.
+constexpr int kAny = -1;
+
+/// A command line and the exit status it gives as it stands.
+struct Seed {
+  Command cmd;
+  int expect;
+};
+
+/// Runs every seed once as it stands, expecting its exit status, then
+/// kRuns mutated seeds, each seed equally often.  Before each run the
+/// files in `inputs` (if any) are copied into the current directory, over
+/// what a run may have written.
+void fuzz(const std::string& program, const std::vector<Seed>& seeds,
+          const std::vector<std::string>& env, const fs::path& inputs,
+          std::uint64_t seed) {
   const auto restore = [&inputs] {
     if (inputs.empty()) return;
     for (const fs::directory_entry& file : fs::directory_iterator(inputs)) {
@@ -193,17 +201,17 @@ void fuzz(const std::string& program, const std::vector<Command>& seeds,
                     fs::copy_options::overwrite_existing);
     }
   };
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
+  for (const auto& [cmd, expect] : seeds) {
     restore();
-    const int status = run(program, seeds[i], env);
+    const int status = run(program, cmd, env);
     const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    EXPECT_TRUE(expect[i] < 0 ? code >= 0 && code <= 2 : code == expect[i])
-        << quoted(program, seeds[i]) << ": status " << status;
+    EXPECT_TRUE(expect == kAny ? code >= 0 && code <= 2 : code == expect)
+        << quoted(program, cmd) << ": status " << status;
   }
   Xoshiro256 rng(seed);
   int non_decimal = 0;
   for (int i = 0; i < kRuns; ++i) {
-    Command cmd = seeds[static_cast<std::size_t>(i) % seeds.size()];
+    Command cmd = seeds[static_cast<std::size_t>(i) % seeds.size()].cmd;
     const bool must_reject = mutate(cmd, rng);
     restore();
     const int status = run(program, cmd, env);
@@ -223,22 +231,26 @@ void fuzz(const std::string& program, const std::vector<Command>& seeds,
 TEST(ArgFuzz, CcmxCliExitsCleanly) {
   const fs::path dir = enter_scratch("ccmx_cli");
   // The ccmx_cli.rejects.* commands, then one small valid command each.
-  const std::vector<Command> seeds{
-      {"singularity", "-3", "2"}, {"mesh", "3", "70"},
-      {"mesh", "0", "1"},         {"singularity", "8", "4", "7x"},
-      {"solvable", "8", "4", "18446744073709551616"},
-      {"rank", "5", "6"},         {"hard", "8", "3"},
-      {"mesh", "3", "4", "5"},    {"singularity", "8", "4", "7"},
-      {"solvable", "6", "3", "1"}, {"hard", "7", "2", "1"},
-      {"rank", "8", "0", "1"},    {"mesh", "8", "4"}};
-  std::vector<int> expect(seeds.size(), 2);
-  std::fill(expect.begin() + 8, expect.end(), 0);
-  fuzz(CCMX_CLI, seeds, expect, child_environment(dir, {}), {}, 29);
+  const std::vector<Seed> seeds{
+      {{"singularity", "-3", "2"}, 2},
+      {{"mesh", "3", "70"}, 2},
+      {{"mesh", "0", "1"}, 2},
+      {{"singularity", "8", "4", "7x"}, 2},
+      {{"solvable", "8", "4", "18446744073709551616"}, 2},
+      {{"rank", "5", "6"}, 2},
+      {{"hard", "8", "3"}, 2},
+      {{"mesh", "3", "4", "5"}, 2},
+      {{"singularity", "8", "4", "7"}, 0},
+      {{"solvable", "6", "3", "1"}, 0},
+      {{"hard", "7", "2", "1"}, 0},
+      {{"rank", "8", "0", "1"}, 0},
+      {{"mesh", "8", "4"}, 0}};
+  fuzz(CCMX_CLI, seeds, child_environment(dir, {}), {}, 29);
 }
 
 TEST(ArgFuzz, CcmxInsightExitsCleanly) {
   const fs::path dir = enter_scratch("ccmx_insight");
-  // Inputs for trace, timeseries and profile, from one traced run.
+  // Inputs for trace and profile, from one traced run.
   const fs::path inputs = dir / "inputs";
   fs::create_directory(inputs);
   const auto in = [&inputs](const char* var, const char* file) {
@@ -246,11 +258,9 @@ TEST(ArgFuzz, CcmxInsightExitsCleanly) {
   };
   const int made = run(
       CCMX_CLI, {"singularity", "6", "4", "3"},
-      child_environment(dir, {"CCMX_TRACE=1", "CCMX_SAMPLE_MS=1",
-                              "CCMX_PROF_HZ=997",
+      child_environment(dir, {"CCMX_TRACE=1", "CCMX_PROF_HZ=997",
                               in("CCMX_TRACE_FILE", "trace.jsonl"),
                               in("CCMX_REPORT", "report.json"),
-                              in("CCMX_SAMPLE_FILE", "samples.jsonl"),
                               in("CCMX_PROF_FILE", "profile.jsonl")}));
   ASSERT_TRUE(WIFEXITED(made) && WEXITSTATUS(made) == 0) << made;
   const std::string baseline = std::string(CCMX_REPO_ROOT) + "/bench/baseline";
@@ -259,33 +269,45 @@ TEST(ArgFuzz, CcmxInsightExitsCleanly) {
     cmd.insert(cmd.end(), more.begin(), more.end());
     return cmd;
   };
-  // The ccmx_insight.rejects.* commands, then one small valid command each.
-  const std::vector<Command> seeds{
-      with(diff, {"--cpu-tol", "abc"}),
-      with(diff, {"--cpu-tol", "0.5x"}),
-      with(diff, {"--min-iters", "3abc"}),
-      with(diff, {"--cpu-tl", "0.5"}),
-      with(diff, {"--insn-tol", "0.3"}),
-      with(diff, {"--counter-tol", "0.25"}),
-      {"trajectory", "--reports", baseline, "--out", "/dev/null"},
-      {"html", "--reports", baseline, "--trajectory", "t.jsonl"},
-      with(diff, {"--cpu-tol", "0.2", "--rss-tol", "0.3", "--min-iters", "3",
-                  "--json", "diff.json", "--md", "diff.md"}),
-      {"trace", "trace.jsonl", "--report", "report.json", "--chrome",
-       "chrome.json"},
-      {"timeseries", "samples.jsonl", "--json", "series.json"},
-      {"profile", "profile.jsonl", "--top", "5", "--collapsed", "folded.txt"},
-      {"html", "--reports", baseline, "--out", "dashboard.html", "--title",
-       "t"},
-      {"fit", "--law", "send-half", "--seed", "7", "--max-dev", "0"}};
-  std::vector<int> expect(seeds.size(), 2);
-  std::fill(expect.begin() + 8, expect.end(), 0);
 #ifdef CCMX_OBS_DISABLED
-  // No trace, samples or profile were written, and fit reads a trace.
-  std::fill(expect.begin() + 9, expect.begin() + 12, -1);
-  expect.back() = -1;
+  // No trace, report or profile was written, and fit reads a trace.
+  constexpr int kIfObs = kAny;
+#else
+  constexpr int kIfObs = 0;
 #endif
-  fuzz(CCMX_INSIGHT, seeds, expect, child_environment(dir, {}), inputs, 29);
+  // The ccmx_insight.rejects.* commands, then small valid commands, at
+  // least one per subcommand.
+  const std::vector<Seed> seeds{
+      {with(diff, {"--cpu-tol", "abc"}), 2},
+      {with(diff, {"--cpu-tol", "0.5x"}), 2},
+      {with(diff, {"--min-iters", "3abc"}), 2},
+      {with(diff, {"--cpu-tl", "0.5"}), 2},
+      {with(diff, {"--insn-tol", "0.3"}), 2},
+      {with(diff, {"--counter-tol", "0.25"}), 2},
+      {with(diff, {"--json", "--md", "diff.md"}), 2},
+      {{"trajectory", "--reports", baseline, "--out", "/dev/null"}, 2},
+      {{"timeseries", "samples.jsonl", "--json", "series.json"}, 2},
+      {{"html", "--reports", baseline, "--trajectory", "t.jsonl"}, 2},
+      {{"html", "--reports", baseline, "--timeseries", "samples.jsonl"}, 2},
+      {{"html", "--reports", baseline, "--out", "--title", "t"}, 2},
+      {with(diff, {"--cpu-tol", "0.2", "--rss-tol", "0.3", "--min-iters", "3",
+                   "--json", "diff.json", "--md", "diff.md"}),
+       0},
+      {with(diff, {"--min-iters", "1", "--allow-missing-baseline"}), 0},
+      {{"trace", "trace.jsonl", "--report", "report.json", "--chrome",
+        "chrome.json"},
+       kIfObs},
+      {{"profile", "profile.jsonl", "--top", "5", "--collapsed",
+        "folded.txt"},
+       kIfObs},
+      {{"profile", "profile.jsonl", "--top", "1", "--trace", "trace.jsonl"},
+       kIfObs},
+      {{"html", "--reports", baseline, "--out", "dashboard.html", "--title",
+        "t"},
+       0},
+      {{"fit", "--law", "send-half", "--seed", "7", "--max-dev", "0"},
+       kIfObs}};
+  fuzz(CCMX_INSIGHT, seeds, child_environment(dir, {}), inputs, 29);
 }
 
 }  // namespace

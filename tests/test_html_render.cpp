@@ -177,16 +177,6 @@ TEST(HtmlRender, EscapesScriptTerminatorsInsideTheIsland) {
 TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
   const obs::LoadResult reports = make_reports();
 
-  obs::TimeseriesResult timeseries;
-  timeseries.path = "timeseries.jsonl";
-  for (const std::int64_t t_us : {0, 20000, 40000}) {
-    obs::TimeseriesRow row;
-    row.t_us = t_us;
-    row.dt_us = 20000;
-    row.rss_bytes = (8 << 20) + t_us;
-    timeseries.rows.push_back(row);
-  }
-
   const obs::json::Value diff = obs::json::parse(
       "{\"benchmarks\":[{\"report\":\"exact_cc\","
       "\"benchmark\":\"BM_ExactCcEquality/2\",\"baseline_cpu\":11.0,"
@@ -211,7 +201,6 @@ TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
 
   obs::DashboardData data;
   data.reports = &reports;
-  data.timeseries = &timeseries;
   data.diff = &diff;
   data.trace = &trace;
   data.forest = &forest;
@@ -219,10 +208,8 @@ TEST(HtmlRender, RendersAllSectionsWhenEverythingIsProvided) {
 
   check_balanced(html);
   // Every section rendered its content, not its fallback note.
-  EXPECT_EQ(html.find("No telemetry series provided"), std::string::npos);
   EXPECT_EQ(html.find("No bench diff provided"), std::string::npos);
   EXPECT_EQ(html.find("No channel trace provided"), std::string::npos);
-  EXPECT_NE(html.find("<polyline"), std::string::npos);   // sparkline
   EXPECT_NE(html.find("regression"), std::string::npos);  // verdict chip
   EXPECT_NE(html.find("cli.singularity"), std::string::npos);  // flame
   EXPECT_NE(html.find("bits on the wire"), std::string::npos);

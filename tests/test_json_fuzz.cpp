@@ -1,10 +1,10 @@
 // Seeded mutation fuzz for obs::json::parse, the reader under every
-// offline tool: run reports, bench diffs, traces, profiles
-// and timeseries all go through it.  Writer-produced documents are
-// bit-flipped, overwritten, grown, cut, truncated and spliced into each
-// other by a Xoshiro256 mutator; every input must either parse or throw
-// contract_error — never crash, hang or throw anything else.  Runs under
-// the ASan+UBSan job like the rest of tier 1.
+// offline tool: run reports, bench diffs, traces and profiles all go
+// through it.  Writer-produced documents are bit-flipped, overwritten,
+// grown, cut, truncated and spliced into each other by a Xoshiro256
+// mutator; every input must either parse or throw contract_error — never
+// crash, hang or throw anything else.  Runs under the ASan+UBSan job like
+// the rest of tier 1.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,26 +1,32 @@
 // Sampling CPU profiler: degradation reasons, start/stop idempotence,
 // the ring-overflow conservation ledger, symbol attribution of a known
-// hot function, span attribution, and coexistence with the telemetry
-// sampler and the trace writer.  Under CCMX_OBS=OFF only the stub
-// contract is testable — and tested.
+// hot function, the file offsets of frames dladdr cannot name, span
+// attribution, and coexistence with the trace writer and a worker
+// thread.  Under CCMX_OBS=OFF only the stub contract is testable — and
+// tested.
 #include "obs/profiler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
+#endif
+#if defined(__linux__)
+#include <link.h>
 #endif
 
 namespace {
@@ -224,6 +230,93 @@ TEST(Profiler, AttributesSamplesToTheHotFunctionAndBalances) {
   std::filesystem::remove(options.path);
 }
 
+#if defined(__linux__)
+/// Internal linkage on purpose: the dynamic symbol table does not list
+/// this function, so dladdr cannot name its samples and the profiler
+/// falls back to naming them by module and file offset.
+__attribute__((noinline)) std::uint64_t spin_unexported(double seconds) {
+  volatile std::uint64_t acc = 1;
+  const double until = thread_cpu_seconds() + seconds;
+  do {
+    for (int i = 0; i < 4096; ++i) {
+      acc = acc * 2862933555777941757ULL + 3037000493ULL;
+    }
+  } while (thread_cpu_seconds() < until);
+  return acc;
+}
+
+/// One executable PT_LOAD segment of the test binary, from its own
+/// program headers: loaded at [lo, hi), mapping file offset `offset`.
+struct TextSegment {
+  std::uintptr_t lo = 0;
+  std::uintptr_t hi = 0;
+  std::uint64_t offset = 0;
+};
+
+std::vector<TextSegment> test_binary_text() {
+  std::vector<TextSegment> text;
+  dl_iterate_phdr(
+      [](dl_phdr_info* info, std::size_t, void* out) {
+        for (ElfW(Half) i = 0; i < info->dlpi_phnum; ++i) {
+          const ElfW(Phdr)& ph = info->dlpi_phdr[i];
+          if (ph.p_type != PT_LOAD || (ph.p_flags & PF_X) == 0) continue;
+          const std::uintptr_t lo = info->dlpi_addr + ph.p_vaddr;
+          static_cast<std::vector<TextSegment>*>(out)->push_back(
+              {lo, lo + ph.p_memsz, ph.p_offset});
+        }
+        return 1;  // the first object reported is the main program
+      },
+      &text);
+  return text;
+}
+
+TEST(Profiler, UnnamedFramesCarryTheirFileOffset) {
+  const std::vector<TextSegment> text = test_binary_text();
+  ASSERT_FALSE(text.empty());
+  obs::ProfilerOptions options;
+  options.path = temp_profile_path("file_offset");
+  options.hz = 997;
+  options.drain_interval_ms = 20;
+  ASSERT_TRUE(obs::profiler_start(options))
+      << obs::profiler_unavailable_reason();
+  spin_unexported(0.8);
+  (void)obs::profiler_stop();
+
+  const obs::ProfileData prof = obs::load_profile(options.path);
+  ASSERT_TRUE(prof.ledger_balances());
+  ASSERT_FALSE(prof.samples.empty());
+  // Every frame dladdr could not name inside the test binary is
+  // module+0x<off>, and `off` is the pc's file offset by the binary's
+  // own headers: p_offset + pc - dlpi_addr - p_vaddr, whatever the load
+  // address, so addr2line resolves it.
+  std::set<std::uint64_t> unnamed;
+  for (const obs::ProfileFrame& frame : prof.frames) {
+    const auto segment =
+        std::find_if(text.begin(), text.end(), [&](const TextSegment& t) {
+          return frame.pc >= t.lo && frame.pc < t.hi;
+        });
+    if (frame.symbolized || segment == text.end()) continue;
+    unnamed.insert(frame.id);
+    char suffix[32];
+    std::snprintf(suffix, sizeof suffix, "+0x%llx",
+                  static_cast<unsigned long long>(frame.off));
+    EXPECT_FALSE(frame.module.empty()) << frame.sym;
+    EXPECT_EQ(frame.sym, frame.module + suffix);
+    EXPECT_EQ(frame.off, segment->offset + (frame.pc - segment->lo))
+        << frame.sym;
+  }
+  // The hot function's samples are the ones that landed there.
+  std::size_t unnamed_leaves = 0;
+  for (const obs::ProfileSample& sample : prof.samples) {
+    if (!sample.stack.empty() && unnamed.count(sample.stack.front()) != 0) {
+      ++unnamed_leaves;
+    }
+  }
+  EXPECT_GT(unnamed_leaves, prof.samples.size() / 2);
+  std::filesystem::remove(options.path);
+}
+#endif
+
 TEST(Profiler, RingOverflowIsCountedNeverSilent) {
   // Test seam: the smallest ring plus a drain interval far longer than
   // the spin forces overflow, and the ledger must still conserve.
@@ -247,21 +340,15 @@ TEST(Profiler, RingOverflowIsCountedNeverSilent) {
   std::filesystem::remove(options.path);
 }
 
-TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
-  // All three observability backends at once — the profiler's SIGPROF
-  // handler interrupts span emission and sampler sweeps, and nothing may
-  // deadlock or miscount.
+TEST(Profiler, CoexistsWithTraceWriter) {
+  // The profiler and the trace writer at once, on the main thread and a
+  // worker — the SIGPROF handler interrupts span emission and trace
+  // batch writes, and nothing may deadlock or miscount.
   const std::string trace_path = temp_profile_path("coexist_trace");
-  const std::string series_path = temp_profile_path("coexist_series");
   const std::string prof_path = temp_profile_path("coexist_prof");
 
   obs::set_enabled(true);
   ASSERT_TRUE(obs::open_trace_sink(trace_path));
-  obs::TelemetrySampler sampler;
-  obs::SamplerOptions sampling;
-  sampling.path = series_path;
-  sampling.interval_ms = 10;
-  ASSERT_TRUE(sampler.start(sampling));
 
   obs::ProfilerOptions options;
   options.path = prof_path;
@@ -285,7 +372,6 @@ TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
   EXPECT_TRUE(worker_ok.load());
 
   const obs::ProfilerLedger ledger = obs::profiler_stop();
-  sampler.stop();
   obs::flush_thread();
   obs::close_trace_sink();
   obs::set_enabled(false);
@@ -293,13 +379,11 @@ TEST(Profiler, CoexistsWithTelemetrySamplerAndTraceWriter) {
   EXPECT_EQ(ledger.captured, ledger.written + ledger.dropped);
   EXPECT_GT(ledger.captured, 0u);
   EXPECT_GE(ledger.threads, 2u);  // main + registered worker
-  EXPECT_GT(sampler.rows_written(), 0u);
   EXPECT_GT(std::filesystem::file_size(trace_path), 0u);
 
   const obs::ProfileData prof = obs::load_profile(prof_path);
   EXPECT_TRUE(prof.ledger_balances());
   std::filesystem::remove(trace_path);
-  std::filesystem::remove(series_path);
   std::filesystem::remove(prof_path);
 }
 

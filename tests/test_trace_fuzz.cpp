@@ -9,11 +9,10 @@
 // fed in random chunks, so the carry buffer is fuzzed too, and half of
 // them also go through the strict parse_channel_trace.  The seed's
 // timestamps differ from run to run, so a failure prints its input.
-// The same mutator runs over seeds in the telemetry sampler's and the
-// profiler's row formats, through obs::load_timeseries and
-// obs::load_profile (the files `ccmx_insight timeseries`, `profile` and
-// `html` read): each input must load or throw contract_error, and the
-// profile rollups must run on every profile that loads.
+// The same mutator runs over a seed in the profiler's row format, through
+// obs::load_profile (the file `ccmx_insight profile` and `html` read):
+// each input must load or throw contract_error, and the profile rollups
+// must run on every profile that loads.
 // Runs under the ASan+UBSan job like the rest of tier 1.
 #include <gtest/gtest.h>
 
@@ -171,46 +170,6 @@ std::size_t fuzz_loader(const std::string& stem, const std::string& seed,
   return clean;
 }
 
-/// Rows as hwcounters.cpp's sampler writes them: one idle, one with
-/// counter deltas, one closing row.
-constexpr std::string_view kTimeseriesSeed =
-    R"({"schema":"ccmx.timeseries/2","seq":0,"t_us":1200,"dt_us":1200,)"
-    R"("rss_bytes":8388608,"utime_s":0.012,"stime_s":0.004,)"
-    R"("minor_faults":210,"major_faults":0,"counters":{}})"
-    "\n"
-    R"({"schema":"ccmx.timeseries/2","seq":1,"t_us":21200,"dt_us":20000,)"
-    R"("rss_bytes":9437184,"utime_s":0.031,"stime_s":0.005,)"
-    R"("minor_faults":40,"major_faults":1,"counters":)"
-    R"({"census.evaluations":4782969,"parallel.items":64}})"
-    "\n"
-    R"({"schema":"ccmx.timeseries/2","seq":2,"t_us":23000,"dt_us":1800,)"
-    R"("rss_bytes":9437184,"utime_s":0.033,"stime_s":0.005,)"
-    R"("minor_faults":0,"major_faults":0,"counters":{"obs.trace.emitted":3}})"
-    "\n";
-
-TEST(TimeseriesFuzz, MutatedSeriesLoadOrThrowContractError) {
-  const std::string seed(kTimeseriesSeed);
-  const std::string path = temp_path("timeseries_seed");
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << seed;
-  const obs::TimeseriesResult clean = obs::load_timeseries(path);
-  std::filesystem::remove(path);
-  ASSERT_EQ(clean.rows.size(), 3u);
-  ASSERT_TRUE(clean.problems.empty() && clean.skipped == 0);
-
-  std::size_t with_rows = 0;
-  const std::size_t unchanged = fuzz_loader(
-      "timeseries", seed, 0x5e41e5,
-      [](const std::string& p) { return obs::load_timeseries(p); },
-      [&](const obs::TimeseriesResult& series, std::size_t) {
-        if (!series.rows.empty()) ++with_rows;
-        (void)series.span_seconds();
-      });
-  // Both outcomes must be exercised, or the mutator is not fuzzing.
-  EXPECT_GT(unchanged, kIterations / 100);
-  EXPECT_LT(unchanged, kIterations - kIterations / 100);
-  EXPECT_GT(with_rows, kIterations / 100);
-}
-
 /// Rows as profiler.cpp writes them: meta, frames interned on first sight
 /// (one unsymbolized), leaf-first samples inside and outside a span, and
 /// the closing ledger.
@@ -270,32 +229,24 @@ TEST(ProfileFuzz, MutatedProfilesLoadOrThrowContractError) {
 
 TEST(LoaderFuzz, OutOfRangeNumbersReadAsMissing) {
   // A JSON number can be any double (1e999 parses as inf), and casting
-  // one outside an integer field's range is undefined behaviour; the
-  // timeseries fuzz trips -fsanitize=float-cast-overflow on it.  Both
-  // loaders read such a number as absent.
+  // one outside an integer field's range is undefined behaviour, which
+  // -fsanitize=float-cast-overflow reports.  The loader reads such a
+  // number as absent: just past int64 (9.3e18), 2^64 for a uint64 field,
+  // either infinity and a negative value for an unsigned field.
   const std::string path = temp_path("out_of_range");
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << R"({"schema":"ccmx.timeseries/2","seq":1e999,"t_us":-1e300,)"
-      << R"("dt_us":9.3e18,"minor_faults":1.8446744073709552e19,)"
-      << R"("counters":{"census.evaluations":1e20,"parallel.items":5}})"
-      << '\n';
-  const obs::TimeseriesResult series = obs::load_timeseries(path);
-  ASSERT_EQ(series.rows.size(), 1u);
-  EXPECT_EQ(series.rows[0].seq, 0u);
-  EXPECT_EQ(series.rows[0].t_us, 0);
-  EXPECT_EQ(series.rows[0].dt_us, 0);
-  EXPECT_EQ(series.rows[0].minor_faults, 0u);
-  ASSERT_EQ(series.rows[0].counters.size(), 1u);
-  EXPECT_EQ(series.rows[0].counters[0].first, "parallel.items");
-
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       << R"({"schema":"ccmx.profile/1","ev":"meta","start_us":1e999})"
       << '\n'
-      << R"({"ev":"sample","span":-1e999,"t_us":-1e300,"stack":[1e20,2]})"
+      << R"({"ev":"frame","id":1,"pc":1.8446744073709552e19,"off":-1})"
+      << '\n'
+      << R"({"ev":"sample","span":-1e999,"t_us":9.3e18,"stack":[1e20,2]})"
       << '\n';
   const obs::ProfileData prof = obs::load_profile(path);
   std::filesystem::remove(path);
   EXPECT_EQ(prof.start_us, 0);
+  ASSERT_EQ(prof.frames.size(), 1u);
+  EXPECT_EQ(prof.frames[0].pc, 0u);
+  EXPECT_EQ(prof.frames[0].off, 0u);
   ASSERT_EQ(prof.samples.size(), 1u);
   EXPECT_EQ(prof.samples[0].span, 0u);
   EXPECT_EQ(prof.samples[0].t_us, 0);

@@ -15,10 +15,6 @@
 //       counters.  --chrome converts the whole trace to Chrome
 //       trace-event JSON (ccmx.chrome_trace/1) for Perfetto /
 //       chrome://tracing.  Exit 1 on conservation mismatch.
-//   timeseries FILE [--json PATH]
-//       Summarize a ccmx.timeseries/2 JSONL file written by the
-//       background telemetry sampler (CCMX_SAMPLE_FILE): sample count,
-//       wall span, RSS range, CPU time and page faults.
 //   profile FILE [--top N] [--collapsed OUT] [--trace TRACE.jsonl]
 //       Summarize a ccmx.profile/1 JSONL stream written by the sampling
 //       CPU profiler (CCMX_PROF_HZ / CCMX_PROF_FILE): the requested and
@@ -31,8 +27,7 @@
 //       Exit 1 when the ledger is missing or does not balance
 //       (captured != written + dropped).
 //   html --reports DIR [--diff DIFF.json] [--arch ARCH.json]
-//       [--trace FILE] [--timeseries FILE] [--profile FILE]
-//       [--out FILE] [--title S]
+//       [--trace FILE] [--profile FILE] [--out FILE] [--title S]
 //       Render the observability artifacts into ONE self-contained HTML
 //       dashboard (inline SVG/CSS, no scripts, no network) with the
 //       run-report JSON embedded as a ccmx.dashboard_data/1 island.
@@ -72,11 +67,9 @@
 #include "lint/arch.hpp"
 #include "obs/analysis.hpp"
 #include "obs/html_render.hpp"
-#include "obs/json.hpp"
 #include "obs/json_reader.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile_reader.hpp"
-#include "obs/schemas.hpp"
 #include "obs/trace_reader.hpp"
 #include "protocols/fingerprint.hpp"
 #include "protocols/send_half.hpp"
@@ -90,16 +83,15 @@ using namespace ccmx;
 int usage() {
   std::cerr <<
       "usage: ccmx_insight "
-      "<diff|trace|timeseries|profile|html|fit> ...\n"
+      "<diff|trace|profile|html|fit> ...\n"
       "  diff --baseline DIR --candidate DIR [--json PATH] [--md PATH]\n"
       "       [--cpu-tol F=0.20] [--rss-tol F=0.30] [--min-iters N=3]\n"
       "       [--allow-missing-baseline]\n"
       "  trace FILE [--report BENCH.json] [--chrome OUT.json]\n"
-      "  timeseries FILE [--json PATH]\n"
       "  profile FILE [--top N=15] [--collapsed OUT] [--trace TRACE.jsonl]\n"
       "  html --reports DIR [--diff DIFF.json] [--arch ARCH.json]\n"
-      "       [--trace FILE] [--timeseries FILE] [--profile FILE]\n"
-      "       [--out FILE=dashboard.html] [--title S]\n"
+      "       [--trace FILE] [--profile FILE] [--out FILE=dashboard.html]\n"
+      "       [--title S]\n"
       "  fit --law send-half|fingerprint [--seed N=7] [--max-dev F]\n";
   return 2;
 }
@@ -112,7 +104,10 @@ struct UsageError : std::invalid_argument {
 /// "--key value" argument reader.  Each subcommand reads every option it
 /// takes before acting, then calls done(): an argument nothing read (a
 /// misspelled or repeated option, a stray word) is a UsageError, never
-/// silently ignored.
+/// silently ignored.  A token once read is never matched as a key again,
+/// and a value that starts with "--" is another option, so it is refused
+/// rather than taken (`--out --title t` is a usage error, not a file
+/// named "--title").
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -121,18 +116,21 @@ class Args {
 
   std::optional<std::string> option(const std::string& key) {
     for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == key) {
-        consumed_.push_back(i);
-        consumed_.push_back(i + 1);
-        return args_[i + 1];
+      if (args_[i] != key || consumed(i)) continue;
+      if (args_[i + 1].rfind("--", 0) == 0) {
+        throw UsageError(key + " needs a value, got the option \"" +
+                         args_[i + 1] + "\"");
       }
+      consumed_.push_back(i);
+      consumed_.push_back(i + 1);
+      return args_[i + 1];
     }
     return std::nullopt;
   }
 
   bool flag(const std::string& key) {
     for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == key) {
+      if (args_[i] == key && !consumed(i)) {
         consumed_.push_back(i);
         return true;
       }
@@ -183,14 +181,18 @@ class Args {
   /// Throws UsageError naming the first argument no call above read.
   void done() const {
     for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (std::find(consumed_.begin(), consumed_.end(), i) ==
-          consumed_.end()) {
+      if (!consumed(i)) {
         throw UsageError("unexpected argument \"" + args_[i] + "\"");
       }
     }
   }
 
  private:
+  bool consumed(std::size_t i) const {
+    return std::find(consumed_.begin(), consumed_.end(), i) !=
+           consumed_.end();
+  }
+
   template <class T>
   static T parse(const std::string& key, const std::string& text) {
     T value{};
@@ -432,76 +434,6 @@ int cmd_trace(Args& args) {
   return 0;
 }
 
-// ---------------------------------------------------------- timeseries
-
-int cmd_timeseries(Args& args) {
-  const auto path = args.positional();
-  const auto json_path = args.option("--json");
-  args.done();
-  if (!path) return usage();
-
-  const obs::TimeseriesResult series = obs::load_timeseries(*path);
-  for (const std::string& p : series.problems) {
-    std::cerr << "warning: " << p << '\n';
-  }
-  if (series.rows.empty()) {
-    std::cerr << "error: no " << obs::kTimeseriesSchema << " rows in "
-              << *path << '\n';
-    return 2;
-  }
-
-  std::int64_t rss_min = series.rows.front().rss_bytes;
-  std::int64_t rss_max = rss_min;
-  for (const obs::TimeseriesRow& row : series.rows) {
-    rss_min = std::min(rss_min, row.rss_bytes);
-    rss_max = std::max(rss_max, row.rss_bytes);
-  }
-  const obs::TimeseriesRow& last = series.rows.back();
-  const double span = series.span_seconds();
-
-  std::cout << "timeseries: " << *path << " — " << series.rows.size()
-            << " sample(s) over " << util::fmt_double(span, 3) << " s";
-  if (series.skipped > 0) {
-    std::cout << " (" << series.skipped << " line(s) skipped)";
-  }
-  std::cout << '\n';
-  util::TextTable table({"metric", "value"});
-  table.row("rss min (bytes)", rss_min);
-  table.row("rss max (bytes)", rss_max);
-  table.row("rss final (bytes)", last.rss_bytes);
-  table.row("utime final (s)", util::fmt_double(last.utime_s, 3));
-  table.row("stime final (s)", util::fmt_double(last.stime_s, 3));
-  table.row("minor faults", last.minor_faults);
-  table.row("major faults", last.major_faults);
-  table.print(std::cout);
-
-  if (json_path) {
-    std::ostringstream os;
-    obs::json::Writer w(os);
-    w.begin_object();
-    w.key("schema").value(obs::kTimeseriesSummarySchema);
-    w.key("path").value(*path);
-    w.key("samples").value(static_cast<std::uint64_t>(series.rows.size()));
-    w.key("skipped").value(static_cast<std::uint64_t>(series.skipped));
-    w.key("span_seconds").value(span);
-    w.key("rss_min_bytes").value(rss_min);
-    w.key("rss_max_bytes").value(rss_max);
-    w.key("rss_final_bytes").value(last.rss_bytes);
-    w.key("utime_s").value(last.utime_s);
-    w.key("stime_s").value(last.stime_s);
-    w.key("minor_faults").value(last.minor_faults);
-    w.key("major_faults").value(last.major_faults);
-    w.end_object();
-    os << '\n';
-    if (!write_text_file(*json_path, os.str())) {
-      std::cerr << "error: cannot write " << *json_path << '\n';
-      return 2;
-    }
-    std::cout << "timeseries summary json: " << *json_path << '\n';
-  }
-  return 0;
-}
-
 // ------------------------------------------------------------- profile
 
 int cmd_profile(Args& args) {
@@ -669,7 +601,6 @@ int cmd_html(Args& args) {
   const auto diff_path = args.option("--diff");
   const auto arch_path = args.option("--arch");
   const auto trace_path = args.option("--trace");
-  const auto ts_path = args.option("--timeseries");
   const auto profile_path = args.option("--profile");
   args.done();
   if (!reports_dir) return usage();
@@ -746,17 +677,6 @@ int cmd_html(Args& args) {
     data.trace = &trace;
     data.forest = &forest;
     data.trace_stats = &trace_stats;
-  }
-
-  obs::TimeseriesResult timeseries;
-  if (ts_path) {
-    // Tolerant like the other optional sections: a sampler killed
-    // mid-row still renders; only a fully missing/empty series warns.
-    timeseries = obs::load_timeseries(*ts_path);
-    for (const std::string& p : timeseries.problems) {
-      std::cerr << "warning: " << p << '\n';
-    }
-    data.timeseries = &timeseries;
   }
 
   obs::ProfileData profile;
@@ -996,7 +916,6 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "diff") return cmd_diff(args);
     if (cmd == "trace") return cmd_trace(args);
-    if (cmd == "timeseries") return cmd_timeseries(args);
     if (cmd == "profile") return cmd_profile(args);
     if (cmd == "html") return cmd_html(args);
     if (cmd == "fit") return cmd_fit(args);
