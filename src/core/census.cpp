@@ -185,6 +185,9 @@ ShiftModel<Int>::ShiftModel(const ConstructionParams& p,
   t_hi_ = to_int<Int>(flip ? -r_g.lo : r_g.hi);
   y_lo_ = to_int<Int>(r_y.lo);
   y_hi_ = to_int<Int>(r_y.hi);
+  if constexpr (std::is_same_v<Int, std::int64_t>) {
+    step_divisor_ = util::Divisor(static_cast<std::uint64_t>(step_));
+  }
   // coef[p] = chain(e_p), so dot and the histogram agree with chain by
   // construction.
   std::vector<std::uint32_t> unit(half_ * l_ + (half_ - 1) * g_, 0);
@@ -239,8 +242,17 @@ Int ShiftModel<Int>::dot(const std::vector<std::uint32_t>& dv) const {
 
 template <class Int>
 Int ShiftModel<Int>::count(const Int& shift) const {
-  const Int lo = std::max(div_ceil(y_lo_ + shift, step_), t_lo_);
-  const Int hi = std::min(div_floor(y_hi_ + shift, step_), t_hi_);
+  Int lo;
+  Int hi;
+  if constexpr (std::is_same_v<Int, std::int64_t>) {
+    lo = step_divisor_.ceil(y_lo_ + shift);
+    hi = step_divisor_.floor(y_hi_ + shift);
+  } else {
+    lo = div_ceil(y_lo_ + shift, step_);
+    hi = div_floor(y_hi_ + shift, step_);
+  }
+  lo = std::max(lo, t_lo_);
+  hi = std::min(hi, t_hi_);
   return hi < lo ? Int{} : hi - lo + 1;
 }
 
@@ -546,6 +558,14 @@ struct SpanKeys {
   Records draws;
   std::uint64_t fallbacks = 0;
   std::uint64_t items = 0;  // C blocks this worker keyed
+  std::vector<std::int64_t> c;   // scratch: C's digits, row-major
+  std::vector<std::int64_t> at;  // scratch: A(C)^T's words
+
+  /// Keys the span of A(C) for the digits in c.
+  void add_block(const ConstructionParams& p) {
+    a_transpose_words(p, c, at);
+    add(la::column_span_form(at, p.n() - 1, p.n()));
+  }
 
   void add(const la::SpanForm& form) {
     fallbacks += form.fallback ? 1 : 0;
@@ -603,16 +623,16 @@ std::uint64_t count_distinct(std::vector<la::IntMatrix> forms) {
 
 /// Appends C's digits as one record: each is below q = 2^k - 1, so k bits
 /// wide, and 64 / k share a word.
-void add_draw(Records& draws, const la::IntMatrix& c, unsigned k) {
+void add_draw(Records& draws, const std::vector<std::int64_t>& c, unsigned k) {
   const unsigned per_word = 64 / k;
   std::uint64_t word = 0;
   unsigned used = 0;
-  for (const BigInt& digit : c.data()) {
+  for (const std::int64_t digit : c) {
     if (used == per_word) {
       draws.words.push_back(static_cast<std::int64_t>(std::exchange(word, 0)));
       used = 0;
     }
-    word |= static_cast<std::uint64_t>(digit.to_int64()) << (used * k);
+    word |= static_cast<std::uint64_t>(digit) << (used * k);
     ++used;
   }
   draws.words.push_back(static_cast<std::int64_t>(word));
@@ -639,8 +659,8 @@ SpanCensus lemma34_census(const ConstructionParams& p,
     keys = util::parallel_reduce<SpanKeys>(
         0, *total, [] { return SpanKeys{}; },
         [&](SpanKeys& acc, std::size_t index) {
-          acc.add(span_canonical(
-              p, c_instance(p, static_cast<std::uint64_t>(index))));
+          c_instance_digits(p, static_cast<std::uint64_t>(index), acc.c);
+          acc.add_block(p);
           tick_batched(progress, ++acc.items);
         },
         merge);
@@ -649,7 +669,11 @@ SpanCensus lemma34_census(const ConstructionParams& p,
     // Per-trial derived generators keep the sampled census independent of
     // the worker that runs each trial.  A C drawn twice is keyed twice, and
     // both copies of it and of its form dedup below.
+    // A trial's C is the first half^2 draws of its generator, as in
+    // FreeParts::random.
     const std::uint64_t base_seed = rng();
+    const util::Xoshiro256::Bound digit_bound =
+        util::Xoshiro256::prepare(p.q());
     keys = util::parallel_reduce<SpanKeys>(
         0, static_cast<std::size_t>(max_instances),
         [] { return SpanKeys{}; },
@@ -657,9 +681,12 @@ SpanCensus lemma34_census(const ConstructionParams& p,
           util::Xoshiro256 draw(
               base_seed +
               0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(trial) + 1));
-          const FreeParts parts = FreeParts::random(p, draw);
-          add_draw(acc.draws, parts.c, p.k());
-          acc.add(span_canonical(p, parts.c));
+          acc.c.resize(p.free_entries_c());
+          for (std::int64_t& digit : acc.c) {
+            digit = static_cast<std::int64_t>(draw.below(digit_bound));
+          }
+          add_draw(acc.draws, acc.c, p.k());
+          acc.add_block(p);
           tick_batched(progress, ++acc.items);
         },
         merge);

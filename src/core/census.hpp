@@ -81,9 +81,10 @@ struct Lemma35Bounds {
 [[nodiscard]] Lemma35Bounds lemma35_bounds(const ConstructionParams& p);
 
 /// Lemma 3.4 check: enumerates (or samples) C instances and counts distinct
-/// Span(A(C)) by their canonical integer forms (span_canonical), keyed as
-/// int64 words and deduplicated exactly; a form with an entry past int64
-/// is compared as a BigInt matrix.  A sampled census counts each drawn C
+/// Span(A(C)) by their canonical integer forms (span_canonical's, from
+/// A(C)^T's int64 words written straight from C's digits), keyed as int64
+/// words and deduplicated exactly; a form with an entry past int64 is
+/// compared as a BigInt matrix.  A sampled census counts each drawn C
 /// once.  Returns (instances tested, distinct spans); the lemma asserts
 /// they are equal.
 struct SpanCensus {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/census.hpp"
+#include "util/divisor.hpp"
 
 namespace ccmx::core {
 
@@ -56,6 +57,8 @@ class ShiftModel {
   std::vector<Int> w_, u_, c_, coef_;  // c_ is C, row-major
   // count: t in [t_lo_, t_hi_] with step_ * t - shift in [y_lo_, y_hi_].
   Int step_, y_lo_, y_hi_, t_lo_, t_hi_;
+  // The int64 model's step_, prepared for count's two quotients.
+  util::Divisor step_divisor_;
 };
 
 /// row_census on ShiftModel<Int>.  When q^digits <= options.budget the

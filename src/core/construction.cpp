@@ -154,19 +154,43 @@ bool lemma32_singular(const ConstructionParams& p, const la::IntMatrix& a,
 
 namespace {
 
+/// sum_t digit(t) (-q)^(len-1-t), the base-(-q) numeral of len digits,
+/// most significant first, by Horner's rule: word steps on one
+/// accumulator, in place.
+template <class Digit>
+BigInt negabase_value(std::uint64_t q, std::size_t len, Digit digit) {
+  const auto neg_q = -static_cast<std::int64_t>(q);
+  BigInt acc;
+  for (std::size_t t = 0; t < len; ++t) {
+    acc *= neg_q;
+    acc += digit(t);
+  }
+  return acc;
+}
+
 /// x (length n - 1) with its tail forced by E: the unit rows half..n-2 of
-/// A give x[idx] = b_idx . u = E-row . w.  The head is left zero.
+/// A give x[idx] = b_idx . u = E-row . w, the E row's negabase value.  The
+/// head is left zero.
 std::vector<BigInt> forced_tail(const ConstructionParams& p,
                                 const la::IntMatrix& e) {
   const std::size_t half = p.half();
-  const std::vector<BigInt> w = p.w_vector();
   std::vector<BigInt> x(p.n() - 1);
-  for (std::size_t idx = half; idx + 1 < p.n(); ++idx) {
-    BigInt acc;
-    for (std::size_t t = 0; t < p.l(); ++t) acc += e(idx - half, t) * w[t];
-    x[idx] = acc;
+  for (std::size_t r = 0; r < half; ++r) {
+    x[half + r] = negabase_value(
+        p.q(), p.l(), [&](std::size_t t) { return e(r, t).to_int64(); });
   }
   return x;
+}
+
+/// c_idx . tail, one word multiply-add per C digit.
+BigInt c_dot_tail(const ConstructionParams& p, const la::IntMatrix& c,
+                  std::size_t idx, const std::vector<BigInt>& x) {
+  const std::size_t half = p.half();
+  BigInt ct;
+  for (std::size_t t = 0; t < half; ++t) {
+    ct.add_mul(x[half + t], c(idx, t).to_int64());
+  }
+  return ct;
 }
 
 /// Shared spine of the scalar characterization: the dependency A x = B u
@@ -176,18 +200,19 @@ std::vector<BigInt> forced_x(const ConstructionParams& p,
                              const la::IntMatrix& c, const la::IntMatrix& d,
                              const la::IntMatrix& e) {
   const std::size_t half = p.half();
-  const BigInt q(static_cast<std::int64_t>(p.q()));
+  const auto q = static_cast<std::int64_t>(p.q());
   std::vector<BigInt> x = forced_tail(p, e);
+  // u_D[j] = (-q)^{n-2-j} = (-q)^L (-q)^{G-1-j} for j < G, so D_idx . u_D
+  // is (-q)^L = (-1)^L m times the D row's negabase value.
+  const BigInt neg_q_l = p.l() % 2 == 0 ? p.m() : -p.m();
   // D-rows half-1..0: x[idx] = D_idx . u_D - q x[idx+1] - c_idx . tail.
-  // u_D[j] = (-q)^{n-2-j} for j < G.
-  const std::vector<BigInt> u = p.u_vector();
   for (std::size_t idx = half; idx-- > 0;) {
-    BigInt du;
-    for (std::size_t j = 0; j < p.g(); ++j) du += d(idx, j) * u[j];
-    BigInt value = du;
-    if (idx + 1 <= half - 1) value -= q * x[idx + 1];
-    for (std::size_t t = 0; t < half; ++t) value -= c(idx, t) * x[half + t];
-    x[idx] = value;
+    BigInt value = negabase_value(
+        p.q(), p.g(), [&](std::size_t j) { return d(idx, j).to_int64(); });
+    value *= neg_q_l;
+    if (idx + 1 < half) value.add_mul(x[idx + 1], -q);
+    value -= c_dot_tail(p, c, idx, x);
+    x[idx] = std::move(value);
   }
   return x;
 }
@@ -200,9 +225,9 @@ BigInt forced_x1(const ConstructionParams& p, const la::IntMatrix& c,
 }
 
 bool restricted_singular(const ConstructionParams& p, const FreeParts& parts) {
-  const std::vector<BigInt> u = p.u_vector();
-  BigInt yu;
-  for (std::size_t j = 0; j + 1 < p.n(); ++j) yu += parts.y[j] * u[j];
+  // y . u is y's negabase value: u[j] = (-q)^{n-2-j}.
+  const BigInt yu = negabase_value(
+      p.q(), p.n() - 1, [&](std::size_t j) { return parts.y[j].to_int64(); });
   return forced_x1(p, parts.c, parts.d, parts.e) == yu;
 }
 
@@ -211,51 +236,43 @@ std::optional<FreeParts> lemma35_complete(const ConstructionParams& p,
                                           const la::IntMatrix& e) {
   const std::size_t n = p.n();
   const std::size_t half = p.half();
-  const BigInt q(static_cast<std::int64_t>(p.q()));
+  const auto q = static_cast<std::int64_t>(p.q());
   const BigInt& m = p.m();
   const std::vector<BigInt> x = forced_tail(p, e);
+  std::vector<BigInt> ct(half);  // ct[idx] = c_idx . tail
+  for (std::size_t idx = 0; idx < half; ++idx) {
+    ct[idx] = c_dot_tail(p, c, idx, x);
+  }
 
-  // (-q)^L: u_D values are m' . (-q)^{G-1-j} with m' = (-q)^L.
-  const BigInt neg_q_l =
-      BigInt::pow(BigInt(-static_cast<std::int64_t>(p.q())),
-                  util::narrow_cast<unsigned>(p.l()));
-
+  // Heads of x, per the proof of Lemma 3.5(a): head[idx] is v reduced mod
+  // m, where v = -q head[idx+1] - ct[idx]; write head[idx] = v - m k.
+  // Then a_idx . x = head[idx] + q head[idx+1] + ct[idx] = -m k, and the D
+  // row must realize a_idx . x / (-q)^L = (-1)^(L+1) k, since
+  // m = (-1)^L (-q)^L.
+  const bool negate_k = p.l() % 2 == 0;
   // Two attempts: canonical residues in [0, m), then balanced residues in
   // (-m/2, m/2] — the latter only needed if a digit budget overflows.
   for (const bool balanced : {false, true}) {
-    const auto reduce = [&](const BigInt& value) {
-      BigInt r = BigInt::mod_floor(value, m);
-      if (balanced && r + r > m) r -= m;
-      return r;
-    };
-    // Heads of x, per the proof of Lemma 3.5(a).
-    std::vector<BigInt> head = x;
-    {
-      BigInt ct;  // c_{half-1} . tail
-      for (std::size_t t = 0; t < half; ++t) ct += c(half - 1, t) * x[half + t];
-      head[half - 1] = reduce(-ct);
-    }
-    for (std::size_t idx = half - 1; idx-- > 0;) {
-      BigInt ct;
-      for (std::size_t t = 0; t < half; ++t) ct += c(idx, t) * x[half + t];
-      head[idx] = reduce(-(q * head[idx + 1]) - ct);
-    }
-
-    // D rows: a_idx . x is a multiple of m; its quotient by (-q)^L is the
-    // negabase value the D digits must realize.
+    std::vector<BigInt> head(half);
     la::IntMatrix d(half, p.g());
     bool ok = true;
-    for (std::size_t idx = 0; idx < half && ok; ++idx) {
-      BigInt ax = head[idx];
-      if (idx + 1 <= half - 1) ax += q * head[idx + 1];
-      for (std::size_t t = 0; t < half; ++t) ax += c(idx, t) * x[half + t];
-      const BigInt target = ax.divide_exact(neg_q_l);
-      const auto digits = num::to_negabase(target, p.q(), p.g());
-      if (!digits) {
-        ok = false;
-        break;
+    for (std::size_t idx = half; idx-- > 0 && ok;) {
+      BigInt v = -ct[idx];
+      if (idx + 1 < half) v.add_mul(head[idx + 1], -q);
+      auto [k, r] = BigInt::divmod(v, m);  // truncated: r has v's sign
+      if (r.is_negative()) {
+        r += m;
+        k -= 1;
       }
-      for (std::size_t j = 0; j < p.g(); ++j) {
+      if (balanced && r + r > m) {
+        r -= m;
+        k += 1;
+      }
+      head[idx] = std::move(r);
+      if (negate_k) k = -k;
+      const auto digits = num::to_negabase(k, p.q(), p.g());
+      ok = digits.has_value();
+      for (std::size_t j = 0; ok && j < p.g(); ++j) {
         d(idx, j) = BigInt(static_cast<std::int64_t>((*digits)[p.g() - 1 - j]));
       }
     }
@@ -279,22 +296,58 @@ std::optional<FreeParts> lemma35_complete(const ConstructionParams& p,
   return std::nullopt;
 }
 
-la::SpanForm span_canonical(const ConstructionParams& p,
-                            const la::IntMatrix& c) {
-  return la::column_span_form(build_a(p, c));
+void a_transpose_words(const ConstructionParams& p,
+                       const std::vector<std::int64_t>& c,
+                       std::vector<std::int64_t>& out) {
+  const std::size_t n = p.n();
+  const std::size_t half = p.half();
+  CCMX_REQUIRE(c.size() == half * half, "C shape mismatch");
+  // Row j of A^T is column j of A (build_a): the unit diagonal, q below
+  // it in rows 1..half-1, C's column t in row half + t, and row 0's last
+  // entry from A's row n-1 = e_1^T.
+  out.assign((n - 1) * n, 0);
+  const auto at = [&out, n](std::size_t j, std::size_t i) -> std::int64_t& {
+    return out[j * n + i];
+  };
+  for (std::size_t j = 0; j + 1 < n; ++j) at(j, j) = 1;
+  for (std::size_t j = 1; j < half; ++j) {
+    at(j, j - 1) = static_cast<std::int64_t>(p.q());
+  }
+  for (std::size_t t = 0; t < half; ++t) {
+    for (std::size_t i = 0; i < half; ++i) at(half + t, i) = c[i * half + t];
+  }
+  at(0, n - 1) = 1;
 }
 
-la::IntMatrix c_instance(const ConstructionParams& p, std::uint64_t index) {
-  const std::size_t cells = p.free_entries_c();
-  la::IntMatrix c(p.half(), p.half());
+la::SpanForm span_canonical(const ConstructionParams& p,
+                            const la::IntMatrix& c) {
+  CCMX_REQUIRE(c.rows() == p.half() && c.cols() == p.half(),
+               "C shape mismatch");
+  std::vector<std::int64_t> digits;
+  for (const BigInt& v : c.data()) digits.push_back(v.to_int64());
+  std::vector<std::int64_t> at;
+  a_transpose_words(p, digits, at);
+  return la::column_span_form(at, p.n() - 1, p.n());
+}
+
+void c_instance_digits(const ConstructionParams& p, std::uint64_t index,
+                       std::vector<std::int64_t>& out) {
+  out.resize(p.free_entries_c());
   std::uint64_t rest = index;
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    c(cell / p.half(), cell % p.half()) =
-        BigInt(static_cast<std::int64_t>(rest % p.q()));
+  for (std::int64_t& digit : out) {
+    digit = static_cast<std::int64_t>(rest % p.q());
     rest /= p.q();
   }
   CCMX_REQUIRE(rest == 0, "C instance index out of range");
-  return c;
+}
+
+la::IntMatrix c_instance(const ConstructionParams& p, std::uint64_t index) {
+  std::vector<std::int64_t> digits;
+  c_instance_digits(p, index, digits);
+  return la::IntMatrix::generate(
+      p.half(), p.half(), [&](std::size_t i, std::size_t t) {
+        return BigInt(digits[i * p.half() + t]);
+      });
 }
 
 FreeParts dey_instance(const ConstructionParams& p, const la::IntMatrix& c,

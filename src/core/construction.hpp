@@ -130,7 +130,9 @@ struct FreeParts {
                                        const FreeParts& parts);
 
 /// The forced x_1 of the dependency A x = B u for given (C, D, E) — the
-/// quantity the y row must hit.  Exposed for the census engines.
+/// quantity the y row must hit.  Exposed for the census engines.  Like
+/// restricted_singular and lemma35_complete, it takes FreeParts' digits:
+/// each entry must fit int64.
 [[nodiscard]] num::BigInt forced_x1(const ConstructionParams& p,
                                     const la::IntMatrix& c,
                                     const la::IntMatrix& d,
@@ -143,10 +145,17 @@ struct FreeParts {
     const ConstructionParams& p, const la::IntMatrix& c,
     const la::IntMatrix& e);
 
+/// A(C)^T as int64 words, row-major: n - 1 rows of n, written into `out`
+/// straight from C's digits (row-major, half x half), with no BigInt.
+/// These are the rows la::column_span_form's word entry eliminates.
+void a_transpose_words(const ConstructionParams& p,
+                       const std::vector<std::int64_t>& c,
+                       std::vector<std::int64_t>& out);
+
 /// Canonical integer form of Span(A(C)) (linalg/span_form.hpp) — equal
-/// forms iff equal spans (Lemma 3.4).  A's top (n-1) x (n-1) block is unit
-/// upper triangular, so every pivot of the elimination is 1 and the form
-/// is the RREF of A^T itself, integral.
+/// forms iff equal spans (Lemma 3.4), from a_transpose_words.  A's top
+/// (n-1) x (n-1) block is unit upper triangular, so every pivot of the
+/// elimination is 1 and the form is the RREF of A^T itself, integral.
 [[nodiscard]] la::SpanForm span_canonical(const ConstructionParams& p,
                                           const la::IntMatrix& c);
 
@@ -154,6 +163,9 @@ struct FreeParts {
 /// lexicographic digit order, i < q^{free_entries}.
 [[nodiscard]] la::IntMatrix c_instance(const ConstructionParams& p,
                                        std::uint64_t index);
+/// c_instance's digits, row-major, written into `out`.
+void c_instance_digits(const ConstructionParams& p, std::uint64_t index,
+                       std::vector<std::int64_t>& out);
 [[nodiscard]] FreeParts dey_instance(const ConstructionParams& p,
                                      const la::IntMatrix& c,
                                      std::uint64_t index);

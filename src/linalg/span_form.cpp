@@ -138,6 +138,31 @@ std::optional<std::size_t> eliminate(std::vector<Int>& a, std::size_t rows,
   return lead;
 }
 
+/// The form by BigInt elimination of the rows x cols matrix a (m^T,
+/// row-major): the fallback of both entries.
+SpanForm wide_form(std::vector<BigInt> a, std::size_t rows, std::size_t cols) {
+  SpanForm form;
+  form.dim = cols;
+  form.fallback = true;
+  const std::optional<std::size_t> rank = eliminate(a, rows, cols);
+  CCMX_ASSERT(rank.has_value());
+  form.rank = *rank;
+  a.resize(form.rank * cols);
+  // The representation follows the entries, not the arithmetic that
+  // computed them, so a form is keyed one way only.
+  if (std::all_of(a.begin(), a.end(),
+                  [](const BigInt& v) { return v.fits_int64(); })) {
+    for (const BigInt& v : a) form.words.push_back(v.to_int64());
+  } else {
+    IntMatrix out(form.rank, cols);
+    for (std::size_t t = 0; t < a.size(); ++t) {
+      out(t / cols, t % cols) = std::move(a[t]);
+    }
+    form.wide = std::move(out);
+  }
+  return form;
+}
+
 }  // namespace
 
 IntMatrix SpanForm::matrix() const {
@@ -151,51 +176,40 @@ IntMatrix SpanForm::matrix() const {
   return out;
 }
 
+SpanForm column_span_form(const std::vector<std::int64_t>& mt,
+                          std::size_t rows, std::size_t cols) {
+  CCMX_REQUIRE(mt.size() == rows * cols, "column_span_form: shape mismatch");
+  std::vector<std::int64_t> words = mt;
+  if (const std::optional<std::size_t> rank = eliminate(words, rows, cols)) {
+    SpanForm form;
+    form.dim = cols;
+    form.rank = *rank;
+    words.resize(form.rank * cols);
+    form.words = std::move(words);
+    return form;
+  }
+  return wide_form(std::vector<BigInt>(mt.begin(), mt.end()), rows, cols);
+}
+
 SpanForm column_span_form(const IntMatrix& m) {
   // Eliminate m^T: rows are m's columns.
   const std::size_t rows = m.cols();
   const std::size_t cols = m.rows();
-  SpanForm form;
-  form.dim = cols;
   std::vector<std::int64_t> narrow(rows * cols);
-  bool fits = true;
-  for (std::size_t i = 0; i < rows && fits; ++i) {
-    for (std::size_t j = 0; j < cols && fits; ++j) {
-      const BigInt& v = m(j, i);
-      fits = v.fits_int64();
-      if (fits) narrow[i * cols + j] = v.to_int64();
-    }
-  }
-  if (fits) {
-    if (const std::optional<std::size_t> rank = eliminate(narrow, rows, cols)) {
-      form.rank = *rank;
-      narrow.resize(form.rank * cols);
-      form.words = std::move(narrow);
-      return form;
-    }
-  }
-  form.fallback = true;
-  std::vector<BigInt> wide(rows * cols);
   for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) wide[i * cols + j] = m(j, i);
-  }
-  const std::optional<std::size_t> rank = eliminate(wide, rows, cols);
-  CCMX_ASSERT(rank.has_value());
-  form.rank = *rank;
-  wide.resize(form.rank * cols);
-  // The representation follows the entries, not the arithmetic that
-  // computed them, so a form is keyed one way only.
-  if (std::all_of(wide.begin(), wide.end(),
-                  [](const BigInt& v) { return v.fits_int64(); })) {
-    for (const BigInt& v : wide) form.words.push_back(v.to_int64());
-  } else {
-    IntMatrix out(form.rank, cols);
-    for (std::size_t t = 0; t < wide.size(); ++t) {
-      out(t / cols, t % cols) = std::move(wide[t]);
+    for (std::size_t j = 0; j < cols; ++j) {
+      const BigInt& v = m(j, i);
+      if (!v.fits_int64()) {
+        std::vector<BigInt> wide(rows * cols);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < cols; ++c) wide[r * cols + c] = m(c, r);
+        }
+        return wide_form(std::move(wide), rows, cols);
+      }
+      narrow[i * cols + j] = v.to_int64();
     }
-    form.wide = std::move(out);
   }
-  return form;
+  return column_span_form(narrow, rows, cols);
 }
 
 }  // namespace ccmx::la

@@ -13,7 +13,8 @@
 //
 // The elimination runs on int64 with every product and difference
 // overflow-checked and, on the first overflow, reruns on BigInt.  The
-// Lemma 3.4 census keys its spans by this form's int64 words.
+// Lemma 3.4 census writes its blocks as int64 words straight into the
+// word entry and keys its spans by the form's words.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,15 @@ struct SpanForm {
   [[nodiscard]] IntMatrix matrix() const;
 };
 
-/// The canonical integer form of m's column span (see SpanForm).
+/// The canonical integer form of m's column span (see SpanForm), from
+/// m^T as int64 words: `rows` rows (m's columns) of `cols` entries,
+/// row-major.  The elimination runs on a copy of the words, and on an
+/// overflow BigInt reruns it from them.
+[[nodiscard]] SpanForm column_span_form(const std::vector<std::int64_t>& mt,
+                                        std::size_t rows, std::size_t cols);
+
+/// The same for an IntMatrix m: it narrows m^T to int64 words for the
+/// word entry, or eliminates on BigInt when an entry does not fit.
 [[nodiscard]] SpanForm column_span_form(const IntMatrix& m);
 
 }  // namespace ccmx::la

@@ -18,6 +18,7 @@
 #include "core/census_model.hpp"
 #include "linalg/rref.hpp"
 #include "obs/obs.hpp"
+#include "util/divisor.hpp"
 #include "util/int128.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -210,6 +211,52 @@ TEST(RowCensus, Int64ModelMatchesI128AtTheEdgeOfItsGate) {
   }
   // (11, 2), (7, 3), (7, 4), (5, 5) and (5, 6).
   EXPECT_EQ(sizes, 5u);
+}
+
+TEST(RowCensus, PreparedStepDividesLikeTheOperatorAtEveryInt64Size) {
+  // ShiftModel<int64_t>::count takes floor and ceil by the step q^L from
+  // a prepared divisor.  At every valid size the int64 model admits, they
+  // must equal `/` rounded down and up: on 0, +-(2^63 - 1), exact
+  // multiples of the step and their neighbours, and seeded numerators of
+  // both signs.
+  constexpr std::int64_t kMax = INT64_MAX;
+  std::size_t steps = 0;
+  Xoshiro256 rng(41);
+  for (unsigned k = 2; k <= 20; ++k) {
+    for (std::size_t n = 5; model_int(n, k) == ModelInt::kInt64; n += 2) {
+      const ConstructionParams p(n, k);
+      if (!p.valid()) continue;
+      ++steps;
+      const std::int64_t step = p.m().to_int64();
+      const ccmx::util::Divisor divisor(static_cast<std::uint64_t>(step));
+      std::vector<std::int64_t> numerators = {0, kMax, -kMax};
+      for (const std::int64_t mult : {std::int64_t{1}, std::int64_t{3},
+                                      kMax / step}) {
+        for (const i128 v : {i128{mult} * step, -i128{mult} * step}) {
+          for (const i128 near : {v - 1, v, v + 1}) {
+            if (near >= -i128{kMax} - 1 && near <= kMax) {
+              numerators.push_back(static_cast<std::int64_t>(near));
+            }
+          }
+        }
+      }
+      for (int i = 0; i < 100; ++i) {
+        numerators.push_back(static_cast<std::int64_t>(rng()) >>
+                             rng.below(64));
+      }
+      for (const std::int64_t a : numerators) {
+        const std::int64_t quot = a / step;
+        const bool inexact = quot * step != a;
+        EXPECT_EQ(divisor.floor(a), quot - (inexact && a < 0 ? 1 : 0))
+            << "floor(" << a << " / " << step << ") at (" << n << ", " << k
+            << ")";
+        EXPECT_EQ(divisor.ceil(a), quot + (inexact && a > 0 ? 1 : 0))
+            << "ceil(" << a << " / " << step << ") at (" << n << ", " << k
+            << ")";
+      }
+    }
+  }
+  EXPECT_GE(steps, 5u);
 }
 
 /// The sampled census rebuilt from its definition: one base draw from the

@@ -2,6 +2,7 @@
 // characterization, the Lemma 3.5(a) completion, and Lemma 3.4 distinctness.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -128,8 +129,10 @@ TEST(Lemma32, MatchesDeterminant) {
 
 TEST(ScalarCharacterization, MatchesDeterminant) {
   Xoshiro256 rng(4);
+  // (31, 8) and (63, 2) are the benchmark's sizes: there the tails pass
+  // two limbs, so the word steps run on heap BigInts.
   for (const auto& [n, k] : std::vector<std::pair<std::size_t, unsigned>>{
-           {7, 2}, {7, 3}, {9, 2}}) {
+           {7, 2}, {7, 3}, {9, 2}, {31, 8}, {63, 2}}) {
     const ConstructionParams p(n, k);
     int singular_seen = 0;
     for (int trial = 0; trial < 30; ++trial) {
@@ -186,7 +189,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::size_t{9}, 2u),
                       std::make_tuple(std::size_t{9}, 4u),
                       std::make_tuple(std::size_t{11}, 2u),
-                      std::make_tuple(std::size_t{13}, 3u)));
+                      std::make_tuple(std::size_t{13}, 3u),
+                      std::make_tuple(std::size_t{31}, 8u),
+                      std::make_tuple(std::size_t{63}, 2u)));
+
+/// FNV-1a over v's decimal digits and a separator.
+void mix(std::uint64_t& hash, const BigInt& v) {
+  for (const char ch : v.to_string() + ",") {
+    hash ^= static_cast<unsigned char>(ch);
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+TEST(Lemma35Completion, PinnedDigitsAndForcedX1) {
+  // D and y of 20 seeded completions per size, and forced_x1 on the
+  // seeds' own random parts, hashed.  The pins are the values of the
+  // formulation that summed BigInt products against w and u and divided
+  // a_idx . x by (-q)^L; the word steps must reproduce them bit for bit.
+  struct Case {
+    std::size_t n;
+    unsigned k;
+    std::uint64_t completions;
+    std::uint64_t forced;
+  };
+  const Case cases[] = {
+      {13, 3, 0xfe6a22d93650fe04ULL, 0xea1052fc3ac13cc1ULL},
+      {31, 8, 0xcaeddcc3078dca86ULL, 0x69b4d9a4c6ef279aULL},
+      {63, 2, 0xfe27fda43c145565ULL, 0x09de62d2858efa90ULL},
+  };
+  for (const Case& want : cases) {
+    const ConstructionParams p(want.n, want.k);
+    Xoshiro256 rng(want.n * 1000 + want.k);
+    std::uint64_t completions = 0xcbf29ce484222325ULL;
+    std::uint64_t forced = 0xcbf29ce484222325ULL;
+    for (int trial = 0; trial < 20; ++trial) {
+      const FreeParts seed = FreeParts::random(p, rng);
+      const auto done = lemma35_complete(p, seed.c, seed.e);
+      ASSERT_TRUE(done.has_value()) << "n=" << want.n << " k=" << want.k;
+      for (const BigInt& v : done->d.data()) mix(completions, v);
+      for (const BigInt& v : done->y) mix(completions, v);
+      mix(forced, forced_x1(p, seed.c, seed.d, seed.e));
+    }
+    EXPECT_EQ(completions, want.completions)
+        << "n=" << want.n << " k=" << want.k;
+    EXPECT_EQ(forced, want.forced) << "n=" << want.n << " k=" << want.k;
+  }
+}
 
 TEST(Lemma34, DistinctCGiveDistinctSpans) {
   const ConstructionParams p(7, 2);

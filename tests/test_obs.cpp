@@ -52,7 +52,9 @@ TEST(ObsCounter, SumsExactlyUnderParallelFor) {
     counter.add(i % 3 == 0 ? 2 : 1);  // non-uniform deltas
   });
   std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < kItems; ++i) expected += i % 3 == 0 ? 2 : 1;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    expected += i % 3 == 0 ? std::uint64_t{2} : std::uint64_t{1};
+  }
   // Worker sinks folded when the jthreads joined inside parallel_for.
   EXPECT_EQ(counter.value(), expected);
 }

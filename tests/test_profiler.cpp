@@ -33,16 +33,6 @@ namespace {
 
 using namespace ccmx;
 
-/// Fresh per-test output path (tests share one process; never reuse).
-std::string temp_profile_path(std::string_view test) {
-  const std::string name =
-      "ccmx_profiler_" + std::string(test) + "_" + std::to_string(getpid());
-  const std::string path =
-      (std::filesystem::temp_directory_path() / (name + ".jsonl")).string();
-  std::filesystem::remove(path);
-  return path;
-}
-
 /// Burns roughly `seconds` of CPU time in ccmx_test_spin_hot.
 double thread_cpu_seconds() {
   timespec ts{};
@@ -86,6 +76,16 @@ TEST(Profiler, CompiledOutStubsReportReasonNotZeros) {
 #else  // the real thing
 
 namespace {
+
+/// Fresh per-test output path (tests share one process; never reuse).
+std::string temp_profile_path(std::string_view test) {
+  const std::string name =
+      "ccmx_profiler_" + std::string(test) + "_" + std::to_string(getpid());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / (name + ".jsonl")).string();
+  std::filesystem::remove(path);
+  return path;
+}
 
 TEST(Profiler, StopWithoutStartIsANoop) {
   EXPECT_FALSE(obs::profiler_running());

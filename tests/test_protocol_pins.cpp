@@ -76,8 +76,14 @@ std::string transcript(const Protocol& protocol, const BitVec& input,
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(digest));
-    out += " " + std::to_string(message.from == Agent::kZero ? 0 : 1) + ":" +
-           std::to_string(message.payload.size()) + ":" + hex;
+    // Appended piece by piece: GCC 12's -Wrestrict misfires at -O3 on
+    // " " + std::string&&.
+    out += ' ';
+    out += std::to_string(message.from == Agent::kZero ? 0 : 1);
+    out += ':';
+    out += std::to_string(message.payload.size());
+    out += ':';
+    out += hex;
   }
   return out;
 }

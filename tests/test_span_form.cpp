@@ -13,6 +13,7 @@
 
 #include "bigint/bigint.hpp"
 #include "bigint/rational.hpp"
+#include "core/construction.hpp"
 #include "linalg/rref.hpp"
 #include "linalg/span_form.hpp"
 #include "util/rng.hpp"
@@ -213,6 +214,74 @@ TEST(SpanForm, WideFormsAndInt64Edges) {
   EXPECT_FALSE(signed_form.fallback);
   EXPECT_EQ(signed_form.words, (std::vector<std::int64_t>{big, big - 1}));
   expect_scaled_rref(negative, signed_form);
+}
+
+/// m^T as int64 words, row-major; every entry of m must fit.
+std::vector<std::int64_t> transpose_words(const IntMatrix& m) {
+  std::vector<std::int64_t> out;
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      out.push_back(m(i, j).to_int64());
+    }
+  }
+  return out;
+}
+
+void expect_same_form(const SpanForm& got, const SpanForm& want) {
+  EXPECT_EQ(got.rank, want.rank);
+  EXPECT_EQ(got.dim, want.dim);
+  EXPECT_EQ(got.words, want.words);
+  EXPECT_EQ(got.wide, want.wide);
+  EXPECT_EQ(got.fallback, want.fallback);
+}
+
+TEST(SpanForm, WordEntryMatchesTheIntMatrixEntryOnEveryCensusBlock) {
+  // All 3^9 C blocks at (7, 2): A(C)^T written from C's digits, through
+  // the word entry, gives the form of the BigInt matrix A(C).
+  const ccmx::core::ConstructionParams p(7, 2);
+  std::vector<std::int64_t> digits;
+  std::vector<std::int64_t> at;
+  for (std::uint64_t index = 0; index < 19683; ++index) {
+    const IntMatrix c = ccmx::core::c_instance(p, index);
+    digits.clear();
+    for (const BigInt& v : c.data()) digits.push_back(v.to_int64());
+    ccmx::core::a_transpose_words(p, digits, at);
+    const IntMatrix a = ccmx::core::build_a(p, c);
+    ASSERT_EQ(at, transpose_words(a)) << "C block " << index;
+    expect_same_form(column_span_form(at, p.n() - 1, p.n()),
+                     column_span_form(a));
+    if (HasFailure()) break;
+  }
+}
+
+TEST(SpanForm, WordEntryFallsBackLikeTheIntMatrixEntry) {
+  // Entries near 2^61 fit int64, but the elimination's products do not:
+  // both entries rerun on BigInt.  Two such columns in 3-space have a
+  // form whose entries are 2 x 2 minors, past int64, so it is wide; one
+  // scaled by 2^58 + 3 has a small form again.
+  Xoshiro256 rng(4);
+  int wide = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const IntMatrix m =
+        IntMatrix::generate(3, 2, [&](std::size_t, std::size_t) {
+          return BigInt(static_cast<std::int64_t>(rng() >> 3));
+        });
+    const SpanForm form = column_span_form(m);
+    EXPECT_TRUE(form.fallback);
+    wide += form.wide ? 1 : 0;
+    expect_same_form(column_span_form(transpose_words(m), 2, 3), form);
+  }
+  EXPECT_GT(wide, 40);
+  const IntMatrix small{{1, 2}, {-3, 5}, {4, 0}};
+  const IntMatrix scaled =
+      IntMatrix::generate(3, 2, [&](std::size_t i, std::size_t j) {
+        return small(i, j) * (BigInt::pow2(58) + BigInt(3));
+      });
+  const SpanForm form = column_span_form(scaled);
+  EXPECT_TRUE(form.fallback);
+  EXPECT_FALSE(form.wide.has_value());
+  EXPECT_EQ(form.words, column_span_form(small).words);
+  expect_same_form(column_span_form(transpose_words(scaled), 2, 3), form);
 }
 
 }  // namespace

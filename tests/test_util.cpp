@@ -1,10 +1,11 @@
-// util: rng determinism/statistics, parallel loops, narrowing, env
-// knobs, tables.
+// util: rng determinism/statistics, the prepared divisor, parallel loops,
+// narrowing, env knobs, tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -12,9 +13,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "util/divisor.hpp"
 #include "util/env.hpp"
 #include "util/narrow.hpp"
 #include "util/parallel.hpp"
@@ -83,6 +86,69 @@ TEST(Rng, PreparedBoundDrawsWhatBelowDraws) {
   EXPECT_EQ(Xoshiro256::prepare((std::uint64_t{1} << 63) + 1).threshold,
             (std::uint64_t{1} << 63) - 1);
   EXPECT_THROW((void)Xoshiro256::prepare(0), contract_error);
+}
+
+/// Divisors of every width: the ends of the range, Mersenne-style and
+/// power-of-two values, and seeded ones of 1 to 64 bits.
+std::vector<std::uint64_t> test_divisors() {
+  std::vector<std::uint64_t> divisors = {
+      1, 2, 3, 7, 255, 65535, (std::uint64_t{1} << 32) - 1,
+      std::uint64_t{1} << 32, (std::uint64_t{1} << 63) - 1,
+      std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}};
+  Xoshiro256 rng(17);
+  for (int i = 0; i < 64; ++i) {
+    divisors.push_back(std::max<std::uint64_t>(1, rng() >> rng.below(64)));
+  }
+  return divisors;
+}
+
+TEST(Divisor, QuotientAndRemainderMatchTheOperators) {
+  Xoshiro256 rng(23);
+  for (const std::uint64_t d : test_divisors()) {
+    const Divisor divisor(d);
+    std::vector<std::uint64_t> numerators = {0, 1, d - 1, d, d + 1, 2 * d,
+                                             ~std::uint64_t{0}};
+    for (int i = 0; i < 200; ++i) numerators.push_back(rng() >> rng.below(64));
+    for (const std::uint64_t n : numerators) {
+      EXPECT_EQ(divisor.quotient(n), n / d) << n << " / " << d;
+      EXPECT_EQ(divisor.remainder(n), n % d) << n << " % " << d;
+    }
+  }
+}
+
+TEST(Divisor, FloorAndCeilMatchTheOperatorsOnSignedNumerators) {
+  // The reference divides with `/` on i128, which truncates, and rounds
+  // the inexact quotients toward -inf (floor) or +inf (ceil).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Xoshiro256 rng(29);
+  for (const std::uint64_t d : test_divisors()) {
+    const Divisor divisor(d);
+    const i128 b = d;
+    std::vector<std::int64_t> numerators = {
+        0, 1, -1, kMax, -kMax, std::numeric_limits<std::int64_t>::min()};
+    // Exact multiples and their neighbours, on both sides of 0.
+    for (const i128 k : {i128{1}, i128{2}, i128{kMax} / b}) {
+      for (const i128 v : {k * b, -k * b}) {
+        for (const i128 near : {v - 1, v, v + 1}) {
+          if (near >= -i128{kMax} - 1 && near <= i128{kMax}) {
+            numerators.push_back(static_cast<std::int64_t>(near));
+          }
+        }
+      }
+    }
+    for (int i = 0; i < 200; ++i) {
+      numerators.push_back(static_cast<std::int64_t>(rng()) >> rng.below(64));
+    }
+    for (const std::int64_t n : numerators) {
+      const i128 a = n;
+      const i128 quot = a / b;
+      const bool inexact = quot * b != a;
+      EXPECT_EQ(i128{divisor.floor(n)}, quot - (inexact && a < 0 ? 1 : 0))
+          << "floor(" << n << " / " << d << ")";
+      EXPECT_EQ(i128{divisor.ceil(n)}, quot + (inexact && a > 0 ? 1 : 0))
+          << "ceil(" << n << " / " << d << ")";
+    }
+  }
 }
 
 TEST(Rng, RangeEndpointsReachable) {
