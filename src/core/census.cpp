@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -147,6 +148,11 @@ void tick_batched(obs::ProgressMeter& progress, std::uint64_t items) {
   if (items % kTickBatch == 0) progress.tick(kTickBatch);
 }
 
+/// Cap on a digit group's table (DigitGroups): 2^8 cells.  g is then 5 at
+/// q = 3, 2 at q = 7 and 15, and 1 from q = 17 up; the (9, 2) and (11, 2)
+/// groups take 6 and 9 tables of at most 243 cells, which stay in L1.
+constexpr std::uint64_t kGroupCells = 256;
+
 }  // namespace
 
 BigInt total_rows(const ConstructionParams& p) {
@@ -188,8 +194,8 @@ ShiftModel<Int>::ShiftModel(const ConstructionParams& p,
   if constexpr (std::is_same_v<Int, std::int64_t>) {
     step_divisor_ = util::Divisor(static_cast<std::uint64_t>(step_));
   }
-  // coef[p] = chain(e_p), so dot and the histogram agree with chain by
-  // construction.
+  // coef[p] = chain(e_p), so the histogram and the digit groups agree with
+  // chain by construction.
   std::vector<std::uint32_t> unit(half_ * l_ + (half_ - 1) * g_, 0);
   std::vector<Int> x(p.n() - 1);
   for (std::size_t d = 0; d < unit.size(); ++d) {
@@ -201,7 +207,7 @@ ShiftModel<Int>::ShiftModel(const ConstructionParams& p,
 
 template <class Int>
 Int ShiftModel<Int>::chain(const std::vector<std::uint32_t>& dv,
-                           std::vector<Int>& x) const {
+                           std::span<Int> x) const {
   // Tails x[half..n-2] from the E rows.
   std::size_t pos = 0;
   for (std::size_t r = 0; r < half_; ++r) {
@@ -229,18 +235,6 @@ Int ShiftModel<Int>::chain(const std::vector<std::uint32_t>& dv,
 }
 
 template <class Int>
-Int ShiftModel<Int>::dot(const std::vector<std::uint32_t>& dv) const {
-  Int shift{};
-  for (std::size_t d = 0; d < coef_.size(); ++d) {
-    if constexpr (std::is_same_v<Int, BigInt>) {
-      if (dv[d] == 0) continue;
-    }
-    shift += coef_[d] * static_cast<std::int64_t>(dv[d]);
-  }
-  return shift;
-}
-
-template <class Int>
 Int ShiftModel<Int>::count(const Int& shift) const {
   Int lo;
   Int hi;
@@ -254,6 +248,37 @@ Int ShiftModel<Int>::count(const Int& shift) const {
   lo = std::max(lo, t_lo_);
   hi = std::min(hi, t_hi_);
   return hi < lo ? Int{} : hi - lo + 1;
+}
+
+template <class Int>
+DigitGroups<Int>::DigitGroups(const std::vector<Int>& coef, std::uint64_t q) {
+  CCMX_ASSERT(q >= 2);
+  std::size_t g = 1;
+  for (std::uint64_t cells = q; cells <= kGroupCells / q; cells *= q) ++g;
+  for (std::size_t first = 0; first < coef.size(); first += g) {
+    Group group;
+    group.width = std::min(g, coef.size() - first);
+    group.coef = coef[first];
+    std::uint64_t cells = 1;
+    for (std::size_t i = 0; i < group.width; ++i) cells *= q;
+    if (group.width >= 2) {
+      // Digit i of v has place q^i: cell d q^i + u, for u < q^i, adds
+      // d coef[first + i] to cell u.
+      group.table.reserve(cells);
+      group.table.emplace_back();
+      for (std::size_t i = 0; i < group.width; ++i) {
+        const std::size_t place = group.table.size();
+        for (std::uint64_t d = 1; d < q; ++d) {
+          const Int term = coef[first + i] * static_cast<std::int64_t>(d);
+          for (std::size_t u = 0; u < place; ++u) {
+            group.table.push_back(group.table[u] + term);
+          }
+        }
+      }
+    }
+    group.bound = util::Xoshiro256::prepare(cells);
+    groups_.push_back(std::move(group));
+  }
 }
 
 namespace {
@@ -335,16 +360,26 @@ template <class Int>
 ExactCount recompute_sweep(const ShiftModel<Int>& model,
                            const ConstructionParams& p, std::uint64_t space) {
   obs::ProgressMeter progress("row_census[exact]", space);
+  // The chain scratch, written on every digit vector, is the middle of a
+  // buffer with a cache line of guard on each side, so no other heap block
+  // shares its lines.  Without the guards a worker's scratch can land next
+  // to another worker's: glibc hands a block freed on one thread to that
+  // thread's next allocation, and the caller frees the workers' states
+  // after each sweep, so the next sweep's blocks mix.
+  constexpr std::size_t kGuard = (64 + sizeof(Int) - 1) / sizeof(Int);
   struct SweepState {
-    std::vector<Int> x;  // chain scratch
+    std::vector<Int> buffer;  // kGuard, the n - 1 chain values, kGuard
     Tally ones;
     std::uint64_t evals = 0;
   };
   const auto states = util::sweep_digits(
       p.q(), model.digits(),
-      [&] { return SweepState{std::vector<Int>(p.n() - 1), {}, 0}; },
+      [&] {
+        return SweepState{std::vector<Int>(p.n() - 1 + 2 * kGuard), {}, 0};
+      },
       [&](SweepState& st, const std::vector<std::uint32_t>& dv) {
-        st.ones.add(model.count(model.chain(dv, st.x)));
+        const std::span<Int> x(st.buffer.data() + kGuard, p.n() - 1);
+        st.ones.add(model.count(model.chain(dv, x)));
       },
       [&](SweepState& st, std::uint64_t items) {
         st.evals += items;
@@ -392,27 +427,18 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
     // One base draw from the caller's stream seeds a per-sample generator,
     // so sample s sees the same digits no matter which worker runs it.
     const std::uint64_t base_seed = rng();
-    const util::Xoshiro256::Bound digit_bound = util::Xoshiro256::prepare(q);
+    const DigitGroups<Int> groups(model.coef(), q);
     struct SampleAcc {
-      std::vector<std::uint32_t> dv;
       Tally sum;
       std::uint64_t evals = 0;
     };
     const SampleAcc total = util::parallel_reduce<SampleAcc>(
-        0, options.samples,
-        [&] {
-          SampleAcc acc;
-          acc.dv.assign(digits, 0);
-          return acc;
-        },
+        0, options.samples, [] { return SampleAcc{}; },
         [&](SampleAcc& acc, std::size_t s) {
           util::Xoshiro256 draw(base_seed +
                                 0x9e3779b97f4a7c15ULL *
                                     (static_cast<std::uint64_t>(s) + 1));
-          for (auto& digit : acc.dv) {
-            digit = util::narrow_cast<std::uint32_t>(draw.below(digit_bound));
-          }
-          acc.sum.add(model.count(model.dot(acc.dv)));
+          acc.sum.add(model.count(groups.shift(draw)));
           tick_batched(progress, ++acc.evals);
         },
         [&progress](SampleAcc& into, const SampleAcc& acc) {
@@ -441,6 +467,9 @@ RowCensus count_row(const ConstructionParams& p, const la::IntMatrix& c,
 template class ShiftModel<std::int64_t>;
 template class ShiftModel<i128>;
 template class ShiftModel<BigInt>;
+template class DigitGroups<std::int64_t>;
+template class DigitGroups<i128>;
+template class DigitGroups<BigInt>;
 template RowCensus count_row<std::int64_t>(const ConstructionParams&,
                                            const la::IntMatrix&,
                                            const CensusOptions&,

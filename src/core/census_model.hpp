@@ -3,16 +3,18 @@
 // row-major, then D rows 1..half-1) is linear in dv: shift(dv) =
 // sum_p dv[p] * coef[p] with coef[p] = chain(e_p).  chain is the full
 // x-chain (the recompute sweep's evaluator), coef what the shift histogram
-// convolves, dot the linear form (per sample), and count the number of
-// D_0 rows whose x_1 is (n-1)-digit representable.  row_census picks the
-// type by model_int below; census.cpp instantiates all three.
+// convolves and the sampled census's digit groups tabulate, and count the
+// number of D_0 rows whose x_1 is (n-1)-digit representable.  row_census
+// picks the type by model_int below; census.cpp instantiates all three.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/census.hpp"
 #include "util/divisor.hpp"
+#include "util/rng.hpp"
 
 namespace ccmx::core {
 
@@ -44,11 +46,7 @@ class ShiftModel {
   [[nodiscard]] const std::vector<Int>& coef() const noexcept { return coef_; }
   /// Fills the caller-owned scratch x (length n - 1).
   [[nodiscard]] Int chain(const std::vector<std::uint32_t>& dv,
-                          std::vector<Int>& x) const;
-  /// sum_p dv[p] coef[p].  Only the BigInt model skips zero digits: there
-  /// a skip saves a multiplication, on a machine word it is a branch that
-  /// mispredicts on uniform digits.
-  [[nodiscard]] Int dot(const std::vector<std::uint32_t>& dv) const;
+                          std::span<Int> x) const;
   [[nodiscard]] Int count(const Int& shift) const;
 
  private:
@@ -61,10 +59,54 @@ class ShiftModel {
   util::Divisor step_divisor_;
 };
 
+/// The sampled census's draws.  The digits, in order, fall into groups of
+/// g, the largest g >= 1 with q^g within a fixed cell cap (census.cpp); the
+/// last group takes the digits left.  A group of w digits is one uniform
+/// draw v below q^w, and its digits are v's base-q digits, least
+/// significant first, so they stay iid uniform.  Its part of the shift,
+/// sum_i coef[first + i] digit_i(v), is table[v]: a partial sum of the
+/// shift's terms, so within model_int's bound.  A group of one digit keeps
+/// no table and adds coef[first] * v.
+template <class Int>
+class DigitGroups {
+ public:
+  struct Group {
+    std::size_t width = 0;          // w
+    util::Xoshiro256::Bound bound;  // q^w, prepared
+    Int coef{};                     // coef[first], for w = 1
+    std::vector<Int> table;         // q^w parts, for w >= 2
+  };
+
+  DigitGroups(const std::vector<Int>& coef, std::uint64_t q);
+
+  [[nodiscard]] const std::vector<Group>& groups() const noexcept {
+    return groups_;
+  }
+  /// The group's part of the shift for the draw v < q^w.
+  [[nodiscard]] static Int part(const Group& group, std::uint64_t v) {
+    if (group.table.empty()) {
+      return group.coef * static_cast<std::int64_t>(v);
+    }
+    return group.table[v];
+  }
+  /// One sample's shift: one below(bound) and one part per group.
+  [[nodiscard]] Int shift(util::Xoshiro256& draw) const {
+    Int sum{};
+    for (const Group& group : groups_) {
+      sum += part(group, draw.below(group.bound));
+    }
+    return sum;
+  }
+
+ private:
+  std::vector<Group> groups_;
+};
+
 /// row_census on ShiftModel<Int>.  When q^digits <= options.budget the
 /// census is exact: the shift histogram settles it when options.delta is
 /// set and the histogram is narrower than the sweep and a fixed cap,
-/// otherwise the recompute sweep does.  Above the budget it is sampled.
+/// otherwise the recompute sweep does.  Above the budget it is sampled,
+/// on DigitGroups.
 template <class Int>
 [[nodiscard]] RowCensus count_row(const ConstructionParams& p,
                                   const la::IntMatrix& c,

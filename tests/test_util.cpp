@@ -65,6 +65,9 @@ TEST(Rng, PreparedBoundDrawsWhatBelowDraws) {
                                        (std::uint64_t{1} << 63) + 1,
                                        ~std::uint64_t{0}};
   for (unsigned k = 2; k <= 20; ++k) bounds.push_back((1u << k) - 1);
+  // The sampled row census's digit-group bounds q^w: 3^3, 3^4, 3^5, 7^2
+  // and 15^2, drawn at (9, 2), (11, 2), (9, 3), (7, 2) and (7, 4).
+  bounds.insert(bounds.end(), {27, 81, 243, 49, 225});
   Xoshiro256 bound_rng(31);
   for (int i = 0; i < 20; ++i) {
     // Random bounds of every width from 1 to 64 bits.
